@@ -179,14 +179,6 @@ class SeriesCache:
             else None
         )
         wh_stop = stop + self.epoch_us if stop is not None else None
-        columnar = getattr(self.db, "columnar_spans", None)
-        if columnar is not None:
-            arrays = columnar(table, wh_start, wh_stop)
-            if arrays is not None:
-                arrivals = arrays[0] - self.epoch_us
-                departures = arrays[1] - self.epoch_us
-                self._tier_spans[table] = (arrivals, departures)
-                return arrivals, departures
         sql = (
             f"SELECT upstream_arrival_us, upstream_departure_us "
             f"FROM {quote_identifier(table)} "

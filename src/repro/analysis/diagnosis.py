@@ -325,7 +325,7 @@ class Diagnoser:
         # widening is a pure function of warehouse state, so parallel
         # window workers rebuilding from the db path derive the exact
         # same context as the serial path.
-        summary = getattr(db, "sampling_summary", lambda: None)()
+        summary = db.sampling_summary()
         self.evidence_widen = 1.0
         self.sampling_note: dict | None = None
         if summary is not None and summary["rows_seen"] > summary["rows_kept"]:

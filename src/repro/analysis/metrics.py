@@ -41,19 +41,12 @@ def metric_series(
     ``start``/``stop`` are simulation-time bounds on the load.  Metric
     tables partition on ``timestamp_us``, the very column bounded
     here, so on a sharded warehouse the read prunes exactly to the
-    overlapping shards; when columnar sidecars are built the series
-    comes straight from the numpy arrays, no SQL at all.
+    overlapping shards.
     """
     if not columns:
         raise AnalysisError("metric_series needs at least one column")
     wh_start = start + epoch_us if start is not None else None
     wh_stop = stop + epoch_us if stop is not None else None
-    columnar = getattr(db, "columnar_series", None)
-    if columnar is not None:
-        arrays = columnar(table, columns, wh_start, wh_stop)
-        if arrays is not None:
-            times, values = arrays
-            return Series._from_sorted(times - epoch_us, values)
     summed = " + ".join(
         f"COALESCE({quote_identifier(c)}, 0)" for c in columns
     )

@@ -308,12 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="merge each host's shards before this warehouse "
         "timestamp (seconds) into one rollup shard",
     )
-    shards.add_argument(
-        "--columnar",
-        action="store_true",
-        help="build numpy columnar sidecars next to each shard "
-        "(windowed metric reads then skip SQL entirely)",
-    )
 
     figures = subparsers.add_parser(
         "figures", help="regenerate the paper's figures"
@@ -566,9 +560,7 @@ def _cmd_transform(args) -> int:
             if args.shard_window_s is not None
             else None
         )
-        db: MScopeDB | ShardedMScopeDB = ShardedMScopeDB(
-            args.db, window_us=window_us
-        )
+        db: MScopeDB = ShardedMScopeDB(args.db, window_us=window_us)
     else:
         db = MScopeDB(args.db)
     transformer = MScopeDataTransformer(
@@ -766,11 +758,10 @@ def _cmd_serve(args) -> int:
 
 def _cmd_shards(args) -> int:
     db = open_warehouse(args.db)
-    if not getattr(db, "is_sharded", False):
+    if not isinstance(db, ShardedMScopeDB):
         print(f"{args.db} is a monolithic warehouse (no shards)")
         db.close()
         return 1
-    assert isinstance(db, ShardedMScopeDB)
     # Cutoffs and spans are simulation-time seconds (rebased by the
     # recorded epoch), matching diagnose --window.
     recorded = db.get_experiment_meta("epoch_us")
@@ -783,9 +774,6 @@ def _cmd_shards(args) -> int:
             seconds(args.compact_before) + epoch
         )
         print(f"compacted {merged} shards before {args.compact_before:g}s")
-    if args.columnar:
-        arrays = db.build_columnar()
-        print(f"columnar sidecars: {arrays} arrays")
     window = db.window_us
     label = f"{window / 1_000_000:g}s windows" if window else "host-only"
     print(f"{args.db}: {label}")

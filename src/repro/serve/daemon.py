@@ -199,19 +199,16 @@ class MScopeServeDaemon:
     # -- construction helpers ------------------------------------------
 
     def _open_db(self) -> MScopeDB:
-        # ShardedMScopeDB is not an MScopeDB subclass — it duck-types
-        # the full warehouse API (execute/tables/iterdump_content/...),
-        # so the daemon treats both layouts through the MScopeDB shape.
         config = self.config
         if config.db is None:
             return MScopeDB(threadsafe=True)
         if config.shard_window_s is not None:
-            return ShardedMScopeDB(  # type: ignore[return-value]
+            return ShardedMScopeDB(
                 config.db,
                 window_us=seconds(config.shard_window_s),
                 threadsafe=True,
             )
-        return open_warehouse(config.db, threadsafe=True)  # type: ignore[return-value]
+        return open_warehouse(config.db, threadsafe=True)
 
     def _resolve_meta(self) -> int:
         """Carry run metadata into the warehouse, exactly as the batch

@@ -18,14 +18,14 @@ from __future__ import annotations
 from repro.common.errors import DataImportError
 from repro.transformer.xml_to_csv import CsvTable
 from repro.warehouse.db import MScopeDB
-from repro.warehouse.sharded import ShardedMScopeDB, WorkerShardDB
+from repro.warehouse.sharded import ShardHostWriter
 
 __all__ = ["MScopeDataImporter"]
 
-#: Anything the importer can load into: the monolithic warehouse, the
-#: sharded one (serial path), or a worker-private shard facade
-#: (parallel sharded path).
-WarehouseTarget = MScopeDB | ShardedMScopeDB | WorkerShardDB
+#: Anything the importer can load into: a warehouse of either layout,
+#: or a transform worker's host-private shard writer (parallel sharded
+#: path), which logs the manifest writes for the parent to replay.
+WarehouseTarget = MScopeDB | ShardHostWriter
 
 _WIDER = {"INTEGER": 0, "REAL": 1, "TEXT": 2}
 
@@ -37,10 +37,11 @@ class MScopeDataImporter:
         self.db = db
         self._known_tables: set[str] | None = None
 
-    def _table_exists(self, name: str) -> bool:
+    def _tables(self) -> set[str]:
+        """The warehouse's dynamic tables, listed once then tracked."""
         if self._known_tables is None:
             self._known_tables = set(self.db.dynamic_tables())
-        return name in self._known_tables
+        return self._known_tables
 
     def import_table(
         self,
@@ -59,10 +60,11 @@ class MScopeDataImporter:
         if not table.columns:
             raise DataImportError(f"table {table.name!r} has no columns")
         with self.db.bulk_load():
-            created = not self._table_exists(table.name)
+            known = self._tables()
+            created = table.name not in known
             if created:
                 self.db.create_table(table.name, table.columns)
-                self._known_tables.add(table.name)  # type: ignore[union-attr]
+                known.add(table.name)
             else:
                 self._reconcile_schema(table)
             inserted = self.db.insert_rows(

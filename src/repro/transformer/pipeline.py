@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import operator
 import os
 import shutil
 from pathlib import Path
@@ -75,7 +76,6 @@ from repro.warehouse.sharded import (
     ShardHostWriter,
     ShardInfo,
     ShardedMScopeDB,
-    WorkerShardDB,
 )
 
 __all__ = ["TransformOutcome", "MScopeDataTransformer"]
@@ -232,7 +232,7 @@ def _host_shard_task(
     policy: ErrorPolicy,
     probe: SpanProbe = NULL_PROBE,
     sampling_spec: str | None = None,
-) -> tuple[list[tuple], tuple[tuple, ...], list[ShardInfo]]:
+) -> tuple[list[tuple], list[operator.methodcaller], list[ShardInfo]]:
     """Worker entry point for the sharded fan-out: one host, end to end.
 
     Unlike :func:`_parse_convert_task`, this worker owns the *write*
@@ -241,9 +241,9 @@ def _host_shard_task(
     :class:`~repro.warehouse.sharded.ShardHostWriter` — no table data
     ever crosses back to the parent, which removes the single-writer
     drain entirely.  Metadata side effects (schema catalog, load
-    catalog, monitor registry, ingest errors) are buffered and
-    returned for the parent to replay into the manifest in
-    deterministic host order.
+    catalog, monitor registry, sampling ledger) are logged by the
+    writer and returned, with the file's ingest errors, for the parent
+    to replay into the manifest in deterministic host order.
 
     Returns ``(file_results, meta_ops, shard_records)`` where each
     file result is ``(table_name, rows, columns, failed, xml, csv,
@@ -258,8 +258,7 @@ def _host_shard_task(
     # transformer falls back to the serial path for them).
     sampling = parse_policy(sampling_spec)
     writer = ShardHostWriter(Path(root_str), host, window_us)
-    facade = WorkerShardDB(writer)
-    importer = MScopeDataImporter(facade)
+    importer = MScopeDataImporter(writer)
     results: list[tuple] = []
     for path_str, binding in file_specs:
         path = Path(path_str)
@@ -281,7 +280,7 @@ def _host_shard_task(
                 if sampling is not None:
                     entry = sampling.counts.get((table.name, table.source))
                     if entry is not None:
-                        facade.record_sampling(
+                        writer.record_sampling(
                             table.name,
                             table.source,
                             sampling.spec,
@@ -302,8 +301,7 @@ def _host_shard_task(
                 tuple(spans) + tuple(import_spans),
             )
         )
-    records = writer.close()
-    return results, facade.drain_meta_ops(), records
+    return results, writer.meta_ops, writer.close()
 
 
 class MScopeDataTransformer:
@@ -349,7 +347,7 @@ class MScopeDataTransformer:
 
     def __init__(
         self,
-        db: MScopeDB | ShardedMScopeDB,
+        db: MScopeDB,
         declaration: ParsingDeclaration | None = None,
         workdir: Path | str | None = None,
         jobs: int | None = None,
@@ -551,7 +549,7 @@ class MScopeDataTransformer:
         telemetry.ingest(resolve_spans)
 
         jobs = self._resolve_jobs(jobs, len(work))
-        sharded = getattr(self.db, "is_sharded", False)
+        sharded = isinstance(self.db, ShardedMScopeDB)
         if sharded and self.sampling is not None and not (
             self.sampling.parallel_safe
         ):
@@ -607,8 +605,8 @@ class MScopeDataTransformer:
 
         The parent's job shrinks to metadata: it drains host results
         in sorted host order, records each file's ingest errors and
-        spans, replays the buffered catalog/registry ops into the
-        manifest, and adopts the workers' shard records.
+        spans, adopts the workers' shard records, and replays the
+        catalog/registry writes each writer logged into the manifest.
         """
         db = self.db
         assert isinstance(db, ShardedMScopeDB)  # dispatch guarantees it
@@ -682,9 +680,12 @@ class MScopeDataTransformer:
                                 failed=failed,
                             )
                         )
-                    for op in meta_ops:
-                        db.apply_meta_op(op)
+                    # Shards first: they bind each table to the host
+                    # directory the worker wrote, which the replayed
+                    # create_table then keeps.
                     db.register_shards(records)
+                    for replay in meta_ops:
+                        replay(db)
             except BaseException:
                 for future in futures.values():
                     future.cancel()

@@ -486,7 +486,7 @@ class ScenarioRunner:
         mode: str,
         rundir: Path,
         sampling: str | None = None,
-    ) -> MScopeDB | ShardedMScopeDB:
+    ) -> MScopeDB:
         assert run.log_dir is not None  # every spec passes a log_dir
         if mode in ("sharded", "sampled-sharded"):
             # Host-partitioned warehouse built through the parallel

@@ -84,6 +84,89 @@ def quote_identifier(name: str) -> str:
     return f'"{name}"'
 
 
+# ----------------------------------------------------------------------
+# DDL rendering — the one copy both layouts execute.  The monolith runs
+# these statements on its own connection, the shard writers on each
+# shard file, so identifier/type validation and index names cannot
+# differ between a monolithic and a sharded warehouse.
+
+
+def check_column_type(column: str, sql_type: str) -> str:
+    """Return ``sql_type`` if a dynamic column may have it, else raise."""
+    if sql_type not in _ALLOWED_TYPES:
+        raise WarehouseError(
+            f"column {column!r} has unsupported type {sql_type!r}"
+        )
+    return sql_type
+
+
+def column_defs_sql(columns: Sequence[tuple[str, str]]) -> str:
+    """The validated ``"name" TYPE, ...`` list of a ``CREATE TABLE``."""
+    return ", ".join(
+        f"{quote_identifier(column)} {check_column_type(column, sql_type)}"
+        for column, sql_type in columns
+    )
+
+
+def create_table_sql(name: str, columns: Sequence[tuple[str, str]]) -> str:
+    """``CREATE TABLE IF NOT EXISTS`` for a dynamic table.
+
+    Rendering *is* the validation: a reserved or malformed table name,
+    an empty column list, a malformed column name or an unsupported
+    type raises :class:`WarehouseError` before any SQL exists to run.
+    """
+    if not columns:
+        raise WarehouseError(f"table {name!r} needs at least one column")
+    if name in STATIC_TABLES:
+        raise WarehouseError(f"{name!r} is a reserved static table")
+    return (
+        f"CREATE TABLE IF NOT EXISTS {quote_identifier(name)} "
+        f"({column_defs_sql(columns)})"
+    )
+
+
+def add_column_sql(table: str, column: str, sql_type: str) -> str:
+    """``ALTER TABLE ... ADD COLUMN`` (sqlite backfills NULL)."""
+    return (
+        f"ALTER TABLE {quote_identifier(table)} ADD COLUMN "
+        f"{quote_identifier(column)} {check_column_type(column, sql_type)}"
+    )
+
+
+def _index_sql(table: str, name: str, keys_sql: str) -> str:
+    return (
+        f"CREATE INDEX IF NOT EXISTS {quote_identifier(f'idx_{table}_{name}')} "
+        f"ON {quote_identifier(table)} ({keys_sql})"
+    )
+
+
+def column_index_sql(table: str, column: str) -> str:
+    """DDL behind :meth:`MScopeDB.create_index`."""
+    return _index_sql(table, column, quote_identifier(column))
+
+
+def response_time_index_sql(table: str) -> str:
+    """DDL behind :meth:`MScopeDB.create_response_time_index`."""
+    return _index_sql(table, "response_time", f"{RESPONSE_TIME_SQL} DESC")
+
+
+def covering_index_sql(table: str, columns: Sequence[str], name: str) -> str:
+    """DDL behind :meth:`MScopeDB.create_covering_index`."""
+    return _index_sql(
+        table, name, ", ".join(quote_identifier(c) for c in columns)
+    )
+
+
+def set_file_pragmas(conn: sqlite3.Connection) -> None:
+    """Journal settings of every file-backed warehouse database.
+
+    WAL lets concurrent readers proceed while a bulk load holds the
+    write lock, and NORMAL sync is safe under WAL.
+    """
+    conn.execute("PRAGMA journal_mode = WAL")
+    conn.execute("PRAGMA synchronous = NORMAL")
+
+
 def _content_sort_key(row: Sequence[Any]) -> list[tuple]:
     """A total, storage-independent sort key for one table row.
 
@@ -166,10 +249,7 @@ class MScopeDB:
         if self.path == ":memory:":
             self._conn.execute("PRAGMA journal_mode = MEMORY")
         else:
-            # WAL lets concurrent readers proceed while a bulk load
-            # holds the write lock, and NORMAL sync is safe under WAL.
-            self._conn.execute("PRAGMA journal_mode = WAL")
-            self._conn.execute("PRAGMA synchronous = NORMAL")
+            set_file_pragmas(self._conn)
         self._create_static_tables()
 
     # ------------------------------------------------------------------
@@ -239,17 +319,27 @@ class MScopeDB:
 
         Unlike :meth:`iterdump` this ignores physical layout (rowids,
         insert order, page structure), so it is the dump a partitioned
-        warehouse can be compared against — see
-        :meth:`repro.warehouse.sharded.ShardedMScopeDB.iterdump_content`.
+        warehouse can be compared against: the sharded layout inherits
+        this method and overrides only where a dynamic table's rows
+        come from (:meth:`_table_rows`), so both layouts loaded from
+        the same logs yield identical lines (the ``warehouse-sharded``
+        conformance pair).  Streams one table at a time; memory is
+        bounded by the largest table.
         """
-        conn = self._require_conn()
         for table in self.tables():
             schema = self.table_schema(table)
-            columns = ", ".join(quote_identifier(c) for c, _ in schema)
-            rows = conn.execute(
-                f"SELECT {columns} FROM {quote_identifier(table)}"
+            yield from table_content_lines(
+                table, schema, self._table_rows(table, schema)
             )
-            yield from table_content_lines(table, schema, rows)
+
+    def _table_rows(
+        self, table: str, schema: Sequence[tuple[str, str]]
+    ) -> Iterable[tuple]:
+        """Every row of one table, columns in ``schema`` order."""
+        columns = ", ".join(quote_identifier(c) for c, _ in schema)
+        return self._require_conn().execute(
+            f"SELECT {columns} FROM {quote_identifier(table)}"
+        )
 
     # ------------------------------------------------------------------
     # static tables
@@ -673,22 +763,8 @@ class MScopeDB:
         self, name: str, columns: Sequence[tuple[str, str]]
     ) -> None:
         """Create a dynamic table with the given ``(name, type)`` columns."""
-        if not columns:
-            raise WarehouseError(f"table {name!r} needs at least one column")
-        if name in STATIC_TABLES:
-            raise WarehouseError(f"{name!r} is a reserved static table")
-        rendered = []
-        for column, sql_type in columns:
-            if sql_type not in _ALLOWED_TYPES:
-                raise WarehouseError(
-                    f"column {column!r} has unsupported type {sql_type!r}"
-                )
-            rendered.append(f"{quote_identifier(column)} {sql_type}")
         conn = self._require_conn()
-        conn.execute(
-            f"CREATE TABLE IF NOT EXISTS {quote_identifier(name)} "
-            f"({', '.join(rendered)})"
-        )
+        conn.execute(create_table_sql(name, columns))
         conn.executemany(
             "INSERT OR REPLACE INTO schema_catalog VALUES (?, ?, ?)",
             [(name, column, sql_type) for column, sql_type in columns],
@@ -704,8 +780,7 @@ class MScopeDB:
         catalog update — :meth:`table_schema` then reports the
         recorded type instead of the column's original declaration.
         """
-        if sql_type not in _ALLOWED_TYPES:
-            raise WarehouseError(f"unsupported type {sql_type!r}")
+        check_column_type(column, sql_type)
         conn = self._require_conn()
         conn.execute(
             "INSERT OR REPLACE INTO schema_catalog VALUES (?, ?, ?)",
@@ -721,12 +796,7 @@ class MScopeDB:
         cross-tier ID joins (Figure 5) and windowed metric scans stay
         fast as the warehouse grows.
         """
-        index_name = f"idx_{table}_{column}"
-        conn = self._require_conn()
-        conn.execute(
-            f"CREATE INDEX IF NOT EXISTS {quote_identifier(index_name)} "
-            f"ON {quote_identifier(table)} ({quote_identifier(column)})"
-        )
+        self._require_conn().execute(column_index_sql(table, column))
         self._commit()
 
     def create_response_time_index(self, table: str) -> None:
@@ -737,12 +807,7 @@ class MScopeDB:
         lets sqlite satisfy the ``ORDER BY ... DESC LIMIT n`` straight
         off the index instead of sorting the whole table.
         """
-        index_name = f"idx_{table}_response_time"
-        conn = self._require_conn()
-        conn.execute(
-            f"CREATE INDEX IF NOT EXISTS {quote_identifier(index_name)} "
-            f"ON {quote_identifier(table)} ({RESPONSE_TIME_SQL} DESC)"
-        )
+        self._require_conn().execute(response_time_index_sql(table))
         self._commit()
 
     def create_covering_index(
@@ -754,13 +819,7 @@ class MScopeDB:
         never touches the table — the shape ``interaction_stats``'s
         GROUP BY needs.
         """
-        index_name = f"idx_{table}_{name}"
-        rendered = ", ".join(quote_identifier(c) for c in columns)
-        conn = self._require_conn()
-        conn.execute(
-            f"CREATE INDEX IF NOT EXISTS {quote_identifier(index_name)} "
-            f"ON {quote_identifier(table)} ({rendered})"
-        )
+        self._require_conn().execute(covering_index_sql(table, columns, name))
         self._commit()
 
     def indexes(self, table: str) -> list[str]:
@@ -774,13 +833,8 @@ class MScopeDB:
 
     def add_column(self, table: str, column: str, sql_type: str) -> None:
         """Add a column to an existing dynamic table (NULL backfill)."""
-        if sql_type not in _ALLOWED_TYPES:
-            raise WarehouseError(f"unsupported type {sql_type!r}")
         conn = self._require_conn()
-        conn.execute(
-            f"ALTER TABLE {quote_identifier(table)} "
-            f"ADD COLUMN {quote_identifier(column)} {sql_type}"
-        )
+        conn.execute(add_column_sql(table, column, sql_type))
         conn.execute(
             "INSERT OR REPLACE INTO schema_catalog VALUES (?, ?, ?)",
             (table, column, sql_type),
@@ -975,4 +1029,5 @@ class MScopeDB:
         if conditions:
             sql += " WHERE " + " AND ".join(conditions)
         sql += f" ORDER BY {quote_identifier(time_column)}"
-        return self.query(sql, params)
+        with self.pruned(start, stop):
+            return self.query(sql, params)

@@ -20,22 +20,21 @@ databases behind the same API:
   :attr:`ShardedMScopeDB.shard_opens` counts exactly what was opened.
 * **Metadata** (the paper's static tables, the schema catalog, ingest
   errors, pipeline telemetry) lives in one small ``manifest.db`` next
-  to the shards, alongside the shard manifest itself.
+  to the shards, alongside the shard manifest itself.  That database
+  *is* the warehouse object: :class:`ShardedMScopeDB` subclasses
+  :class:`~repro.warehouse.db.MScopeDB` opened on ``manifest.db`` and
+  overrides only the dynamic-table surface, so every static-table
+  method is the monolith's own.
 
 Layout on disk::
 
     <root>/manifest.db                  static tables + shard manifest
     <root>/shards/<host>/all.db         host-only sharding (window_us=None)
     <root>/shards/<host>/w<k>.db        time window k (k = ts // window_us)
-    <root>/shards/<host>/w<k>.db.cols/  optional columnar sidecars (.npy)
 
 Retention: :meth:`ShardedMScopeDB.drop_shards_before` deletes cold
 windows outright; :meth:`ShardedMScopeDB.compact_shards_before` rolls
 them up into one shard per host (same rows, fewer files to attach).
-The optional columnar backend (:meth:`ShardedMScopeDB.build_columnar`)
-materializes numeric columns as numpy sidecar files that the bulk
-analysis engine's :class:`~repro.analysis.cache.SeriesCache` reads in
-place of SQL full scans.
 
 Equivalence is held by the conformance suite: a sharded warehouse's
 :meth:`ShardedMScopeDB.iterdump_content` must equal the monolith's
@@ -46,20 +45,24 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import shutil
+import operator
 import sqlite3
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.common.errors import QueryError, WarehouseError
 from repro.warehouse.db import (
-    _ALLOWED_TYPES,
     _INSERT_BATCH_SIZE,
     MScopeDB,
-    RESPONSE_TIME_SQL,
-    STATIC_TABLES,
+    add_column_sql,
+    check_column_type,
+    column_defs_sql,
+    column_index_sql,
+    covering_index_sql,
+    create_table_sql,
     quote_identifier,
-    table_content_lines,
+    response_time_index_sql,
+    set_file_pragmas,
 )
 
 __all__ = [
@@ -102,8 +105,6 @@ _ROWID_SHIFT = 44
 
 #: Columns that route a row into a time window, in priority order.
 _TIME_COLUMNS = ("timestamp_us", "upstream_arrival_us")
-
-_META_KEYS = ("key", "value")
 
 
 def host_for_table(table: str, known_hosts: Iterable[str] = ()) -> str:
@@ -198,10 +199,17 @@ class ShardHostWriter:
     from a worker process — it touches only its host's files, so N
     hosts ingest through N writers with no shared lock.
 
-    The writer handles measurement *data* only; static-table metadata
-    goes to the manifest (directly when driven in-process by
-    :class:`ShardedMScopeDB`, buffered and replayed by the parent when
-    driven from a transform worker — see :class:`WorkerShardDB`).
+    It is also what a transform worker hands its
+    :class:`~repro.transformer.importer.MScopeDataImporter`: it answers
+    the slice of the :class:`MScopeDB` API the importer touches.
+    Measurement DDL/DML goes straight to the shard files; what belongs
+    in the manifest (schema catalog, load catalog, monitor registry,
+    sampling ledger) is appended to :attr:`meta_ops` as replayable
+    calls, which the parent applies to its :class:`ShardedMScopeDB` in
+    deterministic drain order — row data loses the single-writer drain
+    while metadata writes stay serialized.  A :class:`ShardedMScopeDB`
+    driving its own writers in-process writes the manifest itself and
+    never reads the log.
     """
 
     def __init__(
@@ -224,9 +232,13 @@ class ShardHostWriter:
         #: table -> {column: catalog type} (declared + widenings) —
         #: what table_schema() reports.
         self._catalog: dict[str, dict[str, str]] = {}
-        #: index specs applied to each shard holding the table.
-        self._index_specs: dict[str, list[tuple]] = {}
+        #: table -> index DDL applied to each shard holding the table.
+        self._index_sql: dict[str, list[str]] = {}
         self._bulk = False
+        #: Manifest writes this writer was asked for, each a callable
+        #: taking the warehouse to apply it to (picklable, so a worker
+        #: can return them).
+        self.meta_ops: list[operator.methodcaller] = []
 
     # -- shard files ---------------------------------------------------
 
@@ -244,9 +256,7 @@ class ShardHostWriter:
         conn = self._conns.get(window_index)
         if conn is None:
             conn = sqlite3.connect(self.shard_path(window_index))
-            # Same durability trade as the monolith's file-backed mode.
-            conn.execute("PRAGMA journal_mode = WAL")
-            conn.execute("PRAGMA synchronous = NORMAL")
+            set_file_pragmas(conn)
             self._conns[window_index] = conn
             self._shard_tables.setdefault(window_index, set())
         return conn
@@ -264,83 +274,58 @@ class ShardHostWriter:
         tables = self._shard_tables[window_index]
         if table in tables:
             return
-        rendered = ", ".join(
-            f"{quote_identifier(column)} {sql_type}"
-            for column, sql_type in self._declared[table]
-        )
-        conn.execute(
-            f"CREATE TABLE IF NOT EXISTS {quote_identifier(table)} ({rendered})"
-        )
-        for spec in self._index_specs.get(table, []):
-            self._apply_index(conn, table, spec)
+        conn.execute(create_table_sql(table, self._declared[table]))
+        for sql in self._index_sql.get(table, []):
+            conn.execute(sql)
         tables.add(table)
 
-    @staticmethod
-    def _apply_index(
-        conn: sqlite3.Connection, table: str, spec: tuple
-    ) -> None:
-        kind = spec[0]
-        if kind == "plain":
-            column = spec[1]
-            conn.execute(
-                f"CREATE INDEX IF NOT EXISTS "
-                f"{quote_identifier(f'idx_{table}_{column}')} "
-                f"ON {quote_identifier(table)} ({quote_identifier(column)})"
-            )
-        elif kind == "response_time":
-            conn.execute(
-                f"CREATE INDEX IF NOT EXISTS "
-                f"{quote_identifier(f'idx_{table}_response_time')} "
-                f"ON {quote_identifier(table)} ({RESPONSE_TIME_SQL} DESC)"
-            )
-        else:  # covering
-            _, columns, name = spec
-            rendered = ", ".join(quote_identifier(c) for c in columns)
-            conn.execute(
-                f"CREATE INDEX IF NOT EXISTS "
-                f"{quote_identifier(f'idx_{table}_{name}')} "
-                f"ON {quote_identifier(table)} ({rendered})"
-            )
+    def _holding(self, table: str) -> Iterator[sqlite3.Connection]:
+        """The open shards in which ``table`` is materialized."""
+        for window_index, tables in self._shard_tables.items():
+            if table in tables:
+                yield self._conns[window_index]
+
+    def _defer(self, method: str, *args: Any, **kwargs: Any) -> None:
+        self.meta_ops.append(operator.methodcaller(method, *args, **kwargs))
 
     # -- schema --------------------------------------------------------
 
     def ensure_table(
         self, table: str, columns: Sequence[tuple[str, str]]
     ) -> None:
-        """Register a dynamic table's declared schema (idempotent)."""
-        if not columns:
-            raise WarehouseError(f"table {table!r} needs at least one column")
-        for column, sql_type in columns:
-            if sql_type not in _ALLOWED_TYPES:
-                raise WarehouseError(
-                    f"column {column!r} has unsupported type {sql_type!r}"
-                )
+        """Register a dynamic table's declared schema (idempotent).
+
+        Validates exactly as :meth:`MScopeDB.create_table` does; the
+        table materializes in a shard when its first row lands there.
+        """
+        create_table_sql(table, columns)
         if table in self._declared:
             return
         self._declared[table] = list(columns)
         self._catalog[table] = dict(columns)
 
+    def create_table(
+        self, name: str, columns: Sequence[tuple[str, str]]
+    ) -> None:
+        self.ensure_table(name, columns)
+        self._defer("create_table", name, tuple(columns))
+
     def add_column(self, table: str, column: str, sql_type: str) -> None:
         """Add a column (NULL backfill) to every shard holding it."""
-        if sql_type not in _ALLOWED_TYPES:
-            raise WarehouseError(f"unsupported type {sql_type!r}")
+        sql = add_column_sql(table, column, sql_type)
         self._declared[table].append((column, sql_type))
         self._catalog[table][column] = sql_type
-        for window_index, tables in self._shard_tables.items():
-            if table in tables:
-                self._conns[window_index].execute(
-                    f"ALTER TABLE {quote_identifier(table)} "
-                    f"ADD COLUMN {quote_identifier(column)} {sql_type}"
-                )
+        for conn in self._holding(table):
+            conn.execute(sql)
+        self._defer("add_column", table, column, sql_type)
 
     def record_column_type(
         self, table: str, column: str, sql_type: str
     ) -> None:
         """Record a catalog-level type widening (no DDL — matching the
         monolith, where sqlite affinity absorbs wider values)."""
-        if sql_type not in _ALLOWED_TYPES:
-            raise WarehouseError(f"unsupported type {sql_type!r}")
-        self._catalog[table][column] = sql_type
+        self._catalog[table][column] = check_column_type(column, sql_type)
+        self._defer("record_column_type", table, column, sql_type)
 
     def table_schema(self, table: str) -> list[tuple[str, str]]:
         declared = self._declared.get(table)
@@ -349,30 +334,40 @@ class ShardHostWriter:
         catalog = self._catalog[table]
         return [(column, catalog[column]) for column, _ in declared]
 
-    def tables(self) -> list[str]:
+    def dynamic_tables(self) -> list[str]:
         return sorted(self._declared)
 
     # -- indexes -------------------------------------------------------
 
-    def _add_index_spec(self, table: str, spec: tuple) -> None:
-        specs = self._index_specs.setdefault(table, [])
-        if spec in specs:
+    def _add_index(self, table: str, sql: str) -> None:
+        known = self._index_sql.setdefault(table, [])
+        if sql in known:
             return
-        specs.append(spec)
-        for window_index, tables in self._shard_tables.items():
-            if table in tables:
-                self._apply_index(self._conns[window_index], table, spec)
+        known.append(sql)
+        for conn in self._holding(table):
+            conn.execute(sql)
 
     def create_index(self, table: str, column: str) -> None:
-        self._add_index_spec(table, ("plain", column))
+        self._add_index(table, column_index_sql(table, column))
 
     def create_response_time_index(self, table: str) -> None:
-        self._add_index_spec(table, ("response_time",))
+        self._add_index(table, response_time_index_sql(table))
 
     def create_covering_index(
         self, table: str, columns: Sequence[str], name: str
     ) -> None:
-        self._add_index_spec(table, ("covering", tuple(columns), name))
+        self._add_index(table, covering_index_sql(table, columns, name))
+
+    # -- manifest-only metadata (logged, never applied here) -----------
+
+    def record_load(self, *args: Any, **kwargs: Any) -> None:
+        self._defer("record_load", *args, **kwargs)
+
+    def record_sampling(self, *args: Any, **kwargs: Any) -> None:
+        self._defer("record_sampling", *args, **kwargs)
+
+    def register_monitor(self, *args: Any, **kwargs: Any) -> None:
+        self._defer("register_monitor", *args, **kwargs)
 
     # -- rows ----------------------------------------------------------
 
@@ -441,6 +436,18 @@ class ShardHostWriter:
         else:
             self.commit()
 
+    @contextlib.contextmanager
+    def bulk_load(self) -> Iterator["ShardHostWriter"]:
+        """One transaction per shard for the duration of the context."""
+        self.begin_bulk()
+        try:
+            yield self
+        except BaseException:
+            self.end_bulk(rollback=True)
+            raise
+        else:
+            self.end_bulk()
+
     def commit(self) -> None:
         for conn in self._conns.values():
             conn.commit()
@@ -471,136 +478,8 @@ class ShardHostWriter:
         return records
 
 
-class WorkerShardDB:
-    """The importer-facing facade a transform worker writes through.
-
-    Implements the slice of the :class:`MScopeDB` API that
-    :class:`~repro.transformer.importer.MScopeDataImporter` touches:
-    measurement DDL/DML goes straight to the worker-owned
-    :class:`ShardHostWriter`; static-table metadata (schema catalog,
-    load catalog, monitor registry) is *buffered* as ``(op, args)``
-    tuples the parent replays into the manifest in deterministic drain
-    order — the exact split that removes the single-writer drain for
-    row data while keeping metadata writes serialized.
-    """
-
-    def __init__(self, writer: ShardHostWriter) -> None:
-        self.writer = writer
-        self.meta_ops: list[tuple] = []
-
-    @contextlib.contextmanager
-    def bulk_load(self) -> Iterator["WorkerShardDB"]:
-        self.writer.begin_bulk()
-        try:
-            yield self
-        except BaseException:
-            self.writer.end_bulk(rollback=True)
-            raise
-        else:
-            self.writer.end_bulk()
-
-    def create_table(
-        self, name: str, columns: Sequence[tuple[str, str]]
-    ) -> None:
-        if name in STATIC_TABLES:
-            raise WarehouseError(f"{name!r} is a reserved static table")
-        self.writer.ensure_table(name, columns)
-        self.meta_ops.append(
-            ("create_table_meta", name, tuple(columns), self.writer.host)
-        )
-
-    def add_column(self, table: str, column: str, sql_type: str) -> None:
-        self.writer.add_column(table, column, sql_type)
-        self.meta_ops.append(("add_column_meta", table, column, sql_type))
-
-    def record_column_type(
-        self, table: str, column: str, sql_type: str
-    ) -> None:
-        self.writer.record_column_type(table, column, sql_type)
-        self.meta_ops.append(("record_column_type", table, column, sql_type))
-
-    def insert_rows(
-        self,
-        table: str,
-        columns: Sequence[str],
-        rows: Iterable[Sequence[Any]],
-    ) -> int:
-        return self.writer.insert_rows(table, columns, rows)
-
-    def create_index(self, table: str, column: str) -> None:
-        self.writer.create_index(table, column)
-
-    def create_response_time_index(self, table: str) -> None:
-        self.writer.create_response_time_index(table)
-
-    def create_covering_index(
-        self, table: str, columns: Sequence[str], name: str
-    ) -> None:
-        self.writer.create_covering_index(table, columns, name)
-
-    def record_load(
-        self, table_name: str, source_path: str, rows: int, columns: int
-    ) -> None:
-        self.meta_ops.append(
-            ("record_load", table_name, source_path, rows, columns)
-        )
-
-    def record_sampling(
-        self,
-        table_name: str,
-        source_path: str,
-        policy: str,
-        rows_seen: int,
-        rows_kept: int,
-        bytes_seen: int,
-        bytes_kept: int,
-    ) -> None:
-        self.meta_ops.append(
-            (
-                "record_sampling",
-                table_name,
-                source_path,
-                policy,
-                rows_seen,
-                rows_kept,
-                bytes_seen,
-                bytes_kept,
-            )
-        )
-
-    def register_monitor(
-        self,
-        monitor: str,
-        hostname: str,
-        source_path: str,
-        parser: str,
-        table_name: str,
-    ) -> None:
-        self.meta_ops.append(
-            (
-                "register_monitor",
-                monitor,
-                hostname,
-                source_path,
-                parser,
-                table_name,
-            )
-        )
-
-    def dynamic_tables(self) -> list[str]:
-        return self.writer.tables()
-
-    def table_schema(self, table: str) -> list[tuple[str, str]]:
-        return self.writer.table_schema(table)
-
-    def drain_meta_ops(self) -> tuple[tuple, ...]:
-        ops = tuple(self.meta_ops)
-        self.meta_ops.clear()
-        return ops
-
-
-class ShardedMScopeDB:
-    """A host/time-partitioned warehouse behind the ``MScopeDB`` API.
+class ShardedMScopeDB(MScopeDB):
+    """The manifest ``MScopeDB`` plus a shard router.
 
     Parameters
     ----------
@@ -615,16 +494,17 @@ class ShardedMScopeDB:
         monolith's.  A previously created warehouse remembers its
         width; passing a conflicting value raises.
 
-    Reads and writes go through the same methods as
-    :class:`~repro.warehouse.db.MScopeDB`; see the module docstring
-    for how they route.  :attr:`shard_opens` / :attr:`shard_open_log`
-    count every shard database actually opened (attached or scanned),
-    which is what the partition-pruning benchmark asserts on.
+    The inherited connection is ``manifest.db``: static tables, the
+    schema catalog, telemetry and the sampling ledger are the base
+    class's, untouched.  Only the *dynamic*-table surface is overridden
+    — DDL/DML route to per-host :class:`ShardHostWriter` s, and
+    :meth:`query` federates the shards into TEMP views on the manifest
+    connection before the base class runs the SQL; see the module
+    docstring for how they route.  :attr:`shard_opens` /
+    :attr:`shard_open_log` count every shard database actually opened
+    (attached or scanned), which is what the partition-pruning
+    benchmark asserts on.
     """
-
-    #: Duck-typing marker (e.g. the transformer picks the parallel
-    #: shard-writer path on this).
-    is_sharded = True
 
     def __init__(
         self,
@@ -634,9 +514,9 @@ class ShardedMScopeDB:
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        super().__init__(self.root / MANIFEST_FILE, threadsafe=threadsafe)
+        #: The warehouse *directory* — diagnosis workers reopen by it.
         self.path = str(self.root)
-        self.threadsafe = threadsafe
-        self._manifest = MScopeDB(self.root / MANIFEST_FILE, threadsafe=threadsafe)
         self._create_shard_tables()
         self.window_us = self._resolve_window(window_us)
         #: logical dynamic table -> declared (column, type) order
@@ -649,13 +529,11 @@ class ShardedMScopeDB:
         self._attached: dict[tuple[str, int], str] = {}
         self._alias_counter = 0
         self._write_gen = 0
-        self._bulk_depth = 0
         self._prune_hint: tuple[int | None, int | None] | None = None
         self.attach_budget = _DEFAULT_ATTACH_BUDGET
         #: Shard databases opened for reading (ATTACH or direct scan).
         self.shard_opens = 0
         self.shard_open_log: list[str] = []
-        self._columnar = self._get_config("columnar") == "1"
         self._load_manifest()
 
     # ------------------------------------------------------------------
@@ -665,17 +543,10 @@ class ShardedMScopeDB:
         for writer in self._writers.values():
             writer.close()
         self._writers.clear()
-        self._manifest.close()
-
-    def __enter__(self) -> "ShardedMScopeDB":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        super().close()
 
     def _create_shard_tables(self) -> None:
-        conn = self._manifest._require_conn()
-        conn.executescript(
+        self._require_conn().executescript(
             """
             CREATE TABLE IF NOT EXISTS shard_manifest (
                 host TEXT NOT NULL,
@@ -704,30 +575,22 @@ class ShardedMScopeDB:
             );
             """
         )
-        conn.commit()
-
-    def _get_config(self, key: str) -> str | None:
-        row = self._manifest._require_conn().execute(
-            "SELECT value FROM shard_config WHERE key = ?", (key,)
-        ).fetchone()
-        return row[0] if row else None
-
-    def _set_config(self, key: str, value: str) -> None:
-        conn = self._manifest._require_conn()
-        conn.execute(
-            "INSERT OR REPLACE INTO shard_config VALUES (?, ?)", (key, value)
-        )
-        self._manifest._commit()
+        self._commit()
 
     def _resolve_window(self, window_us: int | None) -> int | None:
-        recorded = self._get_config("window_us")
-        if recorded is None:
+        conn = self._require_conn()
+        row = conn.execute(
+            "SELECT value FROM shard_config WHERE key = 'window_us'"
+        ).fetchone()
+        if row is None:
             # Fresh warehouse: the creation-time choice is permanent.
-            self._set_config(
-                "window_us", "" if window_us is None else str(window_us)
+            conn.execute(
+                "INSERT INTO shard_config VALUES ('window_us', ?)",
+                ("" if window_us is None else str(window_us),),
             )
+            self._commit()
             return window_us
-        existing = None if recorded == "" else int(recorded)
+        existing = None if row[0] == "" else int(row[0])
         if window_us is not None and window_us != existing:
             raise WarehouseError(
                 f"warehouse {self.path} was created with window_us="
@@ -736,7 +599,7 @@ class ShardedMScopeDB:
         return existing
 
     def _load_manifest(self) -> None:
-        conn = self._manifest._require_conn()
+        conn = self._require_conn()
         for host, window_index, start_us, stop_us, relpath in conn.execute(
             "SELECT host, window_index, start_us, stop_us, path "
             "FROM shard_manifest"
@@ -758,72 +621,6 @@ class ShardedMScopeDB:
             self._registry.setdefault(table, []).append((column, declared))
 
     # ------------------------------------------------------------------
-    # metadata delegation (static tables live in the manifest)
-
-    def set_experiment_meta(self, key: str, value: str) -> None:
-        self._manifest.set_experiment_meta(key, value)
-
-    def get_experiment_meta(self, key: str) -> str | None:
-        return self._manifest.get_experiment_meta(key)
-
-    def register_host(
-        self, hostname: str, tier: str, cores: int, disk_bandwidth: int
-    ) -> None:
-        self._manifest.register_host(hostname, tier, cores, disk_bandwidth)
-
-    def register_monitor(self, *args, **kwargs) -> None:
-        self._manifest.register_monitor(*args, **kwargs)
-
-    def record_load(self, *args, **kwargs) -> None:
-        self._manifest.record_load(*args, **kwargs)
-
-    def record_ingest_error(self, *args, **kwargs) -> None:
-        self._manifest.record_ingest_error(*args, **kwargs)
-
-    def record_sampling(self, *args, **kwargs) -> None:
-        self._manifest.record_sampling(*args, **kwargs)
-
-    def record_conflated(self, *args, **kwargs) -> None:
-        self._manifest.record_conflated(*args, **kwargs)
-
-    def sampling_ledger(self) -> list[tuple]:
-        return self._manifest.sampling_ledger()
-
-    def sampling_summary(self) -> dict | None:
-        return self._manifest.sampling_summary()
-
-    def conflated_requests(self) -> list[tuple]:
-        return self._manifest.conflated_requests()
-
-    def ingest_errors(self, source_path: str | None = None) -> list[tuple]:
-        return self._manifest.ingest_errors(source_path)
-
-    def ingest_error_count(self) -> int:
-        return self._manifest.ingest_error_count()
-
-    def replace_pipeline_metrics(self, rows: Iterable[Sequence[Any]]) -> int:
-        return self._manifest.replace_pipeline_metrics(rows)
-
-    def append_pipeline_metrics(
-        self,
-        rows: Iterable[Sequence[Any]],
-        replace_prefix: str | None = None,
-    ) -> int:
-        return self._manifest.append_pipeline_metrics(rows, replace_prefix)
-
-    def replace_pipeline_workers(self, rows: Iterable[Sequence[Any]]) -> int:
-        return self._manifest.replace_pipeline_workers(rows)
-
-    def has_pipeline_metrics(self) -> bool:
-        return self._manifest.has_pipeline_metrics()
-
-    def pipeline_metrics(self) -> list[tuple]:
-        return self._manifest.pipeline_metrics()
-
-    def pipeline_workers(self) -> list[tuple]:
-        return self._manifest.pipeline_workers()
-
-    # ------------------------------------------------------------------
     # write routing
 
     def _known_hosts(self) -> set[str]:
@@ -831,7 +628,9 @@ class ShardedMScopeDB:
         hosts.update(self._writers)
         hosts.update(
             row[0]
-            for row in self._manifest.query("SELECT hostname FROM host_config")
+            for row in self._require_conn().execute(
+                "SELECT hostname FROM host_config"
+            )
         )
         return hosts
 
@@ -839,6 +638,7 @@ class ShardedMScopeDB:
         """The (lazily created) shard writer owning ``host``."""
         writer = self._writers.get(host)
         if writer is None:
+            self._require_conn()  # close() dropped every writer
             writer = ShardHostWriter(self.root, host, self.window_us)
             # Late-joining writers must see schemas created earlier
             # (e.g. a warehouse reopened for further loads).
@@ -859,95 +659,26 @@ class ShardedMScopeDB:
     @contextlib.contextmanager
     def bulk_load(self) -> Iterator["ShardedMScopeDB"]:
         """Defer commits across manifest and every shard writer."""
-        self._bulk_depth += 1
-        if self._bulk_depth == 1:
+        outermost = self._bulk_depth == 0
+        if outermost:
             for writer in self._writers.values():
                 writer.begin_bulk()
         try:
-            with self._manifest.bulk_load():
+            with super().bulk_load():
                 yield self
         except BaseException:
-            self._bulk_depth -= 1
-            if self._bulk_depth == 0:
+            if outermost:
                 for writer in self._writers.values():
                     writer.end_bulk(rollback=True)
             raise
         else:
-            self._bulk_depth -= 1
-            if self._bulk_depth == 0:
+            if outermost:
                 for writer in self._writers.values():
                     writer.end_bulk()
 
-    def apply_meta_op(self, op: tuple) -> None:
-        """Replay one buffered metadata op (see :class:`WorkerShardDB`)."""
-        name, args = op[0], op[1:]
-        if name == "create_table_meta":
-            table, columns, host = args
-            self._register_table_meta(table, list(columns), host)
-        elif name == "add_column_meta":
-            self._register_column_meta(*args)
-        elif name == "record_column_type":
-            self._record_column_type_meta(*args)
-        elif name == "record_load":
-            self._manifest.record_load(*args)
-        elif name == "record_sampling":
-            self._manifest.record_sampling(*args)
-        elif name == "register_monitor":
-            self._manifest.register_monitor(*args)
-        else:
-            raise WarehouseError(f"unknown metadata op {name!r}")
-
-    def _register_table_meta(
-        self, table: str, columns: list[tuple[str, str]], host: str
-    ) -> None:
-        if table in self._registry:
-            return
-        self._registry[table] = list(columns)
-        self._table_host[table] = host
-        conn = self._manifest._require_conn()
-        conn.executemany(
-            "INSERT OR REPLACE INTO schema_catalog VALUES (?, ?, ?)",
-            [(table, column, sql_type) for column, sql_type in columns],
-        )
-        conn.executemany(
-            "INSERT OR REPLACE INTO shard_schema VALUES (?, ?, ?, ?)",
-            [
-                (table, position, column, sql_type)
-                for position, (column, sql_type) in enumerate(columns)
-            ],
-        )
-        self._manifest._commit()
-        self._invalidate(table)
-
-    def _register_column_meta(
-        self, table: str, column: str, sql_type: str
-    ) -> None:
-        self._registry[table].append((column, sql_type))
-        conn = self._manifest._require_conn()
-        conn.execute(
-            "INSERT OR REPLACE INTO schema_catalog VALUES (?, ?, ?)",
-            (table, column, sql_type),
-        )
-        conn.execute(
-            "INSERT OR REPLACE INTO shard_schema VALUES (?, ?, ?, ?)",
-            (table, len(self._registry[table]) - 1, column, sql_type),
-        )
-        self._manifest._commit()
-        self._invalidate(table)
-
-    def _record_column_type_meta(
-        self, table: str, column: str, sql_type: str
-    ) -> None:
-        conn = self._manifest._require_conn()
-        conn.execute(
-            "INSERT OR REPLACE INTO schema_catalog VALUES (?, ?, ?)",
-            (table, column, sql_type),
-        )
-        self._manifest._commit()
-
     def register_shards(self, records: Iterable[ShardInfo]) -> None:
         """Adopt shard records (from a writer, possibly in a worker)."""
-        conn = self._manifest._require_conn()
+        conn = self._require_conn()
         for record in records:
             existing = self._shards.get(record.key)
             if existing is None:
@@ -982,32 +713,62 @@ class ShardedMScopeDB:
                 for table in new_tables:
                     self._table_host.setdefault(table, record.host)
                     self._invalidate(table)
-        self._manifest._commit()
+        self._commit()
 
     def _touch_write(self, host: str) -> None:
         self._write_gen += 1
-        self._columnar_invalidate()
         writer = self._writers.get(host)
         if writer is not None:
             self.register_shards(writer.records())
 
-    # -- MScopeDB-compatible write API ---------------------------------
+    # -- the dynamic-table write API, routed to the owning writer ------
 
     def create_table(
         self, name: str, columns: Sequence[tuple[str, str]]
     ) -> None:
-        if name in STATIC_TABLES:
-            raise WarehouseError(f"{name!r} is a reserved static table")
+        # Validate first: nothing may reach the manifest, or name a
+        # shard directory, that the monolith would have rejected.
+        create_table_sql(name, columns)
         if name in self._registry:
             return
-        host = host_for_table(name, self._known_hosts())
+        # A table whose shards a worker already registered stays on
+        # that worker's host; otherwise the name decides.
+        host = self._table_host.get(name) or host_for_table(
+            name, self._known_hosts()
+        )
         self.writer(host).ensure_table(name, columns)
-        self._register_table_meta(name, list(columns), host)
+        self._registry[name] = list(columns)
+        self._table_host[name] = host
+        conn = self._require_conn()
+        conn.executemany(
+            "INSERT OR REPLACE INTO schema_catalog VALUES (?, ?, ?)",
+            [(name, column, sql_type) for column, sql_type in columns],
+        )
+        conn.executemany(
+            "INSERT OR REPLACE INTO shard_schema VALUES (?, ?, ?, ?)",
+            [
+                (name, position, column, sql_type)
+                for position, (column, sql_type) in enumerate(columns)
+            ],
+        )
+        self._commit()
+        self._invalidate(name)
 
     def add_column(self, table: str, column: str, sql_type: str) -> None:
         writer = self._writer_for_table(table)
         writer.add_column(table, column, sql_type)
-        self._register_column_meta(table, column, sql_type)
+        self._registry[table].append((column, sql_type))
+        conn = self._require_conn()
+        conn.execute(
+            "INSERT OR REPLACE INTO schema_catalog VALUES (?, ?, ?)",
+            (table, column, sql_type),
+        )
+        conn.execute(
+            "INSERT OR REPLACE INTO shard_schema VALUES (?, ?, ?, ?)",
+            (table, len(self._registry[table]) - 1, column, sql_type),
+        )
+        self._commit()
+        self._invalidate(table)
         self._touch_write(writer.host)
 
     def record_column_type(
@@ -1017,7 +778,7 @@ class ShardedMScopeDB:
             self._writer_for_table(table).record_column_type(
                 table, column, sql_type
             )
-        self._record_column_type_meta(table, column, sql_type)
+        super().record_column_type(table, column, sql_type)
 
     def insert_rows(
         self,
@@ -1047,8 +808,7 @@ class ShardedMScopeDB:
         """Index names on ``table`` (union across its shards)."""
         names: set[str] = set()
         for info in self._shards_for(table, pruned=False):
-            conn, direct = self._read_conn(info)
-            try:
+            with self._reading(info) as conn:
                 names.update(
                     row[0]
                     for row in conn.execute(
@@ -1057,9 +817,6 @@ class ShardedMScopeDB:
                         (table,),
                     )
                 )
-            finally:
-                if direct:
-                    conn.close()
         return sorted(names)
 
     # ------------------------------------------------------------------
@@ -1113,35 +870,35 @@ class ShardedMScopeDB:
         self.shard_opens += 1
         self.shard_open_log.append(info.relpath)
 
-    def _read_conn(
-        self, info: ShardInfo
-    ) -> tuple[sqlite3.Connection, bool]:
+    @contextlib.contextmanager
+    def _reading(self, info: ShardInfo) -> Iterator[sqlite3.Connection]:
         """A connection that can read one shard: the writer's own (not
-        counted as a shard open) or a fresh direct one (counted)."""
+        counted as a shard open) or a fresh direct one (counted, and
+        closed on exit)."""
+        self._require_conn()
         writer = self._writers.get(info.host)
         if writer is not None:
             conn = writer._conns.get(info.window_index)
             if conn is not None:
                 if self._bulk_depth == 0:
                     conn.commit()
-                return conn, False
+                yield conn
+                return
         self._count_open(info)
-        return (
-            sqlite3.connect(
-                self._shard_abspath(info),
-                check_same_thread=not self.threadsafe,
-            ),
-            True,
+        conn = sqlite3.connect(
+            self._shard_abspath(info), check_same_thread=not self.threadsafe
         )
+        try:
+            yield conn
+        finally:
+            conn.close()
 
     def _drop_views(self) -> None:
-        conn = self._manifest._require_conn()
-        for table, (kind, *_rest) in list(self._views.items()):
-            if kind == "view":
-                conn.execute(
-                    f"DROP VIEW IF EXISTS temp.{quote_identifier(table)}"
-                )
-                del self._views[table]
+        """Drop every federated view (they may name a detached alias);
+        materialized copies hold no alias and stay."""
+        for table, current in list(self._views.items()):
+            if current[0] == "view":
+                self._invalidate(table)
 
     def _detach(self, key: tuple[str, int]) -> None:
         alias = self._attached.pop(key, None)
@@ -1150,7 +907,7 @@ class ShardedMScopeDB:
         info = self._shards.get(key)
         if info is not None:
             info.alias = None
-        self._manifest._require_conn().execute(f"DETACH {alias}")
+        self._require_conn().execute(f"DETACH {alias}")
 
     def _attach(
         self, info: ShardInfo, pinned: set[tuple[str, int]]
@@ -1166,7 +923,7 @@ class ShardedMScopeDB:
             alias = self._attached.pop(info.key)
             self._attached[info.key] = alias
             return alias
-        conn = self._manifest._require_conn()
+        conn = self._require_conn()
         while len(self._attached) >= self.attach_budget:
             victim = next(
                 (key for key in self._attached if key not in pinned), None
@@ -1222,10 +979,8 @@ class ShardedMScopeDB:
                 and current[2] == self._write_gen
             ):
                 return
-        conn = self._manifest._require_conn()
-        conn.execute(f"DROP VIEW IF EXISTS temp.{quote_identifier(table)}")
-        conn.execute(f"DROP TABLE IF EXISTS temp.{quote_identifier(table)}")
-        self._views.pop(table, None)
+        self._invalidate(table)
+        conn = self._require_conn()
         columns = [column for column, _ in self._registry[table]]
         column_sql = ", ".join(quote_identifier(c) for c in columns)
         if not infos:
@@ -1267,24 +1022,24 @@ class ShardedMScopeDB:
         rowid) where chunked query execution would not be; costs one
         pass over the participating shards.
         """
-        conn = self._manifest._require_conn()
+        conn = self._require_conn()
         columns = self._registry[table]
         column_sql = ", ".join(quote_identifier(c) for c, _ in columns)
-        rendered = ", ".join(
-            f"{quote_identifier(c)} {t}" for c, t in columns
-        )
         conn.execute(
             f"CREATE TEMP TABLE {quote_identifier(table)} "
-            f"({rendered}, rowid INTEGER)"
+            f"({column_defs_sql(columns)}, rowid INTEGER)"
         )
+        # Droppable from here on, but current for no signature until
+        # filled: a shard that fails mid-copy must not leave a TEMP
+        # table the next query can neither reuse nor replace.
+        self._views[table] = ("mat", None, None)
         insert_sql = (
             f"INSERT INTO temp.{quote_identifier(table)} VALUES "
             f"({', '.join('?' for _ in range(len(columns) + 1))})"
         )
         for branch, info in enumerate(infos):
             offset = branch << _ROWID_SHIFT
-            reader, direct = self._read_conn(info)
-            try:
+            with self._reading(info) as reader:
                 rows = reader.execute(
                     f"SELECT {column_sql}, rowid + {offset} "
                     f"FROM {quote_identifier(table)}"
@@ -1294,24 +1049,19 @@ class ShardedMScopeDB:
                     if not batch:
                         break
                     conn.executemany(insert_sql, batch)
-            finally:
-                if direct:
-                    reader.close()
         conn.commit()
         self._views[table] = ("mat", signature, self._write_gen)
 
     def _invalidate(self, table: str) -> None:
-        current = self._views.get(table)
+        """Drop ``table``'s TEMP object, by the kind recorded for it
+        (sqlite refuses ``DROP VIEW`` on a table and vice versa)."""
+        current = self._views.pop(table, None)
         if current is None:
             return
-        conn = self._manifest._require_conn()
-        if current[0] == "view":
-            conn.execute(f"DROP VIEW IF EXISTS temp.{quote_identifier(table)}")
-        else:
-            conn.execute(
-                f"DROP TABLE IF EXISTS temp.{quote_identifier(table)}"
-            )
-        del self._views[table]
+        kind = "VIEW" if current[0] == "view" else "TABLE"
+        self._require_conn().execute(
+            f"DROP {kind} IF EXISTS temp.{quote_identifier(table)}"
+        )
 
     def _prepare_sql(self, sql: str) -> None:
         for table in self._referenced_tables(sql):
@@ -1337,10 +1087,10 @@ class ShardedMScopeDB:
         return found
 
     # ------------------------------------------------------------------
-    # MScopeDB-compatible read API
+    # the dynamic-table read API
 
     def tables(self) -> list[str]:
-        names = set(self._manifest.tables()) - _INTERNAL_TABLES
+        names = set(super().tables()) - _INTERNAL_TABLES
         names.update(self._registry)
         return sorted(names)
 
@@ -1350,9 +1100,9 @@ class ShardedMScopeDB:
     def table_schema(self, table: str) -> list[tuple[str, str]]:
         declared = self._registry.get(table)
         if declared is None:
-            return self._manifest.table_schema(table)
+            return super().table_schema(table)
         overrides = dict(
-            self._manifest.query(
+            self._require_conn().execute(
                 "SELECT column_name, sql_type FROM schema_catalog "
                 "WHERE table_name = ?",
                 (table,),
@@ -1364,81 +1114,25 @@ class ShardedMScopeDB:
         ]
 
     def row_count(self, table: str) -> int:
-        if table in self._registry:
-            total = 0
-            for info in self._shards_for(table, pruned=False):
-                conn, direct = self._read_conn(info)
-                try:
-                    total += conn.execute(
-                        f"SELECT COUNT(*) FROM {quote_identifier(table)}"
-                    ).fetchone()[0]
-                finally:
-                    if direct:
-                        conn.close()
-            return total
-        return self._manifest.row_count(table)
+        if table not in self._registry:
+            return super().row_count(table)
+        total = 0
+        for info in self._shards_for(table, pruned=False):
+            with self._reading(info) as conn:
+                total += conn.execute(
+                    f"SELECT COUNT(*) FROM {quote_identifier(table)}"
+                ).fetchone()[0]
+        return total
 
     def query(self, sql: str, params: Sequence[Any] = ()) -> list[tuple]:
-        self.flush()
-        self._prepare_sql(sql)
-        return self._manifest.query(sql, params)
-
-    def max_variables(self) -> int:
-        return self._manifest.max_variables()
-
-    def in_chunk_size(self) -> int:
-        return self._manifest.in_chunk_size()
-
-    def query_in_chunks(
-        self,
-        sql: str,
-        values: Sequence[Any],
-        chunk_size: int | None = None,
-    ) -> list[tuple]:
-        if chunk_size is None:
-            chunk_size = self.in_chunk_size()
-        if chunk_size <= 0:
-            raise QueryError(f"chunk size must be positive: {chunk_size}")
-        rows: list[tuple] = []
-        for start in range(0, len(values), chunk_size):
-            chunk = values[start : start + chunk_size]
-            placeholders = ", ".join("?" for _ in chunk)
-            rows.extend(
-                self.query(sql.format(placeholders=placeholders), chunk)
-            )
-        return rows
-
-    def query_plan(self, sql: str, params: Sequence[Any] = ()) -> list[str]:
-        self.flush()
-        self._prepare_sql(sql)
-        return self._manifest.query_plan(sql, params)
-
-    def fetch_series(
-        self,
-        table: str,
-        time_column: str,
-        value_column: str,
-        start: int | None = None,
-        stop: int | None = None,
-    ) -> list[tuple[int, float]]:
-        """A windowed series read — pruned to overlapping shards."""
-        sql = (
-            f"SELECT {quote_identifier(time_column)}, "
-            f"{quote_identifier(value_column)} FROM {quote_identifier(table)}"
-        )
-        conditions = []
-        params: list[Any] = []
-        if start is not None:
-            conditions.append(f"{quote_identifier(time_column)} >= ?")
-            params.append(start)
-        if stop is not None:
-            conditions.append(f"{quote_identifier(time_column)} < ?")
-            params.append(stop)
-        if conditions:
-            sql += " WHERE " + " AND ".join(conditions)
-        sql += f" ORDER BY {quote_identifier(time_column)}"
-        with self.pruned(start, stop):
-            return self.query(sql, params)
+        """Federate the dynamic tables ``sql`` names, then run it on
+        the manifest connection like any monolith query."""
+        try:
+            self.flush()
+            self._prepare_sql(sql)
+        except sqlite3.Error as exc:
+            raise QueryError(f"query failed: {exc}") from exc
+        return super().query(sql, params)
 
     # ------------------------------------------------------------------
     # dumps
@@ -1451,43 +1145,19 @@ class ShardedMScopeDB:
         """
         return self.iterdump_content()
 
-    def iterdump_content(self) -> Iterator[str]:
-        """Canonical content lines, comparable to the monolith's.
-
-        Same table order (sorted), same schema rendering, same
-        canonical row order — so a sharded warehouse loaded from the
-        same logs as a monolithic one yields identical lines (the
-        ``warehouse-sharded`` conformance pair).  Streams one table at
-        a time; memory is bounded by the largest table.
-        """
-        self.flush()
-        for table in self.tables():
-            schema = self.table_schema(table)
-            if table in self._registry:
-                rows = self._logical_rows(table, schema)
-            else:
-                columns = ", ".join(quote_identifier(c) for c, _ in schema)
-                rows = iter(
-                    self._manifest.query(
-                        f"SELECT {columns} FROM {quote_identifier(table)}"
-                    )
-                )
-            yield from table_content_lines(table, schema, rows)
-
-    def _logical_rows(
+    def _table_rows(
         self, table: str, schema: Sequence[tuple[str, str]]
     ) -> Iterator[tuple]:
+        if table not in self._registry:
+            yield from super()._table_rows(table, schema)
+            return
         columns = ", ".join(quote_identifier(c) for c, _ in schema)
         for info in self._shards_for(table, pruned=False):
-            conn, direct = self._read_conn(info)
-            try:
+            with self._reading(info) as conn:
                 yield from conn.execute(
                     f"SELECT {columns} FROM {quote_identifier(table)} "
                     f"ORDER BY rowid"
                 )
-            finally:
-                if direct:
-                    conn.close()
 
     # ------------------------------------------------------------------
     # shard management: manifest, retention, compaction
@@ -1510,8 +1180,7 @@ class ShardedMScopeDB:
         path = self._shard_abspath(info)
         for suffix in ("", "-wal", "-shm"):
             Path(f"{path}{suffix}").unlink(missing_ok=True)
-        shutil.rmtree(f"{path}.cols", ignore_errors=True)
-        conn = self._manifest._require_conn()
+        conn = self._require_conn()
         conn.execute(
             "DELETE FROM shard_manifest WHERE host = ? AND window_index = ?",
             info.key,
@@ -1520,7 +1189,7 @@ class ShardedMScopeDB:
             "DELETE FROM shard_tables WHERE host = ? AND window_index = ?",
             info.key,
         )
-        self._manifest._commit()
+        self._commit()
         del self._shards[info.key]
 
     def drop_shards_before(self, cutoff_us: int) -> int:
@@ -1539,7 +1208,6 @@ class ShardedMScopeDB:
             self._remove_shard(info)
         if victims:
             self._write_gen += 1
-            self._columnar_invalidate()
         return len(victims)
 
     def compact_shards_before(self, cutoff_us: int) -> int:
@@ -1563,7 +1231,6 @@ class ShardedMScopeDB:
             merged += self._compact_host(host, infos)
         if merged:
             self._write_gen += 1
-            self._columnar_invalidate()
         return merged
 
     def _compact_host(self, host: str, infos: list[ShardInfo]) -> int:
@@ -1573,18 +1240,13 @@ class ShardedMScopeDB:
         target_path = self.root / relpath
         target_path.unlink(missing_ok=True)
         target = sqlite3.connect(target_path)
-        target.execute("PRAGMA journal_mode = WAL")
+        set_file_pragmas(target)
         tables: set[str] = set()
         for info in infos:
             tables.update(info.tables)
         for table in sorted(tables):
             declared = self._registry[table]
-            rendered = ", ".join(
-                f"{quote_identifier(c)} {t}" for c, t in declared
-            )
-            target.execute(
-                f"CREATE TABLE {quote_identifier(table)} ({rendered})"
-            )
+            target.execute(create_table_sql(table, declared))
             column_sql = ", ".join(quote_identifier(c) for c, _ in declared)
             insert_sql = (
                 f"INSERT INTO {quote_identifier(table)} ({column_sql}) "
@@ -1593,8 +1255,7 @@ class ShardedMScopeDB:
             for info in infos:
                 if table not in info.tables:
                     continue
-                source, direct = self._read_conn(info)
-                try:
+                with self._reading(info) as source:
                     # The source shard may predate later add_column
                     # calls; select only the columns it has.
                     have = {
@@ -1616,9 +1277,6 @@ class ShardedMScopeDB:
                         if not batch:
                             break
                         target.executemany(insert_sql, batch)
-                finally:
-                    if direct:
-                        source.close()
         target.commit()
         target.close()
         for info in infos:
@@ -1634,185 +1292,10 @@ class ShardedMScopeDB:
         self.register_shards([record])
         return len(infos)
 
-    # ------------------------------------------------------------------
-    # columnar sidecars (the bulk-analysis fast path)
-
-    def _columnar_invalidate(self) -> None:
-        if self._columnar:
-            self._columnar = False
-            self._set_config("columnar", "0")
-
-    def build_columnar(self) -> int:
-        """Materialize numeric columns as ``.npy`` sidecars per shard.
-
-        For each shard and table, every INTEGER/REAL column is dumped
-        (in rowid order, NULL → NaN) into ``<shard>.cols/<table>.<col>
-        .npy``.  :meth:`columnar_series` / :meth:`columnar_spans` then
-        serve the bulk-analysis full scans from memory-mapped arrays
-        instead of SQL.  Any subsequent write invalidates the sidecars
-        (they are rebuilt on demand).  Returns the number of arrays
-        written.
-        """
-        import numpy as np
-
-        self.flush()
-        written = 0
-        for info in self.shard_manifest():
-            cols_dir = Path(f"{self._shard_abspath(info)}.cols")
-            shutil.rmtree(cols_dir, ignore_errors=True)
-            if not info.tables:
-                continue
-            cols_dir.mkdir(parents=True)
-            conn, direct = self._read_conn(info)
-            try:
-                for table in sorted(info.tables):
-                    numeric = [
-                        column
-                        for column, sql_type in self.table_schema(table)
-                        if sql_type in ("INTEGER", "REAL")
-                    ]
-                    have = {
-                        row[1]
-                        for row in conn.execute(
-                            f"PRAGMA table_info({quote_identifier(table)})"
-                        )
-                    }
-                    for column in numeric:
-                        if column not in have:
-                            continue
-                        values = [
-                            row[0]
-                            for row in conn.execute(
-                                f"SELECT {quote_identifier(column)} "
-                                f"FROM {quote_identifier(table)} "
-                                f"ORDER BY rowid"
-                            )
-                        ]
-                        array = np.array(
-                            [
-                                float("nan") if v is None else float(v)
-                                for v in values
-                            ],
-                            dtype=np.float64,
-                        )
-                        np.save(cols_dir / f"{table}.{column}.npy", array)
-                        written += 1
-            finally:
-                if direct:
-                    conn.close()
-        self._columnar = True
-        self._set_config("columnar", "1")
-        return written
-
-    def _columnar_arrays(
-        self,
-        table: str,
-        columns: Sequence[str],
-        time_column: str,
-        start: int | None,
-        stop: int | None,
-    ):
-        import numpy as np
-
-        if not self._columnar or table not in self._registry:
-            return None
-        times_parts = []
-        value_parts: list[list] = [[] for _ in columns]
-        with self.pruned(start, stop):
-            infos = self._shards_for(table)
-        for info in infos:
-            cols_dir = Path(f"{self._shard_abspath(info)}.cols")
-            time_file = cols_dir / f"{table}.{time_column}.npy"
-            if not time_file.exists():
-                return None
-            times = np.load(time_file)
-            loaded = []
-            for column in columns:
-                col_file = cols_dir / f"{table}.{column}.npy"
-                if not col_file.exists():
-                    return None
-                loaded.append(np.load(col_file))
-            self.shard_open_log.append(f"{info.relpath}.cols")
-            times_parts.append(times)
-            for part, array in zip(value_parts, loaded):
-                part.append(array)
-        if not times_parts:
-            empty = np.array([], dtype=np.float64)
-            return empty, [np.array([], dtype=np.float64) for _ in columns]
-        times = np.concatenate(times_parts)
-        values = [np.concatenate(part) for part in value_parts]
-        return times, values
-
-    def columnar_series(
-        self,
-        table: str,
-        columns: Sequence[str],
-        start: int | None = None,
-        stop: int | None = None,
-    ):
-        """``(times, summed_values)`` arrays for a metric table, or
-        ``None`` when sidecars are absent/stale (caller falls back to
-        SQL).  Matches ``metric_series`` semantics: values are the
-        NULL-as-zero sum of ``columns``, rows with a NULL timestamp are
-        dropped, output is sorted by time; ``start``/``stop`` are
-        warehouse timestamps.
-        """
-        import numpy as np
-
-        arrays = self._columnar_arrays(
-            table, columns, "timestamp_us", start, stop
-        )
-        if arrays is None:
-            return None
-        times, value_arrays = arrays
-        summed = np.zeros_like(times)
-        for array in value_arrays:
-            summed = summed + np.nan_to_num(array, nan=0.0)
-        mask = ~np.isnan(times)
-        if start is not None:
-            mask &= times >= start
-        if stop is not None:
-            mask &= times < stop
-        times, summed = times[mask], summed[mask]
-        order = np.argsort(times, kind="stable")
-        return times[order].astype(np.int64), summed[order]
-
-    def columnar_spans(
-        self,
-        table: str,
-        start: int | None = None,
-        stop: int | None = None,
-    ):
-        """Sorted ``(arrivals, departures)`` arrays for an event table
-        (completed rows only, optionally bounded on arrival), or
-        ``None`` when sidecars are absent/stale."""
-        import numpy as np
-
-        arrays = self._columnar_arrays(
-            table,
-            ("upstream_departure_us",),
-            "upstream_arrival_us",
-            start,
-            stop,
-        )
-        if arrays is None:
-            return None
-        arrivals, (departures,) = arrays
-        mask = ~np.isnan(departures) & ~np.isnan(arrivals)
-        if start is not None:
-            mask &= arrivals >= start
-        if stop is not None:
-            mask &= arrivals < stop
-        arrivals, departures = arrivals[mask], departures[mask]
-        return (
-            np.sort(arrivals).astype(np.int64),
-            np.sort(departures).astype(np.int64),
-        )
-
 
 def open_warehouse(
     path: Path | str, threadsafe: bool = False
-) -> MScopeDB | ShardedMScopeDB:
+) -> MScopeDB:
     """Open a warehouse by path, monolithic or sharded.
 
     A directory containing ``manifest.db`` is a sharded warehouse;

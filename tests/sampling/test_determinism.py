@@ -65,18 +65,32 @@ def test_parallel_monolith_is_iterdump_identical(log_dir, spec):
     )
 
 
-@pytest.mark.parametrize("spec", POLICIES)
+@pytest.mark.parametrize("spec", [None, *POLICIES])
 def test_parallel_sharded_matches_sampled_monolith(log_dir, tmp_path, spec):
     """Host fan-out (or the forced serial path for stateful policies)
-    still lands exactly the sampled monolith's content."""
+    still lands exactly the sampled monolith's content — and so does
+    the in-process sharded build, so the manifest a parent replays
+    from its workers' writers (``schema_catalog``, ``load_catalog``,
+    ``monitor_registry``, ``sampling_ledger``) is the one a serial
+    build writes directly.  Unsampled and time-windowed targets are
+    what the ``window_reads`` benchmark's set-up builds."""
     mono = MScopeDB()
     MScopeDataTransformer(mono, sampling=spec).transform_directory(
         log_dir, jobs=1
     )
-    shard = ShardedMScopeDB(tmp_path / "mscope.shards")
-    MScopeDataTransformer(shard, sampling=spec).transform_directory(
-        log_dir, jobs=4
-    )
-    assert list(shard.iterdump_content()) == list(mono.iterdump_content())
-    assert shard.sampling_ledger() == mono.sampling_ledger()
-    shard.close()
+    expected = list(mono.iterdump_content())
+    for window_us in (None, ms(40)):
+        for jobs in (1, 4):
+            shard = ShardedMScopeDB(
+                tmp_path / f"w{window_us}-jobs{jobs}.shards",
+                window_us=window_us,
+            )
+            MScopeDataTransformer(shard, sampling=spec).transform_directory(
+                log_dir, jobs=jobs
+            )
+            assert list(shard.iterdump_content()) == expected
+            assert shard.sampling_ledger() == mono.sampling_ledger()
+            if window_us is not None:
+                # The window really split each host's rows across shards.
+                assert len(shard.shard_manifest()) > 3
+            shard.close()

@@ -134,6 +134,32 @@ def test_window_conflict_on_reopen(tmp_path):
         ShardedMScopeDB(root, window_us=WINDOW * 2)
 
 
+def test_rejected_ddl_leaves_the_manifest_untouched(tmp_path):
+    """Bad identifiers and types are refused up front, as the monolith
+    refuses them — nothing reaches ``schema_catalog`` / ``shard_schema``
+    or names a shard directory."""
+    root = tmp_path / "w.shards"
+    shard = ShardedMScopeDB(root)
+    shard.create_table("m_web1", [("a", "INTEGER")])
+    with pytest.raises(WarehouseError):
+        shard.create_table("x; DROP", [("a", "INTEGER")])
+    with pytest.raises(WarehouseError):
+        shard.create_table("bad_web1", [("a", "BLOB")])
+    with pytest.raises(WarehouseError):
+        shard.add_column("m_web1", 'b"; --', "TEXT")
+    with pytest.raises(WarehouseError):
+        shard.add_column("m_web1", "b", "BLOB")
+    shard.close()
+    with ShardedMScopeDB(root) as reopened:
+        assert reopened.dynamic_tables() == ["m_web1"]
+        assert reopened.table_schema("m_web1") == [("a", "INTEGER")]
+        assert reopened.query("SELECT table_name FROM schema_catalog") == [
+            ("m_web1",)
+        ]
+        assert list(reopened.iterdump_content())
+    assert sorted(p.name for p in (root / "shards").iterdir()) == ["web1"]
+
+
 def test_open_warehouse_dispatches_on_layout(tmp_path, pair):
     mono, shard = pair
     assert isinstance(open_warehouse(shard.root), ShardedMScopeDB)
@@ -318,6 +344,60 @@ def test_attach_budget_falls_back_to_materialization(pair):
         reopened.close()
 
 
+def test_one_handle_full_then_pruned_then_full_read(tmp_path):
+    """Over the attach budget a full-history read materializes a TEMP
+    *table*; the pruned read after it (fewer shards, within budget)
+    must replace it with a view, and the next full read must replace
+    that again — all on one handle."""
+    mono = _populate(MScopeDB(), minutes=10)
+    _populate(
+        ShardedMScopeDB(tmp_path / "long.shards", window_us=WINDOW),
+        minutes=10,
+    ).close()
+    shard = ShardedMScopeDB(tmp_path / "long.shards")
+    try:
+        spread = [
+            info
+            for info in shard.shard_manifest()
+            if "apache_events_web1" in info.tables
+        ]
+        assert len(spread) > shard.attach_budget
+        sql = (
+            "SELECT request_id, upstream_arrival_us FROM apache_events_web1 "
+            "WHERE upstream_arrival_us >= ? AND upstream_arrival_us < ? "
+            "ORDER BY upstream_arrival_us"
+        )
+        everything, last_minute = (0, 10 * WINDOW), (9 * WINDOW, 10 * WINDOW)
+        assert shard.query(sql, everything) == mono.query(sql, everything)
+        with shard.pruned(*last_minute):
+            assert shard.query(sql, last_minute) == mono.query(
+                sql, last_minute
+            )
+        assert shard.query(sql, everything) == mono.query(sql, everything)
+    finally:
+        shard.close()
+        mono.close()
+
+
+def test_view_preparation_errors_surface_as_query_error(pair):
+    from repro.common.errors import QueryError
+
+    _, shard = pair
+    shard.close()  # checkpoint the WAL: the shard files are the data
+    reopened = ShardedMScopeDB(shard.root)
+    try:
+        victim = reopened.shard_manifest()[0]
+        (reopened.root / victim.relpath).write_bytes(b"not a database" * 64)
+        table = sorted(victim.tables)[0]
+        # The same answer every time: a failed view build leaves
+        # nothing behind for the retry to trip over.
+        for _ in range(2):
+            with pytest.raises(QueryError, match="not a database"):
+                reopened.query(f"SELECT COUNT(*) FROM {table}")
+    finally:
+        reopened.close()
+
+
 # ----------------------------------------------------------------------
 # retention & compaction
 
@@ -353,46 +433,6 @@ def test_compaction_preserves_content(pair):
         not (0 <= info.window_index < 3) or "roll" in info.relpath
         for info in shard.shard_manifest()
     )
-
-
-# ----------------------------------------------------------------------
-# columnar sidecars
-
-
-def test_columnar_series_matches_sql(pair):
-    from repro.analysis.metrics import metric_series
-
-    mono, shard = pair
-    arrays = shard.build_columnar()
-    assert arrays > 0
-    windowed = dict(start=30 * SECOND, stop=4 * WINDOW)
-    columnar = metric_series(
-        shard, "collectl_cpu_db1", ("dsk_pctutil",), **windowed
-    )
-    sql = metric_series(
-        mono, "collectl_cpu_db1", ("dsk_pctutil",), **windowed
-    )
-    assert list(columnar.times) == list(sql.times)
-    assert list(columnar.values) == list(sql.values)
-    spans = shard.columnar_spans("apache_events_web1", None, None)
-    assert spans is not None and len(spans[0]) == shard.query(
-        "SELECT COUNT(*) FROM apache_events_web1 "
-        "WHERE upstream_departure_us IS NOT NULL"
-    )[0][0]
-
-
-def test_writes_invalidate_columnar_sidecars(pair):
-    _, shard = pair
-    shard.build_columnar()
-    assert shard.columnar_series(
-        "collectl_cpu_db1", ("dsk_pctutil",), None, None
-    ) is not None
-    shard.insert_rows(
-        "collectl_cpu_db1", ["timestamp_us", "dsk_pctutil"], [(7 * WINDOW, 1.0)]
-    )
-    assert shard.columnar_series(
-        "collectl_cpu_db1", ("dsk_pctutil",), None, None
-    ) is None
 
 
 # ----------------------------------------------------------------------
