@@ -20,11 +20,16 @@ Steps (any failure exits nonzero):
 5. SIGTERM; require a zero exit within the drain deadline.
 6. Batch-transform the final tree and compare content dumps.
 
+``--shard-window-s S`` boots the daemon on the sharded layout (``--db``
+is then a shard root); the batch side stays a monolith, so the final
+comparison also holds the two layouts to the same content.
+
 Stdlib only — this script runs inside the repo's normal CI image.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import signal
 import subprocess
@@ -98,6 +103,16 @@ def read_sse_event(port: int) -> dict:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--shard-window-s", type=float, default=None,
+        help="serve on a sharded warehouse with this time window",
+    )
+    args = parser.parse_args()
+    layout = []
+    if args.shard_window_s is not None:
+        layout = ["--shard-window-s", repr(args.shard_window_s)]
+
     tmp = Path(tempfile.mkdtemp(prefix="serve-smoke-"))
     out = tmp / "run"
     log("simulating scenario a")
@@ -126,6 +141,7 @@ def main() -> None:
             "--refresh-interval", "0.1",
             "--diagnose-interval", "0.5",
             "--diagnosis-window", "1.0",
+            *layout,
         ],
         cwd=REPO,
     )
@@ -207,9 +223,9 @@ def main() -> None:
     )
 
     sys.path.insert(0, str(REPO / "src"))
-    from repro.warehouse.db import MScopeDB
+    from repro.warehouse.sharded import open_warehouse
 
-    with MScopeDB(serve_db) as served, MScopeDB(batch_db) as batched:
+    with open_warehouse(serve_db) as served, open_warehouse(batch_db) as batched:
         serve_dump = list(served.iterdump_content())
         batch_dump = list(batched.iterdump_content())
     if serve_dump != batch_dump:

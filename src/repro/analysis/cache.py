@@ -194,8 +194,9 @@ class SeriesCache:
         with self._probe.span(
             self._spans, "analysis.load_spans", source_path=table
         ) as span:
-            with self.db.pruned(wh_start, wh_stop):
-                rows = self.db.query(sql, params)
+            rows = self.db.query_table(
+                table, sql, params, window=(wh_start, wh_stop)
+            )
             span.add(records=len(rows))
         if rows:
             data = np.asarray(rows, dtype=np.int64) - self.epoch_us

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.common.errors import AnalysisError, QueryError
 from repro.common.timebase import Micros, to_ms
-from repro.warehouse.db import MScopeDB, quote_identifier
+from repro.warehouse.db import MScopeDB, merge_sorted, quote_identifier
 
 __all__ = [
     "CausalHop",
@@ -244,11 +244,13 @@ def reconstruct_path(
         host = _host_of(table)
         # rowid breaks arrival-time ties, pinning one deterministic hop
         # order shared with the bulk path.
-        rows = db.query(
+        rows = db.query_table(
+            table,
             f"SELECT upstream_arrival_us, upstream_departure_us, "
             f"{select_ds}, {select_dr} FROM {quote_identifier(table)} "
             f"WHERE request_id = ? ORDER BY upstream_arrival_us, rowid",
             (request_id,),
+            merge=merge_sorted(0),
         )
         for arrival, departure, sending, receiving in rows:
             hops.append(
@@ -296,6 +298,9 @@ def reconstruct_paths_bulk(
         return
     wanted = set(ids)
     hops_by_id: dict[str, list[CausalHop]] = {rid: [] for rid in ids}
+    # Both reads select (request_id, arrival, ...); the stable merge
+    # keeps rowid order among equal arrivals.
+    by_arrival = merge_sorted(1)
     for tier, table in _tier_table_pairs(tables):
         selects = _hop_selects(db, table)
         if selects is None:
@@ -310,13 +315,19 @@ def reconstruct_paths_bulk(
             # Dense id set: one sequential scan beats thousands of
             # index probes.  ORDER BY (arrival, rowid) matches the
             # probe path, so per-id hop order is identical either way.
-            rows = db.query(f"{select} ORDER BY upstream_arrival_us, rowid")
+            rows = db.query_table(
+                table,
+                f"{select} ORDER BY upstream_arrival_us, rowid",
+                merge=by_arrival,
+            )
             rows = (row for row in rows if row[0] in wanted)
         else:
             rows = db.query_in_chunks(
+                table,
                 f"{select} WHERE request_id IN ({{placeholders}}) "
                 f"ORDER BY upstream_arrival_us, rowid",
                 ids,
+                merge=by_arrival,
             )
         for request_id, arrival, departure, sending, receiving in rows:
             hops_by_id[request_id].append(

@@ -12,7 +12,7 @@ import dataclasses
 
 from repro.analysis.series import Series
 from repro.common.errors import AnalysisError
-from repro.warehouse.db import MScopeDB, quote_identifier
+from repro.warehouse.db import MScopeDB, merge_sorted, quote_identifier
 
 __all__ = ["MetricCandidate", "metric_series", "discover_candidates"]
 
@@ -62,8 +62,9 @@ def metric_series(
     if conditions:
         sql += " WHERE " + " AND ".join(conditions)
     sql += " ORDER BY timestamp_us"
-    with db.pruned(wh_start, wh_stop):
-        rows = db.query(sql, params)
+    rows = db.query_table(
+        table, sql, params, window=(wh_start, wh_stop), merge=merge_sorted(0)
+    )
     return Series.from_pairs((t - epoch_us, float(v)) for t, v in rows)
 
 

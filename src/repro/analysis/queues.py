@@ -33,10 +33,11 @@ def spans_from_warehouse(
     db: MScopeDB, table: str, epoch_us: int = 0
 ) -> list[Span]:
     """``(arrival, departure)`` spans from one tier's event table."""
-    rows = db.query(
+    rows = db.query_table(
+        table,
         f"SELECT upstream_arrival_us, upstream_departure_us "
         f"FROM {quote_identifier(table)} "
-        f"WHERE upstream_departure_us IS NOT NULL"
+        f"WHERE upstream_departure_us IS NOT NULL",
     )
     return [(a - epoch_us, d - epoch_us) for a, d in rows]
 

@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple
 from repro.common.errors import AnalysisError
 from repro.common.records import RequestTrace
 from repro.common.timebase import Micros, to_ms
-from repro.warehouse.db import MScopeDB, quote_identifier
+from repro.warehouse.db import MScopeDB, merge_sorted, quote_identifier
 
 __all__ = [
     "CompletionSample",
@@ -123,8 +123,9 @@ def completions_from_warehouse(
         start + epoch_us - IN_FLIGHT_SLACK_US if start is not None else None
     )
     hint_stop = stop + epoch_us if stop is not None else None
-    with db.pruned(hint_start, hint_stop):
-        rows = db.query(sql, params)
+    rows = db.query_table(
+        table, sql, params, window=(hint_start, hint_stop), merge=merge_sorted(0)
+    )
     return list(map(CompletionSample._make, rows))
 
 

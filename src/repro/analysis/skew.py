@@ -26,7 +26,7 @@ import dataclasses
 import statistics
 
 from repro.common.errors import AnalysisError
-from repro.warehouse.db import MScopeDB, quote_identifier
+from repro.warehouse.db import MScopeDB, merge_sorted, quote_identifier
 
 __all__ = ["SkewEstimate", "estimate_pairwise_offset", "estimate_tier_offsets"]
 
@@ -69,11 +69,13 @@ def _visits(db: MScopeDB, table: str) -> dict[str, list[tuple]]:
         if "downstream_receiving_us" in columns
         else "NULL"
     )
-    rows = db.query(
+    rows = db.query_table(
+        table,
         f"SELECT request_id, upstream_arrival_us, upstream_departure_us, "
         f"{select_ds}, {select_dr} FROM {quote_identifier(table)} "
         f"WHERE upstream_departure_us IS NOT NULL "
-        f"ORDER BY request_id, upstream_arrival_us"
+        f"ORDER BY request_id, upstream_arrival_us",
+        merge=merge_sorted(0, 1),
     )
     grouped: dict[str, list[tuple]] = {}
     for request_id, ua, ud, ds, dr in rows:

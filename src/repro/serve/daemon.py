@@ -59,7 +59,7 @@ from repro.telemetry.aggregate import RunTelemetry
 from repro.telemetry.spans import TelemetryCollector
 from repro.transformer.errorpolicy import ErrorPolicy
 from repro.transformer.live import LiveTransformer
-from repro.warehouse.db import MScopeDB
+from repro.warehouse.db import MScopeDB, merge_sorted
 from repro.warehouse.sharded import ShardedMScopeDB, open_warehouse
 
 __all__ = [
@@ -379,8 +379,10 @@ class MScopeServeDaemon:
         front = self.config.front_table
         if front not in self.db.tables():
             return None
-        rows = self.db.query(
-            f"SELECT MAX(upstream_departure_us) FROM {front}"
+        rows = self.db.query_table(
+            front,
+            f"SELECT MAX(upstream_departure_us) FROM {front}",
+            merge=merge_sorted(0, descending=True, limit=1),
         )
         if not rows or rows[0][0] is None:
             return None

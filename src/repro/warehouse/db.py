@@ -21,8 +21,9 @@ import contextlib
 import itertools
 import re
 import sqlite3
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.common.errors import QueryError, WarehouseError
 
@@ -30,6 +31,7 @@ __all__ = [
     "MScopeDB",
     "RESPONSE_TIME_SQL",
     "STATIC_TABLES",
+    "merge_sorted",
     "quote_identifier",
     "table_content_lines",
 ]
@@ -208,6 +210,34 @@ def table_content_lines(
         yield repr(tuple(row))
 
 
+def merge_sorted(
+    *columns: int, descending: bool = False, limit: int | None = None
+) -> Callable[[list[list[tuple]]], list[tuple]]:
+    """A ``merge`` for :meth:`MScopeDB.query_table` that re-establishes
+    the statement's ``ORDER BY`` (and ``LIMIT``) over per-shard results.
+
+    ``columns`` are the positions of the sort keys in the statement's
+    *output*, all ascending or all ``descending``; NULLs sort lowest,
+    as in sqlite.  The sort is stable over the parts as given — shards
+    in time order, rowid order within each — so equal keys keep the
+    tie-break a trailing ``, rowid`` gives them on the monolith.
+    """
+
+    def null_safe(row: tuple) -> list[tuple]:
+        return [(row[c] is not None, row[c]) for c in columns]
+
+    def merge(parts: list[list[tuple]]) -> list[tuple]:
+        rows = [row for part in parts for row in part]
+        try:
+            # No Python call per row; a NULL key raises on comparison.
+            rows = sorted(rows, key=itemgetter(*columns), reverse=descending)
+        except TypeError:
+            rows.sort(key=null_safe, reverse=descending)
+        return rows if limit is None else rows[:limit]
+
+    return merge
+
+
 class MScopeDB:
     """The milliScope dynamic data warehouse.
 
@@ -320,26 +350,19 @@ class MScopeDB:
         Unlike :meth:`iterdump` this ignores physical layout (rowids,
         insert order, page structure), so it is the dump a partitioned
         warehouse can be compared against: the sharded layout inherits
-        this method and overrides only where a dynamic table's rows
-        come from (:meth:`_table_rows`), so both layouts loaded from
-        the same logs yield identical lines (the ``warehouse-sharded``
+        this method and differs only in where :meth:`query_table`
+        finds a dynamic table's rows, so both layouts loaded from the
+        same logs yield identical lines (the ``warehouse-sharded``
         conformance pair).  Streams one table at a time; memory is
         bounded by the largest table.
         """
         for table in self.tables():
             schema = self.table_schema(table)
-            yield from table_content_lines(
-                table, schema, self._table_rows(table, schema)
+            columns = ", ".join(quote_identifier(c) for c, _ in schema)
+            rows = self.query_table(
+                table, f"SELECT {columns} FROM {quote_identifier(table)}"
             )
-
-    def _table_rows(
-        self, table: str, schema: Sequence[tuple[str, str]]
-    ) -> Iterable[tuple]:
-        """Every row of one table, columns in ``schema`` order."""
-        columns = ", ".join(quote_identifier(c) for c, _ in schema)
-        return self._require_conn().execute(
-            f"SELECT {columns} FROM {quote_identifier(table)}"
-        )
+            yield from table_content_lines(table, schema, rows)
 
     # ------------------------------------------------------------------
     # static tables
@@ -823,13 +846,14 @@ class MScopeDB:
         self._commit()
 
     def indexes(self, table: str) -> list[str]:
-        """Names of the indexes on ``table``."""
-        rows = self._require_conn().execute(
+        """Names of the indexes on ``table`` (in any of its shards)."""
+        rows = self.query_table(
+            table,
             "SELECT name FROM sqlite_master WHERE type = 'index' "
-            "AND tbl_name = ? ORDER BY name",
+            "AND tbl_name = ?",
             (table,),
-        ).fetchall()
-        return [r[0] for r in rows]
+        )
+        return sorted({name for name, in rows})
 
     def add_column(self, table: str, column: str, sql_type: str) -> None:
         """Add a column to an existing dynamic table (NULL backfill)."""
@@ -921,12 +945,18 @@ class MScopeDB:
         """Number of rows in ``table``."""
         if table not in self.tables():
             raise QueryError(f"no such table {table!r}")
-        return self._require_conn().execute(
-            f"SELECT COUNT(*) FROM {quote_identifier(table)}"
-        ).fetchone()[0]
+        counts = self.query_table(
+            table, f"SELECT COUNT(*) FROM {quote_identifier(table)}"
+        )
+        return sum(count for count, in counts)
 
     def query(self, sql: str, params: Sequence[Any] = ()) -> list[tuple]:
-        """Run an arbitrary read query."""
+        """Run an arbitrary read query on this database.
+
+        On the sharded layout that is ``manifest.db`` — static tables
+        only; a read of a dynamic table that must work on either
+        layout goes through :meth:`query_table`.
+        """
         try:
             return self._require_conn().execute(sql, params).fetchall()
         except sqlite3.Error as exc:
@@ -954,13 +984,41 @@ class MScopeDB:
         non-chunk parameters)."""
         return max(1, self.max_variables() - _IN_CHUNK_HEADROOM)
 
+    def query_table(
+        self,
+        table: str,
+        sql: str,
+        params: Sequence[Any] = (),
+        *,
+        window: tuple[int | None, int | None] = (None, None),
+        merge: Callable[[list[list[tuple]]], list[tuple]] | None = None,
+    ) -> list[tuple]:
+        """Run a read that names exactly one dynamic table, ``table``.
+
+        The read both layouts answer.  Here it is :meth:`query`; the
+        sharded layout runs ``sql`` on each shard holding ``table``
+        that overlaps ``window`` (warehouse timestamps ``[start,
+        stop)``, ``None`` = unbounded) and returns the per-shard
+        results concatenated in shard order, or ``merge(parts)`` —
+        which a statement with an ``ORDER BY``, ``LIMIT`` or aggregate
+        needs (:func:`merge_sorted`).  ``window`` selects partitions,
+        not rows: the statement keeps its own ``WHERE`` bounds, and
+        the caller widens the window when rows routed outside it
+        matter (requests in flight across a boundary).
+        """
+        return self.query(sql, params)
+
     def query_in_chunks(
         self,
+        table: str,
         sql: str,
         values: Sequence[Any],
         chunk_size: int | None = None,
+        *,
+        merge: Callable[[list[list[tuple]]], list[tuple]] | None = None,
     ) -> list[tuple]:
-        """Run an ``IN (...)``-style query over ``values`` in chunks.
+        """Run an ``IN (...)``-style :meth:`query_table` read over
+        ``values`` in chunks.
 
         ``sql`` must contain one ``{placeholders}`` slot that expands
         to the chunk's ``?`` list; chunking keeps each statement under
@@ -978,22 +1036,9 @@ class MScopeDB:
         rows: list[tuple] = []
         for start in range(0, len(values), chunk_size):
             chunk = values[start : start + chunk_size]
-            placeholders = ", ".join("?" for _ in chunk)
-            rows.extend(self.query(sql.format(placeholders=placeholders), chunk))
+            statement = sql.format(placeholders=", ".join("?" for _ in chunk))
+            rows.extend(self.query_table(table, statement, chunk, merge=merge))
         return rows
-
-    @contextlib.contextmanager
-    def pruned(
-        self, start: int | None = None, stop: int | None = None
-    ) -> Iterator["MScopeDB"]:
-        """Partition-pruning hint for reads inside the context.
-
-        The monolithic warehouse has no partitions, so this is a no-op
-        — it exists so windowed analysis code can hint its time bounds
-        uniformly; ``ShardedMScopeDB`` overrides it to open only the
-        shards overlapping ``[start, stop)`` (warehouse timestamps).
-        """
-        yield self
 
     def query_plan(self, sql: str, params: Sequence[Any] = ()) -> list[str]:
         """The ``EXPLAIN QUERY PLAN`` detail lines for a query.
@@ -1029,5 +1074,6 @@ class MScopeDB:
         if conditions:
             sql += " WHERE " + " AND ".join(conditions)
         sql += f" ORDER BY {quote_identifier(time_column)}"
-        with self.pruned(start, stop):
-            return self.query(sql, params)
+        return self.query_table(
+            table, sql, params, window=(start, stop), merge=merge_sorted(0)
+        )

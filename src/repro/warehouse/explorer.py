@@ -14,7 +14,9 @@ import dataclasses
 
 from repro.common.errors import QueryError
 from repro.common.timebase import Micros
-from repro.warehouse.db import MScopeDB, RESPONSE_TIME_SQL, quote_identifier
+from repro.warehouse.db import (
+    MScopeDB, RESPONSE_TIME_SQL, merge_sorted, quote_identifier,
+)
 
 __all__ = [
     "WarehouseExplorer",
@@ -48,16 +50,33 @@ def interaction_stats_sql(front_table: str) -> str:
 
     Reads only the columns of the importer's ``interaction_rt``
     covering index, so the GROUP BY scans the index and never touches
-    the table.
+    the table.  ``SUM``, not ``AVG``: per-shard partials must combine
+    (:func:`_combine_interaction_partials`), and an average of
+    averages is not the average.
     """
     return (
         f"SELECT interaction, COUNT(*), "
-        f"AVG({RESPONSE_TIME_SQL}), "
+        f"SUM({RESPONSE_TIME_SQL}), "
         f"MAX({RESPONSE_TIME_SQL}) "
         f"FROM {quote_identifier(front_table)} "
         f"WHERE upstream_departure_us IS NOT NULL "
-        f"GROUP BY interaction ORDER BY 3 DESC"
+        f"GROUP BY interaction"
     )
+
+
+def _combine_interaction_partials(parts: list[list[tuple]]) -> list[tuple]:
+    """The ``merge`` of :func:`interaction_stats_sql`: one ``(group,
+    count, sum, max)`` row per group out of every shard's."""
+    combined: dict[str | None, tuple] = {}
+    for part in parts:
+        for group, count, total, peak in part:
+            seen = combined.get(group)
+            if seen is not None:
+                count += seen[1]
+                total += seen[2]
+                peak = max(peak, seen[3])
+            combined[group] = (group, count, total, peak)
+    return list(combined.values())
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -126,7 +145,12 @@ class WarehouseExplorer:
 
     def slowest_requests(self, n: int = 10) -> list[SlowRequest]:
         """The ``n`` slowest requests, slowest first."""
-        rows = self.db.query(slowest_requests_sql(self.front_table), (n,))
+        rows = self.db.query_table(
+            self.front_table,
+            slowest_requests_sql(self.front_table),
+            (n,),
+            merge=merge_sorted(2, descending=True, limit=n),
+        )
         return [
             SlowRequest(
                 request_id=request_id or "",
@@ -139,16 +163,24 @@ class WarehouseExplorer:
 
     def interaction_stats(self) -> list[InteractionStats]:
         """Per-interaction response-time aggregates, slowest mean first."""
-        rows = self.db.query(interaction_stats_sql(self.front_table))
-        return [
+        rows = self.db.query_table(
+            self.front_table,
+            interaction_stats_sql(self.front_table),
+            merge=_combine_interaction_partials,
+        )
+        stats = [
             InteractionStats(
                 interaction=interaction or "",
                 count=count,
-                mean_ms=mean / 1000.0,
+                mean_ms=total / count / 1000.0,
                 max_ms=peak / 1000.0,
             )
-            for interaction, count, mean, peak in rows
+            for interaction, count, total, peak in rows
         ]
+        # Ordered here, for both layouts: the mean does not exist
+        # until the per-shard sums are combined.
+        stats.sort(key=lambda s: (-s.mean_ms, s.interaction))
+        return stats
 
     def request_flow(self, request_id: str) -> list[tuple]:
         """Every event record of one request, across all event tables.
@@ -161,7 +193,8 @@ class WarehouseExplorer:
             columns = {name for name, _ in self.db.table_schema(table)}
             if "request_id" not in columns:
                 continue
-            rows = self.db.query(
+            rows = self.db.query_table(
+                table,
                 f"SELECT upstream_arrival_us, upstream_departure_us "
                 f"FROM {quote_identifier(table)} WHERE request_id = ?",
                 (request_id,),

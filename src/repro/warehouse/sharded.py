@@ -11,13 +11,20 @@ databases behind the same API:
   ``transform_directory(jobs=N)`` gives every worker its *own*
   :class:`ShardHostWriter` — N writers proceed in parallel with no
   shared lock.
-* **Reads** federate transparently: queries naming a dynamic table get
-  a ``TEMP VIEW`` that ``UNION ALL``s the shards holding it (attached
-  read-side via sqlite ``ATTACH``), with a synthetic per-branch
-  ``rowid`` preserving the tie-break ordering the causal joins rely
-  on.  A :meth:`ShardedMScopeDB.pruned` window hint restricts the view
-  to overlapping shards — windowed analysis never opens cold data, and
+* **Reads** name their table: :meth:`ShardedMScopeDB.query_table` runs
+  the caller's statement, unchanged, on each shard file holding that
+  table (under its real name, with the importer's indexes) and
+  concatenates the per-shard results or hands them to the caller's
+  ``merge`` (:func:`~repro.warehouse.db.merge_sorted` re-establishes
+  an ``ORDER BY``).  Its ``window=`` argument restricts the read to
+  overlapping shards — windowed analysis never opens cold data, and
   :attr:`ShardedMScopeDB.shard_opens` counts exactly what was opened.
+  A handle caches its shard read connections, at most
+  :data:`_MAX_READERS`, and nothing else — no write can stale a read.
+  *Ad-hoc SQL over dynamic tables is a monolith feature*: the
+  inherited :meth:`~ShardedMScopeDB.query` reaches ``manifest.db``
+  (static tables) only; on shards use ``query_table``, or ``sqlite3``
+  on a shard file.
 * **Metadata** (the paper's static tables, the schema catalog, ingest
   errors, pipeline telemetry) lives in one small ``manifest.db`` next
   to the shards, alongside the shard manifest itself.  That database
@@ -34,7 +41,7 @@ Layout on disk::
 
 Retention: :meth:`ShardedMScopeDB.drop_shards_before` deletes cold
 windows outright; :meth:`ShardedMScopeDB.compact_shards_before` rolls
-them up into one shard per host (same rows, fewer files to attach).
+them up into one shard per host (same rows, fewer files to open).
 
 Equivalence is held by the conformance suite: a sharded warehouse's
 :meth:`ShardedMScopeDB.iterdump_content` must equal the monolith's
@@ -48,7 +55,7 @@ import itertools
 import operator
 import sqlite3
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.common.errors import QueryError, WarehouseError
 from repro.warehouse.db import (
@@ -56,7 +63,6 @@ from repro.warehouse.db import (
     MScopeDB,
     add_column_sql,
     check_column_type,
-    column_defs_sql,
     column_index_sql,
     covering_index_sql,
     create_table_sql,
@@ -91,17 +97,11 @@ _WHOLE_WINDOW = 0
 #: window_index for rows carrying no routable timestamp.
 _MISC_WINDOW = -1
 
-#: Shard-open budget for ``ATTACH`` federation: sqlite's default
-#: SQLITE_MAX_ATTACHED is 10; keeping two in reserve leaves room for
-#: unrelated attachments.  Queries needing more shards than this fall
-#: back to materializing a TEMP table (correct, just not zero-copy).
-_DEFAULT_ATTACH_BUDGET = 8
-
-#: Per-branch rowid offset shift in federated views: shard-local
-#: rowids stay below 2**44, so ``(branch << 44) + rowid`` is unique and
-#: orders rows window-major — equal-timestamp ties keep shard-insert
-#: order, matching the monolith's ``ORDER BY ..., rowid`` tie-breaks.
-_ROWID_SHIFT = 44
+#: Read connections one :class:`ShardedMScopeDB` handle keeps open,
+#: least recently used closed first.  Above the ~44 shard files of the
+#: benchmark's warehouse (so a diagnosis opens each once), far below
+#: the usual 1,024 file-descriptor limit however long the history.
+_MAX_READERS = 64
 
 #: Columns that route a row into a time window, in priority order.
 _TIME_COLUMNS = ("timestamp_us", "upstream_arrival_us")
@@ -113,8 +113,8 @@ def host_for_table(table: str, known_hosts: Iterable[str] = ()) -> str:
     milliScope names dynamic tables ``<monitor>_<hostname>``; the
     longest known-host suffix wins (hostnames may contain ``_``), then
     the last ``_``-separated token, then the table name itself.  The
-    result only needs to be *consistent* per table — routing and
-    federation agree as long as both use the same mapping.
+    result only needs to be *consistent* per table — writes and
+    reads agree as long as both use the same mapping.
     """
     for host in sorted(known_hosts, key=len, reverse=True):
         if table == host or table.endswith(f"_{host}"):
@@ -141,7 +141,6 @@ class ShardInfo:
         "start_us",
         "stop_us",
         "relpath",
-        "alias",
         "tables",
     )
 
@@ -159,7 +158,6 @@ class ShardInfo:
         self.start_us = start_us
         self.stop_us = stop_us
         self.relpath = relpath
-        self.alias: str | None = None
         self.tables: set[str] = set(tables)
 
     @property
@@ -182,11 +180,17 @@ class ShardInfo:
         return True
 
     def sort_key(self) -> tuple[int, int]:
-        # Window order (misc last): branch order in federated views
-        # must be deterministic and time-major.
+        # Window order (misc last): the order per-shard results are
+        # combined in must be deterministic and time-major.
         if self.window_index == _MISC_WINDOW:
             return (1, 0)
         return (0, self.window_index)
+
+
+def _connect_shard(path: Path, threadsafe: bool) -> sqlite3.Connection:
+    """Every shard connection, writer's or reader's, opens here, so a
+    ``threadsafe`` warehouse has no connection bound to one thread."""
+    return sqlite3.connect(path, check_same_thread=not threadsafe)
 
 
 class ShardHostWriter:
@@ -213,11 +217,16 @@ class ShardHostWriter:
     """
 
     def __init__(
-        self, root: Path | str, host: str, window_us: int | None = None
+        self,
+        root: Path | str,
+        host: str,
+        window_us: int | None = None,
+        threadsafe: bool = False,
     ) -> None:
         self.root = Path(root)
         self.host = host
         self.window_us = window_us
+        self.threadsafe = threadsafe
         self.dir = self.root / _SHARD_DIR / host
         self.dir.mkdir(parents=True, exist_ok=True)
         #: window_index -> open connection
@@ -255,7 +264,9 @@ class ShardHostWriter:
     def _conn(self, window_index: int) -> sqlite3.Connection:
         conn = self._conns.get(window_index)
         if conn is None:
-            conn = sqlite3.connect(self.shard_path(window_index))
+            conn = _connect_shard(
+                self.shard_path(window_index), self.threadsafe
+            )
             set_file_pragmas(conn)
             self._conns[window_index] = conn
             self._shard_tables.setdefault(window_index, set())
@@ -495,15 +506,13 @@ class ShardedMScopeDB(MScopeDB):
         width; passing a conflicting value raises.
 
     The inherited connection is ``manifest.db``: static tables, the
-    schema catalog, telemetry and the sampling ledger are the base
-    class's, untouched.  Only the *dynamic*-table surface is overridden
-    — DDL/DML route to per-host :class:`ShardHostWriter` s, and
-    :meth:`query` federates the shards into TEMP views on the manifest
-    connection before the base class runs the SQL; see the module
-    docstring for how they route.  :attr:`shard_opens` /
-    :attr:`shard_open_log` count every shard database actually opened
-    (attached or scanned), which is what the partition-pruning
-    benchmark asserts on.
+    schema catalog, telemetry, the sampling ledger and :meth:`query`
+    are the base class's, untouched.  Only the *dynamic*-table surface
+    is overridden — DDL/DML route to per-host :class:`ShardHostWriter`
+    s, and :meth:`query_table` reads shard by shard; see the module
+    docstring.  :attr:`shard_opens` / :attr:`shard_open_log` count
+    every shard database opened for reading, which is what the
+    partition-pruning benchmark asserts on.
     """
 
     def __init__(
@@ -524,14 +533,10 @@ class ShardedMScopeDB(MScopeDB):
         self._table_host: dict[str, str] = {}
         self._shards: dict[tuple[str, int], ShardInfo] = {}
         self._writers: dict[str, ShardHostWriter] = {}
-        #: table -> ("view"|"mat", signature) of the current TEMP object
-        self._views: dict[str, tuple] = {}
-        self._attached: dict[tuple[str, int], str] = {}
-        self._alias_counter = 0
-        self._write_gen = 0
-        self._prune_hint: tuple[int | None, int | None] | None = None
-        self.attach_budget = _DEFAULT_ATTACH_BUDGET
-        #: Shard databases opened for reading (ATTACH or direct scan).
+        #: shard key -> cached read connection, least recently used
+        #: first (at most :data:`_MAX_READERS`).
+        self._readers: dict[tuple[str, int], sqlite3.Connection] = {}
+        #: Shard databases opened for reading.
         self.shard_opens = 0
         self.shard_open_log: list[str] = []
         self._load_manifest()
@@ -543,6 +548,9 @@ class ShardedMScopeDB(MScopeDB):
         for writer in self._writers.values():
             writer.close()
         self._writers.clear()
+        for conn in self._readers.values():
+            conn.close()
+        self._readers.clear()
         super().close()
 
     def _create_shard_tables(self) -> None:
@@ -639,7 +647,9 @@ class ShardedMScopeDB(MScopeDB):
         writer = self._writers.get(host)
         if writer is None:
             self._require_conn()  # close() dropped every writer
-            writer = ShardHostWriter(self.root, host, self.window_us)
+            writer = ShardHostWriter(
+                self.root, host, self.window_us, self.threadsafe
+            )
             # Late-joining writers must see schemas created earlier
             # (e.g. a warehouse reopened for further loads).
             for table, columns in self._registry.items():
@@ -712,14 +722,7 @@ class ShardedMScopeDB(MScopeDB):
                 )
                 for table in new_tables:
                     self._table_host.setdefault(table, record.host)
-                    self._invalidate(table)
         self._commit()
-
-    def _touch_write(self, host: str) -> None:
-        self._write_gen += 1
-        writer = self._writers.get(host)
-        if writer is not None:
-            self.register_shards(writer.records())
 
     # -- the dynamic-table write API, routed to the owning writer ------
 
@@ -752,7 +755,6 @@ class ShardedMScopeDB(MScopeDB):
             ],
         )
         self._commit()
-        self._invalidate(name)
 
     def add_column(self, table: str, column: str, sql_type: str) -> None:
         writer = self._writer_for_table(table)
@@ -768,8 +770,6 @@ class ShardedMScopeDB(MScopeDB):
             (table, len(self._registry[table]) - 1, column, sql_type),
         )
         self._commit()
-        self._invalidate(table)
-        self._touch_write(writer.host)
 
     def record_column_type(
         self, table: str, column: str, sql_type: str
@@ -788,7 +788,7 @@ class ShardedMScopeDB(MScopeDB):
     ) -> int:
         writer = self._writer_for_table(table)
         inserted = writer.insert_rows(table, columns, rows)
-        self._touch_write(writer.host)
+        self.register_shards(writer.records())
         return inserted
 
     def create_index(self, table: str, column: str) -> None:
@@ -804,287 +804,93 @@ class ShardedMScopeDB(MScopeDB):
             table, columns, name
         )
 
-    def indexes(self, table: str) -> list[str]:
-        """Index names on ``table`` (union across its shards)."""
-        names: set[str] = set()
-        for info in self._shards_for(table, pruned=False):
-            with self._reading(info) as conn:
-                names.update(
-                    row[0]
-                    for row in conn.execute(
-                        "SELECT name FROM sqlite_master WHERE type='index' "
-                        "AND tbl_name = ?",
-                        (table,),
-                    )
-                )
-        return sorted(names)
-
     # ------------------------------------------------------------------
-    # read federation
+    # reads: the statement runs in each shard, the results are merged
 
     def flush(self) -> None:
-        """Commit every writer so attached readers see the data."""
+        """Commit every writer so other connections see the data."""
         for writer in self._writers.values():
             if self._bulk_depth == 0:
                 writer.commit()
 
-    @contextlib.contextmanager
-    def pruned(
-        self, start: int | None = None, stop: int | None = None
-    ) -> Iterator["ShardedMScopeDB"]:
-        """Scope reads to shards overlapping ``[start, stop)``.
-
-        Bounds are warehouse timestamps.  Queries inside the context
-        build federated views over only the overlapping shards (plus
-        any unbounded catch-all shard); shards wholly outside the
-        window are never opened.  Correctness note: the *rows* are not
-        filtered — callers still apply their own WHERE bounds; the
-        hint only prunes which partitions back the view.
-        """
-        previous = self._prune_hint
-        self._prune_hint = (start, stop)
-        try:
-            yield self
-        finally:
-            self._prune_hint = previous
-
-    def _shards_for(self, table: str, pruned: bool = True) -> list[ShardInfo]:
+    def _shards_for(
+        self,
+        table: str,
+        window: tuple[int | None, int | None] = (None, None),
+    ) -> list[ShardInfo]:
+        """The shards holding ``table`` that overlap ``window``, in
+        window order (misc last)."""
         host = self._table_host.get(table)
-        if host is None:
-            return []
-        hint = self._prune_hint if pruned else None
         infos = [
             info
             for info in self._shards.values()
-            if info.host == host and table in info.tables
+            if info.host == host
+            and table in info.tables
+            and info.overlaps(*window)
         ]
-        if hint is not None:
-            infos = [info for info in infos if info.overlaps(*hint)]
         infos.sort(key=ShardInfo.sort_key)
         return infos
 
-    def _shard_abspath(self, info: ShardInfo) -> Path:
-        return self.root / info.relpath
-
-    def _count_open(self, info: ShardInfo) -> None:
-        self.shard_opens += 1
-        self.shard_open_log.append(info.relpath)
-
-    @contextlib.contextmanager
-    def _reading(self, info: ShardInfo) -> Iterator[sqlite3.Connection]:
-        """A connection that can read one shard: the writer's own (not
-        counted as a shard open) or a fresh direct one (counted, and
-        closed on exit)."""
-        self._require_conn()
+    def _reader(self, info: ShardInfo) -> sqlite3.Connection:
+        """The connection that reads one shard: the writer's own while
+        it has the shard open (it sees its uncommitted rows; not
+        counted as a shard open), else this handle's cached reader,
+        opened and counted on first use."""
+        self._require_conn()  # close() closed every reader
         writer = self._writers.get(info.host)
         if writer is not None:
             conn = writer._conns.get(info.window_index)
             if conn is not None:
-                if self._bulk_depth == 0:
-                    conn.commit()
-                yield conn
-                return
-        self._count_open(info)
-        conn = sqlite3.connect(
-            self._shard_abspath(info), check_same_thread=not self.threadsafe
-        )
-        try:
-            yield conn
-        finally:
-            conn.close()
-
-    def _drop_views(self) -> None:
-        """Drop every federated view (they may name a detached alias);
-        materialized copies hold no alias and stay."""
-        for table, current in list(self._views.items()):
-            if current[0] == "view":
-                self._invalidate(table)
-
-    def _detach(self, key: tuple[str, int]) -> None:
-        alias = self._attached.pop(key, None)
-        if alias is None:
-            return
-        info = self._shards.get(key)
-        if info is not None:
-            info.alias = None
-        self._require_conn().execute(f"DETACH {alias}")
-
-    def _attach(
-        self, info: ShardInfo, pinned: set[tuple[str, int]]
-    ) -> str | None:
-        """Attach one shard, evicting cold attachments as needed.
-
-        Returns the alias, or ``None`` when the attach budget cannot
-        accommodate it (caller falls back to materializing).
-        """
-        if info.alias is not None:
-            # Move-to-back: dict preserves insertion order, so popping
-            # and re-adding keeps eviction LRU-ish.
-            alias = self._attached.pop(info.key)
-            self._attached[info.key] = alias
-            return alias
-        conn = self._require_conn()
-        while len(self._attached) >= self.attach_budget:
-            victim = next(
-                (key for key in self._attached if key not in pinned), None
-            )
-            if victim is None:
-                return None
-            # Views may reference the victim's alias; rebuild lazily.
-            self._drop_views()
-            self._detach(victim)
-        self.flush()
-        alias = f"sh{self._alias_counter}"
-        self._alias_counter += 1
-        try:
-            conn.execute(
-                f"ATTACH ? AS {alias}", (str(self._shard_abspath(info)),)
-            )
-        except sqlite3.Error:
-            self._drop_views()
-            while self._attached:
-                victim = next(
-                    (key for key in self._attached if key not in pinned),
-                    None,
+                return conn
+        conn = self._readers.pop(info.key, None)
+        if conn is None:
+            path = self.root / info.relpath
+            if not path.is_file():
+                # Connecting would create it, empty.
+                raise QueryError(
+                    f"query failed on shard {info.relpath}: file is missing"
                 )
-                if victim is None:
-                    return None
-                self._detach(victim)
-                try:
-                    conn.execute(
-                        f"ATTACH ? AS {alias}",
-                        (str(self._shard_abspath(info)),),
-                    )
-                    break
-                except sqlite3.Error:
-                    continue
-            else:
-                return None
-        info.alias = alias
-        self._attached[info.key] = alias
-        self._count_open(info)
-        return alias
+            while len(self._readers) >= _MAX_READERS:
+                self._readers.pop(next(iter(self._readers))).close()
+            conn = _connect_shard(path, self.threadsafe)
+            self.shard_opens += 1
+            self.shard_open_log.append(info.relpath)
+        self._readers[info.key] = conn  # most recently used last
+        return conn
 
-    def _ensure_view(self, table: str) -> None:
-        infos = self._shards_for(table)
-        signature = tuple(info.key for info in infos)
-        current = self._views.get(table)
-        if current is not None:
-            kind = current[0]
-            if kind == "view" and current[1] == signature:
-                return
-            if (
-                kind == "mat"
-                and current[1] == signature
-                and current[2] == self._write_gen
-            ):
-                return
-        self._invalidate(table)
-        conn = self._require_conn()
-        columns = [column for column, _ in self._registry[table]]
-        column_sql = ", ".join(quote_identifier(c) for c in columns)
-        if not infos:
-            nulls = ", ".join(
-                f"NULL AS {quote_identifier(c)}" for c in columns
-            )
-            conn.execute(
-                f"CREATE TEMP VIEW {quote_identifier(table)} AS "
-                f"SELECT {nulls}, NULL AS rowid WHERE 0"
-            )
-            self._views[table] = ("view", signature)
-            return
-        if len(infos) > self.attach_budget:
-            self._materialize_view(table, infos, signature)
-            return
-        branches = []
-        for branch, info in enumerate(infos):
-            alias = self._attach(info, pinned={i.key for i in infos})
-            if alias is None:
-                self._materialize_view(table, infos, signature)
-                return
-            offset = branch << _ROWID_SHIFT
-            branches.append(
-                f"SELECT {column_sql}, rowid + {offset} AS rowid "
-                f"FROM {alias}.{quote_identifier(table)}"
-            )
-        conn.execute(
-            f"CREATE TEMP VIEW {quote_identifier(table)} AS "
-            + " UNION ALL ".join(branches)
-        )
-        self._views[table] = ("view", signature)
+    def _shard_rows(
+        self, info: ShardInfo, sql: str, params: Sequence[Any] = ()
+    ) -> list[tuple]:
+        """One statement's rows from one shard; a missing, damaged or
+        locked shard is a :class:`QueryError` naming it."""
+        try:
+            return self._reader(info).execute(sql, params).fetchall()
+        except sqlite3.Error as exc:
+            raise QueryError(
+                f"query failed on shard {info.relpath}: {exc}"
+            ) from exc
 
-    def _materialize_view(
-        self, table: str, infos: list[ShardInfo], signature: tuple
-    ) -> None:
-        """Over-budget fallback: copy the shards into one TEMP table.
-
-        Correct for every query shape (GROUP BY, aggregates, ORDER BY
-        rowid) where chunked query execution would not be; costs one
-        pass over the participating shards.
-        """
-        conn = self._require_conn()
-        columns = self._registry[table]
-        column_sql = ", ".join(quote_identifier(c) for c, _ in columns)
-        conn.execute(
-            f"CREATE TEMP TABLE {quote_identifier(table)} "
-            f"({column_defs_sql(columns)}, rowid INTEGER)"
-        )
-        # Droppable from here on, but current for no signature until
-        # filled: a shard that fails mid-copy must not leave a TEMP
-        # table the next query can neither reuse nor replace.
-        self._views[table] = ("mat", None, None)
-        insert_sql = (
-            f"INSERT INTO temp.{quote_identifier(table)} VALUES "
-            f"({', '.join('?' for _ in range(len(columns) + 1))})"
-        )
-        for branch, info in enumerate(infos):
-            offset = branch << _ROWID_SHIFT
-            with self._reading(info) as reader:
-                rows = reader.execute(
-                    f"SELECT {column_sql}, rowid + {offset} "
-                    f"FROM {quote_identifier(table)}"
-                )
-                while True:
-                    batch = rows.fetchmany(_INSERT_BATCH_SIZE)
-                    if not batch:
-                        break
-                    conn.executemany(insert_sql, batch)
-        conn.commit()
-        self._views[table] = ("mat", signature, self._write_gen)
-
-    def _invalidate(self, table: str) -> None:
-        """Drop ``table``'s TEMP object, by the kind recorded for it
-        (sqlite refuses ``DROP VIEW`` on a table and vice versa)."""
-        current = self._views.pop(table, None)
-        if current is None:
-            return
-        kind = "VIEW" if current[0] == "view" else "TABLE"
-        self._require_conn().execute(
-            f"DROP {kind} IF EXISTS temp.{quote_identifier(table)}"
-        )
-
-    def _prepare_sql(self, sql: str) -> None:
-        for table in self._referenced_tables(sql):
-            self._ensure_view(table)
-
-    def _referenced_tables(self, sql: str) -> list[str]:
-        # Word-boundary containment is enough: dynamic table names are
-        # valid identifiers, and a false positive only builds a view
-        # that goes unused.
-        found = []
-        for table in self._registry:
-            index = sql.find(table)
-            while index != -1:
-                before = sql[index - 1] if index > 0 else " "
-                after_index = index + len(table)
-                after = sql[after_index] if after_index < len(sql) else " "
-                if not (before.isalnum() or before == "_") and not (
-                    after.isalnum() or after == "_"
-                ):
-                    found.append(table)
-                    break
-                index = sql.find(table, index + 1)
-        return found
+    def query_table(
+        self,
+        table: str,
+        sql: str,
+        params: Sequence[Any] = (),
+        *,
+        window: tuple[int | None, int | None] = (None, None),
+        merge: Callable[[list[list[tuple]]], list[tuple]] | None = None,
+    ) -> list[tuple]:
+        self._require_conn()
+        if table not in self._registry:  # static, or sqlite's own error
+            return super().query_table(table, sql, params)
+        parts = [
+            self._shard_rows(info, sql, params)
+            for info in self._shards_for(table, window)
+        ]
+        if len(parts) == 1:
+            return parts[0]
+        if merge is None:
+            return [row for part in parts for row in part]
+        return merge(parts)
 
     # ------------------------------------------------------------------
     # the dynamic-table read API
@@ -1113,27 +919,6 @@ class ShardedMScopeDB(MScopeDB):
             for column, sql_type in declared
         ]
 
-    def row_count(self, table: str) -> int:
-        if table not in self._registry:
-            return super().row_count(table)
-        total = 0
-        for info in self._shards_for(table, pruned=False):
-            with self._reading(info) as conn:
-                total += conn.execute(
-                    f"SELECT COUNT(*) FROM {quote_identifier(table)}"
-                ).fetchone()[0]
-        return total
-
-    def query(self, sql: str, params: Sequence[Any] = ()) -> list[tuple]:
-        """Federate the dynamic tables ``sql`` names, then run it on
-        the manifest connection like any monolith query."""
-        try:
-            self.flush()
-            self._prepare_sql(sql)
-        except sqlite3.Error as exc:
-            raise QueryError(f"query failed: {exc}") from exc
-        return super().query(sql, params)
-
     # ------------------------------------------------------------------
     # dumps
 
@@ -1145,20 +930,6 @@ class ShardedMScopeDB(MScopeDB):
         """
         return self.iterdump_content()
 
-    def _table_rows(
-        self, table: str, schema: Sequence[tuple[str, str]]
-    ) -> Iterator[tuple]:
-        if table not in self._registry:
-            yield from super()._table_rows(table, schema)
-            return
-        columns = ", ".join(quote_identifier(c) for c, _ in schema)
-        for info in self._shards_for(table, pruned=False):
-            with self._reading(info) as conn:
-                yield from conn.execute(
-                    f"SELECT {columns} FROM {quote_identifier(table)} "
-                    f"ORDER BY rowid"
-                )
-
     # ------------------------------------------------------------------
     # shard management: manifest, retention, compaction
 
@@ -1169,15 +940,16 @@ class ShardedMScopeDB(MScopeDB):
         )
 
     def _remove_shard(self, info: ShardInfo) -> None:
-        self._drop_views()
-        self._detach(info.key)
         writer = self._writers.get(info.host)
         if writer is not None:
             conn = writer._conns.pop(info.window_index, None)
             if conn is not None:
                 conn.close()
             writer._shard_tables.pop(info.window_index, None)
-        path = self._shard_abspath(info)
+        reader = self._readers.pop(info.key, None)
+        if reader is not None:
+            reader.close()
+        path = self.root / info.relpath
         for suffix in ("", "-wal", "-shm"):
             Path(f"{path}{suffix}").unlink(missing_ok=True)
         conn = self._require_conn()
@@ -1206,8 +978,6 @@ class ShardedMScopeDB(MScopeDB):
         ]
         for info in victims:
             self._remove_shard(info)
-        if victims:
-            self._write_gen += 1
         return len(victims)
 
     def compact_shards_before(self, cutoff_us: int) -> int:
@@ -1216,8 +986,9 @@ class ShardedMScopeDB(MScopeDB):
         Shards wholly before ``cutoff_us`` merge (in window order, so
         row order is preserved) into a single ``roll<first>-<last>.db``
         per host.  Content is unchanged — only the partition count
-        drops, keeping the attach budget comfortable as a long run
-        accumulates history.  Returns the number of shards merged away.
+        drops, keeping the files a full-history read opens few as a
+        long run accumulates history.  Returns the number of shards
+        merged away.
         """
         by_host: dict[str, list[ShardInfo]] = {}
         for info in self._shards.values():
@@ -1229,8 +1000,6 @@ class ShardedMScopeDB(MScopeDB):
                 continue
             infos.sort(key=ShardInfo.sort_key)
             merged += self._compact_host(host, infos)
-        if merged:
-            self._write_gen += 1
         return merged
 
     def _compact_host(self, host: str, infos: list[ShardInfo]) -> int:
@@ -1239,7 +1008,7 @@ class ShardedMScopeDB(MScopeDB):
         relpath = str(Path(_SHARD_DIR) / host / name)
         target_path = self.root / relpath
         target_path.unlink(missing_ok=True)
-        target = sqlite3.connect(target_path)
+        target = _connect_shard(target_path, self.threadsafe)
         set_file_pragmas(target)
         tables: set[str] = set()
         for info in infos:
@@ -1255,28 +1024,26 @@ class ShardedMScopeDB(MScopeDB):
             for info in infos:
                 if table not in info.tables:
                     continue
-                with self._reading(info) as source:
-                    # The source shard may predate later add_column
-                    # calls; select only the columns it has.
-                    have = {
-                        row[1]
-                        for row in source.execute(
-                            f"PRAGMA table_info({quote_identifier(table)})"
-                        )
-                    }
-                    selects = ", ".join(
-                        quote_identifier(c) if c in have else "NULL"
-                        for c, _ in declared
+                # The source shard may predate later add_column
+                # calls; select only the columns it has.
+                have = {
+                    row[1]
+                    for row in self._shard_rows(
+                        info, f"PRAGMA table_info({quote_identifier(table)})"
                     )
-                    rows = source.execute(
+                }
+                selects = ", ".join(
+                    quote_identifier(c) if c in have else "NULL"
+                    for c, _ in declared
+                )
+                target.executemany(
+                    insert_sql,
+                    self._shard_rows(
+                        info,
                         f"SELECT {selects} FROM {quote_identifier(table)} "
-                        f"ORDER BY rowid"
-                    )
-                    while True:
-                        batch = rows.fetchmany(_INSERT_BATCH_SIZE)
-                        if not batch:
-                            break
-                        target.executemany(insert_sql, batch)
+                        f"ORDER BY rowid",
+                    ),
+                )
         target.commit()
         target.close()
         for info in infos:

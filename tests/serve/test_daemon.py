@@ -6,6 +6,8 @@ idiom as the live-transformer tests) and synthetic front-tier tables
 (the same idiom as the diagnosis unit tests).
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.common.records import BoundaryRecord
@@ -352,3 +354,45 @@ def test_floor_breach_published_once_per_window(tmp_path):
     # Re-diagnosing the same window does not re-announce it.
     daemon.diagnose_cycle()
     assert len(daemon.broker.history(ev.FLOOR_BREACH)) == 1
+
+
+# -- both layouts, every cycle on another thread ------------------------
+
+
+def on_a_new_thread(call):
+    """Run ``call`` the way ``run()`` does — ``asyncio.to_thread`` hands
+    each cycle to whichever executor thread is free."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(call).result(timeout=60)
+
+
+def test_sharded_daemon_cycles_run_on_different_threads(storm_logs, tmp_path):
+    # 0.25 s shards under 0.5 s diagnosis windows: every table is in
+    # several shard files, each written and read on several threads.
+    layout = dict(epoch_us=EPOCH, diagnosis_window_s=0.5)
+    mono = make_daemon(storm_logs, **layout)
+    shard = make_daemon(
+        storm_logs, db=tmp_path / "serve.shards", shard_window_s=0.25,
+        **layout,
+    )
+    for daemon in (mono, shard):
+        assert on_a_new_thread(daemon.ingest_cycle).new_rows == 18
+    append(storm_logs / "db0" / "mysql_log.log", [mysql_line(9, "db0")])
+    verdicts = {}
+    for daemon in (mono, shard):
+        assert on_a_new_thread(daemon.ingest_cycle).new_rows == 1
+        on_a_new_thread(lambda: make_front_table(daemon.db, healthy_spans()))
+        verdicts[daemon] = [
+            verdict.to_dict()
+            for verdict in on_a_new_thread(daemon.diagnose_cycle)
+        ]
+        on_a_new_thread(daemon.drain)
+    assert verdicts[shard] == verdicts[mono]
+    assert [verdict["window"] for verdict in verdicts[mono]] == [
+        "0:0.5", "0.5:1", "1:1.5",
+    ]
+    assert len(shard.db.shard_manifest()) > 6
+    assert list(shard.db.iterdump_content()) == list(
+        mono.db.iterdump_content()
+    )
+    shard.db.close()

@@ -123,7 +123,7 @@ def test_add_column_backfills_null(warehouse):
     db.create_table("m1", [("a", "INTEGER")])
     db.insert_rows("m1", ["a"], [(1,)])
     db.add_column("m1", "b", "TEXT")
-    assert db.query("SELECT a, b FROM m1") == [(1, None)]
+    assert db.query_table("m1", "SELECT a, b FROM m1") == [(1, None)]
     with pytest.raises(WarehouseError):
         db.add_column("m1", "c; DROP", "TEXT")
     with pytest.raises(WarehouseError):
@@ -166,8 +166,10 @@ def test_use_after_close_raises(warehouse):
         db.insert_rows("m1", ["a"], [(1,)])
     for use in (
         db.tables,
-        lambda: db.query("SELECT a FROM m1"),
+        lambda: db.query("SELECT key FROM experiment_meta"),
+        lambda: db.query_table("m1", "SELECT a FROM m1"),
         lambda: db.row_count("m1"),
+        lambda: db.indexes("m1"),
         lambda: db.table_schema("m1"),
         lambda: db.set_experiment_meta("seed", "1"),
         lambda: db.insert_rows("m1", ["a"], [(2,)]),

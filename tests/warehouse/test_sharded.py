@@ -2,16 +2,31 @@
 
 The sharded warehouse's contract is *transparency*: behind the
 ``MScopeDB`` API it must hold exactly the monolith's content (checked
-here table-by-table and via the canonical content dump), while its
-*reads* open only the shard files their time window overlaps (checked
-via the ``shard_opens`` counter the acceptance criteria name).
+here table-by-table and via the canonical content dump) and answer
+every ``query_table`` read ``src/`` makes with the monolith's rows,
+while its *reads* open only the shard files their time window overlaps
+(checked via the ``shard_opens`` counter the acceptance criteria name).
 """
+
+from pathlib import Path
 
 import pytest
 
-from repro.common.errors import WarehouseError
-from repro.warehouse.db import MScopeDB
-from repro.warehouse.explorer import WarehouseExplorer
+from repro.analysis.cache import SeriesCache
+from repro.analysis.causal import reconstruct_path, reconstruct_paths_bulk
+from repro.analysis.metrics import metric_series
+from repro.analysis.queues import spans_from_warehouse
+from repro.analysis.response_time import completions_from_warehouse
+from repro.analysis.skew import estimate_pairwise_offset
+from repro.common.errors import QueryError, WarehouseError
+from repro.serve.daemon import MScopeServeDaemon, ServeConfig
+from repro.warehouse import sharded
+from repro.warehouse.db import MScopeDB, merge_sorted
+from repro.warehouse.explorer import (
+    WarehouseExplorer,
+    interaction_stats_sql,
+    slowest_requests_sql,
+)
 from repro.warehouse.sharded import (
     ShardedMScopeDB,
     host_for_table,
@@ -178,10 +193,13 @@ def test_reads_match_monolith(pair):
         assert shard.table_schema(table) == mono.table_schema(table)
         assert shard.row_count(table) == mono.row_count(table)
     sql = (
-        "SELECT interaction, COUNT(*), MAX(upstream_departure_us) "
-        "FROM apache_events_web1 GROUP BY interaction ORDER BY 1"
+        "SELECT interaction, upstream_departure_us "
+        "FROM apache_events_web1 ORDER BY 1, 2"
     )
-    assert shard.query(sql) == mono.query(sql)
+    by_both = merge_sorted(0, 1)
+    assert shard.query_table(
+        "apache_events_web1", sql, merge=by_both
+    ) == mono.query_table("apache_events_web1", sql, merge=by_both)
     assert shard.fetch_series(
         "collectl_cpu_db1", "timestamp_us", "dsk_pctutil"
     ) == mono.fetch_series("collectl_cpu_db1", "timestamp_us", "dsk_pctutil")
@@ -190,9 +208,12 @@ def test_reads_match_monolith(pair):
 def test_order_by_rowid_is_insert_order(pair):
     mono, shard = pair
     sql = "SELECT request_id FROM apache_events_web1 ORDER BY rowid"
-    # Federated rowids are synthetic, but within a shard they preserve
-    # insert order; the canonical content dump relies on a total order.
-    assert sorted(shard.query(sql)) == sorted(mono.query(sql))
+    # Rowids are shard-local, but shards concatenate in window order
+    # and each preserves insert order — so rows inserted in time order
+    # read back in the monolith's order with no merge at all.
+    assert shard.query_table("apache_events_web1", sql) == mono.query_table(
+        "apache_events_web1", sql
+    )
 
 
 def test_content_dump_matches_monolith(pair):
@@ -207,15 +228,235 @@ def test_query_in_chunks_matches_monolith(pair):
         "SELECT request_id, upstream_arrival_us FROM apache_events_web1 "
         "WHERE request_id IN ({placeholders}) ORDER BY upstream_arrival_us"
     )
-    assert shard.query_in_chunks(sql, ids, chunk_size=3) == mono.query_in_chunks(
-        sql, ids, chunk_size=3
-    )
+    reads = [
+        db.query_in_chunks(
+            "apache_events_web1", sql, ids, chunk_size=3, merge=merge_sorted(1)
+        )
+        for db in (shard, mono)
+    ]
+    assert reads[0] == reads[1] and len(reads[0]) == len(ids)
 
 
 def test_null_timestamp_rows_served_from_misc_shard(pair):
     mono, shard = pair
     sql = "SELECT dsk_pctutil FROM collectl_cpu_db1 WHERE timestamp_us IS NULL"
-    assert shard.query(sql) == mono.query(sql) == [(99.5,)]
+    assert (
+        shard.query_table("collectl_cpu_db1", sql)
+        == mono.query_table("collectl_cpu_db1", sql)
+        == [(99.5,)]
+    )
+
+
+def test_adhoc_sql_over_a_dynamic_table_is_a_monolith_feature(pair):
+    mono, shard = pair
+    sql = "SELECT COUNT(*) FROM apache_events_web1"
+    assert mono.query(sql) == [(20,)]
+    # ``query`` is the inherited one: manifest.db holds static tables.
+    assert "query" not in vars(ShardedMScopeDB)
+    assert shard.query("SELECT COUNT(*) FROM host_config") == [(2,)]
+    with pytest.raises(QueryError, match="no such table"):
+        shard.query(sql)
+
+
+# ----------------------------------------------------------------------
+# every read src/ makes, through its public function, on both layouts
+
+FRONT = "apache_events_web1"
+TIERS = {
+    "apache": FRONT,
+    "tomcat": "tomcat_events_app1",
+    "mysql": "mysql_events_db1",
+}
+CALLER_COLUMNS = EVENT_COLUMNS + [
+    ("downstream_sending_us", "INTEGER"),
+    ("downstream_receiving_us", "INTEGER"),
+]
+
+
+def _populate_tiers(db):
+    """``_populate`` plus two tiers behind web1, and the cases a merge
+    can get wrong: equal sort keys in different shards, equal sort keys
+    in one shard, and NULL keys (the misc shard)."""
+    _populate(db)
+    db.register_host("app1", "tomcat", 4, 100_000_000)
+    db.create_table(TIERS["tomcat"], CALLER_COLUMNS)
+    db.create_table(TIERS["mysql"], EVENT_COLUMNS)
+    front = db.query_table(
+        FRONT,
+        f"SELECT request_id, upstream_arrival_us, upstream_departure_us "
+        f"FROM {FRONT} ORDER BY rowid",
+    )
+    tomcat = [
+        (rid, "op", a + 1000, d - 1000, a + 1100, d - 1100)
+        for rid, a, d in front
+    ]
+    # The k-th request's mysql clock reads 10k us ahead of tomcat's,
+    # and one request late in the run sorts first by id, far behind:
+    # which ten pairs a capped skew estimate sees depends on the order.
+    mysql = [
+        (rid, "op", a + 1150 + 20 * k, d - 1150)
+        for k, (rid, a, d) in enumerate(front)
+    ]
+    late = 4 * WINDOW + 50 * SECOND
+    tomcat.append(("aaa-late", "op", late, late + 9000, late + 100, late + 8900))
+    mysql.append(("aaa-late", "op", late - 1850, late + 8850))
+    # Equal arrival, one shard: req-1-0 queries mysql twice at once;
+    # only rowid orders the two hops.
+    rid, a, d = front[4]
+    assert rid == "req-1-0"
+    mysql.insert(5, (rid, "op", a + 1150, d - 1200))
+    db.insert_rows(
+        TIERS["tomcat"], [c for c, _ in CALLER_COLUMNS], tomcat
+    )
+    db.insert_rows(TIERS["mysql"], [c for c, _ in EVENT_COLUMNS], mysql)
+    # Equal departure, different shards: req-0-3 arrived in window 0
+    # and departs at 100 s; req-tie arrives in window 1 and departs at
+    # the same microsecond.  And a record with no timestamps at all.
+    db.insert_rows(
+        FRONT,
+        [c for c, _ in EVENT_COLUMNS],
+        [
+            ("req-tie", "op0", 95 * SECOND, 100 * SECOND),
+            ("req-lost", "op1", None, None),
+        ],
+    )
+    for table in TIERS.values():
+        db.create_index(table, "request_id")
+    return db
+
+
+@pytest.fixture
+def tiers(tmp_path):
+    """(monolith, reopened shards) holding ``_populate_tiers``."""
+    mono = _populate_tiers(MScopeDB(tmp_path / "tiers.db"))
+    _populate_tiers(
+        ShardedMScopeDB(tmp_path / "tiers.shards", window_us=WINDOW)
+    ).close()
+    shard = ShardedMScopeDB(tmp_path / "tiers.shards")
+    yield mono, shard
+    mono.close()
+    shard.close()
+
+
+def _explorer(db):
+    return WarehouseExplorer(db, FRONT)
+
+
+def _data_extent(db):
+    # The daemon opens its warehouse by path, with no log tree to read.
+    daemon = MScopeServeDaemon(
+        ServeConfig(logs=Path(db.path) / "no-logs", db=Path(db.path))
+    )
+    try:
+        return daemon._data_extent_us()
+    finally:
+        daemon.db.close()
+
+
+ALL_IDS = [f"req-{m}-{i}" for m in range(5) for i in range(4)] + ["req-tie"]
+
+#: name -> read(db), each through the function src/ calls.
+SRC_READS = {
+    "completions": lambda db: completions_from_warehouse(db, FRONT),
+    # req-0-3 (arrived at 30 s) is within the 30 s in-flight slack.
+    "completions_windowed": lambda db: completions_from_warehouse(
+        db, FRONT, start=80 * SECOND, stop=130 * SECOND
+    ),
+    "metric_series": lambda db: [
+        part.tolist()
+        for series in (
+            metric_series(
+                db, "collectl_cpu_db1", ("dsk_pctutil",),
+                start=start, stop=4 * WINDOW,
+            )
+            for start in (0, 3 * WINDOW)
+        )
+        for part in (series.times, series.values)
+    ],
+    "tier_spans": lambda db: [
+        part.tolist()
+        for bounds in (None, (2 * WINDOW, 3 * WINDOW))
+        for part in SeriesCache(db, bounds=bounds).tier_spans(FRONT)
+    ],
+    "fetch_series": lambda db: (
+        db.fetch_series("collectl_cpu_db1", "timestamp_us", "dsk_pctutil"),
+        db.fetch_series(
+            "collectl_cpu_db1", "timestamp_us", "dsk_pctutil",
+            start=WINDOW, stop=2 * WINDOW,
+        ),
+    ),
+    "reconstruct_path": lambda db: [
+        reconstruct_path(db, rid, TIERS).hops
+        for rid in ("req-1-0", "req-2-3", "req-tie")
+    ],
+    "paths_bulk_probe": lambda db: [
+        path.hops
+        for path in reconstruct_paths_bulk(
+            db, ["req-1-0", "req-4-3"], TIERS, full_scan_fraction=1.0
+        )
+    ],
+    "paths_bulk_full_scan": lambda db: [
+        path.hops
+        for path in reconstruct_paths_bulk(
+            db, ALL_IDS, TIERS, full_scan_fraction=0.0
+        )
+    ],
+    "queue_spans": lambda db: sorted(spans_from_warehouse(db, FRONT)),
+    "skew_visits": lambda db: estimate_pairwise_offset(
+        db, TIERS["tomcat"], TIERS["mysql"], max_pairs=10
+    ),
+    "slowest_requests": lambda db: _explorer(db).slowest_requests(8),
+    "interaction_stats": lambda db: _explorer(db).interaction_stats(),
+    "request_flow": lambda db: _explorer(db).request_flow("req-1-0"),
+    "metric_timeline": lambda db: _explorer(db).metric_timeline(
+        "collectl_cpu_db1", "dsk_pctutil", start=WINDOW, stop=4 * WINDOW
+    ),
+    "daemon_data_extent": _data_extent,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SRC_READS))
+def test_src_reads_match_monolith(tiers, monkeypatch, name):
+    """The statement's ``ORDER BY`` and its ``merge`` cannot drift
+    apart: each read returns the monolith's answer from shards holding
+    the table in more files than the handle may keep open."""
+    mono, shard = tiers
+    monkeypatch.setattr(sharded, "_MAX_READERS", 2)
+    assert len(shard._shards_for(FRONT)) > 2
+    assert SRC_READS[name](shard) == SRC_READS[name](mono)
+    assert len(shard._readers) <= 2
+
+
+def test_reads_open_each_shard_at_most_once(tiers):
+    """Under the reader cap, any sequence of reads on one handle opens
+    a shard file at most once."""
+    _, shard = tiers
+    for name in sorted(SRC_READS):
+        SRC_READS[name](shard)
+    assert len(shard.shard_manifest()) < sharded._MAX_READERS
+    assert shard.shard_opens == len(set(shard.shard_open_log))
+    assert shard.shard_opens == len(shard.shard_manifest())
+
+
+def test_sharded_reads_use_the_importers_indexes(tiers):
+    """Each shard holds the table under its own name with the
+    importer's indexes, so the per-shard statement plans as it does on
+    the monolith — on every shard."""
+    _, shard = tiers
+    probe = (
+        f"SELECT request_id, upstream_arrival_us FROM {FRONT} "
+        f"WHERE request_id IN (?, ?) ORDER BY upstream_arrival_us, rowid"
+    )
+    holding = len(shard._shards_for(FRONT))
+    assert holding == 6  # five windows and the misc shard
+    for sql, params, index in (
+        (slowest_requests_sql(FRONT), (10,), "response_time"),
+        (interaction_stats_sql(FRONT), (), "interaction_rt"),
+        (probe, ("req-1-0", "req-4-3"), "request_id"),
+    ):
+        plan = shard.query_table(FRONT, f"EXPLAIN QUERY PLAN {sql}", params)
+        using = [row[-1] for row in plan if f"idx_{FRONT}_{index}" in row[-1]]
+        assert len(using) == holding, plan
 
 
 # ----------------------------------------------------------------------
@@ -285,9 +526,9 @@ def test_unpruned_read_federates_every_shard(pair):
     mono, shard = pair
     reopened = ShardedMScopeDB(shard.root)
     try:
-        assert reopened.query(
-            "SELECT COUNT(*) FROM apache_events_web1"
-        ) == mono.query("SELECT COUNT(*) FROM apache_events_web1")
+        assert reopened.row_count("apache_events_web1") == mono.row_count(
+            "apache_events_web1"
+        )
         opened = {
             rel for rel in reopened.shard_open_log if "/web1/" in rel
         }
@@ -330,25 +571,30 @@ def test_windowed_diagnosis_opens_only_overlapping_shards(tmp_path):
         reopened.close()
 
 
-def test_attach_budget_falls_back_to_materialization(pair):
+def test_read_over_more_shards_than_the_reader_cap(pair, monkeypatch):
     mono, shard = pair
+    monkeypatch.setattr(sharded, "_MAX_READERS", 2)
     reopened = ShardedMScopeDB(shard.root)
     try:
-        reopened.attach_budget = 2
         sql = (
-            "SELECT interaction, COUNT(*) FROM apache_events_web1 "
-            "GROUP BY interaction ORDER BY 1"
+            "SELECT interaction, upstream_arrival_us FROM apache_events_web1 "
+            "ORDER BY 2 DESC LIMIT 7"
         )
-        assert reopened.query(sql) == mono.query(sql)
+        newest = merge_sorted(1, descending=True, limit=7)
+        for _ in range(2):  # the second pass reopens what the first evicted
+            assert reopened.query_table(
+                "apache_events_web1", sql, merge=newest
+            ) == mono.query(sql)
+            assert len(reopened._readers) == 2
+        assert reopened.shard_opens == 10
     finally:
         reopened.close()
 
 
 def test_one_handle_full_then_pruned_then_full_read(tmp_path):
-    """Over the attach budget a full-history read materializes a TEMP
-    *table*; the pruned read after it (fewer shards, within budget)
-    must replace it with a view, and the next full read must replace
-    that again — all on one handle."""
+    """One handle answers a full-history read, a windowed read and the
+    full read again: nothing the first leaves behind (open readers)
+    may change what the next returns, and no shard is opened twice."""
     mono = _populate(MScopeDB(), minutes=10)
     _populate(
         ShardedMScopeDB(tmp_path / "long.shards", window_us=WINDOW),
@@ -356,44 +602,59 @@ def test_one_handle_full_then_pruned_then_full_read(tmp_path):
     ).close()
     shard = ShardedMScopeDB(tmp_path / "long.shards")
     try:
-        spread = [
-            info
-            for info in shard.shard_manifest()
-            if "apache_events_web1" in info.tables
-        ]
-        assert len(spread) > shard.attach_budget
         sql = (
             "SELECT request_id, upstream_arrival_us FROM apache_events_web1 "
             "WHERE upstream_arrival_us >= ? AND upstream_arrival_us < ? "
             "ORDER BY upstream_arrival_us"
         )
         everything, last_minute = (0, 10 * WINDOW), (9 * WINDOW, 10 * WINDOW)
-        assert shard.query(sql, everything) == mono.query(sql, everything)
-        with shard.pruned(*last_minute):
-            assert shard.query(sql, last_minute) == mono.query(
-                sql, last_minute
+
+        def read(db, bounds, window):
+            return db.query_table(
+                "apache_events_web1",
+                sql,
+                bounds,
+                window=window,
+                merge=merge_sorted(1),
             )
-        assert shard.query(sql, everything) == mono.query(sql, everything)
+
+        for bounds, window in (
+            (everything, (None, None)),
+            (last_minute, last_minute),
+            (everything, (None, None)),
+        ):
+            assert read(shard, bounds, window) == read(mono, bounds, window)
+        assert len(shard.shard_open_log) == len(set(shard.shard_open_log)) == 10
     finally:
         shard.close()
         mono.close()
 
 
 def test_view_preparation_errors_surface_as_query_error(pair):
-    from repro.common.errors import QueryError
-
     _, shard = pair
     shard.close()  # checkpoint the WAL: the shard files are the data
     reopened = ShardedMScopeDB(shard.root)
     try:
-        victim = reopened.shard_manifest()[0]
-        (reopened.root / victim.relpath).write_bytes(b"not a database" * 64)
-        table = sorted(victim.tables)[0]
-        # The same answer every time: a failed view build leaves
-        # nothing behind for the retry to trip over.
-        for _ in range(2):
-            with pytest.raises(QueryError, match="not a database"):
-                reopened.query(f"SELECT COUNT(*) FROM {table}")
+        damaged, missing = reopened.shard_manifest()[:2]
+        (reopened.root / damaged.relpath).write_bytes(b"not a database" * 64)
+        (reopened.root / missing.relpath).unlink()
+        # The same answer every time, naming the shard: a failed read
+        # leaves nothing behind for the retry to trip over.
+        for victim, reason in (
+            (damaged, "not a database"),
+            (missing, "file is missing"),
+        ):
+            table = sorted(victim.tables)[0]
+            for _ in range(2):
+                with pytest.raises(QueryError, match=reason) as raised:
+                    reopened.query_table(
+                        table, f"SELECT COUNT(*) FROM {table}",
+                        window=(victim.start_us, victim.stop_us),
+                    )
+                assert victim.relpath in str(raised.value)
+        assert not (reopened.root / missing.relpath).exists()
+        with pytest.raises(QueryError, match="not a database"):
+            reopened.row_count(sorted(damaged.tables)[0])
     finally:
         reopened.close()
 
@@ -409,14 +670,17 @@ def test_drop_shards_before_is_retention(pair):
     assert dropped > 0
     # Windows 0 and 1 gone (4 arrivals each); later ones intact.
     assert shard.row_count("apache_events_web1") == before - 8
-    kept = shard.query(
-        "SELECT MIN(upstream_arrival_us) FROM apache_events_web1"
+    kept = shard.query_table(
+        "apache_events_web1",
+        "SELECT MIN(upstream_arrival_us) FROM apache_events_web1",
+        merge=merge_sorted(0, limit=1),
     )
     assert kept[0][0] >= 2 * WINDOW
     # The misc shard is unbounded; retention never drops it.
-    assert shard.query(
-        "SELECT COUNT(*) FROM collectl_cpu_db1 WHERE timestamp_us IS NULL"
-    ) == [(1,)]
+    assert shard.query_table(
+        "collectl_cpu_db1",
+        "SELECT dsk_pctutil FROM collectl_cpu_db1 WHERE timestamp_us IS NULL",
+    ) == [(99.5,)]
     for info in shard.shard_manifest():
         assert info.window_index == -1 or info.stop_us is None or (
             info.stop_us > 2 * WINDOW
