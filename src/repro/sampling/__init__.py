@@ -17,22 +17,18 @@ from repro.sampling.frontier import (
 )
 from repro.sampling.policy import (
     ConflationPolicy,
-    FlushTable,
     HeadSamplingPolicy,
     SampleCounts,
     SamplingPolicy,
     TailSamplingPolicy,
     coherent_keep,
-    commit_flush,
     parse_policy,
     row_bytes,
 )
 
 __all__ = [
     "ConflationPolicy",
-    "commit_flush",
     "DEFAULT_POLICY_GRID",
-    "FlushTable",
     "FRONTIER_FLOORS",
     "HeadSamplingPolicy",
     "PINNED_POLICY",

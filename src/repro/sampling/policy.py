@@ -1,8 +1,11 @@
 """Pluggable log-volume-reduction policies.
 
-Three policies, all operating on converted :class:`CsvTable` batches at
-the import boundary (so batch, live, and sharded ingest share one
-implementation):
+Three policies, all operating on converted :class:`CsvTable` batches.
+One caller applies them: the write stage,
+:class:`~repro.transformer.importer.MScopeDataImporter`, which batch,
+live, sharded and serve ingest all load through — it calls ``apply``
+on every table, ledgers ``counts`` beside the rows it loads, and loads
+what ``flush`` releases:
 
 * :class:`HeadSamplingPolicy` — keep a request iff a *coherent* hash of
   its request id falls under the rate.  The hash is process- and
@@ -36,7 +39,6 @@ from repro.transformer.xml_to_csv import CsvTable
 
 __all__ = [
     "ConflationPolicy",
-    "FlushTable",
     "HeadSamplingPolicy",
     "SampleCounts",
     "SamplingPolicy",
@@ -90,17 +92,6 @@ class SampleCounts:
     bytes_kept: int = 0
 
 
-@dataclasses.dataclass(slots=True)
-class FlushTable:
-    """Rows a stateful policy releases at flush time, one table each."""
-
-    name: str
-    columns: list[tuple[str, str]]
-    rows: list[tuple]
-    monitor: str
-    source: str
-
-
 class SamplingPolicy:
     """Base class: shared counting plus the policy protocol.
 
@@ -119,11 +110,6 @@ class SamplingPolicy:
     def __init__(self) -> None:
         #: Cumulative counts keyed by ``(table_name, source_path)``.
         self.counts: dict[tuple[str, str], SampleCounts] = {}
-        #: ``(table, source)`` -> ``(hostname, parser_name)``, recorded
-        #: by the transformer at apply time so flush-time imports can
-        #: rebuild full provenance.  Lives on the policy because serve
-        #: shares one policy instance across per-host transformers.
-        self.streams: dict[tuple[str, str], tuple[str, str]] = {}
 
     def _counts_for(self, table: CsvTable) -> SampleCounts:
         key = (table.name, table.source)
@@ -135,8 +121,9 @@ class SamplingPolicy:
     def apply(self, table: CsvTable) -> CsvTable:
         raise NotImplementedError
 
-    def flush(self) -> list[FlushTable]:
-        """Release buffered rows (stateless policies return nothing)."""
+    def flush(self) -> list[CsvTable]:
+        """Release buffered rows, one table per ``(table, source)``
+        stream (stateless policies return nothing)."""
         return []
 
     def conflated_rows(self) -> list[tuple[str, str, int, int, int, int, int]]:
@@ -317,16 +304,16 @@ class TailSamplingPolicy(SamplingPolicy):
             entry.bytes_kept += row_bytes(row)
             self._flushable.setdefault((table_name, source), []).append(row)
 
-    def flush(self) -> list[FlushTable]:
+    def flush(self) -> list[CsvTable]:
         for rid in list(self._buffer):
             self._settle(rid)
         released = self._flushable
-        tables: list[FlushTable] = []
+        tables: list[CsvTable] = []
         for key in sorted(released):
             table_name, source = key
             columns, monitor = self._table_info[key]
             tables.append(
-                FlushTable(
+                CsvTable(
                     name=table_name,
                     columns=columns,
                     rows=released[key],
@@ -405,53 +392,6 @@ class ConflationPolicy(SamplingPolicy):
                 (table_name, klass, len(rids), records, total, low, high)
             )
         return rows
-
-
-def commit_flush(policy: SamplingPolicy, importer, db) -> int:
-    """Commit everything a stateful policy still withholds.
-
-    Shared by the batch and live transformers: settles every deferred
-    request (VLRTs and coherent base-rate keeps commit, the rest
-    drop), imports the released rows through ``importer``, re-records
-    the load catalog and sampling ledger with the final cumulative
-    counts, and upserts the conflation aggregates.  Idempotent;
-    returns the retroactively committed rows.
-    """
-    committed = 0
-    for flush in policy.flush():
-        key = (flush.name, flush.source)
-        hostname, parser_name = policy.streams[key]
-        table = CsvTable(
-            name=flush.name,
-            columns=flush.columns,
-            rows=flush.rows,
-            monitor=flush.monitor,
-            source=flush.source,
-        )
-        importer.import_table(table, hostname, parser_name)
-        committed += len(flush.rows)
-        # The importer's record_load saw only this call's delta;
-        # re-record the stream with the cumulative totals (the
-        # live-transformer catch-up idiom), then the final ledger.
-        entry = policy.counts[key]
-        db.record_load(
-            flush.name,
-            flush.source,
-            entry.rows_kept,
-            len(db.table_schema(flush.name)),
-        )
-        db.record_sampling(
-            flush.name,
-            flush.source,
-            policy.spec,
-            entry.rows_seen,
-            entry.rows_kept,
-            entry.bytes_seen,
-            entry.bytes_kept,
-        )
-    for row in policy.conflated_rows():
-        db.record_conflated(*row)
-    return committed
 
 
 def parse_policy(spec: str | None) -> SamplingPolicy | None:

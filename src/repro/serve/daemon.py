@@ -15,9 +15,12 @@ handles signals, and hosts the HTTP API.  Each cycle:
    the queue is imported per cycle until the depth falls back under
    the low-water mark.  Both transitions are published on the event
    stream and visible in ``/stats``.
-3. **Ingest** — per-host :class:`LiveTransformer` instances
-   delta-import each taken file (monolithic or sharded warehouse —
-   both open ``threadsafe`` for the executor threads).
+3. **Ingest** — one :class:`LiveTransformer` delta-imports each
+   taken file (monolithic or sharded warehouse — both open
+   ``threadsafe`` for the executor threads).  One is all a daemon
+   needs: cycles run one at a time under the warehouse lock, and a
+   single write stage is what lets tail sampling see a request's
+   records from *all* tiers.
 4. **Diagnose** — on its own interval, re-run the
    :class:`~repro.analysis.diagnosis.Diagnoser` over fixed
    simulation-time windows covering newly landed data and cache the
@@ -48,7 +51,6 @@ from typing import Any, Callable
 from repro.analysis.causal import CausalPath, reconstruct_paths_bulk
 from repro.analysis.diagnosis import Diagnoser
 from repro.common.errors import AnalysisError, DeclarationError, ParseError
-from repro.sampling.policy import parse_policy
 from repro.common.timebase import Micros, seconds
 from repro.common.windows import format_window
 from repro.serve import events as ev
@@ -59,7 +61,7 @@ from repro.telemetry.aggregate import RunTelemetry
 from repro.telemetry.spans import TelemetryCollector
 from repro.transformer.errorpolicy import ErrorPolicy
 from repro.transformer.live import LiveTransformer
-from repro.warehouse.db import MScopeDB, merge_sorted
+from repro.warehouse.db import MScopeDB
 from repro.warehouse.sharded import ShardedMScopeDB, open_warehouse
 
 __all__ = [
@@ -178,18 +180,20 @@ class MScopeServeDaemon:
         self.telemetry = TelemetryCollector()
         self.db = self._open_db()
         self.epoch_us = self._resolve_meta()
-        self._policy = ErrorPolicy(mode=config.on_error)
-        # One shared policy instance across every per-host transformer:
-        # tail sampling's deferral buffer must see a request's records
-        # from *all* tiers to commit them coherently at flush.
-        self._sampling = parse_policy(config.sampling)
-        self._transformers: dict[str, LiveTransformer] = {}
-        self._scanner = self._make_transformer()
+        self._live = LiveTransformer(
+            self.db,
+            policy=ErrorPolicy(mode=config.on_error),
+            max_retries=0,
+            telemetry=self.telemetry,
+            on_ingest_error=self._on_ingest_error,
+            sampling=config.sampling,
+        )
         #: file -> byte size at its last successful refresh.
         self._seen_bytes: dict[Path, int] = {}
         self._verdicts: dict[str, WindowVerdict] = {}
         self._breached: set[str] = set()
-        self._next_window_index = 0
+        #: First window not yet final; ``None`` until data exists.
+        self._next_window_index: int | None = None
         self._started = clock()
         self._db_lock = threading.Lock()
         self._shutdown = asyncio.Event()
@@ -227,22 +231,6 @@ class MScopeServeDaemon:
         recorded = self.db.get_experiment_meta("epoch_us")
         return int(recorded) if recorded is not None else 0
 
-    def _make_transformer(self) -> LiveTransformer:
-        return LiveTransformer(
-            self.db,
-            policy=self._policy,
-            max_retries=0,
-            telemetry=self.telemetry,
-            on_ingest_error=self._on_ingest_error,
-            sampling=self._sampling,
-        )
-
-    def _transformer(self, host: str) -> LiveTransformer:
-        transformer = self._transformers.get(host)
-        if transformer is None:
-            transformer = self._transformers[host] = self._make_transformer()
-        return transformer
-
     def _on_ingest_error(self, source_path: str, reason: str) -> None:
         self.state.ingest_errors += 1
         self.broker.publish(
@@ -254,7 +242,7 @@ class MScopeServeDaemon:
     def _scan(self) -> tuple[int, int]:
         """Offer every grown declared file; returns (offered, dropped)."""
         try:
-            pairs = self._scanner.declared_files(self.config.logs)
+            pairs = self._live.declared_files(self.config.logs)
         except DeclarationError:
             # The log tree may not exist yet; serve an empty system.
             return 0, 0
@@ -296,12 +284,12 @@ class MScopeServeDaemon:
         deferred = self.queue.depth
         new_rows = refreshed = skipped = 0
         for host, path, size in batch:
-            transformer = self._transformer(host)
             try:
-                rows = transformer.refresh_file(path, host)
+                rows = self._live.refresh_file(path, host)
             except ParseError as exc:
-                # Usually a mid-write file; the next scan re-offers it
-                # (its recorded size is left stale on purpose).
+                # Usually a mid-write file, sometimes a truncated one;
+                # the next scan re-offers it (its recorded size is left
+                # stale on purpose).
                 skipped += 1
                 self.broker.publish(
                     ev.INGEST_ERROR, {"file": str(path), "reason": str(exc)}
@@ -358,12 +346,10 @@ class MScopeServeDaemon:
         return outcome
 
     def _refresh_sampling_gauges(self) -> None:
-        """Mirror the shared policy's cumulative totals into state."""
-        if self._sampling is None:
-            return
-        seen, kept = self._scanner.sampling_totals()
-        self.state.sampled_rows = seen
-        self.state.kept_rows = kept
+        """Mirror the policy's cumulative totals into state."""
+        self.state.sampled_rows, self.state.kept_rows = (
+            self._live.sampling_totals()
+        )
 
     def _trim_telemetry(self) -> None:
         """Bound the in-memory span list (a rolling ``/stats`` view)."""
@@ -374,26 +360,41 @@ class MScopeServeDaemon:
 
     # -- the diagnosis cycle -------------------------------------------
 
-    def _data_extent_us(self) -> Micros | None:
-        """Latest front-tier departure in simulation time, or None."""
+    def _data_span_us(self) -> tuple[Micros, Micros] | None:
+        """Earliest front-tier arrival and latest departure in
+        simulation time, or None while there is no data."""
         front = self.config.front_table
         if front not in self.db.tables():
             return None
-        rows = self.db.query_table(
-            front,
-            f"SELECT MAX(upstream_departure_us) FROM {front}",
-            merge=merge_sorted(0, descending=True, limit=1),
-        )
-        if not rows or rows[0][0] is None:
+        # One answer per shard; NULLs from a shard holding no rows.
+        spans = [
+            span
+            for span in self.db.query_table(
+                front,
+                "SELECT MIN(upstream_arrival_us), MAX(upstream_departure_us) "
+                f"FROM {front}",
+            )
+            if None not in span
+        ]
+        if not spans:
             return None
-        return int(rows[0][0]) - self.epoch_us
+        return (
+            min(first for first, _ in spans) - self.epoch_us,
+            max(last for _, last in spans) - self.epoch_us,
+        )
 
     def diagnose_cycle(self) -> list[WindowVerdict]:
         """(Re-)diagnose every window touched by newly landed data."""
-        extent = self._data_extent_us()
+        span = self._data_span_us()
         updated: list[WindowVerdict] = []
-        if extent is not None:
+        if span is not None:
+            first, extent = span
             window_us = seconds(self.config.diagnosis_window_s)
+            if self._next_window_index is None:
+                # Start where the data does, not at window 0: without
+                # an epoch (no run_meta.json) timestamps are Unix
+                # microseconds, ~1.4e8 ten-second windows from zero.
+                self._next_window_index = max(0, int(first // window_us))
             last = max(self._next_window_index, int(extent // window_us))
             for index in range(self._next_window_index, last + 1):
                 verdict = self._diagnose_window(index, window_us)
@@ -564,7 +565,7 @@ class MScopeServeDaemon:
         # A stateful sampling policy (tail deferral) may still withhold
         # records; commit them before the final diagnosis so deferred
         # VLRT evidence lands in the closing warehouse.
-        flushed = self._scanner.flush_sampling()
+        flushed = self._live.flush_sampling()
         if flushed:
             self.state.rows += flushed
         self._refresh_sampling_gauges()

@@ -133,6 +133,29 @@ class ParsingDeclaration:
         self._resolve_cache[name] = found
         return found
 
+    def declared_files(
+        self, root: Path | str
+    ) -> list[tuple[str, Path, ParserBinding]]:
+        """Every declared log under ``root`` as ``(host, path, binding)``.
+
+        Expects the layout the simulator writes,
+        ``<root>/<hostname>/<stream>.log``, and walks it in the
+        deterministic (host, file) order every consumer shares — the
+        batch transform, a live refresh and the serve daemon's scan all
+        agree on what a log tree contains.  Files no binding covers are
+        left out (a deployment always has unrelated logs around).
+        """
+        root = Path(root)
+        if not root.is_dir():
+            raise DeclarationError(f"log directory {root} does not exist")
+        declared: list[tuple[str, Path, ParserBinding]] = []
+        for host_dir in sorted(p for p in root.iterdir() if p.is_dir()):
+            for log_file in sorted(host_dir.glob("*.log")):
+                binding = self.try_resolve(log_file)
+                if binding is not None:
+                    declared.append((host_dir.name, log_file, binding))
+        return declared
+
 
 def default_declaration() -> ParsingDeclaration:
     """The standard declaration covering every built-in mScopeMonitor."""

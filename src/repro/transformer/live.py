@@ -11,6 +11,13 @@ Notes
 -----
 * Parsers re-read whole files (stateful formats like SAR text need
   their banner/header context); only the *import* is incremental.
+* Each delta goes through the batch transform's write stage,
+  :class:`~repro.transformer.importer.MScopeDataImporter`, whose
+  per-stream running totals are what make a caught-up live warehouse
+  iterdump identically to a one-shot batch one.
+* A file holding *fewer* records than were already imported was
+  truncated or rotated: the refresh raises ``ParseError`` instead of
+  silently ignoring everything appended afterwards.
 * A file that is momentarily unparsable mid-write (e.g. SAR's XML
   output, which is well-formed only once closed) is retried within the
   refresh — ``max_retries`` bounded attempts with exponential backoff,
@@ -35,8 +42,8 @@ import time
 from pathlib import Path
 from typing import Callable
 
-from repro.common.errors import DeclarationError, ParseError
-from repro.sampling.policy import SamplingPolicy, commit_flush, parse_policy
+from repro.common.errors import ParseError
+from repro.sampling.policy import SamplingPolicy, parse_policy
 from repro.telemetry.spans import (
     NULL_TELEMETRY,
     SpanData,
@@ -121,10 +128,10 @@ class LiveTransformer:
     sampling:
         A log-volume-reduction policy (instance or spec string), as
         for :class:`~repro.transformer.pipeline.MScopeDataTransformer`.
-        Each delta is filtered before import and the cumulative counts
-        re-recorded into the ``sampling_ledger`` every refresh, so a
-        caught-up sampled live warehouse converges on a sampled batch
-        one.  Stateful policies (tail deferral) hold rows back until
+        The importer filters each delta and records the stream's
+        cumulative counts into the ``sampling_ledger``, so a caught-up
+        sampled live warehouse converges on a sampled batch one.
+        Stateful policies (tail deferral) hold rows back until
         :meth:`flush_sampling` — the serve daemon calls it during
         drain, before the final diagnosis.
     """
@@ -147,10 +154,10 @@ class LiveTransformer:
         self.declaration = declaration or default_declaration()
         self.policy = policy or FAIL_FAST_POLICY
         self.converter = XmlToCsvConverter()
-        self.importer = MScopeDataImporter(db)
         if isinstance(sampling, str):
             sampling = parse_policy(sampling)
         self.sampling = sampling
+        self.importer = MScopeDataImporter(db, sampling)
         self.max_retries = max_retries
         self.backoff_s = backoff_s
         self._sleep = sleep
@@ -212,88 +219,47 @@ class LiveTransformer:
         self, document, binding, path: Path, hostname: str
     ) -> int:
         already = self._high_water.get(path, 0)
-        fresh = document.records[already:]
-        if not fresh:
+        total = len(document.records)
+        if total < already:
+            # Slicing past the end would import nothing, now and for
+            # every later refresh until the file outgrew the old mark.
+            raise ParseError(
+                f"{total} records < {already} already imported: "
+                "truncated or rotated?",
+                path=str(path),
+            )
+        if total == already:
             return 0
         delta = XmlDocument(monitor=document.monitor, source=document.source)
-        for record in fresh:
+        for record in document.records[already:]:
             delta.append(record)
         table_name = f"{binding.monitor}_{hostname}"
         table = self.converter.convert(
             delta, table_name, extra_columns={"hostname": hostname}
         )
-        sampled_key: tuple[str, str] | None = None
-        if self.sampling is not None:
-            table = self.sampling.apply(table)
-            key = (table.name, table.source)
-            if key in self.sampling.counts:
-                sampled_key = key
-                self.sampling.streams[key] = (hostname, binding.parser_name)
         rows = self.importer.import_table(table, hostname, binding.parser_name)
-        self._high_water[path] = len(document.records)
-        # The importer just recorded *this delta's* row/column counts in
-        # load_catalog; a batch transform records the whole file's.  The
-        # catalog row is keyed (table, source), so re-record the
-        # cumulative state and the warehouses converge — a fully
-        # caught-up live warehouse iterdumps identically to a one-shot
-        # batch one.  Under sampling the cumulative state is the
-        # policy's kept count (what a sampled batch transform records),
-        # and the ledger row is re-recorded the same keyed way.
-        if sampled_key is None:
-            loaded = self._high_water[path]
-        else:
-            entry = self.sampling.counts[sampled_key]
-            loaded = entry.rows_kept
-            self.db.record_sampling(
-                table.name,
-                table.source,
-                self.sampling.spec,
-                entry.rows_seen,
-                entry.rows_kept,
-                entry.bytes_seen,
-                entry.bytes_kept,
-            )
-        self.db.record_load(
-            table_name,
-            document.source,
-            loaded,
-            len(self.db.table_schema(table_name)),
-        )
+        self._high_water[path] = total
         return rows
 
     def _record_errors(self, sink: ErrorSink) -> None:
-        for error in sink.errors:
-            self.db.record_ingest_error(
-                error.path,
-                error.line_number,
-                error.parser,
-                error.reason,
-                error.excerpt,
-            )
-            if self.on_ingest_error is not None:
+        self.importer.record_errors(sink.errors)
+        if not sink.errors:
+            return
+        if self.on_ingest_error is not None:
+            for error in sink.errors:
                 self.on_ingest_error(error.path, error.reason)
-        if sink.errors:
-            # Lenient damage feeds the heartbeat's last-error signal.
-            self._last_error = sink.errors[-1].reason
+        # Lenient damage feeds the heartbeat's last-error signal.
+        self._last_error = sink.errors[-1].reason
 
     def declared_files(self, root: Path | str) -> list[tuple[str, Path]]:
         """The ``(hostname, path)`` pairs a refresh of ``root`` would
-        visit, in the deterministic (host, file) scan order.
-
-        The serve daemon's per-host ingest loop uses this to enqueue
-        file-granular work items; :meth:`refresh_directory` walks the
-        same list, so both paths agree on what a log tree contains.
+        visit, in the deterministic (host, file) scan order of
+        :meth:`ParsingDeclaration.declared_files`.
         """
-        root = Path(root)
-        if not root.is_dir():
-            raise DeclarationError(f"log directory {root} does not exist")
-        pairs: list[tuple[str, Path]] = []
-        for host_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-            for log_file in sorted(host_dir.glob("*.log")):
-                if self.declaration.try_resolve(log_file) is None:
-                    continue
-                pairs.append((host_dir.name, log_file))
-        return pairs
+        return [
+            (host, path)
+            for host, path, _ in self.declaration.declared_files(root)
+        ]
 
     def refresh_directory(self, root: Path | str) -> RefreshOutcome:
         """Refresh every declared log under ``root``.
@@ -370,9 +336,7 @@ class LiveTransformer:
         VLRT records must land before the final diagnosis.  Idempotent;
         returns the retroactively committed row count.
         """
-        if self.sampling is None:
-            return 0
-        return commit_flush(self.sampling, self.importer, self.db)
+        return self.importer.flush()
 
     def sampling_totals(self) -> tuple[int, int]:
         """``(rows_seen, rows_kept)`` across every sampled stream.

@@ -46,7 +46,7 @@ import os
 import shutil
 from pathlib import Path
 
-from repro.common.errors import DeclarationError, ParseError
+from repro.common.errors import ParseError
 from repro.transformer.declaration import (
     ParserBinding,
     ParsingDeclaration,
@@ -66,7 +66,7 @@ from repro.telemetry.spans import (
     SpanProbe,
     TelemetryCollector,
 )
-from repro.sampling.policy import SamplingPolicy, commit_flush, parse_policy
+from repro.sampling.policy import SamplingPolicy, parse_policy
 from repro.transformer.importer import MScopeDataImporter
 from repro.transformer.parsers import create_parser
 from repro.transformer.xml_to_csv import CsvTable, XmlToCsvConverter
@@ -101,6 +101,41 @@ class TransformOutcome:
     failed: bool = False
 
 
+#: ``(table, xml, csv, errors, spans)``: what :func:`_parse_convert`
+#: makes of one file, and what the write stage takes.
+_Parsed = tuple[
+    CsvTable | None,
+    Path | None,
+    Path | None,
+    tuple[IngestError, ...],
+    tuple[SpanData, ...],
+]
+
+
+def _outcome(
+    path: Path,
+    binding: ParserBinding,
+    table: CsvTable | None,
+    rows: int,
+    xml_artifact: Path | None,
+    csv_artifact: Path | None,
+    errors: tuple[IngestError, ...],
+) -> TransformOutcome:
+    """What the write stage made of one file (``table`` is ``None``
+    when the file failed under a lenient policy)."""
+    return TransformOutcome(
+        source=path,
+        table_name=table.name if table is not None else "",
+        rows_loaded=rows,
+        columns=len(table.columns) if table is not None else 0,
+        parser_name=binding.parser_name,
+        xml_artifact=xml_artifact,
+        csv_artifact=csv_artifact,
+        error_count=len(errors),
+        failed=table is None,
+    )
+
+
 def _parse_convert(
     path: Path,
     hostname: str,
@@ -108,13 +143,7 @@ def _parse_convert(
     workdir: Path | None,
     policy: ErrorPolicy,
     probe: SpanProbe = NULL_PROBE,
-) -> tuple[
-    CsvTable | None,
-    Path | None,
-    Path | None,
-    tuple[IngestError, ...],
-    tuple[SpanData, ...],
-]:
+) -> _Parsed:
     """The CPU-bound stages for one file: parse → XML → convert → CSV.
 
     Runs either in-process (serial path) or inside a worker process
@@ -205,13 +234,7 @@ def _parse_convert_task(
     workdir_str: str | None,
     policy: ErrorPolicy,
     probe: SpanProbe = NULL_PROBE,
-) -> tuple[
-    CsvTable | None,
-    Path | None,
-    Path | None,
-    tuple[IngestError, ...],
-    tuple[SpanData, ...],
-]:
+) -> _Parsed:
     """Picklable worker entry point for the process pool."""
     workdir = Path(workdir_str) if workdir_str is not None else None
     if probe.enabled:
@@ -232,7 +255,11 @@ def _host_shard_task(
     policy: ErrorPolicy,
     probe: SpanProbe = NULL_PROBE,
     sampling_spec: str | None = None,
-) -> tuple[list[tuple], list[operator.methodcaller], list[ShardInfo]]:
+) -> tuple[
+    list[tuple[TransformOutcome, tuple[IngestError, ...], tuple[SpanData, ...]]],
+    list[operator.methodcaller],
+    list[ShardInfo],
+]:
     """Worker entry point for the sharded fan-out: one host, end to end.
 
     Unlike :func:`_parse_convert_task`, this worker owns the *write*
@@ -246,8 +273,7 @@ def _host_shard_task(
     to replay into the manifest in deterministic host order.
 
     Returns ``(file_results, meta_ops, shard_records)`` where each
-    file result is ``(table_name, rows, columns, failed, xml, csv,
-    errors, spans)`` in input file order.
+    file result is ``(outcome, errors, spans)`` in input file order.
     """
     workdir = Path(workdir_str) if workdir_str is not None else None
     if probe.enabled:
@@ -256,10 +282,9 @@ def _host_shard_task(
     # in every worker, so the kept set agrees with a monolith transform
     # of the same logs; stateful policies never reach this fan-out (the
     # transformer falls back to the serial path for them).
-    sampling = parse_policy(sampling_spec)
     writer = ShardHostWriter(Path(root_str), host, window_us)
-    importer = MScopeDataImporter(writer)
-    results: list[tuple] = []
+    importer = MScopeDataImporter(writer, parse_policy(sampling_spec))
+    results = []
     for path_str, binding in file_specs:
         path = Path(path_str)
         table, xml_artifact, csv_artifact, errors, spans = _parse_convert(
@@ -272,31 +297,15 @@ def _host_shard_task(
         ) as span:
             span.add(errors=len(errors))
             if table is not None:
-                if sampling is not None:
-                    table = sampling.apply(table)
                 rows = importer.import_table(
                     table, host, binding.parser_name, span=span
                 )
-                if sampling is not None:
-                    entry = sampling.counts.get((table.name, table.source))
-                    if entry is not None:
-                        writer.record_sampling(
-                            table.name,
-                            table.source,
-                            sampling.spec,
-                            entry.rows_seen,
-                            entry.rows_kept,
-                            entry.bytes_seen,
-                            entry.bytes_kept,
-                        )
         results.append(
             (
-                table.name if table is not None else "",
-                rows,
-                len(table.columns) if table is not None else 0,
-                table is None,
-                xml_artifact,
-                csv_artifact,
+                _outcome(
+                    path, binding, table, rows, xml_artifact, csv_artifact,
+                    errors,
+                ),
                 errors,
                 tuple(spans) + tuple(import_spans),
             )
@@ -359,13 +368,13 @@ class MScopeDataTransformer:
         self.declaration = declaration or default_declaration()
         self.workdir = Path(workdir) if workdir is not None else None
         self.converter = XmlToCsvConverter()
-        self.importer = MScopeDataImporter(db)
         self.jobs = jobs
         self.policy = policy or FAIL_FAST_POLICY
         self.telemetry = telemetry or NULL_TELEMETRY
         if isinstance(sampling, str):
             sampling = parse_policy(sampling)
         self.sampling = sampling
+        self.importer = MScopeDataImporter(db, sampling)
 
     # ------------------------------------------------------------------
 
@@ -373,12 +382,12 @@ class MScopeDataTransformer:
         self,
         path: Path,
         binding: ParserBinding,
-        table: CsvTable | None,
         hostname: str,
+        table: CsvTable | None,
         xml_artifact: Path | None,
         csv_artifact: Path | None,
-        errors: tuple[IngestError, ...] = (),
-        spans: tuple[SpanData, ...] = (),
+        errors: tuple[IngestError, ...],
+        spans: tuple[SpanData, ...],
     ) -> TransformOutcome:
         """The single-writer stage: record errors, load one table.
 
@@ -392,90 +401,32 @@ class MScopeDataTransformer:
         telemetry = self.telemetry
         telemetry.ingest(spans)
         import_spans: list[SpanData] = []
-        outcome: TransformOutcome
+        rows = 0
         with telemetry.probe().span(
             import_spans, "import", hostname, str(path), parent="file"
         ) as span:
-            for error in errors:
-                self.db.record_ingest_error(
-                    error.path,
-                    error.line_number,
-                    error.parser,
-                    error.reason,
-                    error.excerpt,
-                )
+            self.importer.record_errors(errors)
             span.add(errors=len(errors))
-            if table is None:
-                outcome = TransformOutcome(
-                    source=path,
-                    table_name="",
-                    rows_loaded=0,
-                    columns=0,
-                    parser_name=binding.parser_name,
-                    xml_artifact=None,
-                    csv_artifact=None,
-                    error_count=len(errors),
-                    failed=True,
-                )
-            else:
-                if self.sampling is not None:
-                    table = self.sampling.apply(table)
+            if table is not None:
                 rows = self.importer.import_table(
                     table, hostname, binding.parser_name, span=span
                 )
-                if self.sampling is not None:
-                    self._record_sampling_stream(
-                        table, hostname, binding.parser_name
-                    )
-                outcome = TransformOutcome(
-                    source=path,
-                    table_name=table.name,
-                    rows_loaded=rows,
-                    columns=len(table.columns),
-                    parser_name=binding.parser_name,
-                    xml_artifact=xml_artifact,
-                    csv_artifact=csv_artifact,
-                    error_count=len(errors),
-                )
         telemetry.ingest(import_spans)
-        return outcome
-
-    def _record_sampling_stream(
-        self, table: CsvTable, hostname: str, parser_name: str
-    ) -> None:
-        """Ledger one sampled stream's cumulative counts (drain order)."""
-        assert self.sampling is not None
-        key = (table.name, table.source)
-        entry = self.sampling.counts.get(key)
-        if entry is None:
-            # No request_id column: the policy never governed this
-            # table, so it stays out of the ledger by design.
-            return
-        self.sampling.streams[key] = (hostname, parser_name)
-        self.db.record_sampling(
-            table.name,
-            table.source,
-            self.sampling.spec,
-            entry.rows_seen,
-            entry.rows_kept,
-            entry.bytes_seen,
-            entry.bytes_kept,
+        return _outcome(
+            path, binding, table, rows, xml_artifact, csv_artifact, errors
         )
 
     def flush_sampling(self) -> int:
         """Commit everything a stateful policy still withholds.
 
         Tail sampling defers each request's records until its fate is
-        known; this settles every deferred request (VLRTs and coherent
-        base-rate keeps commit, the rest drop), imports the released
-        rows, re-records the load catalog and ledger with the final
-        cumulative counts, and upserts the conflation aggregates.
+        known; the importer settles every deferred request, loads the
+        released rows and upserts the conflation aggregates (see
+        :meth:`~repro.transformer.importer.MScopeDataImporter.flush`).
         Idempotent, and a no-op without a stateful policy.  Returns the
         number of retroactively committed rows.
         """
-        if self.sampling is None:
-            return 0
-        return commit_flush(self.sampling, self.importer, self.db)
+        return self.importer.flush()
 
     def transform_file(self, path: Path | str, hostname: str) -> TransformOutcome:
         """Run the full pipeline on one log file (in-process)."""
@@ -488,13 +439,14 @@ class MScopeDataTransformer:
             binding = self.declaration.resolve(path)
             span.add(records=1)
         telemetry.ingest(resolve_spans)
-        table, xml_artifact, csv_artifact, errors, spans = _parse_convert(
-            path, hostname, binding, self.workdir, self.policy,
-            telemetry.probe(),
-        )
         return self._import_result(
-            path, binding, table, hostname, xml_artifact, csv_artifact,
-            errors, spans,
+            path,
+            binding,
+            hostname,
+            *_parse_convert(
+                path, hostname, binding, self.workdir, self.policy,
+                telemetry.probe(),
+            ),
         )
 
     def _resolve_jobs(self, jobs: int | None, tasks: int) -> int:
@@ -509,9 +461,9 @@ class MScopeDataTransformer:
     ) -> list[TransformOutcome]:
         """Transform every declared log under ``root``.
 
-        Expects the layout the simulator writes:
-        ``<root>/<hostname>/<stream>.log``.  Files no binding covers
-        are skipped (a deployment always has unrelated logs around).
+        Walks :meth:`ParsingDeclaration.declared_files` — the layout
+        the simulator writes, ``<root>/<hostname>/<stream>.log``, minus
+        the files no binding covers.
 
         With ``jobs > 1`` the parse → convert stages run across a
         process pool while imports stay in this process, draining
@@ -531,20 +483,11 @@ class MScopeDataTransformer:
         *which* files were already loaded depends on worker timing,
         not file order.
         """
-        root = Path(root)
-        if not root.is_dir():
-            raise DeclarationError(f"log directory {root} does not exist")
         telemetry = self.telemetry
         telemetry.start_run()
         resolve_spans: list[SpanData] = []
-        work: list[tuple[Path, str, ParserBinding]] = []
         with telemetry.probe().span(resolve_spans, "resolve") as span:
-            for host_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-                for log_file in sorted(host_dir.glob("*.log")):
-                    binding = self.declaration.try_resolve(log_file)
-                    if binding is None:
-                        continue
-                    work.append((log_file, host_dir.name, binding))
+            work = self.declaration.declared_files(root)
             span.add(records=len(work))
         telemetry.ingest(resolve_spans)
 
@@ -560,17 +503,12 @@ class MScopeDataTransformer:
         if jobs <= 1:
             outcomes: list[TransformOutcome] = []
             probe = telemetry.probe()
-            for path, host, binding in work:
-                table, xml_artifact, csv_artifact, errors, spans = (
-                    _parse_convert(
-                        path, host, binding, self.workdir, self.policy, probe
-                    )
+            for host, path, binding in work:
+                result = _parse_convert(
+                    path, host, binding, self.workdir, self.policy, probe
                 )
                 outcomes.append(
-                    self._import_result(
-                        path, binding, table, host, xml_artifact, csv_artifact,
-                        errors, spans,
-                    )
+                    self._import_result(path, binding, host, *result)
                 )
         elif sharded:
             outcomes = self._transform_parallel_sharded(work, jobs)
@@ -599,7 +537,7 @@ class MScopeDataTransformer:
         telemetry.persist(self.db)
 
     def _transform_parallel_sharded(
-        self, work: list[tuple[Path, str, ParserBinding]], jobs: int
+        self, work: list[tuple[str, Path, ParserBinding]], jobs: int
     ) -> list[TransformOutcome]:
         """Per-host parallel shard writers (see :meth:`transform_directory`).
 
@@ -611,7 +549,7 @@ class MScopeDataTransformer:
         db = self.db
         assert isinstance(db, ShardedMScopeDB)  # dispatch guarantees it
         groups: dict[str, list[tuple[Path, ParserBinding]]] = {}
-        for path, host, binding in work:
+        for host, path, binding in work:
             groups.setdefault(host, []).append((path, binding))
         workdir_str = str(self.workdir) if self.workdir is not None else None
         telemetry = self.telemetry
@@ -647,39 +585,10 @@ class MScopeDataTransformer:
                             )
                         )
                     results, meta_ops, records = futures[host].result()
-                    for (path, binding), result in zip(groups[host], results):
-                        (
-                            table_name,
-                            rows,
-                            columns,
-                            failed,
-                            xml_artifact,
-                            csv_artifact,
-                            errors,
-                            spans,
-                        ) = result
+                    for outcome, errors, spans in results:
                         telemetry.ingest(spans)
-                        for error in errors:
-                            self.db.record_ingest_error(
-                                error.path,
-                                error.line_number,
-                                error.parser,
-                                error.reason,
-                                error.excerpt,
-                            )
-                        outcomes.append(
-                            TransformOutcome(
-                                source=path,
-                                table_name=table_name,
-                                rows_loaded=rows,
-                                columns=columns,
-                                parser_name=binding.parser_name,
-                                xml_artifact=xml_artifact,
-                                csv_artifact=csv_artifact,
-                                error_count=len(errors),
-                                failed=failed,
-                            )
-                        )
+                        self.importer.record_errors(errors)
+                        outcomes.append(outcome)
                     # Shards first: they bind each table to the host
                     # directory the worker wrote, which the replayed
                     # create_table then keeps.
@@ -693,7 +602,7 @@ class MScopeDataTransformer:
         return outcomes
 
     def _transform_parallel(
-        self, work: list[tuple[Path, str, ParserBinding]], jobs: int
+        self, work: list[tuple[str, Path, ParserBinding]], jobs: int
     ) -> list[TransformOutcome]:
         outcomes: list[TransformOutcome] = []
         workdir_str = str(self.workdir) if self.workdir is not None else None
@@ -710,10 +619,10 @@ class MScopeDataTransformer:
                     self.policy,
                     probe,
                 )
-                for path, host, binding in work
+                for host, path, binding in work
             ]
             try:
-                for index, ((path, host, binding), future) in enumerate(
+                for index, ((host, path, binding), future) in enumerate(
                     zip(work, futures)
                 ):
                     if telemetry.enabled:
@@ -722,13 +631,9 @@ class MScopeDataTransformer:
                         telemetry.record_queue_depth(
                             sum(1 for f in futures[index:] if f.done())
                         )
-                    table, xml_artifact, csv_artifact, errors, spans = (
-                        future.result()
-                    )
                     outcomes.append(
                         self._import_result(
-                            path, binding, table, host, xml_artifact,
-                            csv_artifact, errors, spans,
+                            path, binding, host, *future.result()
                         )
                     )
             except BaseException:

@@ -9,7 +9,6 @@ from repro.sampling.policy import (
     HeadSamplingPolicy,
     TailSamplingPolicy,
     coherent_keep,
-    commit_flush,
     parse_policy,
     row_bytes,
 )
@@ -229,13 +228,13 @@ def test_conflation_keeps_exemplars_and_aggregates_the_rest_per_class():
         )
 
 
-# ------------------------------------------------------------ commit_flush
+# -------------------------------------------------------- importer.flush()
 
 
 def test_commit_flush_lands_deferred_rows_ledger_and_catalog():
     db = MScopeDB()
-    importer = MScopeDataImporter(db)
     policy = TailSamplingPolicy(base_rate=0.0, threshold_us=ms(50))
+    importer = MScopeDataImporter(db, policy)
     slow = ("RSLOW", "Browse", ms(100), ms(100) + ms(80))
     buffered = ("RSLOW", "Browse", ms(110), ms(110) + ms(2))
     fast = request_row(0)
@@ -243,13 +242,12 @@ def test_commit_flush_lands_deferred_rows_ledger_and_catalog():
     # The fast records arrive first and are deferred; the slow record
     # then marks RSLOW as VLRT, so its buffered row must be released
     # retroactively by the flush.
-    assert policy.apply(boundary_table([buffered, fast])).rows == []
-    kept_now = policy.apply(boundary_table([slow]))
-    assert kept_now.rows == [slow]
-    policy.streams[("tomcat_boundary", "app1/tomcat.log")] = ("app1", "tomcat")
-    importer.import_table(kept_now, "app1", "tomcat")
+    table = boundary_table([buffered, fast])
+    assert importer.import_table(table, "app1", "tomcat") == 0
+    assert importer.import_table(boundary_table([slow]), "app1", "tomcat") == 1
+    assert db.query("SELECT request_id FROM tomcat_boundary") == [("RSLOW",)]
 
-    committed = commit_flush(policy, importer, db)
+    committed = importer.flush()
     assert committed == 1  # the buffered VLRT record, not the fast one
     assert db.row_count("tomcat_boundary") == 2
     (ledger,) = db.sampling_ledger()
@@ -261,33 +259,31 @@ def test_commit_flush_lands_deferred_rows_ledger_and_catalog():
     )
     summary = db.sampling_summary()
     assert summary["rows_seen"] == 3 and summary["rows_kept"] == 2
-    # The load catalog carries the cumulative kept count, not the
-    # flush delta (the live-transformer catch-up idiom).
+    # The load catalog carries the stream's cumulative kept count,
+    # not the flush delta.
     (catalog_rows,) = db.query(
         "SELECT rows_loaded FROM load_catalog WHERE table_name = ?",
         ("tomcat_boundary",),
     )
     assert catalog_rows[0] == 2
     # Idempotent: a second flush has nothing left to release.
-    assert commit_flush(policy, importer, db) == 0
+    assert importer.flush() == 0
     assert db.row_count("tomcat_boundary") == 2
 
 
 def test_commit_flush_upserts_conflation_aggregates():
     db = MScopeDB()
-    importer = MScopeDataImporter(db)
     policy = ConflationPolicy(0.5)
+    importer = MScopeDataImporter(db, policy)
     rows = [request_row(i) for i in range(40)]
-    out = policy.apply(boundary_table(rows))
-    policy.streams[("tomcat_boundary", "app1/tomcat.log")] = ("app1", "tomcat")
-    importer.import_table(out, "app1", "tomcat")
+    importer.import_table(boundary_table(rows), "app1", "tomcat")
 
-    commit_flush(policy, importer, db)
+    importer.flush()
     folded = [r for r in rows if not coherent_keep(r[0], 0.5)]
     (agg,) = db.conflated_requests()
     assert agg[:4] == ("tomcat_boundary", "Browse", len(folded), len(folded))
     # Re-flushing after more traffic replaces (not doubles) the row.
     policy.apply(boundary_table([request_row(40 + i) for i in range(10)]))
-    commit_flush(policy, importer, db)
+    importer.flush()
     (again,) = db.conflated_requests()
     assert again[2] >= agg[2]

@@ -103,7 +103,6 @@ def test_multi_host_trees_route_to_per_host_tables(tmp_path):
     daemon.ingest_cycle()
     assert daemon.db.row_count("mysql_events_db1") == 2
     assert daemon.db.row_count("mysql_events_db2") == 2
-    assert sorted(daemon._transformers) == ["db1", "db2"]
 
 
 def test_missing_log_tree_serves_empty(tmp_path):
@@ -139,6 +138,25 @@ def test_unparsable_file_is_skipped_reported_and_retried(logs):
     outcome = daemon.ingest_cycle()
     assert outcome.new_rows == 1
     assert outcome.skipped_files == 0
+
+
+def test_truncated_file_is_announced_and_reoffered(logs):
+    # A log rewritten shorter than what was already imported is not a
+    # quiet no-op: the daemon skips it, says why, and keeps offering it.
+    path = logs / "db1" / "mysql_log.log"
+    daemon = make_daemon(logs)
+    daemon.ingest_cycle()
+    path.write_text("")
+    append(path, [mysql_line(3)])
+    outcome = daemon.ingest_cycle()
+    assert (outcome.skipped_files, outcome.new_rows) == (1, 0)
+    assert daemon.state.skipped_files == 1
+    (error,) = daemon.broker.history(ev.INGEST_ERROR)
+    assert error.data["file"] == str(path)
+    assert "1 records < 3 already imported" in error.data["reason"]
+    assert daemon.db.row_count("mysql_events_db1") == 3
+    # Its recorded size stays stale, so the next scan takes it again.
+    assert daemon.ingest_cycle().taken == 1
 
 
 def test_lenient_policy_records_errors_without_skipping(logs):
@@ -296,6 +314,35 @@ def test_diagnose_caches_one_verdict_per_window(tmp_path):
     # window stays provisional.
     assert [verdict.final for verdict in updated] == [True, True, False]
     assert daemon.state.cached_windows == 3
+
+
+def test_diagnosis_starts_at_the_first_window_holding_data(
+    tmp_path, monkeypatch
+):
+    """No run_meta.json and no epoch override: the epoch resolves to 0,
+    timestamps are absolute, and the first window with data is ~10^8
+    windows from zero — the daemon must not diagnose its way there."""
+    from repro.serve import daemon as daemon_module
+
+    built = []
+    real = daemon_module.Diagnoser
+    monkeypatch.setattr(
+        daemon_module,
+        "Diagnoser",
+        lambda *args, **kwargs: built.append(kwargs) or real(*args, **kwargs),
+    )
+    daemon = make_daemon(tmp_path / "logs", diagnosis_window_s=0.5)
+    assert daemon.epoch_us == 0
+    make_front_table(daemon.db, healthy_spans())  # ~1.2 s from EPOCH
+    updated = daemon.diagnose_cycle()
+    first = EPOCH // seconds(0.5)
+    assert [v.start_us // seconds(0.5) for v in updated] == [
+        first, first + 1, first + 2,
+    ]
+    assert len(built) == 3
+    assert [v.final for v in updated] == [True, True, False]
+    # The trailing window is still the only one re-diagnosed.
+    assert [v.key for v in daemon.diagnose_cycle()] == [updated[-1].key]
 
 
 def test_trailing_window_is_rediagnosed_until_passed(tmp_path):

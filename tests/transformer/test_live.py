@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import DeclarationError
+from repro.common.errors import DeclarationError, ParseError
 from repro.common.records import BoundaryRecord
 from repro.common.timebase import WallClock, ms
 from repro.logfmt.mysql import format_mscope_query
@@ -229,6 +229,67 @@ def test_budget_exhausted_file_imports_once_repaired(log_dir):
     # imports and the warehouse holds both healthy rows.
     live.refresh_directory(log_dir)
     assert live.db.row_count("mysql_events_db1") == 2
+
+
+def test_truncated_file_is_reported_not_silently_ignored(log_dir):
+    """A file holding fewer records than were already imported was
+    truncated or rotated; slicing past its end used to import nothing —
+    for this refresh and for every later one, until the file outgrew
+    the old high-water mark."""
+    path = log_dir / "db1" / "mysql_log.log"
+    append(path, [mysql_line(i) for i in range(5)])
+    live = LiveTransformer(MScopeDB(), max_retries=0)
+    assert live.refresh_directory(log_dir).new_rows == 5
+    path.write_text("")
+    append(path, [mysql_line(i) for i in range(5, 8)])
+
+    with pytest.raises(ParseError, match="3 records < 5 already imported"):
+        live.refresh_file(path, "db1")
+    outcome = live.refresh_directory(log_dir)
+    assert (outcome.skipped_files, outcome.new_rows) == (1, 0)
+    beat = live.heartbeat()
+    assert "truncated or rotated" in beat.last_error
+    assert str(path) in beat.last_error
+    # No row added or lost, and the mark still says what was imported.
+    assert live.db.row_count("mysql_events_db1") == 5
+    assert live.high_water(path) == 5
+
+
+def test_declared_files_is_the_one_walk(tmp_path):
+    """The declaration's walk, its live projection and the batch
+    transform's outcome order agree — with an undeclared log in a host
+    directory and a non-directory at the root."""
+    from repro.transformer.pipeline import MScopeDataTransformer
+
+    root = tmp_path / "logs"
+    for host in ("web1", "db2", "db1"):
+        (root / host).mkdir(parents=True)
+        append(root / host / "mysql_log.log", [mysql_line(0)])
+    (root / "db1" / "sar_xml.log").write_text(COMPLETE_SAR_XML)
+    (root / "db1" / "unrelated.log").write_text("not ours\n")
+    (root / "db1" / "mysql_log.txt").write_text("not a log\n")
+    (root / "stray.log").write_text("a file where a host should be\n")
+
+    live = LiveTransformer(MScopeDB())
+    walk = live.declaration.declared_files(root)
+    assert [(host, path.name) for host, path, _ in walk] == [
+        ("db1", "mysql_log.log"),
+        ("db1", "sar_xml.log"),
+        ("db2", "mysql_log.log"),
+        ("web1", "mysql_log.log"),
+    ]
+    assert [binding.parser_name for _, _, binding in walk] == [
+        "mysql", "sar_xml", "mysql", "mysql",
+    ]
+    assert live.declared_files(root) == [(host, path) for host, path, _ in walk]
+    outcomes = MScopeDataTransformer(MScopeDB()).transform_directory(
+        root, jobs=1
+    )
+    assert [outcome.source for outcome in outcomes] == [
+        path for _, path, _ in walk
+    ]
+    with pytest.raises(DeclarationError):
+        live.declaration.declared_files(root / "ghost")
 
 
 def test_missing_directory_raises(tmp_path):

@@ -348,7 +348,7 @@ def _data_extent(db):
         ServeConfig(logs=Path(db.path) / "no-logs", db=Path(db.path))
     )
     try:
-        return daemon._data_extent_us()
+        return daemon._data_span_us()
     finally:
         daemon.db.close()
 
