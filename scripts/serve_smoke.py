@@ -13,8 +13,11 @@ Steps (any failure exits nonzero):
    first half, keeping the tails for later.
 2. ``mscope serve --port 0 --port-file ...`` over the tree; poll the
    port file, then ``/healthz`` until the first half is ingested.
-3. Append the withheld tails (live growth) and wait for ``/healthz``
-   to report the extra rows.
+3. Append the withheld tails (live growth) in two writes per file, the
+   first ending mid-line, with at least two ingest cycles between them
+   (``/healthz`` ``cycles``): a torn line must wait for its newline, so
+   no file may be skipped (``skipped_files`` stays 0).  Then wait for
+   ``/healthz`` to report the extra rows.
 4. Fetch ``/reports``, ``/stats?format=prom``, and one SSE event from
    ``/events``.
 5. SIGTERM; require a zero exit within the drain deadline.
@@ -75,6 +78,14 @@ def wait_for(predicate, what: str, timeout_s: float = TIMEOUT_S):
             return value
         time.sleep(0.1)
     fail(f"timed out after {timeout_s:.0f}s waiting for {what}")
+
+
+def torn_split(tail: str) -> int:
+    """An index that cuts ``tail`` mid-line (about halfway)."""
+    split = len(tail) // 2
+    while 0 < split < len(tail) and tail[split - 1] == "\n":
+        split += 1
+    return split
 
 
 def read_sse_event(port: int) -> dict:
@@ -156,7 +167,7 @@ def main() -> None:
         )
         log(f"daemon listening on port {port}")
 
-        def ingested(minimum: int):
+        def healthy(ready):
             def check():
                 if daemon.poll() is not None:
                     fail(f"daemon exited early with {daemon.returncode}")
@@ -166,22 +177,38 @@ def main() -> None:
                 health = json.loads(body)
                 if health["status"] != "ok":
                     return None
-                return health if health["rows"] >= minimum else None
+                return health if ready(health) else None
 
             return check
 
-        health = wait_for(ingested(1), "first-half ingest via /healthz")
+        health = wait_for(
+            healthy(lambda h: h["rows"] >= 1), "first-half ingest via /healthz"
+        )
         first_half_rows = health["rows"]
         log(f"first half ingested: {first_half_rows} rows")
 
+        splits = {log_file: torn_split(tail) for log_file, tail in tails.items()}
         for log_file, tail in tails.items():
             with log_file.open("a") as handle:
-                handle.write(tail)
-        log("appended withheld tails (live growth)")
+                handle.write(tail[: splits[log_file]])
+        cycles = health["cycles"]
         health = wait_for(
-            ingested(first_half_rows + 1), "live growth via /healthz"
+            healthy(lambda h: h["cycles"] >= cycles + 2),
+            "two ingest cycles over torn last lines",
+        )
+        torn_rows = health["rows"]
+        log(f"ingested up to the torn lines: {torn_rows} rows")
+        for log_file, tail in tails.items():
+            with log_file.open("a") as handle:
+                handle.write(tail[splits[log_file] :])
+        log("appended the rest of the withheld tails")
+        health = wait_for(
+            healthy(lambda h: h["rows"] > max(torn_rows, first_half_rows)),
+            "live growth via /healthz",
         )
         log(f"growth ingested: {health['rows']} rows total")
+        if health["skipped_files"]:
+            fail(f"/healthz reports {health['skipped_files']} skipped files")
 
         status, body = fetch(port, "/reports")
         if status != 200:

@@ -122,16 +122,19 @@ class ErrorSink:
     Created by the pipeline for each ``parse_file`` call and handed to
     the parser; the caller keeps the reference so the collected errors
     are available even when the parse raises (budget exhaustion,
-    unsalvageable file).
+    unsalvageable file).  ``damaged`` counts the file's damaged lines
+    against the budget — a parse resumed from a cursor starts it at the
+    count the file's earlier parses reached.
     """
 
-    __slots__ = ("policy", "path", "parser_name", "errors")
+    __slots__ = ("policy", "path", "parser_name", "errors", "damaged")
 
     def __init__(self, policy: ErrorPolicy, path: str, parser_name: str) -> None:
         self.policy = policy
         self.path = path
         self.parser_name = parser_name
         self.errors: list[IngestError] = []
+        self.damaged = 0
 
     def line_error(
         self, message: str, line_number: int | None, raw: str = ""
@@ -154,8 +157,9 @@ class ErrorSink:
                 excerpt=raw[:_EXCERPT_LIMIT],
             )
         )
+        self.damaged += 1
         budget = self.policy.budget
-        if budget is not None and len(self.errors) > budget:
+        if budget is not None and self.damaged > budget:
             raise ErrorBudgetExceeded(
                 f"error budget of {budget} damaged records exhausted",
                 path=self.path,

@@ -2,22 +2,35 @@
 
 The paper's mScopeDB is a *dynamic* warehouse: tables materialize and
 grow as monitoring data arrives.  :class:`LiveTransformer` keeps a
-warehouse in sync with still-growing log files — each refresh parses
-the file and imports only the records beyond the high-water mark of
-the previous refresh, so a monitoring session can be analyzed while
-the system is still running.
+warehouse in sync with still-growing log files, so a monitoring session
+can be analyzed while the system is still running — and each refresh
+costs what was appended, not what was already ingested.
 
 Notes
 -----
-* Parsers re-read whole files (stateful formats like SAR text need
-  their banner/header context); only the *import* is incremental.
+* Every file has a :class:`~repro.transformer.parsers.base.ParseCursor`:
+  the byte offset just after the last complete line parsed, the next
+  line number, the records and damaged lines counted so far, and the
+  parser's carried cross-line state (SAR's report date and columns,
+  iostat's block timestamp, collectl's column header).  A refresh
+  resumes the parser from its cursor and parses only the complete
+  (newline-terminated) lines appended since; a torn last line waits
+  for its newline.
+* The cursor also keeps the file's ``(st_dev, st_ino)`` and the bytes
+  just before its offset.  A file that was rewritten — another inode,
+  shorter than the offset, or different bytes there — restarts: it is
+  parsed from byte 0 with fresh state and the records beyond the
+  cursor's count import.  SAR's XML output, a whole-document format
+  well-formed only once closed, and any parser that does not opt in to
+  resumption always restart.
+* A restart that finds *fewer* records than were already imported
+  means the file was truncated or rotated: the refresh raises
+  ``ParseError`` instead of silently ignoring everything appended
+  afterwards.
 * Each delta goes through the batch transform's write stage,
   :class:`~repro.transformer.importer.MScopeDataImporter`, whose
   per-stream running totals are what make a caught-up live warehouse
   iterdump identically to a one-shot batch one.
-* A file holding *fewer* records than were already imported was
-  truncated or rotated: the refresh raises ``ParseError`` instead of
-  silently ignoring everything appended afterwards.
 * A file that is momentarily unparsable mid-write (e.g. SAR's XML
   output, which is well-formed only once closed) is retried within the
   refresh — ``max_retries`` bounded attempts with exponential backoff,
@@ -27,9 +40,13 @@ Notes
   silent per-refresh skips.
 * An :class:`~repro.transformer.errorpolicy.ErrorPolicy` can make the
   refresh lenient: damaged lines are recorded in ``ingest_errors``
-  (idempotently — each refresh re-reads the file, so errors re-record
-  onto the same keyed rows) while the undamaged records import.
-* Each refresh cycle opens a telemetry span and updates the
+  under the line numbers a batch parse gives them (idempotently — a
+  retried or restarted parse re-records onto the same keyed rows) while
+  the undamaged records import; the error budget counts per file, as
+  in batch, not per refresh.
+* Each refresh cycle opens a telemetry span — each file's span carries
+  the bytes parsed, so their sum over a session against the file sizes
+  is the bytes parsed per byte appended — and updates the
   :class:`Heartbeat` — files/sec, rows/sec, cycle lag, last error — so
   a long-lived live session has a health signal without any polling of
   the warehouse.
@@ -53,8 +70,8 @@ from repro.transformer.declaration import ParsingDeclaration, default_declaratio
 from repro.transformer.errorpolicy import FAIL_FAST_POLICY, ErrorPolicy, ErrorSink
 from repro.transformer.importer import MScopeDataImporter
 from repro.transformer.parsers import MScopeParser, create_parser
+from repro.transformer.parsers.base import START, ParseCursor
 from repro.transformer.xml_to_csv import XmlToCsvConverter
-from repro.transformer.xmlmodel import XmlDocument
 from repro.warehouse.db import MScopeDB
 
 __all__ = ["LiveTransformer", "RefreshOutcome", "Heartbeat"]
@@ -100,8 +117,8 @@ class LiveTransformer:
     policy:
         Ingestion error policy; defaults to ``fail-fast``.  Lenient
         policies record damaged lines in ``ingest_errors``; quarantine
-        *artifacts* are a batch-transform feature (a live file is
-        re-read every refresh, so artifact copies would churn).
+        *artifacts* are a batch-transform feature (a live file's damage
+        arrives a delta at a time, so artifact copies would churn).
     max_retries:
         Extra parse attempts per file and refresh when the file is
         momentarily unparsable mid-write.
@@ -168,10 +185,11 @@ class LiveTransformer:
         self._refreshes = 0
         self._last_error: str | None = None
         self._heartbeat: Heartbeat | None = None
-        self._high_water: dict[Path, int] = {}
-        # Parser instances are stateless between files, so one per
-        # binding serves every refresh (keyed by identity — bindings
-        # live as long as the declaration that owns them).
+        self._cursors: dict[Path, ParseCursor] = {}
+        # Parser instances hold no state between parses (a file's
+        # carried state lives in its cursor), so one per binding serves
+        # every refresh (keyed by identity — bindings live as long as
+        # the declaration that owns them).
         self._parsers: dict[int, MScopeParser] = {}
 
     def _parser_for(self, binding) -> MScopeParser:
@@ -183,6 +201,8 @@ class LiveTransformer:
     def refresh_file(self, path: Path | str, hostname: str) -> int:
         """Import records appended to ``path`` since the last refresh.
 
+        The parser resumes from the file's cursor and parses complete
+        lines only; the span is credited with the bytes parsed.
         Returns the number of newly imported rows; raises
         :class:`DeclarationError` when no parser is declared for the
         file, and :class:`ParseError` when the file is unparsable
@@ -199,46 +219,34 @@ class LiveTransformer:
                 spans, "refresh_file", hostname, str(path), parent="refresh"
             ) as span:
                 try:
-                    document = parser.parse_file(path, sink=sink)
+                    document, cursor = parser.resume(
+                        path, self._cursors.get(path, START), sink, span
+                    )
                 finally:
                     # Damage seen before the parse aborted still gets
                     # recorded (idempotently — the keyed INSERT OR
-                    # REPLACE makes every refresh converge on the same
-                    # ledger rows).
+                    # REPLACE makes a retried parse converge on the
+                    # same ledger rows).
                     self._record_errors(sink)
                     span.add(errors=len(sink.errors))
-                rows = self._import_delta(document, binding, path, hostname)
+                rows = 0
+                if document.records:
+                    table = self.converter.convert(
+                        document,
+                        f"{binding.monitor}_{hostname}",
+                        extra_columns={"hostname": hostname},
+                    )
+                    rows = self.importer.import_table(
+                        table, hostname, binding.parser_name
+                    )
+                # Advanced only once the delta landed: a failed parse or
+                # import leaves the cursor where the next attempt starts.
+                self._cursors[path] = cursor
                 span.add(records=rows)
         finally:
             # The span closed on the ``with`` exit (success or not);
             # ship whatever was measured.
             self.telemetry.ingest(spans)
-        return rows
-
-    def _import_delta(
-        self, document, binding, path: Path, hostname: str
-    ) -> int:
-        already = self._high_water.get(path, 0)
-        total = len(document.records)
-        if total < already:
-            # Slicing past the end would import nothing, now and for
-            # every later refresh until the file outgrew the old mark.
-            raise ParseError(
-                f"{total} records < {already} already imported: "
-                "truncated or rotated?",
-                path=str(path),
-            )
-        if total == already:
-            return 0
-        delta = XmlDocument(monitor=document.monitor, source=document.source)
-        for record in document.records[already:]:
-            delta.append(record)
-        table_name = f"{binding.monitor}_{hostname}"
-        table = self.converter.convert(
-            delta, table_name, extra_columns={"hostname": hostname}
-        )
-        rows = self.importer.import_table(table, hostname, binding.parser_name)
-        self._high_water[path] = total
         return rows
 
     def _record_errors(self, sink: ErrorSink) -> None:
@@ -327,7 +335,7 @@ class LiveTransformer:
 
     def high_water(self, path: Path | str) -> int:
         """Records already imported from ``path``."""
-        return self._high_water.get(Path(path), 0)
+        return self._cursors.get(Path(path), START).records
 
     def flush_sampling(self) -> int:
         """Commit rows a stateful sampling policy still withholds.

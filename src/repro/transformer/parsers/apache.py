@@ -31,10 +31,11 @@ class ApacheMScopeParser(MScopeParser):
     """Regex-token parser for Apache access logs."""
 
     name = "apache"
+    resumable = True
 
     def parse_lines(self, lines, source):
         document = self.new_document(source)
-        for number, line in enumerate(lines, start=1):
+        for number, line in enumerate(lines, start=self.first_line):
             if not line.strip():
                 continue
             match = _LINE_RE.match(line)

@@ -6,13 +6,22 @@ governed by the :class:`~repro.transformer.declaration.ParserBinding`
 it was constructed with — in particular the regex-token rules, which
 let the declaration stage inject extra semantics (e.g. where the
 request ID hides) without touching parser code.
+
+Every parse runs one reader over the file's bytes.  A batch
+:meth:`MScopeParser.parse_file` reads from byte 0 to the end of the
+file; a live :meth:`MScopeParser.resume` reads from a
+:class:`ParseCursor` — the byte offset, line number, counts and
+cross-line state where the previous parse of the same file stopped —
+and parses only the complete (newline-terminated) lines appended since.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
 import re
 from pathlib import Path
-from typing import Iterable, Type
+from typing import Any, BinaryIO, Iterable, Iterator, Type
 
 from repro.common.errors import DeclarationError, ParseError
 from repro.transformer.declaration import (
@@ -23,9 +32,22 @@ from repro.transformer.declaration import (
 from repro.transformer.errorpolicy import ErrorSink
 from repro.transformer.xmlmodel import XmlDocument
 
-__all__ = ["MScopeParser", "register_parser", "create_parser", "registered_parsers"]
+__all__ = [
+    "MScopeParser",
+    "ParseCursor",
+    "START",
+    "register_parser",
+    "create_parser",
+    "registered_parsers",
+]
 
 _PARSER_REGISTRY: dict[str, Type["MScopeParser"]] = {}
+
+#: Bytes read per block; lines are cut at the block's last newline.
+_BLOCK = 1 << 16
+
+#: Bytes kept before a cursor's offset to recognise a rewritten file.
+_TAIL = 64
 
 
 def register_parser(cls: Type["MScopeParser"]) -> Type["MScopeParser"]:
@@ -54,15 +76,110 @@ def create_parser(binding: ParserBinding) -> "MScopeParser":
     return cls(binding)
 
 
+@dataclasses.dataclass(frozen=True, slots=True)
+class ParseCursor:
+    """Where a parse of one log file stopped.
+
+    ``offset`` is the bytes consumed — always just after a newline for
+    a live parse, which leaves a torn last line for the next one.
+    ``line`` is the next line's 1-based number, so damaged lines keep
+    the numbers a batch parse gives them; ``records`` and ``damaged``
+    count what the file yielded so far (a lenient error budget is per
+    file, not per delta); ``carried`` is the parser's cross-line state.
+    ``file_id`` (``st_dev``, ``st_ino``) and ``tail`` (up to 64 bytes
+    before ``offset``) recognise a file rewritten since.
+    """
+
+    offset: int = 0
+    line: int = 1
+    records: int = 0
+    damaged: int = 0
+    carried: Any = None
+    file_id: tuple[int, int] | None = None
+    tail: bytes = b""
+
+
+#: The cursor of a file nothing has been parsed from.
+START = ParseCursor()
+
+
+class _LineReader:
+    """Decoded lines from a binary handle, counted as they are cut.
+
+    Reads blocks, cuts each at its last newline and yields the lines
+    before the cut, translating ``\\r\\n`` and a bare ``\\r`` to line
+    breaks as text-mode reading does.  A final unterminated line is
+    yielded only when ``final`` (the file is finished); otherwise it
+    waits for its newline.  ``consumed``, ``lines`` and ``tail`` account
+    for what was yielded.
+    """
+
+    __slots__ = ("_handle", "_errors", "_final", "consumed", "lines", "tail")
+
+    def __init__(
+        self, handle: BinaryIO, errors: str, final: bool, tail: bytes
+    ) -> None:
+        self._handle = handle
+        self._errors = errors
+        self._final = final
+        self.consumed = 0
+        self.lines = 0
+        self.tail = tail
+
+    def _cut(self, data: bytes) -> list[str]:
+        text = data.decode("utf-8", self._errors)
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()
+        self.consumed += len(data)
+        self.lines += len(lines)
+        self.tail = (self.tail + data[-_TAIL:])[-_TAIL:]
+        return lines
+
+    def __iter__(self) -> Iterator[str]:
+        pending = b""
+        while block := self._handle.read(_BLOCK):
+            if pending:
+                block = pending + block
+            cut = block.rfind(b"\n") + 1
+            if not cut:
+                pending = block
+                continue
+            pending = block[cut:]
+            yield from self._cut(block[:cut] if pending else block)
+        if pending and self._final:
+            yield from self._cut(pending)
+
+
 class MScopeParser:
-    """Base class: common file handling plus regex-token rule support."""
+    """Base class: common file handling plus regex-token rule support.
+
+    A subclass implements :meth:`parse_lines`.  To be resumable from a
+    :class:`ParseCursor` it sets ``resumable = True``, numbers its lines
+    from :attr:`first_line`, and keeps any state that crosses lines in
+    :attr:`carried` — read at the start of :meth:`parse_lines`, written
+    back before it returns.  Both are set for one parse and reset
+    afterwards, like the error sink: one instance serves every file.
+    """
 
     #: Registry name; subclasses must set it.
     name = ""
 
+    #: Whether :meth:`resume` may continue from a byte cursor.  A parser
+    #: that leaves this ``False`` is re-run over the whole file instead
+    #: (always correct, never flat-cost).
+    resumable = False
+
     def __init__(self, binding: ParserBinding) -> None:
         self.binding = binding
         self._sink: ErrorSink | None = None
+        #: Number of the first line :meth:`parse_lines` receives.
+        self.first_line = 1
+        #: Cross-line state carried in from the previous parse of the
+        #: file (``None`` at its start) and out to the next one.
+        self.carried: Any = None
         self._token_rules: list[tuple[str, re.Pattern[str]]] = []
         for rule in binding.rules:
             if rule.kind == RULE_REGEX_TOKEN:
@@ -82,11 +199,12 @@ class MScopeParser:
         sink: ErrorSink | None = None,
         span=None,
     ) -> XmlDocument:
-        """Parse a log file from disk, streaming it line by line.
+        """Parse a finished log file from disk, streaming it in blocks.
 
         The file is never materialized whole: the parser consumes a
         lazy line iterator, so memory stays bounded by the output
-        records rather than the input file size.
+        records rather than the input file size.  An unterminated last
+        line is parsed too — the file is finished.
 
         ``sink`` threads an ingestion error policy through the parse:
         damaged lines reported via :meth:`bad_line` are recorded there
@@ -101,26 +219,110 @@ class MScopeParser:
         it with the bytes read and the records parsed.
         """
         path = Path(path)
-        self._sink = sink
-        lenient = sink is not None and sink.policy.lenient
         try:
-            size = path.stat().st_size
-            with path.open(
-                "r",
-                encoding="utf-8",
-                errors="replace" if lenient else "strict",
-            ) as handle:
-                document = self.parse_lines(
-                    (line.rstrip("\r\n") for line in handle),
-                    source=str(path),
+            with path.open("rb") as handle:
+                document, cursor = self._read(
+                    handle, START, sink, str(path), final=True
                 )
         except OSError as exc:
             raise ParseError(f"cannot read log: {exc}", path=str(path)) from exc
+        if span is not None:
+            span.add(records=len(document.records), bytes=cursor.offset)
+        return document
+
+    def resume(
+        self,
+        path: Path | str,
+        cursor: ParseCursor,
+        sink: ErrorSink | None = None,
+        span=None,
+    ) -> tuple[XmlDocument, ParseCursor]:
+        """Parse what was appended to ``path`` since ``cursor``.
+
+        Returns the records beyond ``cursor.records`` and the advanced
+        cursor.  A resumable parser reads on from the cursor's offset
+        with its carried state and stops at the last newline.  It
+        restarts from byte 0 with fresh state when the file was
+        rewritten (another inode, shorter than the offset, or different
+        bytes just before it); a parser that is not resumable always
+        restarts and reads to the end.  A restart that yields fewer
+        records than ``cursor.records`` raises :class:`ParseError`
+        (truncated or rotated) rather than silently yielding nothing.
+
+        ``span`` is credited with the bytes parsed; the records are the
+        caller's to credit (what lands may be sampled).
+        """
+        path = Path(path)
+        try:
+            with path.open("rb") as handle:
+                start = cursor if self._continues(handle, cursor) else START
+                document, after = self._read(
+                    handle, start, sink, str(path), final=not self.resumable
+                )
+        except OSError as exc:
+            raise ParseError(f"cannot read log: {exc}", path=str(path)) from exc
+        if start is START and cursor.records:
+            if after.records < cursor.records:
+                raise ParseError(
+                    f"{after.records} records < {cursor.records} already "
+                    "imported: truncated or rotated?",
+                    path=str(path),
+                )
+            del document.records[: cursor.records]
+        if span is not None:
+            span.add(bytes=after.offset - start.offset)
+        return document, after
+
+    def _continues(self, handle: BinaryIO, cursor: ParseCursor) -> bool:
+        """Whether ``handle`` is the file ``cursor`` stopped in, grown
+        or not, and this parser may read on from there."""
+        if not self.resumable or cursor.file_id is None:
+            return False
+        stat = os.fstat(handle.fileno())
+        replaced = (stat.st_dev, stat.st_ino) != cursor.file_id
+        if replaced or stat.st_size < cursor.offset:
+            return False
+        handle.seek(cursor.offset - len(cursor.tail))
+        return handle.read(len(cursor.tail)) == cursor.tail
+
+    def _read(
+        self,
+        handle: BinaryIO,
+        start: ParseCursor,
+        sink: ErrorSink | None,
+        source: str,
+        final: bool,
+    ) -> tuple[XmlDocument, ParseCursor]:
+        """The one parse loop: :meth:`parse_lines` over the lines from
+        ``start``, with the sink, line number and carried state set on
+        the instance for this parse only."""
+        lenient = sink is not None and sink.policy.lenient
+        handle.seek(start.offset)
+        reader = _LineReader(
+            handle, "replace" if lenient else "strict", final, start.tail
+        )
+        self._sink = sink
+        self.first_line = start.line
+        self.carried = start.carried
+        if sink is not None:
+            sink.damaged = start.damaged
+        try:
+            document = self.parse_lines(reader, source=source)
+            carried = self.carried
         finally:
             self._sink = None
-        if span is not None:
-            span.add(records=len(document.records), bytes=size)
-        return document
+            self.first_line = 1
+            self.carried = None
+        stat = os.fstat(handle.fileno())
+        return document, ParseCursor(
+            offset=start.offset + reader.consumed,
+            line=start.line + reader.lines,
+            records=start.records + len(document.records),
+            damaged=sink.damaged if sink is not None else 0,
+            carried=carried,
+            file_id=(stat.st_dev, stat.st_ino),
+            tail=reader.tail,
+        )
 
     def parse_lines(self, lines: Iterable[str], source: str) -> XmlDocument:
         """Parse already-split log lines."""

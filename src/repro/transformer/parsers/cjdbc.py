@@ -20,10 +20,11 @@ class CjdbcMScopeParser(MScopeParser):
     """Parses instrumented C-JDBC controller lines; skips stock lines."""
 
     name = "cjdbc"
+    resumable = True
 
     def parse_lines(self, lines, source):
         document = self.new_document(source)
-        for number, line in enumerate(lines, start=1):
+        for number, line in enumerate(lines, start=self.first_line):
             match = _LINE_RE.match(line)
             if match is None:
                 if " req=" in line:

@@ -20,11 +20,12 @@ class CollectlCsvParser(MScopeParser):
     """One-pass parser for ``collectl -P`` CSV output."""
 
     name = "collectl_csv"
+    resumable = True
 
     def parse_lines(self, lines, source):
         document = self.new_document(source)
-        columns: list[str] | None = None
-        for number, line in enumerate(lines, start=1):
+        columns: list[str] | None = self.carried
+        for number, line in enumerate(lines, start=self.first_line):
             stripped = line.strip()
             if not stripped:
                 continue
@@ -83,6 +84,7 @@ class CollectlCsvParser(MScopeParser):
                 record.set(column, value)
             self.apply_token_rules(line, record)
             document.append(record)
+        self.carried = columns
         return document
 
 
@@ -99,6 +101,7 @@ class CollectlTextParser(MScopeParser):
     """
 
     name = "collectl_text"
+    resumable = True
 
     _DEFAULT_DATE = "2017-03-01"
 
@@ -109,8 +112,8 @@ class CollectlTextParser(MScopeParser):
             if candidate:
                 base_date = candidate
         document = self.new_document(source)
-        columns: list[str] | None = None
-        for number, line in enumerate(lines, start=1):
+        columns: list[str] | None = self.carried
+        for number, line in enumerate(lines, start=self.first_line):
             stripped = line.strip()
             if not stripped:
                 continue
@@ -165,4 +168,5 @@ class CollectlTextParser(MScopeParser):
             for column, value in zip(columns, tokens[1:]):
                 record.set(column, value)
             document.append(record)
+        self.carried = columns
         return document

@@ -27,12 +27,14 @@ class IostatParser(MScopeParser):
     """Block-structured parser for ``iostat -dxt`` reports."""
 
     name = "iostat"
+    resumable = True
 
     def parse_lines(self, lines, source):
         document = self.new_document(source)
-        timestamp_us: int | None = None
-        columns: list[str] | None = None
-        for number, line in enumerate(lines, start=1):
+        timestamp_us: int | None
+        columns: list[str] | None
+        timestamp_us, columns = self.carried or (None, None)
+        for number, line in enumerate(lines, start=self.first_line):
             stripped = line.strip()
             if not stripped:
                 # Blank line: block separator.
@@ -89,4 +91,5 @@ class IostatParser(MScopeParser):
                 record.set(column, value)
             self.apply_token_rules(line, record)
             document.append(record)
+        self.carried = (timestamp_us, columns)
         return document

@@ -19,10 +19,11 @@ class MySqlMScopeParser(MScopeParser):
     """Parses instrumented MySQL query-log lines; skips binlog notes."""
 
     name = "mysql"
+    resumable = True
 
     def parse_lines(self, lines, source):
         document = self.new_document(source)
-        for number, line in enumerate(lines, start=1):
+        for number, line in enumerate(lines, start=self.first_line):
             if not line.strip():
                 continue
             parts = line.split("\t")

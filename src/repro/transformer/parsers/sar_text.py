@@ -37,13 +37,15 @@ class SarTextParser(MScopeParser):
     """Stateful parser for classic ``sar -u`` text reports."""
 
     name = "sar_text"
+    resumable = True
 
     def parse_lines(self, lines, source):
         document = self.new_document(source)
-        report_date: str | None = None
-        hostname: str | None = None
-        columns: list[str] | None = None
-        for number, line in enumerate(lines, start=1):
+        report_date: str | None
+        hostname: str | None
+        columns: list[str] | None
+        report_date, hostname, columns = self.carried or (None, None, None)
+        for number, line in enumerate(lines, start=self.first_line):
             stripped = line.strip()
             if not stripped:
                 continue
@@ -130,4 +132,5 @@ class SarTextParser(MScopeParser):
                 record.set(column, value)
             self.apply_token_rules(line, record)
             document.append(record)
+        self.carried = (report_date, hostname, columns)
         return document

@@ -33,6 +33,7 @@ class TomcatMScopeParser(MScopeParser):
     """
 
     name = "tomcat"
+    resumable = True
 
     #: Instrumented fields that must be epoch microseconds (or ``-``
     #: for the optional downstream pair) on an undamaged line.
@@ -57,7 +58,7 @@ class TomcatMScopeParser(MScopeParser):
 
     def parse_lines(self, lines, source):
         document = self.new_document(source)
-        for number, line in enumerate(lines, start=1):
+        for number, line in enumerate(lines, start=self.first_line):
             if not line.strip():
                 continue
             fields = dict(_KV_RE.findall(line))

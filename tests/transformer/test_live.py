@@ -255,6 +255,91 @@ def test_truncated_file_is_reported_not_silently_ignored(log_dir):
     assert live.high_water(path) == 5
 
 
+def batch_dump(log_dir):
+    from repro.transformer.pipeline import MScopeDataTransformer
+
+    batch_db = MScopeDB()
+    MScopeDataTransformer(batch_db).transform_directory(log_dir)
+    return list(batch_db.iterdump())
+
+
+def test_torn_final_line_waits_for_its_newline(log_dir):
+    """A half-written last line is not parsed until its newline lands,
+    so the completed line imports whole — never as a row whose
+    ``request_id`` was cut off."""
+    path = log_dir / "db1" / "mysql_log.log"
+    second = mysql_line(1)
+    cut = second.index("/*ID=") + len("/*ID=R0A")
+    path.write_text(mysql_line(0) + "\n" + second[:cut])
+    live = LiveTransformer(MScopeDB())
+    assert live.refresh_file(path, "db1") == 1
+    with path.open("a") as handle:
+        handle.write(second[cut:] + "\n")
+    assert live.refresh_file(path, "db1") == 1
+    ids = live.db.query(
+        "SELECT request_id FROM mysql_events_db1 ORDER BY upstream_arrival_us"
+    )
+    assert [row[0] for row in ids] == ["R0A000000000", "R0A000000001"]
+    assert list(live.db.iterdump()) == batch_dump(log_dir)
+
+
+def test_torn_access_log_line_does_not_skip_the_file(tmp_path):
+    """Under fail-fast a torn Apache line waits for its newline: the
+    complete lines before it import and the file is not skipped."""
+    from repro.logfmt.apache import format_mscope_access
+
+    web = tmp_path / "logs" / "web1"
+    web.mkdir(parents=True)
+    path = web / "access_log.log"
+
+    def access_line(i):
+        boundary = BoundaryRecord(
+            request_id=f"R0A00000000{i}",
+            tier="apache",
+            node="web1",
+            upstream_arrival=ms(10 * (i + 1)),
+            upstream_departure=ms(10 * (i + 1) + 5),
+        )
+        return format_mscope_access(
+            WALL, f"/rubbos/Search?ID=R0A00000000{i}", boundary, 512
+        )
+
+    second = access_line(1)
+    cut = second.index("?ID=") + 3
+    path.write_text(access_line(0) + "\n" + second[:cut])
+    live = LiveTransformer(MScopeDB(), max_retries=0)
+    outcome = live.refresh_directory(tmp_path / "logs")
+    assert (outcome.skipped_files, outcome.new_rows) == (0, 1)
+    with path.open("a") as handle:
+        handle.write(second[cut:] + "\n")
+    outcome = live.refresh_directory(tmp_path / "logs")
+    assert (outcome.skipped_files, outcome.new_rows) == (0, 1)
+    assert list(live.db.iterdump()) == batch_dump(tmp_path / "logs")
+
+
+def test_each_appended_byte_is_parsed_once(log_dir):
+    """The ``refresh_file`` spans credit the bytes parsed: across any
+    number of appends they sum to the final file size — one byte
+    parsed per byte appended."""
+    from repro.telemetry.spans import TelemetryCollector, zero_clock
+
+    path = log_dir / "db1" / "mysql_log.log"
+    live = LiveTransformer(
+        MScopeDB(), telemetry=TelemetryCollector(clock=zero_clock)
+    )
+    for i in range(8):
+        append(path, [mysql_line(i)])
+        if i % 3 == 0:
+            live.refresh_directory(log_dir)  # and a growth-free one
+        live.refresh_directory(log_dir)
+    parsed = sum(
+        span.bytes
+        for span in live.telemetry.spans
+        if span.stage == "refresh_file"
+    )
+    assert parsed / path.stat().st_size == 1.0
+
+
 def test_declared_files_is_the_one_walk(tmp_path):
     """The declaration's walk, its live projection and the batch
     transform's outcome order agree — with an undeclared log in a host
