@@ -327,26 +327,3 @@ def test_bulk_engine_speedup(big_warehouse):
         cache_misses=bulk_diagnoser.cache.misses,
     )
     assert speedup >= 10.0, f"bulk engine only {speedup:.1f}x faster"
-
-
-def test_parallel_windows_match_serial(big_warehouse):
-    """jobs=N on the big warehouse: identical reports, wall time shown."""
-    db = big_warehouse
-    t0 = time.perf_counter()
-    serial = Diagnoser(db, epoch_us=EPOCH).diagnose()
-    serial_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    parallel = Diagnoser(db, epoch_us=EPOCH, jobs=4).diagnose()
-    parallel_s = time.perf_counter() - t0
-    assert parallel == serial
-    report(
-        "Parallel window fan-out (jobs=4)",
-        f"serial:   {serial_s:6.2f} s\nparallel: {parallel_s:6.2f} s\n"
-        f"(identical reports either way)",
-    )
-    record(
-        "parallel_windows",
-        serial_s=round(serial_s, 3),
-        parallel_s=round(parallel_s, 3),
-        jobs=4,
-    )

@@ -221,12 +221,6 @@ class Diagnoser:
         Optional :class:`TelemetryCollector`; the engine then measures
         ``analysis.*`` stage spans (ingested in deterministic order)
         that ``mscope stats`` renders next to the ingest stages.
-    jobs:
-        Fan independent anomaly windows across this many worker
-        processes (requires a file-backed warehouse).  Reports merge
-        back in window order, so the output is identical to a serial
-        run — the same guarantee style as the parallel transformer.
-        ``None``/``1`` diagnoses in-process.
     window_us:
         Optional ``(start, stop)`` simulation-time window restricting
         the diagnosis to requests completing inside it (either side
@@ -259,7 +253,6 @@ class Diagnoser:
         front_table: str = "apache_events_web1",
         epoch_us: int = 0,
         telemetry: TelemetryCollector | None = None,
-        jobs: int | None = None,
         window_us: "tuple[Micros | None, Micros | None] | None" = None,
     ) -> None:
         from repro.analysis.causal import (
@@ -305,7 +298,6 @@ class Diagnoser:
         self.front_table = front_table
         self.epoch_us = epoch_us
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.jobs = jobs
         # Tier-table schemas resolve once, here; per-window code never
         # touches the catalog again.
         self.tier_columns: dict[str, set[str]] = {
@@ -322,9 +314,7 @@ class Diagnoser:
         # (the ledger says so — measured, not estimated), widen every
         # analysis context window by the inverse keep ratio (capped)
         # instead of silently correlating over thinner evidence.  The
-        # widening is a pure function of warehouse state, so parallel
-        # window workers rebuilding from the db path derive the exact
-        # same context as the serial path.
+        # widening is a pure function of warehouse state.
         summary = db.sampling_summary()
         self.evidence_widen = 1.0
         self.sampling_note: dict | None = None
@@ -374,8 +364,7 @@ class Diagnoser:
         completion represents ``1/base_rate`` originals (the policy's
         keep decision is exactly known), so the inverse-probability
         weighted median recovers the true population baseline.  Pure
-        function of warehouse state + completions: parallel window
-        workers derive the identical value.  ``None`` when no tail
+        function of warehouse state + completions.  ``None`` when no tail
         policy governed the warehouse (detection then estimates its
         own baseline, unchanged).
         """
@@ -441,67 +430,21 @@ class Diagnoser:
                 skew = _interaction_inputs(completions, baseline_us)
                 span.add(records=len(skew.vlrts))
             horizon = max(c.completed_at for c in completions)
-            if self.jobs is not None and self.jobs > 1 and len(windows) > 1:
-                reports = self._diagnose_parallel(windows, queue_step_us)
-            else:
-                reports = []
-                for index, window in enumerate(windows):
-                    with self._probe.span(
-                        self._spans,
-                        "analysis.window",
-                        source_path=f"window{index}",
-                    ) as span:
-                        report = self._diagnose_window(
-                            window, skew, candidates, horizon,
-                            queue_step_us,
-                        )
-                        span.add(records=window.vlrt_count)
-                    reports.append(report)
+            reports = []
+            for index, window in enumerate(windows):
+                with self._probe.span(
+                    self._spans,
+                    "analysis.window",
+                    source_path=f"window{index}",
+                ) as span:
+                    report = self._diagnose_window(
+                        window, skew, candidates, horizon, queue_step_us,
+                    )
+                    span.add(records=window.vlrt_count)
+                reports.append(report)
             run_span.add(records=len(completions), errors=0)
         self.telemetry.ingest(tuple(self._spans))
         return reports
-
-    def _diagnose_parallel(
-        self, windows: list[AnomalyWindow], queue_step_us: Micros
-    ) -> list[DiagnosisReport]:
-        """Fan windows across a process pool; merge in window order.
-
-        Each worker opens its own connection to the file-backed
-        warehouse, rebuilds the run inputs (completions, candidates —
-        both deterministic functions of the immutable warehouse) once
-        in its initializer, and diagnoses whole windows.  ``map``
-        returns results in submission order, so the report list is
-        identical to the serial one regardless of scheduling.
-        """
-        import concurrent.futures
-
-        if self.db.path == ":memory:":
-            raise AnalysisError(
-                "jobs > 1 needs a file-backed warehouse (workers open "
-                "their own connections); use jobs=1 for in-memory DBs"
-            )
-        workers = min(self.jobs or 1, len(windows))
-        with self._probe.span(
-            self._spans, "analysis.fanout", source_path=f"jobs{workers}"
-        ) as span:
-            span.add(records=len(windows))
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_window_worker,
-                initargs=(
-                    self.db.path,
-                    self.tier_tables,
-                    self.front_table,
-                    self.epoch_us,
-                    self.window_us,
-                ),
-            ) as pool:
-                return list(
-                    pool.map(
-                        _diagnose_window_task,
-                        ((window, queue_step_us) for window in windows),
-                    )
-                )
 
     # ------------------------------------------------------------------
 
@@ -741,61 +684,3 @@ class Diagnoser:
                 f"recycling stole the CPU"
             ),
         )
-
-
-# ----------------------------------------------------------------------
-# process-pool window workers
-#
-# Initialized once per worker process: each worker opens its own
-# connection to the file-backed warehouse (WAL mode keeps readers
-# concurrent) and recomputes the run inputs — completions, candidates,
-# horizon are deterministic functions of the immutable warehouse, so
-# recomputing them is cheaper and simpler than pickling 50k samples
-# into every task.
-
-_WORKER: (
-    "tuple[Diagnoser, _InteractionInputs, list[MetricCandidate], Micros] | None"
-) = None
-
-
-def _init_window_worker(
-    db_path: str,
-    tier_tables: "dict[str, str | list[str]]",
-    front_table: str,
-    epoch_us: int,
-    window_us: "tuple[Micros | None, Micros | None] | None" = None,
-) -> None:
-    global _WORKER
-    from repro.warehouse.sharded import open_warehouse
-
-    # Monolithic or sharded — the worker reopens whatever layout the
-    # parent diagnosed, with the same query window.
-    db = open_warehouse(db_path)
-    diagnoser = Diagnoser(
-        db,
-        tier_tables=tier_tables,
-        front_table=front_table,
-        epoch_us=epoch_us,
-        window_us=window_us,
-    )
-    start, stop = window_us if window_us is not None else (None, None)
-    completions = completions_from_warehouse(
-        db, front_table, epoch_us, start=start, stop=stop
-    )
-    skew = _interaction_inputs(
-        completions, diagnoser.sampled_baseline_us(completions)
-    )
-    candidates = discover_candidates(db)
-    horizon = max(c.completed_at for c in completions)
-    _WORKER = (diagnoser, skew, candidates, horizon)
-
-
-def _diagnose_window_task(
-    task: "tuple[AnomalyWindow, Micros]",
-) -> DiagnosisReport:
-    window, queue_step_us = task
-    assert _WORKER is not None, "worker used before initializer ran"
-    diagnoser, skew, candidates, horizon = _WORKER
-    return diagnoser._diagnose_window(
-        window, skew, candidates, horizon, queue_step_us
-    )

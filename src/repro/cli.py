@@ -36,6 +36,7 @@ import sys
 from pathlib import Path
 
 from repro.analysis.diagnosis import Diagnoser
+from repro.common.errors import ConfigError
 from repro.common.timebase import seconds
 from repro.common.windows import WindowParseError, parse_window
 from repro.experiments.scenarios import baseline_run, scenario_a, scenario_b
@@ -191,14 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="epoch offset; defaults to the warehouse's recorded value",
-    )
-    diagnose.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="diagnose anomaly windows across this many worker "
-        "processes (default 1 = in-process; output is identical "
-        "either way)",
     )
     diagnose.add_argument(
         "--no-stats",
@@ -460,7 +453,11 @@ def _cmd_run(args) -> int:
     out: Path = args.out
     log_dir = out / "logs"
     if args.config is not None:
-        run = _run_from_config(args.config, log_dir)
+        try:
+            run = _run_from_config(args.config, log_dir)
+        except ConfigError as exc:
+            print(f"bad --config: {exc}", file=sys.stderr)
+            return 2
     elif args.scenario == "a":
         duration = seconds(args.duration) if args.duration else seconds(5)
         run = scenario_a(
@@ -505,29 +502,11 @@ def _cmd_run(args) -> int:
 
 def _run_from_config(config_path: Path, log_dir: Path):
     from repro.experiments.configfile import load_scenario_file
-    from repro.experiments.scenarios import ScenarioRun
-    from repro.monitors.event.suite import EventMonitorSuite
-    from repro.monitors.resource.suite import ResourceMonitorSuite
-    from repro.ntier.system import NTierSystem
+    from repro.experiments.scenarios import _build
 
     spec = load_scenario_file(config_path)
     spec.system_config.log_dir = log_dir
-    system = NTierSystem(spec.system_config, faults=spec.faults)
-    events = EventMonitorSuite()
-    events.attach(system)
-    resources = ResourceMonitorSuite(system)
-    resources.start()
-    result = system.run(spec.duration)
-    return ScenarioRun(
-        system=system,
-        result=result,
-        faults=spec.faults,
-        events=events,
-        resources=resources,
-        sysviz=None,
-        log_dir=log_dir,
-        duration=spec.duration,
-    )
+    return _build(spec.system_config, spec.faults, spec.duration)
 
 
 def _cmd_report(args) -> int:
@@ -696,7 +675,6 @@ def _cmd_diagnose(args) -> int:
         db,
         epoch_us=epoch,
         telemetry=telemetry,
-        jobs=args.jobs,
         window_us=window,
     ).diagnose()
     # Analysis spans land next to the ingest stages, so `mscope stats`

@@ -30,10 +30,11 @@ from repro.common.timebase import Micros, ms, seconds
 from repro.ntier.faults import (
     DBLogFlushFault,
     DirtyPageFlushFault,
+    DvfsSlowdownFault,
     Fault,
     GarbageCollectionFault,
+    VmConsolidationFault,
 )
-from repro.ntier.faults_extra import DvfsSlowdownFault, VmConsolidationFault
 from repro.ntier.system import SystemConfig, TierConfig, default_tier_configs
 from repro.rubbos.workload import WorkloadSpec
 

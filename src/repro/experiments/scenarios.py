@@ -7,9 +7,14 @@ Builders for the paper's experimental setups:
 * :func:`scenario_b` — dirty-page recycling saturates web/app CPUs at
   two different moments (Section V-B; Figure 8);
 * :func:`baseline_run` — a healthy system at a given workload, with
-  monitors on or off (Section VI; Figures 9, 10, 11).
+  monitors on or off (Section VI; Figures 9, 10, 11);
 
-Each builder returns a :class:`ScenarioRun` carrying the system, its
+and :data:`SCENARIOS`, the registry of labeled fault scenarios the
+validation harness scores: one :class:`Scenario` row per cause,
+declaring its injectors, tier overrides, mix and accuracy floors once.
+:func:`run_scenario` runs a row.
+
+Every run returns a :class:`ScenarioRun` carrying the system, its
 ground truth, the attached monitors, and (when a log directory was
 given) the native logs ready for mScopeDataTransformer.
 """
@@ -18,26 +23,26 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
+from typing import Callable
 
 from repro.baselines.sysviz import SysVizTracer
 from repro.common.timebase import Micros, ms, seconds
 from repro.monitors.event.suite import EventMonitorSuite
 from repro.monitors.resource.suite import ResourceMonitorSuite
 from repro.ntier.faults import (
-    DBLogFlushFault,
-    DirtyPageFlushFault,
-    Fault,
-    GarbageCollectionFault,
-)
-from repro.ntier.faults_catalog import (
     CacheStampedeFault,
     ConnectionPoolExhaustionFault,
+    DBLogFlushFault,
+    DirtyPageFlushFault,
+    DvfsSlowdownFault,
+    Fault,
+    GarbageCollectionFault,
     LockConvoyFault,
     MemoryLeakFault,
     NetworkJitterFault,
     RetryStormFault,
+    VmConsolidationFault,
 )
-from repro.ntier.faults_extra import DvfsSlowdownFault, VmConsolidationFault
 from repro.ntier.system import NTierSystem, SystemConfig, SystemResult, TierConfig
 from repro.rubbos.interactions import FANOUT_MIX, READ_WRITE_MIX
 from repro.rubbos.workload import WorkloadSpec
@@ -45,19 +50,13 @@ from repro.transformer.pipeline import MScopeDataTransformer
 from repro.warehouse.db import MScopeDB
 
 __all__ = [
+    "SCENARIOS",
+    "Scenario",
     "ScenarioRun",
     "scenario_tier_configs",
     "scenario_a",
     "scenario_b",
-    "scenario_gc",
-    "scenario_dvfs",
-    "scenario_vm",
-    "scenario_retry_storm",
-    "scenario_pool_exhaustion",
-    "scenario_lock_convoy",
-    "scenario_cache_stampede",
-    "scenario_net_jitter",
-    "scenario_memory_leak",
+    "run_scenario",
     "baseline_run",
     "load_warehouse",
     "record_run_metadata",
@@ -99,45 +98,96 @@ def scenario_tier_configs() -> dict[str, TierConfig]:
     }
 
 
-def _build(
-    users: int,
-    think_ms: float,
+def _config(
     seed: int,
     log_dir: Path | None,
+    kernel: str,
     tiers: dict[str, TierConfig] | None,
-    faults: list[Fault],
-    monitor_interval: Micros,
-    with_event_monitors: bool,
-    with_resource_monitors: bool,
-    with_sysviz: bool,
-    kernel: str = "scalar",
+    users: int = 300,
+    think_ms: float = 700.0,
     mix_name: str = READ_WRITE_MIX,
-    dispatch: str = "round-robin",
-) -> tuple[NTierSystem, EventMonitorSuite | None, ResourceMonitorSuite | None, SysVizTracer | None]:
+) -> SystemConfig:
     workload = WorkloadSpec(
         users=users, think_time_us=ms(think_ms), ramp_up_us=ms(300),
         mix_name=mix_name,
     )
     config = SystemConfig(
-        workload=workload, seed=seed, log_dir=log_dir, kernel=kernel,
-        dispatch=dispatch,
+        workload=workload, seed=seed, log_dir=log_dir, kernel=kernel
     )
     if tiers is not None:
         config.tiers = tiers
+    return config
+
+
+def _build(
+    config: SystemConfig,
+    faults: list[Fault],
+    duration: Micros,
+    monitor_interval: Micros = ms(50),
+    event_monitors: bool = True,
+    resource_monitors: bool = True,
+    with_sysviz: bool = False,
+) -> ScenarioRun:
+    """Build the system, attach the monitors, and run it."""
     system = NTierSystem(config, faults=faults)
     events = None
-    if with_event_monitors:
+    if event_monitors:
         events = EventMonitorSuite()
         events.attach(system)
     resources = None
-    if with_resource_monitors:
+    if resource_monitors:
         resources = ResourceMonitorSuite(system, interval_us=monitor_interval)
         resources.start()
     sysviz = None
     if with_sysviz:
         sysviz = SysVizTracer()
         sysviz.attach(system)
-    return system, events, resources, sysviz
+    result = system.run(duration)
+    return ScenarioRun(
+        system=system,
+        result=result,
+        faults=faults,
+        events=events,
+        resources=resources,
+        sysviz=sysviz,
+        log_dir=config.log_dir,
+        duration=duration,
+    )
+
+
+def _log_flush(flush_at: Micros = seconds(2), flush_bytes: int = 30 * MB):
+    return [
+        DBLogFlushFault(
+            start_at=flush_at,
+            period=seconds(10),
+            flush_bytes=flush_bytes,
+            bursts=1,
+        )
+    ]
+
+
+def _dirty_pages():
+    # The Apache node's dirty level starts near its threshold, so its
+    # flusher fires first (first RT peak: Apache queue only); the
+    # Tomcat node crosses its higher threshold about a second later
+    # (second peak: Apache *and* Tomcat queues — cross-tier
+    # amplification).
+    return [
+        DirtyPageFlushFault(
+            tier="apache",
+            threshold_bytes=40 * MB,
+            low_watermark_bytes=12 * MB,
+            dirty_rate_bytes_per_sec=8 * MB,
+            initial_dirty_bytes=30 * MB,
+        ),
+        DirtyPageFlushFault(
+            tier="tomcat",
+            threshold_bytes=44 * MB,
+            low_watermark_bytes=12 * MB,
+            dirty_rate_bytes_per_sec=8 * MB,
+            initial_dirty_bytes=20 * MB,
+        ),
+    ]
 
 
 def scenario_a(
@@ -153,35 +203,12 @@ def scenario_a(
     kernel: str = "scalar",
 ) -> ScenarioRun:
     """Database-I/O very short bottleneck (Figures 2, 4, 6, 7)."""
-    fault = DBLogFlushFault(
-        start_at=flush_at,
-        period=seconds(10),
-        flush_bytes=flush_bytes,
-        bursts=1,
-    )
-    system, events, resources, sysviz = _build(
-        users,
-        think_ms,
-        seed,
-        log_dir,
-        scenario_tier_configs(),
-        [fault],
+    return _build(
+        _config(seed, log_dir, kernel, scenario_tier_configs(), users, think_ms),
+        _log_flush(flush_at, flush_bytes),
+        duration,
         monitor_interval,
-        with_event_monitors=True,
-        with_resource_monitors=True,
         with_sysviz=with_sysviz,
-        kernel=kernel,
-    )
-    result = system.run(duration)
-    return ScenarioRun(
-        system=system,
-        result=result,
-        faults=[fault],
-        events=events,
-        resources=resources,
-        sysviz=sysviz,
-        log_dir=log_dir,
-        duration=duration,
     )
 
 
@@ -195,337 +222,172 @@ def scenario_b(
     with_sysviz: bool = False,
     kernel: str = "scalar",
 ) -> ScenarioRun:
-    """Dirty-page recycling bottleneck, two staggered peaks (Figure 8).
-
-    The Apache node's dirty level starts near its threshold, so its
-    flusher fires first (first RT peak: Apache queue only); the Tomcat
-    node crosses its higher threshold about a second later (second
-    peak: Apache *and* Tomcat queues — cross-tier amplification).
-    """
-    apache_fault = DirtyPageFlushFault(
-        tier="apache",
-        threshold_bytes=40 * MB,
-        low_watermark_bytes=12 * MB,
-        dirty_rate_bytes_per_sec=8 * MB,
-        initial_dirty_bytes=30 * MB,
-    )
-    tomcat_fault = DirtyPageFlushFault(
-        tier="tomcat",
-        threshold_bytes=44 * MB,
-        low_watermark_bytes=12 * MB,
-        dirty_rate_bytes_per_sec=8 * MB,
-        initial_dirty_bytes=20 * MB,
-    )
-    system, events, resources, sysviz = _build(
-        users,
-        think_ms,
-        seed,
-        log_dir,
-        scenario_tier_configs(),
-        [apache_fault, tomcat_fault],
+    """Dirty-page recycling bottleneck, two staggered peaks (Figure 8)."""
+    return _build(
+        _config(seed, log_dir, kernel, scenario_tier_configs(), users, think_ms),
+        _dirty_pages(),
+        duration,
         monitor_interval,
-        with_event_monitors=True,
-        with_resource_monitors=True,
         with_sysviz=with_sysviz,
-        kernel=kernel,
-    )
-    result = system.run(duration)
-    return ScenarioRun(
-        system=system,
-        result=result,
-        faults=[apache_fault, tomcat_fault],
-        events=events,
-        resources=resources,
-        sysviz=sysviz,
-        log_dir=log_dir,
-        duration=duration,
     )
 
 
-def _single_fault_scenario(
-    fault: Fault,
+#: The floors most scenarios hold: precision, recall and attribution
+#: all at least 0.9 at the gating seed.
+_FLOORS = {"precision": 0.9, "recall": 0.9, "attribution": 0.9}
+#: Single-episode rows inject once, two seconds into the run (the
+#: period only has to outlast it).
+_AT, _PERIOD = seconds(2), seconds(10)
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class Scenario:
+    """One registered fault scenario, declared once."""
+
+    name: str
+    description: str
+    #: Fresh fault injectors for one run.
+    faults: Callable[[], list[Fault]]
+    #: Tier sizing replacing :func:`scenario_tier_configs` entries.
+    tiers: dict[str, TierConfig] = dataclasses.field(default_factory=dict)
+    mix: str = READ_WRITE_MIX
+    #: Fast enough for the gating CI job (the rest run nightly).
+    fast: bool = False
+    #: Accuracy floors the gating/nightly checks assert.
+    floors: dict[str, float] = dataclasses.field(
+        default_factory=lambda: dict(_FLOORS)
+    )
+
+
+SCENARIOS: dict[str, Scenario] = {
+    row.name: row
+    for row in (
+        Scenario(
+            "db_log_flush",
+            "database log flush saturates the DB disk (paper §V-A)",
+            _log_flush,
+            fast=True,
+        ),
+        Scenario(
+            "dirty_page_flush",
+            "kernel dirty-page recycling saturates web/app CPUs (paper §V-B)",
+            _dirty_pages,
+            fast=True,
+        ),
+        Scenario(
+            "jvm_gc",
+            "stop-the-world JVM collection on the app tier (§II)",
+            lambda: [
+                GarbageCollectionFault(
+                    "tomcat", _AT, _PERIOD, pause=ms(400), collections=1
+                )
+            ],
+            floors={**_FLOORS, "attribution": 0.5},
+        ),
+        Scenario(
+            "dvfs_slowdown",
+            "CPU frequency scaling slows the app tier (§II)",
+            lambda: [
+                DvfsSlowdownFault(
+                    "tomcat", _AT, _PERIOD, slow_duration=ms(600),
+                    speed_factor=0.05, episodes=1,
+                )
+            ],
+            floors={**_FLOORS, "attribution": 0.5},
+        ),
+        Scenario(
+            "vm_consolidation",
+            "co-located VM steals app-tier CPU (§II)",
+            lambda: [
+                VmConsolidationFault(
+                    "tomcat", _AT, _PERIOD, burst=ms(400), episodes=1
+                )
+            ],
+            floors={**_FLOORS, "attribution": 0.5},
+        ),
+        Scenario(
+            "retry_storm",
+            "timeout-retry amplification saturates the app tier",
+            lambda: [
+                RetryStormFault(
+                    "tomcat", _AT, _PERIOD, storm_duration=ms(400), episodes=1
+                )
+            ],
+            fast=True,
+        ),
+        # The replicated-tier scenario: C-JDBC balances over two
+        # database backends and the fault hits only the second
+        # (``mysql#2`` → node ``db2``), so a correct diagnosis must
+        # blame the *replica address*, not merely "the database tier".
+        Scenario(
+            "pool_exhaustion",
+            "connection-pool exhaustion on one of two MySQL replicas "
+            "(replica-level blame)",
+            lambda: [
+                ConnectionPoolExhaustionFault(
+                    "mysql#2", _AT, _PERIOD, hold_duration=ms(450), episodes=1
+                )
+            ],
+            tiers={"mysql": TierConfig(workers=16, replicas=2)},
+            fast=True,
+        ),
+        Scenario(
+            "lock_convoy",
+            "hot-lock convoy serializes the database tier",
+            lambda: [
+                LockConvoyFault(
+                    "mysql", _AT, _PERIOD, convoy_duration=ms(400), episodes=1
+                )
+            ],
+        ),
+        # The fan-out mix over three C-JDBC replicas, so the catalogue
+        # also exercises fan-out/fan-in call graphs under a disk-level
+        # fault downstream of the join.
+        Scenario(
+            "cache_stampede",
+            "buffer-pool stampede under the fan-out mix over three "
+            "C-JDBC replicas",
+            lambda: [
+                CacheStampedeFault(
+                    "mysql", _AT, _PERIOD, stampede_duration=ms(450),
+                    episodes=1,
+                )
+            ],
+            tiers={"cjdbc": TierConfig(workers=24, replicas=3)},
+            mix=FANOUT_MIX,
+        ),
+        Scenario(
+            "net_jitter",
+            "noisy-neighbour network jitter plus CPU steal on the DB",
+            lambda: [
+                NetworkJitterFault(
+                    "mysql", _AT, _PERIOD, jitter_duration=ms(350), episodes=1
+                )
+            ],
+        ),
+        Scenario(
+            "memory_leak",
+            "slow memory leak thrashes reclaim on the middleware",
+            lambda: [MemoryLeakFault(tier="cjdbc")],
+        ),
+    )
+}
+
+
+def run_scenario(
+    name: str,
     seed: int,
-    users: int,
-    think_ms: float,
-    duration: Micros,
     log_dir: Path | None,
-    monitor_interval: Micros,
-    with_sysviz: bool,
-    kernel: str = "scalar",
-    tiers: dict[str, TierConfig] | None = None,
-    mix_name: str = READ_WRITE_MIX,
-    dispatch: str = "round-robin",
-) -> ScenarioRun:
-    """Run one injected fault on the calibrated small-pool testbed."""
-    system, events, resources, sysviz = _build(
-        users,
-        think_ms,
-        seed,
-        log_dir,
-        tiers if tiers is not None else scenario_tier_configs(),
-        [fault],
-        monitor_interval,
-        with_event_monitors=True,
-        with_resource_monitors=True,
-        with_sysviz=with_sysviz,
-        kernel=kernel,
-        mix_name=mix_name,
-        dispatch=dispatch,
-    )
-    result = system.run(duration)
-    return ScenarioRun(
-        system=system,
-        result=result,
-        faults=[fault],
-        events=events,
-        resources=resources,
-        sysviz=sysviz,
-        log_dir=log_dir,
-        duration=duration,
-    )
-
-
-def scenario_gc(
-    seed: int = 3,
-    users: int = 300,
-    think_ms: float = 700.0,
-    duration: Micros = seconds(5),
-    pause_at: Micros = seconds(2),
-    pause: Micros = ms(400),
-    log_dir: Path | None = None,
-    monitor_interval: Micros = ms(50),
-    with_sysviz: bool = False,
     kernel: str = "scalar",
 ) -> ScenarioRun:
-    """Stop-the-world JVM collection on the Tomcat tier (Section II)."""
-    fault = GarbageCollectionFault(
-        tier="tomcat",
-        start_at=pause_at,
-        period=seconds(10),
-        pause=pause,
-        collections=1,
-    )
-    return _single_fault_scenario(
-        fault, seed, users, think_ms, duration, log_dir,
-        monitor_interval, with_sysviz, kernel=kernel,
-    )
-
-
-def scenario_dvfs(
-    seed: int = 3,
-    users: int = 300,
-    think_ms: float = 700.0,
-    duration: Micros = seconds(5),
-    slow_at: Micros = seconds(2),
-    slow_duration: Micros = ms(600),
-    speed_factor: float = 0.05,
-    log_dir: Path | None = None,
-    monitor_interval: Micros = ms(50),
-    with_sysviz: bool = False,
-    kernel: str = "scalar",
-) -> ScenarioRun:
-    """CPU frequency-scaling slowdown on the Tomcat tier (Section II)."""
-    fault = DvfsSlowdownFault(
-        tier="tomcat",
-        start_at=slow_at,
-        period=seconds(10),
-        slow_duration=slow_duration,
-        speed_factor=speed_factor,
-        episodes=1,
-    )
-    return _single_fault_scenario(
-        fault, seed, users, think_ms, duration, log_dir,
-        monitor_interval, with_sysviz, kernel=kernel,
-    )
-
-
-def scenario_vm(
-    seed: int = 3,
-    users: int = 300,
-    think_ms: float = 700.0,
-    duration: Micros = seconds(5),
-    burst_at: Micros = seconds(2),
-    burst: Micros = ms(400),
-    log_dir: Path | None = None,
-    monitor_interval: Micros = ms(50),
-    with_sysviz: bool = False,
-    kernel: str = "scalar",
-) -> ScenarioRun:
-    """Co-located-VM CPU steal on the Tomcat tier (Section II)."""
-    fault = VmConsolidationFault(
-        tier="tomcat",
-        start_at=burst_at,
-        period=seconds(10),
-        burst=burst,
-        episodes=1,
-    )
-    return _single_fault_scenario(
-        fault, seed, users, think_ms, duration, log_dir,
-        monitor_interval, with_sysviz, kernel=kernel,
-    )
-
-
-def scenario_retry_storm(
-    seed: int = 3,
-    users: int = 300,
-    think_ms: float = 700.0,
-    duration: Micros = seconds(5),
-    storm_at: Micros = seconds(2),
-    storm_duration: Micros = ms(400),
-    log_dir: Path | None = None,
-    monitor_interval: Micros = ms(50),
-    with_sysviz: bool = False,
-    kernel: str = "scalar",
-) -> ScenarioRun:
-    """Timeout-retry amplification saturates the app tier's CPU."""
-    fault = RetryStormFault(
-        tier="tomcat",
-        start_at=storm_at,
-        period=seconds(10),
-        storm_duration=storm_duration,
-        episodes=1,
-    )
-    return _single_fault_scenario(
-        fault, seed, users, think_ms, duration, log_dir,
-        monitor_interval, with_sysviz, kernel=kernel,
-    )
-
-
-def scenario_pool_exhaustion(
-    seed: int = 3,
-    users: int = 300,
-    think_ms: float = 700.0,
-    duration: Micros = seconds(5),
-    exhaust_at: Micros = seconds(2),
-    hold_duration: Micros = ms(450),
-    log_dir: Path | None = None,
-    monitor_interval: Micros = ms(50),
-    with_sysviz: bool = False,
-    kernel: str = "scalar",
-) -> ScenarioRun:
-    """Connection-pool exhaustion on ONE of two MySQL replicas.
-
-    The replicated-tier scenario: C-JDBC balances over two database
-    backends and the fault hits only the second (``mysql#2`` → node
-    ``db2``), so a correct diagnosis must blame the *replica address*,
-    not merely "the database tier".
-    """
-    tiers = scenario_tier_configs()
-    tiers["mysql"] = TierConfig(workers=16, replicas=2)
-    fault = ConnectionPoolExhaustionFault(
-        tier="mysql#2",
-        start_at=exhaust_at,
-        period=seconds(10),
-        hold_duration=hold_duration,
-        episodes=1,
-    )
-    return _single_fault_scenario(
-        fault, seed, users, think_ms, duration, log_dir,
-        monitor_interval, with_sysviz, kernel=kernel, tiers=tiers,
-    )
-
-
-def scenario_lock_convoy(
-    seed: int = 3,
-    users: int = 300,
-    think_ms: float = 700.0,
-    duration: Micros = seconds(5),
-    convoy_at: Micros = seconds(2),
-    convoy_duration: Micros = ms(400),
-    log_dir: Path | None = None,
-    monitor_interval: Micros = ms(50),
-    with_sysviz: bool = False,
-    kernel: str = "scalar",
-) -> ScenarioRun:
-    """A hot-lock convoy serializes the database tier."""
-    fault = LockConvoyFault(
-        tier="mysql",
-        start_at=convoy_at,
-        period=seconds(10),
-        convoy_duration=convoy_duration,
-        episodes=1,
-    )
-    return _single_fault_scenario(
-        fault, seed, users, think_ms, duration, log_dir,
-        monitor_interval, with_sysviz, kernel=kernel,
-    )
-
-
-def scenario_cache_stampede(
-    seed: int = 3,
-    users: int = 300,
-    think_ms: float = 700.0,
-    duration: Micros = seconds(5),
-    stampede_at: Micros = seconds(2),
-    stampede_duration: Micros = ms(450),
-    log_dir: Path | None = None,
-    monitor_interval: Micros = ms(50),
-    with_sysviz: bool = False,
-    kernel: str = "scalar",
-) -> ScenarioRun:
-    """A buffer-pool flush stampedes every read to the database disk.
-
-    Runs the fan-out interaction mix over three C-JDBC replicas, so
-    the catalogue also exercises fan-out/fan-in call graphs under a
-    disk-level fault downstream of the join.
-    """
-    tiers = scenario_tier_configs()
-    tiers["cjdbc"] = TierConfig(workers=24, replicas=3)
-    fault = CacheStampedeFault(
-        tier="mysql",
-        start_at=stampede_at,
-        period=seconds(10),
-        stampede_duration=stampede_duration,
-        episodes=1,
-    )
-    return _single_fault_scenario(
-        fault, seed, users, think_ms, duration, log_dir,
-        monitor_interval, with_sysviz, kernel=kernel, tiers=tiers,
-        mix_name=FANOUT_MIX,
-    )
-
-
-def scenario_net_jitter(
-    seed: int = 3,
-    users: int = 300,
-    think_ms: float = 700.0,
-    duration: Micros = seconds(5),
-    jitter_at: Micros = seconds(2),
-    jitter_duration: Micros = ms(350),
-    log_dir: Path | None = None,
-    monitor_interval: Micros = ms(50),
-    with_sysviz: bool = False,
-    kernel: str = "scalar",
-) -> ScenarioRun:
-    """A noisy neighbour jitters the database node's network and CPU."""
-    fault = NetworkJitterFault(
-        tier="mysql",
-        start_at=jitter_at,
-        period=seconds(10),
-        jitter_duration=jitter_duration,
-        episodes=1,
-    )
-    return _single_fault_scenario(
-        fault, seed, users, think_ms, duration, log_dir,
-        monitor_interval, with_sysviz, kernel=kernel,
-    )
-
-
-def scenario_memory_leak(
-    seed: int = 3,
-    users: int = 300,
-    think_ms: float = 700.0,
-    duration: Micros = seconds(5),
-    log_dir: Path | None = None,
-    monitor_interval: Micros = ms(50),
-    with_sysviz: bool = False,
-    kernel: str = "scalar",
-) -> ScenarioRun:
-    """A slow leak on the middleware node ends in reclaim thrash."""
-    fault = MemoryLeakFault(tier="cjdbc")
-    return _single_fault_scenario(
-        fault, seed, users, think_ms, duration, log_dir,
-        monitor_interval, with_sysviz, kernel=kernel,
+    """Run one :data:`SCENARIOS` row for 5 s on the calibrated
+    small-pool testbed (300 users, 700 ms think time)."""
+    row = SCENARIOS[name]
+    tiers = {**scenario_tier_configs(), **row.tiers}
+    return _build(
+        _config(seed, log_dir, kernel, tiers, mix_name=row.mix),
+        row.faults(),
+        seconds(5),
     )
 
 
@@ -546,29 +408,15 @@ def baseline_run(
     ``workload_users`` follows the paper's convention: the workload
     *is* the number of concurrent users (RUBBoS think time 7 s).
     """
-    system, events, resources, sysviz = _build(
-        workload_users,
-        think_ms,
-        seed,
-        log_dir,
-        None,  # default (production-size) tier configs
+    return _build(
+        # None keeps the default (production-size) tier configs.
+        _config(seed, log_dir, kernel, None, workload_users, think_ms),
         [],
+        duration,
         monitor_interval,
-        with_event_monitors=monitors_enabled,
-        with_resource_monitors=resource_monitors,
+        event_monitors=monitors_enabled,
+        resource_monitors=resource_monitors,
         with_sysviz=with_sysviz,
-        kernel=kernel,
-    )
-    result = system.run(duration)
-    return ScenarioRun(
-        system=system,
-        result=result,
-        faults=[],
-        events=events,
-        resources=resources,
-        sysviz=sysviz,
-        log_dir=log_dir,
-        duration=duration,
     )
 
 

@@ -2,12 +2,14 @@
 
 from repro.ntier.client import ClientEmulator, TraceCollector
 from repro.ntier.faults import (
+    FAULTS,
     DBLogFlushFault,
     DirtyPageFlushFault,
+    DvfsSlowdownFault,
     Fault,
     GarbageCollectionFault,
+    VmConsolidationFault,
 )
-from repro.ntier.faults_extra import DvfsSlowdownFault, VmConsolidationFault
 from repro.ntier.hardware import CPU_CATEGORIES, Cpu, CumulativeCounter, Disk, PageCache
 from repro.ntier.hooks import HookDispatcher, TierHook
 from repro.ntier.logfacility import (
@@ -50,6 +52,7 @@ __all__ = [
     "DirtyPageFlushFault",
     "Disk",
     "DvfsSlowdownFault",
+    "FAULTS",
     "Fault",
     "FileLogSink",
     "GarbageCollectionFault",

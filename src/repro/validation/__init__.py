@@ -28,7 +28,6 @@ from repro.validation.runner import (
     SCENARIOS,
     ScenarioOutcome,
     ScenarioRunner,
-    ScenarioSpec,
 )
 from repro.validation.schedule import FaultLabel, FaultSchedule
 from repro.validation.scoring import MatchedLabel, ValidationScore, score_reports
@@ -40,7 +39,6 @@ __all__ = [
     "ValidationScore",
     "score_reports",
     "SCENARIOS",
-    "ScenarioSpec",
     "ScenarioRunner",
     "ScenarioOutcome",
     "CONFORMANCE_PAIRS",

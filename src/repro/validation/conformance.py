@@ -3,9 +3,8 @@ asserted in one place.
 
 The pipeline makes several equivalence promises — parallel transform is
 byte-identical to serial, a caught-up :class:`LiveTransformer` matches
-a one-shot batch, bulk path reconstruction matches scalar, parallel
-diagnosis matches serial, lenient error policies are no-ops on clean
-input.  Historically each promise had its own ad-hoc pairwise test;
+a one-shot batch, bulk path reconstruction matches scalar, lenient
+error policies are no-ops on clean input.  Historically each promise had its own ad-hoc pairwise test;
 :data:`CONFORMANCE_PAIRS` is the single catalogue, and
 :func:`run_conformance_pair` executes one entry and returns a
 :class:`ConformanceResult` that names exactly what diverged (first
@@ -42,9 +41,9 @@ class ConformancePair:
     variant_mode: str
     #: ``"warehouse"`` compares full SQL dumps; ``"content"`` compares
     #: the canonical content lines (layout-independent — how a sharded
-    #: warehouse is held equal to a monolithic one); ``"report"``
-    #: compares rendered diagnosis reports (modes that only change
-    #: analysis fan-out leave the warehouse identical by construction).
+    #: warehouse is held equal to a monolithic one); ``"paths"`` holds
+    #: bulk path reconstruction to the scalar one on one warehouse.
+    #: Equal warehouses must then also render equal diagnosis reports.
     compare: str
     claim: str
     #: Simulator kernel the variant side runs on.  A cross-kernel pair
@@ -68,13 +67,6 @@ CONFORMANCE_PAIRS: tuple[ConformancePair, ...] = (
         variant_mode="live",
         compare="warehouse",
         claim="a caught-up LiveTransformer matches one-shot batch",
-    ),
-    ConformancePair(
-        key="diagnose-parallel",
-        baseline_mode="batch",
-        variant_mode="diagnose-jobs2",
-        compare="report",
-        claim="jobs=N diagnosis reports equal the serial run's",
     ),
     ConformancePair(
         key="policy-skip-clean",
@@ -281,26 +273,22 @@ def run_conformance_pair(
     variant = runner.run(
         scenario, seed=seed, mode=pair.variant_mode, kernel=pair.variant_kernel
     )
-    cross_kernel = pair.variant_kernel != baseline.kernel
-    if pair.compare in ("warehouse", "content"):
-        if pair.compare == "warehouse":
-            divergence = _first_dump_divergence(
-                baseline.dump_lines(), variant.dump_lines()
-            )
-        elif cross_kernel:
-            divergence = _first_dump_divergence(
-                _normalized_content_lines(baseline),
-                _normalized_content_lines(variant),
-            )
-        else:
-            divergence = _first_dump_divergence(
-                baseline.content_lines(), variant.content_lines()
-            )
-        # Equal warehouses must also diagnose equally; check both so a
-        # pair failure always names the earliest layer that diverged.
-        if divergence is None:
-            divergence = _report_divergence(baseline, variant)
+    if pair.compare == "warehouse":
+        divergence = _first_dump_divergence(
+            baseline.dump_lines(), variant.dump_lines()
+        )
+    elif pair.variant_kernel != baseline.kernel:
+        divergence = _first_dump_divergence(
+            _normalized_content_lines(baseline),
+            _normalized_content_lines(variant),
+        )
     else:
+        divergence = _first_dump_divergence(
+            baseline.content_lines(), variant.content_lines()
+        )
+    # Equal warehouses must also diagnose equally; check both so a
+    # pair failure always names the earliest layer that diverged.
+    if divergence is None:
         divergence = _report_divergence(baseline, variant)
     return ConformanceResult(
         pair=pair,

@@ -13,8 +13,7 @@ of the :data:`SCENARIOS` registry:
    parallel transform, live incremental, lenient error policies) — the
    pipeline claims them all equivalent, and the conformance runner
    holds it to that;
-4. diagnose (serially or with ``jobs``) and score the reports against
-   the schedule.
+4. diagnose and score the reports against the schedule.
 
 The resulting :class:`ScenarioOutcome` renders to a JSON document that
 contains no wall-clock times or filesystem paths, so two runs with the
@@ -27,26 +26,16 @@ import dataclasses
 import json
 import shutil
 from pathlib import Path
-from typing import Callable
 
 from repro.analysis.diagnosis import Diagnoser, DiagnosisReport
 from repro.common.errors import ConfigError
 from repro.common.timebase import Micros
 from repro.ntier.system import KERNELS
 from repro.experiments.scenarios import (
+    SCENARIOS,
     ScenarioRun,
     record_run_metadata,
-    scenario_a,
-    scenario_b,
-    scenario_cache_stampede,
-    scenario_dvfs,
-    scenario_gc,
-    scenario_lock_convoy,
-    scenario_memory_leak,
-    scenario_net_jitter,
-    scenario_pool_exhaustion,
-    scenario_retry_storm,
-    scenario_vm,
+    run_scenario,
 )
 from repro.telemetry.spans import NULL_TELEMETRY, TelemetryCollector
 from repro.transformer.errorpolicy import QUARANTINE, SKIP, ErrorPolicy
@@ -64,7 +53,6 @@ from repro.warehouse.sharded import ShardedMScopeDB, open_warehouse
 __all__ = [
     "MODES",
     "SCENARIOS",
-    "ScenarioSpec",
     "ScenarioOutcome",
     "ScenarioRunner",
 ]
@@ -72,15 +60,13 @@ __all__ = [
 SCHEDULE_FILE = "fault_schedule.json"
 
 #: Warehouse-construction modes the pipeline claims equivalent.  Every
-#: mode ends in the same diagnosis; ``diagnose-jobs2`` additionally
-#: fans anomaly windows across worker processes, and ``sharded``
-#: builds a host-partitioned :class:`ShardedMScopeDB` through the
-#: parallel per-host shard writers instead of a monolithic file.
+#: mode ends in the same diagnosis; ``sharded`` builds a
+#: host-partitioned :class:`ShardedMScopeDB` through the parallel
+#: per-host shard writers instead of a monolithic file.
 MODES = (
     "batch",
     "transform-jobs2",
     "live",
-    "diagnose-jobs2",
     "policy-skip",
     "policy-quarantine",
     "sharded",
@@ -93,132 +79,6 @@ MODES = (
 #: it is deterministic under any job count and safe in the sharded
 #: per-host fan-out — exactly what a layout-conformance pair needs.
 CONFORMANCE_SAMPLING = "head:0.5"
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class ScenarioSpec:
-    """One registered validation scenario."""
-
-    name: str
-    description: str
-    #: ``(seed, log_dir, kernel) -> ScenarioRun``; must run the
-    #: simulation on the requested simulator kernel.
-    build: Callable[[int, Path, str], ScenarioRun]
-    #: Fast enough for the gating CI job (the rest run nightly).
-    fast: bool
-    #: Accuracy floors the gating/nightly checks assert.
-    floors: dict[str, float]
-
-
-SCENARIOS: dict[str, ScenarioSpec] = {
-    "db_log_flush": ScenarioSpec(
-        name="db_log_flush",
-        description="database log flush saturates the DB disk (paper §V-A)",
-        build=lambda seed, log_dir, kernel="scalar": scenario_a(
-            seed=seed, log_dir=log_dir, kernel=kernel
-        ),
-        fast=True,
-        floors={"precision": 0.9, "recall": 0.9, "attribution": 0.9},
-    ),
-    "dirty_page_flush": ScenarioSpec(
-        name="dirty_page_flush",
-        description=(
-            "kernel dirty-page recycling saturates web/app CPUs (paper §V-B)"
-        ),
-        build=lambda seed, log_dir, kernel="scalar": scenario_b(
-            seed=seed, log_dir=log_dir, kernel=kernel
-        ),
-        fast=True,
-        floors={"precision": 0.9, "recall": 0.9, "attribution": 0.9},
-    ),
-    "jvm_gc": ScenarioSpec(
-        name="jvm_gc",
-        description="stop-the-world JVM collection on the app tier (§II)",
-        build=lambda seed, log_dir, kernel="scalar": scenario_gc(
-            seed=seed, log_dir=log_dir, kernel=kernel
-        ),
-        fast=False,
-        floors={"precision": 0.9, "recall": 0.9, "attribution": 0.5},
-    ),
-    "dvfs_slowdown": ScenarioSpec(
-        name="dvfs_slowdown",
-        description="CPU frequency scaling slows the app tier (§II)",
-        build=lambda seed, log_dir, kernel="scalar": scenario_dvfs(
-            seed=seed, log_dir=log_dir, kernel=kernel
-        ),
-        fast=False,
-        floors={"precision": 0.9, "recall": 0.9, "attribution": 0.5},
-    ),
-    "vm_consolidation": ScenarioSpec(
-        name="vm_consolidation",
-        description="co-located VM steals app-tier CPU (§II)",
-        build=lambda seed, log_dir, kernel="scalar": scenario_vm(
-            seed=seed, log_dir=log_dir, kernel=kernel
-        ),
-        fast=False,
-        floors={"precision": 0.9, "recall": 0.9, "attribution": 0.5},
-    ),
-    "retry_storm": ScenarioSpec(
-        name="retry_storm",
-        description="timeout-retry amplification saturates the app tier",
-        build=lambda seed, log_dir, kernel="scalar": scenario_retry_storm(
-            seed=seed, log_dir=log_dir, kernel=kernel
-        ),
-        fast=True,
-        floors={"precision": 0.9, "recall": 0.9, "attribution": 0.9},
-    ),
-    "pool_exhaustion": ScenarioSpec(
-        name="pool_exhaustion",
-        description=(
-            "connection-pool exhaustion on one of two MySQL replicas "
-            "(replica-level blame)"
-        ),
-        build=lambda seed, log_dir, kernel="scalar": scenario_pool_exhaustion(
-            seed=seed, log_dir=log_dir, kernel=kernel
-        ),
-        fast=True,
-        floors={"precision": 0.9, "recall": 0.9, "attribution": 0.9},
-    ),
-    "lock_convoy": ScenarioSpec(
-        name="lock_convoy",
-        description="hot-lock convoy serializes the database tier",
-        build=lambda seed, log_dir, kernel="scalar": scenario_lock_convoy(
-            seed=seed, log_dir=log_dir, kernel=kernel
-        ),
-        fast=False,
-        floors={"precision": 0.9, "recall": 0.9, "attribution": 0.9},
-    ),
-    "cache_stampede": ScenarioSpec(
-        name="cache_stampede",
-        description=(
-            "buffer-pool stampede under the fan-out mix over three "
-            "C-JDBC replicas"
-        ),
-        build=lambda seed, log_dir, kernel="scalar": scenario_cache_stampede(
-            seed=seed, log_dir=log_dir, kernel=kernel
-        ),
-        fast=False,
-        floors={"precision": 0.9, "recall": 0.9, "attribution": 0.9},
-    ),
-    "net_jitter": ScenarioSpec(
-        name="net_jitter",
-        description="noisy-neighbour network jitter plus CPU steal on the DB",
-        build=lambda seed, log_dir, kernel="scalar": scenario_net_jitter(
-            seed=seed, log_dir=log_dir, kernel=kernel
-        ),
-        fast=False,
-        floors={"precision": 0.9, "recall": 0.9, "attribution": 0.9},
-    ),
-    "memory_leak": ScenarioSpec(
-        name="memory_leak",
-        description="slow memory leak thrashes reclaim on the middleware",
-        build=lambda seed, log_dir, kernel="scalar": scenario_memory_leak(
-            seed=seed, log_dir=log_dir, kernel=kernel
-        ),
-        fast=False,
-        floors={"precision": 0.9, "recall": 0.9, "attribution": 0.9},
-    ),
-}
 
 
 @dataclasses.dataclass(slots=True)
@@ -388,8 +248,7 @@ class ScenarioRunner:
         kernel must produce the same logs, warehouse content, and
         scores, and the kernel conformance pair holds it to that.
         """
-        spec = SCENARIOS.get(scenario)
-        if spec is None:
+        if scenario not in SCENARIOS:
             raise ConfigError(
                 f"unknown scenario {scenario!r}; "
                 f"registered: {', '.join(sorted(SCENARIOS))}"
@@ -435,7 +294,7 @@ class ScenarioRunner:
             # the monitors append to existing files, which would double
             # every log line on re-simulation.
             shutil.rmtree(rundir / "logs", ignore_errors=True)
-            run = spec.build(seed, rundir / "logs", kernel)
+            run = run_scenario(scenario, seed, rundir / "logs", kernel)
             schedule = FaultSchedule.from_faults(run.system, run.faults)
             schedule.save(rundir / SCHEDULE_FILE)
             self._runs[(scenario, seed, kernel)] = (run, schedule)
@@ -453,14 +312,9 @@ class ScenarioRunner:
             db_path.unlink(missing_ok=True)
         db = self._build_warehouse(run, db_path, mode, mode_dir, sampling)
         try:
-            jobs = 2 if mode == "diagnose-jobs2" else None
-            diagnoser = Diagnoser(
-                db,
-                epoch_us=run.epoch_us,
-                telemetry=self.telemetry,
-                jobs=jobs,
-            )
-            reports = diagnoser.diagnose()
+            reports = Diagnoser(
+                db, epoch_us=run.epoch_us, telemetry=self.telemetry
+            ).diagnose()
             self.telemetry.persist_stages(db)
         finally:
             db.close()
@@ -487,7 +341,7 @@ class ScenarioRunner:
         rundir: Path,
         sampling: str | None = None,
     ) -> MScopeDB:
-        assert run.log_dir is not None  # every spec passes a log_dir
+        assert run.log_dir is not None  # every registry run has a log_dir
         if mode in ("sharded", "sampled-sharded"):
             # Host-partitioned warehouse built through the parallel
             # per-host shard writers.  Host-only sharding (no time

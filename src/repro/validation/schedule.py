@@ -1,13 +1,14 @@
 """Labeled ground-truth fault schedules.
 
 The ``ntier`` fault injectors already record when each injected episode
-ran — :class:`~repro.ntier.faults.DBLogFlushFault` its
-``flush_windows``, :class:`~repro.ntier.faults.DirtyPageFlushFault` its
-``burst_windows``, and so on.  This module turns those per-injector
-window lists into a uniform, serializable schedule of
-:class:`FaultLabel` intervals that scoring can match diagnosis output
-against, and that can be written next to the simulator's native logs so
-a warehouse and its ground truth travel together.
+ran, in the window list each declares as ``windows_attr``
+(:class:`~repro.ntier.faults.DBLogFlushFault` its ``flush_windows``,
+and so on), next to the ``resource`` an episode saturates.  This
+module turns those per-injector window lists into a uniform,
+serializable schedule of :class:`FaultLabel` intervals that scoring can
+match diagnosis output against, and that can be written next to the
+simulator's native logs so a warehouse and its ground truth travel
+together.
 """
 
 from __future__ import annotations
@@ -25,24 +26,6 @@ if TYPE_CHECKING:
     from repro.ntier.system import NTierSystem
 
 __all__ = ["FaultLabel", "FaultSchedule"]
-
-#: fault ``name`` → (window-list attribute, saturated resource).  Every
-#: injector records completed episodes in one of these lists; the
-#: resource names the hardware component the episode saturates, which
-#: is what diagnosis should implicate.
-_FAULT_WINDOWS: dict[str, tuple[str, str]] = {
-    "db_log_flush": ("flush_windows", "disk"),
-    "dirty_page_flush": ("burst_windows", "cpu"),
-    "jvm_gc": ("pause_windows", "cpu"),
-    "dvfs_slowdown": ("slow_windows", "cpu"),
-    "vm_consolidation": ("steal_windows", "cpu"),
-    "retry_storm": ("storm_windows", "cpu"),
-    "pool_exhaustion": ("exhaustion_windows", "disk"),
-    "lock_convoy": ("convoy_windows", "cpu"),
-    "cache_stampede": ("stampede_windows", "disk"),
-    "net_jitter": ("jitter_windows", "cpu"),
-    "memory_leak": ("thrash_windows", "cpu"),
-}
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -96,27 +79,25 @@ class FaultSchedule:
         """Extract the labels a finished run's injectors recorded.
 
         Must be called *after* ``system.run(...)`` — the window lists
-        fill in as episodes complete.  An injector whose ``name`` is
-        not in the catalogue is a programming error, not data to skip.
+        fill in as episodes complete.  An injector that declares no
+        ``windows_attr`` is a programming error, not data to skip.
         """
         labels: list[FaultLabel] = []
         for fault in faults:
-            try:
-                window_attr, resource = _FAULT_WINDOWS[fault.name]
-            except KeyError:
+            if not fault.windows_attr:
                 raise ConfigError(
-                    f"fault {fault.name!r} has no labeled-window mapping; "
-                    f"add it to validation.schedule._FAULT_WINDOWS"
-                ) from None
+                    f"fault {fault.name!r} declares no windows_attr, so "
+                    f"its episodes cannot be labeled"
+                )
             tier = getattr(fault, "tier")
             hostname = system.node_for_tier(tier).name
-            for start, stop in getattr(fault, window_attr):
+            for start, stop in fault.windows:
                 labels.append(
                     FaultLabel(
                         cause=fault.name,
                         tier=tier,
                         hostname=hostname,
-                        resource=resource,
+                        resource=fault.resource,
                         start_us=start,
                         stop_us=stop,
                     )

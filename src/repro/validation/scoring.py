@@ -30,31 +30,14 @@ import dataclasses
 
 from repro.analysis.diagnosis import DiagnosisReport
 from repro.common.timebase import Micros, ms
+from repro.ntier.faults import FAULTS
 from repro.validation.schedule import FaultLabel, FaultSchedule
 
 __all__ = [
-    "EXPECTED_KINDS",
     "MatchedLabel",
     "ValidationScore",
     "score_reports",
 ]
-
-#: fault cause → resource-metric kinds (``analysis.metrics`` vocabulary)
-#: that count as a correct attribution.  Dirty-page recycling shows up
-#: both as the CPU it saturates and as the dirty-level drop itself.
-EXPECTED_KINDS: dict[str, tuple[str, ...]] = {
-    "db_log_flush": ("disk_util",),
-    "dirty_page_flush": ("cpu_busy", "dirty_pages"),
-    "jvm_gc": ("cpu_busy",),
-    "dvfs_slowdown": ("cpu_busy",),
-    "vm_consolidation": ("cpu_steal",),
-    "retry_storm": ("cpu_busy",),
-    "pool_exhaustion": ("disk_util",),
-    "lock_convoy": ("cpu_busy",),
-    "cache_stampede": ("disk_util",),
-    "net_jitter": ("cpu_steal",),
-    "memory_leak": ("cpu_busy", "dirty_pages"),
-}
 
 #: Default matching slack.  Queue-drain after a 300–800 ms VSB lasts
 #: up to ~1.5 s at the scenarios' workloads (measured on the seeded
@@ -172,8 +155,14 @@ class ValidationScore:
 def _report_attributes(
     report: DiagnosisReport, label: FaultLabel
 ) -> tuple[bool, bool]:
-    """(cause anywhere in the ranked list, cause ranked first)."""
-    expected = EXPECTED_KINDS.get(label.cause, ())
+    """(cause anywhere in the ranked list, cause ranked first).
+
+    The cause's :attr:`~repro.ntier.faults.Fault.evidence_kinds` are
+    the resource-metric kinds that count; a cause outside the
+    catalogue has none, so it always scores as unattributed.
+    """
+    fault = FAULTS.get(label.cause)
+    expected = fault.evidence_kinds if fault is not None else ()
     anywhere = any(
         cause.kind in expected and cause.hostname == label.hostname
         for cause in report.causes

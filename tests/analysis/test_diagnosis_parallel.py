@@ -1,9 +1,8 @@
-"""Parallel diagnosis determinism + analysis-stage telemetry tests."""
+"""Multi-window diagnosis + analysis-stage telemetry tests."""
 
 import pytest
 
 from repro.analysis.diagnosis import Diagnoser
-from repro.common.errors import AnalysisError
 from repro.telemetry.spans import TelemetryCollector, zero_clock
 from repro.warehouse.db import MScopeDB
 
@@ -62,52 +61,12 @@ def warehouse(tmp_path):
     db.close()
 
 
-def test_parallel_reports_identical_to_serial(warehouse):
-    serial = Diagnoser(warehouse, epoch_us=EPOCH).diagnose()
-    parallel = Diagnoser(warehouse, epoch_us=EPOCH, jobs=2).diagnose()
-    assert len(serial) == 2
-    assert parallel == serial
-    # Same rendering too — what the CLI actually prints.
-    assert [r.to_text() for r in parallel] == [r.to_text() for r in serial]
-
-
 def test_windows_get_distinct_causes_in_order(warehouse):
-    first, second = Diagnoser(warehouse, epoch_us=EPOCH, jobs=2).diagnose()
+    first, second = Diagnoser(warehouse, epoch_us=EPOCH).diagnose()
     assert first.window.start < second.window.start
     assert first.primary_cause() is not None
     assert first.primary_cause().kind == "disk_util"
     assert second.primary_cause() is None  # disk was quiet by then
-
-
-def test_memory_db_rejects_fanout():
-    db = MScopeDB()
-    db.create_table(
-        "apache_events_web1",
-        [
-            ("request_id", "TEXT"),
-            ("interaction", "TEXT"),
-            ("upstream_arrival_us", "INTEGER"),
-            ("upstream_departure_us", "INTEGER"),
-        ],
-    )
-    db.insert_rows(
-        "apache_events_web1",
-        ["request_id", "interaction", "upstream_arrival_us", "upstream_departure_us"],
-        [
-            (f"R0A{i:09d}", "Home", EPOCH + a, EPOCH + d)
-            for i, (a, d) in enumerate(two_burst_spans())
-        ],
-    )
-    with pytest.raises(AnalysisError):
-        Diagnoser(db, epoch_us=EPOCH, jobs=2).diagnose()
-
-
-def test_single_window_skips_the_pool(warehouse):
-    """jobs>1 with one window stays in-process (no pool startup tax)."""
-    spans_only_first = Diagnoser(warehouse, epoch_us=EPOCH, jobs=4)
-    reports = spans_only_first.diagnose(min_response_ms=250.0)
-    stages = [s.stage for s in spans_only_first._spans]
-    assert "analysis.fanout" not in stages
 
 
 def test_telemetry_spans_cover_the_run(warehouse):

@@ -6,8 +6,11 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.experiments.configfile import build_fault, load_scenario_file
-from repro.ntier.faults import DBLogFlushFault, GarbageCollectionFault
-from repro.ntier.faults_extra import VmConsolidationFault
+from repro.ntier.faults import (
+    DBLogFlushFault,
+    GarbageCollectionFault,
+    VmConsolidationFault,
+)
 
 
 def write_config(tmp_path, payload):
@@ -75,6 +78,27 @@ def test_vm_fault_parameters():
     assert fault.tier == "cjdbc"
     assert fault.burst == 150_000
     assert fault.stolen_cores == 2
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        {"type": "db_log_flush", "bursts": "2"},
+        {"type": "jvm_gc", "collections": 0},
+        {"type": "dvfs_slowdown", "episodes": True},
+        {"type": "vm_consolidation", "stolen_cores": "2"},
+    ],
+)
+def test_malformed_fault_counts_exit_2_before_running(tmp_path, capsys, fault):
+    """A bad count is a config error reported up front, not a
+    TypeError traceback from inside the simulation."""
+    from repro.cli import main
+
+    config_path = write_config(tmp_path, {"faults": [fault]})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    assert "bad --config" in capsys.readouterr().err
+    assert not (out / "logs").exists()
 
 
 def test_unknown_tier_rejected(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.timebase import ms, seconds
 from repro.experiments.scenarios import (
+    SCENARIOS,
     baseline_run,
     load_warehouse,
     scenario_a,
@@ -86,3 +87,27 @@ def test_same_seed_scenarios_reproducible():
     b = scenario_a(users=100, duration=seconds(2), flush_at=seconds(1))
     assert len(a.result.traces) == len(b.result.traces)
     assert a.result.mean_response_time_ms() == b.result.mean_response_time_ms()
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_registry_row_installs_its_faults(name):
+    """Every row — nightly-only ones included — builds on its tier
+    overrides and installs its injectors (an unknown tier fails at
+    install) in a 0.3 s run on a tiny client pool."""
+    from repro.ntier import FAULTS, NTierSystem, SystemConfig
+    from repro.rubbos import WorkloadSpec
+
+    row = SCENARIOS[name]
+    assert set(row.floors) == {"precision", "recall", "attribution"}
+    faults = row.faults()
+    assert faults and all(FAULTS[f.name] is type(f) for f in faults)
+    config = SystemConfig(
+        workload=WorkloadSpec(
+            users=10, think_time_us=ms(300), ramp_up_us=ms(100),
+            mix_name=row.mix,
+        ),
+        seed=1,
+        tiers={**scenario_tier_configs(), **row.tiers},
+    )
+    NTierSystem(config, faults=faults).run(ms(300))
+    assert all(isinstance(fault.windows, list) for fault in faults)

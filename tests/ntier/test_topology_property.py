@@ -18,7 +18,7 @@ from repro.common.timebase import ms, seconds
 from repro.monitors import EventMonitorSuite, ResourceMonitorSuite
 from repro.ntier import NTierSystem, SystemConfig, TierConfig
 from repro.ntier.balancer import DISPATCH_POLICIES
-from repro.ntier.faults_catalog import CacheStampedeFault
+from repro.ntier.faults import CacheStampedeFault
 from repro.ntier.system import tier_address
 from repro.rubbos import WorkloadSpec
 from repro.transformer import MScopeDataTransformer

@@ -25,7 +25,6 @@ def test_catalogue_covers_the_claimed_pairs():
     assert {
         "transform-parallel",
         "live-incremental",
-        "diagnose-parallel",
         "policy-skip-clean",
         "policy-quarantine-clean",
         "causal-bulk",

@@ -139,32 +139,29 @@ def test_zero_length_episode_at_window_edge():
 
 
 def test_catalogue_faults_all_have_window_mappings():
-    """Every injector in the extended catalogue maps to a window
-    attribute and an expected resource kind — a fault that cannot be
-    labeled cannot be scored."""
-    from repro.ntier import faults_catalog
-    from repro.validation.schedule import _FAULT_WINDOWS
-    from repro.validation.scoring import EXPECTED_KINDS
+    """Every injector in the catalogue declares the resource it
+    saturates, the evidence kinds that attribute it, and a window list
+    — a fault that cannot be labeled cannot be scored."""
+    import inspect
 
-    catalogue = [
-        faults_catalog.RetryStormFault(),
-        faults_catalog.ConnectionPoolExhaustionFault(),
-        faults_catalog.LockConvoyFault(),
-        faults_catalog.CacheStampedeFault(),
-        faults_catalog.NetworkJitterFault(),
-        faults_catalog.MemoryLeakFault(),
-    ]
-    for fault in catalogue:
-        window_attr, resource = _FAULT_WINDOWS[fault.name]
-        assert getattr(fault, window_attr) == []
-        assert fault.name in EXPECTED_KINDS
-        assert resource in ("cpu", "disk")
+    from repro.ntier.faults import FAULTS
+
+    required = {"tier": "mysql", "start_at": 0, "period": ms(100)}
+    assert len(FAULTS) == 11
+    for name, cls in FAULTS.items():
+        assert cls.name == name
+        assert cls.resource in ("cpu", "disk"), name
+        assert cls.evidence_kinds, name
+        params = inspect.signature(cls).parameters
+        fault = cls(**{k: v for k, v in required.items() if k in params})
+        assert fault.windows == [], name
+        assert fault.windows is getattr(fault, cls.windows_attr)
 
 
 def test_episodic_fault_windows_extract_at_run_edges():
     """Episodes recorded flush against t=0 and the run end label
     cleanly (no off-by-one at the schedule boundary)."""
-    from repro.ntier.faults_catalog import RetryStormFault
+    from repro.ntier.faults import RetryStormFault
 
     fault = RetryStormFault(start_at=0)
     fault.storm_windows = [(0, ms(400)), (seconds(2), seconds(2) + ms(400))]

@@ -1,5 +1,6 @@
 """The ``mscope validate`` subcommand."""
 
+import dataclasses
 import json
 
 from repro.cli import main
@@ -63,13 +64,7 @@ def test_validate_check_floors_fails_on_unmet_floor(tmp_path, capsys, monkeypatc
     monkeypatch.setitem(
         runner_module.SCENARIOS,
         "db_log_flush",
-        runner_module.ScenarioSpec(
-            name=spec.name,
-            description=spec.description,
-            build=spec.build,
-            fast=spec.fast,
-            floors=impossible,
-        ),
+        dataclasses.replace(spec, floors=impossible),
     )
     code = main(
         [
