@@ -1,35 +1,23 @@
-"""Scale-out warehouse benchmark: parallel shard ingest and pruned reads.
+"""Sharded warehouse benchmark: partition-pruned reads.
 
-Two measurements back the sharded warehouse's performance claims:
+A one-window query against a time-sharded warehouse opens only the
+overlapping shard files (asserted via the ``shard_opens`` counter) and
+is timed against the same query scanning the whole history.
 
-* **ingest throughput** — loading the same million synthetic Collectl
-  rows (four hosts' worth) into one monolithic mScopeDB file with a
-  single writer, vs four :class:`ShardHostWriter` processes each
-  owning its host's shard files.  The floor is the acceptance
-  criterion: four writers must at least double single-file throughput.
-* **pruned-read speedup** — a one-window query against the sharded
-  warehouse opens only the overlapping shard files (asserted via the
-  ``shard_opens`` counter) and is timed against the same query
-  scanning the whole history.
-
-The default tier loads 1M rows; set ``MSCOPE_SCALE_ROWS=10000000``
-for the 10M-row tier (nightly-scale, minutes not seconds).  When
+``MSCOPE_SCALE_ROWS`` (default 1M) sizes the tier; the read set is a
+tenth of it, at least 10k rows.  When
 ``MSCOPE_BENCH_JSON`` names a file, the measured numbers are written
 there in the shared bench-record schema (see ``benchmarks/record.py``)
-— the CI ``warehouse-bench`` job uploads it as an artifact, so
-throughput is a recorded curve over time, not a one-off.
+— the CI ``warehouse-bench`` job uploads it as an artifact, so the
+pruned-read cost is a recorded curve over time, not a one-off.
 """
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-
-import pytest
 
 from conftest import report
 from record import record
-from repro.warehouse.db import MScopeDB
-from repro.warehouse.sharded import ShardedMScopeDB, ShardHostWriter
+from repro.warehouse.sharded import ShardedMScopeDB
 
 HOSTS = ("web1", "web2", "db1", "db2")
 ROWS = int(os.environ.get("MSCOPE_SCALE_ROWS", "1000000"))
@@ -41,7 +29,6 @@ COLUMNS = [
     ("dsk_pctutil", "REAL"),
     ("cpu_user_pct", "REAL"),
 ]
-_CORES = os.cpu_count() or 1
 
 
 def _table(host: str) -> str:
@@ -61,9 +48,9 @@ def _host_rows(host_index: int, count: int) -> list[tuple]:
     ]
 
 
-def _ingest_monolith(db_path, rows_per_host: int) -> float:
-    started = time.perf_counter()
-    with MScopeDB(db_path) as db:
+def _ingest_sharded(root, rows_per_host: int) -> None:
+    """Load every host's rows through the warehouse's own write path."""
+    with ShardedMScopeDB(root, window_us=WINDOW_US) as db:
         with db.bulk_load():
             for index, host in enumerate(HOSTS):
                 db.create_table(_table(host), COLUMNS)
@@ -72,90 +59,11 @@ def _ingest_monolith(db_path, rows_per_host: int) -> float:
                     [c for c, _ in COLUMNS],
                     _host_rows(index, rows_per_host),
                 )
-    return time.perf_counter() - started
-
-
-def _shard_ingest_task(root_str: str, host: str, host_index: int, count: int):
-    """One writer process: generate and load one host's shard files."""
-    writer = ShardHostWriter(root_str, host, window_us=WINDOW_US)
-    writer.ensure_table(_table(host), COLUMNS)
-    writer.begin_bulk()
-    writer.insert_rows(
-        _table(host), [c for c, _ in COLUMNS], _host_rows(host_index, count)
-    )
-    writer.end_bulk()
-    return writer.close()
-
-
-def _ingest_sharded(root, rows_per_host: int, writers: int) -> float:
-    started = time.perf_counter()
-    db = ShardedMScopeDB(root, window_us=WINDOW_US)
-    for host in HOSTS:
-        db.create_table(_table(host), COLUMNS)
-    with ProcessPoolExecutor(max_workers=writers) as pool:
-        futures = [
-            pool.submit(
-                _shard_ingest_task, str(db.root), host, index, rows_per_host
-            )
-            for index, host in enumerate(HOSTS)
-        ]
-        for future in futures:
-            db.register_shards(future.result())
-    db.close()
-    return time.perf_counter() - started
-
-
-@pytest.mark.skipif(
-    _CORES < 4,
-    reason=(
-        f"parallel shard ingest needs 4 writer cores to show its "
-        f"floor; detected {_CORES}"
-    ),
-)
-def test_sharded_ingest_throughput(tmp_path):
-    rows_per_host = ROWS // len(HOSTS)
-
-    # Warm-up at a fraction of the load: page cache, imports, pool.
-    _ingest_monolith(tmp_path / "warm.db", rows_per_host // 10)
-    _ingest_sharded(tmp_path / "warm.shards", rows_per_host // 10, 4)
-
-    mono_s = min(
-        _ingest_monolith(tmp_path / f"mono{r}.db", rows_per_host)
-        for r in range(2)
-    )
-    shard_s = min(
-        _ingest_sharded(tmp_path / f"shard{r}.shards", rows_per_host, 4)
-        for r in range(2)
-    )
-
-    with ShardedMScopeDB(tmp_path / "shard0.shards") as db:
-        loaded = sum(db.row_count(_table(host)) for host in HOSTS)
-    assert loaded == rows_per_host * len(HOSTS)
-
-    speedup = mono_s / shard_s
-    total = rows_per_host * len(HOSTS)
-    report(
-        "Warehouse scale-out ingest",
-        f"{total} rows over {len(HOSTS)} hosts: single-writer "
-        f"{mono_s:.2f}s ({total / mono_s:,.0f} rows/s), 4 shard "
-        f"writers {shard_s:.2f}s ({total / shard_s:,.0f} rows/s), "
-        f"speedup {speedup:.2f}x (floor 2.0x)",
-    )
-    record(
-        "ingest",
-        rows=total,
-        rows_tier=ROWS,
-        hosts=len(HOSTS),
-        single_writer_s=round(mono_s, 3),
-        shard_writers_s=round(shard_s, 3),
-        speedup=round(speedup, 2),
-    )
-    assert speedup >= 2.0
 
 
 def test_pruned_window_read_speedup(tmp_path):
     rows_per_host = max(10_000, ROWS // 10) // len(HOSTS)
-    _ingest_sharded(tmp_path / "read.shards", rows_per_host, min(4, _CORES))
+    _ingest_sharded(tmp_path / "read.shards", rows_per_host)
 
     sql = (
         f"SELECT COUNT(*), SUM(dsk_pctutil) FROM {_table('db1')} "

@@ -129,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard",
         action="store_true",
         help="build a host-partitioned shard directory instead of one "
-        "database file (--db then names the directory); importers "
-        "write their host's shards in parallel",
+        "database file (--db then names the directory); --jobs fans "
+        "out parsing exactly as for one file",
     )
     transform.add_argument(
         "--shard-window-s",

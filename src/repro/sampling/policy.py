@@ -76,8 +76,8 @@ def coherent_keep(request_id: str, rate: float) -> bool:
 def row_bytes(row: tuple) -> int:
     """Deterministic encoded size of one record (value text + separators).
 
-    The same pure function runs in shard workers and the parent writer,
-    so monolith and sharded ledgers agree byte for byte.
+    A pure function of the row, so ledgers agree byte for byte
+    whichever layout or split loaded the rows.
     """
     return sum(len(str(value)) for value in row) + len(row)
 
@@ -97,15 +97,12 @@ class SamplingPolicy:
 
     ``apply`` filters one converted table and returns it (rows may be
     withheld into policy state); ``flush`` releases whatever a stateful
-    policy still buffers.  ``parallel_safe`` marks policies that are
-    pure per-row functions and may therefore run inside sharded
-    fan-out workers; stateful policies must stay on a single writer.
+    policy still buffers.  Policies run in the importer, the
+    pipeline's one writer, so a stateful policy sees every tier.
     """
 
     #: Canonical spec string (``parse_policy`` round-trips it).
     spec: str = "none"
-    #: True when apply() is a pure per-row function (no cross-call state).
-    parallel_safe: bool = False
 
     def __init__(self) -> None:
         #: Cumulative counts keyed by ``(table_name, source_path)``.
@@ -155,13 +152,10 @@ def _span_us(row: tuple, arrival: int | None, departure: int | None) -> int:
 class HeadSamplingPolicy(SamplingPolicy):
     """Keep each request with probability ``rate``, decided at the head.
 
-    The decision is a pure function of the request id, so it is safe in
-    parallel shard workers and trivially split-invariant for live
-    ingest: however the byte stream is partitioned into refreshes, the
-    kept set is identical.
+    The decision is a pure function of the request id, so it is
+    trivially split-invariant for live ingest: however the byte stream
+    is partitioned into refreshes, the kept set is identical.
     """
-
-    parallel_safe = True
 
     def __init__(self, rate: float) -> None:
         super().__init__()
@@ -198,8 +192,6 @@ class TailSamplingPolicy(SamplingPolicy):
     back to a coherent ``base_rate`` keep decision at flush or when the
     buffer evicts them (oldest first, ``max_requests`` bound).
     """
-
-    parallel_safe = False
 
     def __init__(
         self,
@@ -335,8 +327,6 @@ class ConflationPolicy(SamplingPolicy):
     records; all other rows are dropped and folded into cumulative
     per-``(table, class)`` aggregates served by ``conflated_rows``.
     """
-
-    parallel_safe = False
 
     def __init__(self, exemplar_rate: float) -> None:
         super().__init__()

@@ -1,10 +1,11 @@
 """The mScope Data Importer — the pipeline's one write stage.
 
 Figure 3 of the paper ends in a single importer loading the dynamic
-warehouse, and so does this pipeline: the batch transform, a sharded
-host worker, the live transformer and the serve daemon all hand their
-converted tables to :meth:`MScopeDataImporter.import_table` and their
-damaged lines to :meth:`MScopeDataImporter.record_errors`.  The
+warehouse, and so does this pipeline: the batch transform (serial or
+fanned out, into either warehouse layout), the live transformer and
+the serve daemon all hand their converted tables to
+:meth:`MScopeDataImporter.import_table` and their damaged lines to
+:meth:`MScopeDataImporter.record_errors`.  The
 importer applies the log-volume-reduction policy (rows are counted
 where they are dropped), creates warehouse tables on the fly from the
 converter's inferred schemas, loads the typed rows, and records
@@ -34,17 +35,11 @@ from repro.common.errors import DataImportError
 from repro.transformer.errorpolicy import IngestError
 from repro.transformer.xml_to_csv import CsvTable
 from repro.warehouse.db import MScopeDB
-from repro.warehouse.sharded import ShardHostWriter
 
 if TYPE_CHECKING:  # sampling.policy imports CsvTable from this package
     from repro.sampling.policy import SamplingPolicy
 
 __all__ = ["MScopeDataImporter"]
-
-#: Anything the importer can load into: a warehouse of either layout,
-#: or a transform worker's host-private shard writer (parallel sharded
-#: path), which logs the manifest writes for the parent to replay.
-WarehouseTarget = MScopeDB | ShardHostWriter
 
 _WIDER = {"INTEGER": 0, "REAL": 1, "TEXT": 2}
 
@@ -57,7 +52,7 @@ class MScopeDataImporter:
     """
 
     def __init__(
-        self, db: WarehouseTarget, sampling: SamplingPolicy | None = None
+        self, db: MScopeDB, sampling: SamplingPolicy | None = None
     ) -> None:
         self.db = db
         self.sampling = sampling

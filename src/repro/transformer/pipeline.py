@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import operator
 import os
 import shutil
 from pathlib import Path
@@ -72,11 +71,6 @@ from repro.transformer.parsers import create_parser
 from repro.transformer.xml_to_csv import CsvTable, XmlToCsvConverter
 from repro.transformer.xmlmodel import XmlDocument
 from repro.warehouse.db import MScopeDB
-from repro.warehouse.sharded import (
-    ShardHostWriter,
-    ShardInfo,
-    ShardedMScopeDB,
-)
 
 __all__ = ["TransformOutcome", "MScopeDataTransformer"]
 
@@ -110,30 +104,6 @@ _Parsed = tuple[
     tuple[IngestError, ...],
     tuple[SpanData, ...],
 ]
-
-
-def _outcome(
-    path: Path,
-    binding: ParserBinding,
-    table: CsvTable | None,
-    rows: int,
-    xml_artifact: Path | None,
-    csv_artifact: Path | None,
-    errors: tuple[IngestError, ...],
-) -> TransformOutcome:
-    """What the write stage made of one file (``table`` is ``None``
-    when the file failed under a lenient policy)."""
-    return TransformOutcome(
-        source=path,
-        table_name=table.name if table is not None else "",
-        rows_loaded=rows,
-        columns=len(table.columns) if table is not None else 0,
-        parser_name=binding.parser_name,
-        xml_artifact=xml_artifact,
-        csv_artifact=csv_artifact,
-        error_count=len(errors),
-        failed=table is None,
-    )
 
 
 def _parse_convert(
@@ -246,73 +216,6 @@ def _parse_convert_task(
     )
 
 
-def _host_shard_task(
-    root_str: str,
-    host: str,
-    window_us: int | None,
-    file_specs: list[tuple[str, ParserBinding]],
-    workdir_str: str | None,
-    policy: ErrorPolicy,
-    probe: SpanProbe = NULL_PROBE,
-    sampling_spec: str | None = None,
-) -> tuple[
-    list[tuple[TransformOutcome, tuple[IngestError, ...], tuple[SpanData, ...]]],
-    list[operator.methodcaller],
-    list[ShardInfo],
-]:
-    """Worker entry point for the sharded fan-out: one host, end to end.
-
-    Unlike :func:`_parse_convert_task`, this worker owns the *write*
-    stage too: it parses, converts, and imports every one of its
-    host's files straight into a host-private
-    :class:`~repro.warehouse.sharded.ShardHostWriter` — no table data
-    ever crosses back to the parent, which removes the single-writer
-    drain entirely.  Metadata side effects (schema catalog, load
-    catalog, monitor registry, sampling ledger) are logged by the
-    writer and returned, with the file's ingest errors, for the parent
-    to replay into the manifest in deterministic host order.
-
-    Returns ``(file_results, meta_ops, shard_records)`` where each
-    file result is ``(outcome, errors, spans)`` in input file order.
-    """
-    workdir = Path(workdir_str) if workdir_str is not None else None
-    if probe.enabled:
-        probe = probe.relabel(f"pid-{os.getpid()}")
-    # Coherent (stateless) policies rebuild identically from their spec
-    # in every worker, so the kept set agrees with a monolith transform
-    # of the same logs; stateful policies never reach this fan-out (the
-    # transformer falls back to the serial path for them).
-    writer = ShardHostWriter(Path(root_str), host, window_us)
-    importer = MScopeDataImporter(writer, parse_policy(sampling_spec))
-    results = []
-    for path_str, binding in file_specs:
-        path = Path(path_str)
-        table, xml_artifact, csv_artifact, errors, spans = _parse_convert(
-            path, host, binding, workdir, policy, probe
-        )
-        import_spans: list[SpanData] = []
-        rows = 0
-        with probe.span(
-            import_spans, "import", host, path_str, parent="file"
-        ) as span:
-            span.add(errors=len(errors))
-            if table is not None:
-                rows = importer.import_table(
-                    table, host, binding.parser_name, span=span
-                )
-        results.append(
-            (
-                _outcome(
-                    path, binding, table, rows, xml_artifact, csv_artifact,
-                    errors,
-                ),
-                errors,
-                tuple(spans) + tuple(import_spans),
-            )
-        )
-    return results, writer.meta_ops, writer.close()
-
-
 class MScopeDataTransformer:
     """Transforms native monitor logs into warehouse tables.
 
@@ -412,8 +315,16 @@ class MScopeDataTransformer:
                     table, hostname, binding.parser_name, span=span
                 )
         telemetry.ingest(import_spans)
-        return _outcome(
-            path, binding, table, rows, xml_artifact, csv_artifact, errors
+        return TransformOutcome(
+            source=path,
+            table_name=table.name if table is not None else "",
+            rows_loaded=rows,
+            columns=len(table.columns) if table is not None else 0,
+            parser_name=binding.parser_name,
+            xml_artifact=xml_artifact,
+            csv_artifact=csv_artifact,
+            error_count=len(errors),
+            failed=table is None,
         )
 
     def flush_sampling(self) -> int:
@@ -467,21 +378,11 @@ class MScopeDataTransformer:
 
         With ``jobs > 1`` the parse → convert stages run across a
         process pool while imports stay in this process, draining
-        completed tables in ``(host, file)`` order — so the resulting
-        warehouse is identical to a ``jobs=1`` run, including on
-        partial failure (files ordered before the first failing file
-        are fully loaded, later ones are not).
-
-        When the target warehouse is sharded
-        (:class:`~repro.warehouse.sharded.ShardedMScopeDB`), ``jobs >
-        1`` instead fans out whole *hosts*: each worker parses,
-        converts, **and imports** its host's files into a private
-        shard writer, eliminating the single-writer drain.  The loaded
-        warehouse is content-identical to a serial run (held by the
-        ``warehouse-sharded`` conformance pair); the one traded
-        guarantee is partial-failure shape — on a mid-run error,
-        *which* files were already loaded depends on worker timing,
-        not file order.
+        completed tables in ``(host, file)`` order into whichever
+        warehouse layout :attr:`db` is — so the resulting warehouse is
+        identical to a ``jobs=1`` run, including on partial failure
+        (files ordered before the first failing file are fully loaded,
+        later ones are not).
         """
         telemetry = self.telemetry
         telemetry.start_run()
@@ -492,14 +393,6 @@ class MScopeDataTransformer:
         telemetry.ingest(resolve_spans)
 
         jobs = self._resolve_jobs(jobs, len(work))
-        sharded = isinstance(self.db, ShardedMScopeDB)
-        if sharded and self.sampling is not None and not (
-            self.sampling.parallel_safe
-        ):
-            # Stateful policies (tail deferral, conflation aggregates)
-            # need one writer that sees every tier; host fan-out would
-            # split their state, so they ride the serial path instead.
-            jobs = 1
         if jobs <= 1:
             outcomes: list[TransformOutcome] = []
             probe = telemetry.probe()
@@ -510,8 +403,6 @@ class MScopeDataTransformer:
                 outcomes.append(
                     self._import_result(path, binding, host, *result)
                 )
-        elif sharded:
-            outcomes = self._transform_parallel_sharded(work, jobs)
         else:
             outcomes = self._transform_parallel(work, jobs)
         self.flush_sampling()
@@ -535,71 +426,6 @@ class MScopeDataTransformer:
             ]
         )
         telemetry.persist(self.db)
-
-    def _transform_parallel_sharded(
-        self, work: list[tuple[str, Path, ParserBinding]], jobs: int
-    ) -> list[TransformOutcome]:
-        """Per-host parallel shard writers (see :meth:`transform_directory`).
-
-        The parent's job shrinks to metadata: it drains host results
-        in sorted host order, records each file's ingest errors and
-        spans, adopts the workers' shard records, and replays the
-        catalog/registry writes each writer logged into the manifest.
-        """
-        db = self.db
-        assert isinstance(db, ShardedMScopeDB)  # dispatch guarantees it
-        groups: dict[str, list[tuple[Path, ParserBinding]]] = {}
-        for host, path, binding in work:
-            groups.setdefault(host, []).append((path, binding))
-        workdir_str = str(self.workdir) if self.workdir is not None else None
-        telemetry = self.telemetry
-        probe = telemetry.probe()
-        outcomes: list[TransformOutcome] = []
-        hosts = sorted(groups)
-        workers = max(1, min(jobs, len(hosts)))
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers
-        ) as pool:
-            futures = {
-                host: pool.submit(
-                    _host_shard_task,
-                    str(db.root),
-                    host,
-                    db.window_us,
-                    [(str(path), binding) for path, binding in groups[host]],
-                    workdir_str,
-                    self.policy,
-                    probe,
-                    self.sampling.spec if self.sampling is not None else None,
-                )
-                for host in hosts
-            }
-            try:
-                for index, host in enumerate(hosts):
-                    if telemetry.enabled:
-                        telemetry.record_queue_depth(
-                            sum(
-                                1
-                                for h in hosts[index:]
-                                if futures[h].done()
-                            )
-                        )
-                    results, meta_ops, records = futures[host].result()
-                    for outcome, errors, spans in results:
-                        telemetry.ingest(spans)
-                        self.importer.record_errors(errors)
-                        outcomes.append(outcome)
-                    # Shards first: they bind each table to the host
-                    # directory the worker wrote, which the replayed
-                    # create_table then keeps.
-                    db.register_shards(records)
-                    for replay in meta_ops:
-                        replay(db)
-            except BaseException:
-                for future in futures.values():
-                    future.cancel()
-                raise
-        return outcomes
 
     def _transform_parallel(
         self, work: list[tuple[str, Path, ParserBinding]], jobs: int

@@ -99,15 +99,6 @@ CONFORMANCE_PAIRS: tuple[ConformancePair, ...] = (
         "monolith's content",
     ),
     ConformancePair(
-        key="sampled-sharded",
-        baseline_mode="sampled",
-        variant_mode="sampled-sharded",
-        compare="content",
-        claim="under coherent head sampling a sharded warehouse holds "
-        "exactly the sampled monolith's content, sampling ledger "
-        "included",
-    ),
-    ConformancePair(
         key="kernel-vector",
         baseline_mode="batch",
         variant_mode="batch",
@@ -256,9 +247,9 @@ def run_conformance_pair(
     if runner is None:
         runner = ScenarioRunner(workdir)
     if baseline is None or baseline.mode != pair.baseline_mode:
-        # Sweeps hand every pair their shared batch baseline; pairs
-        # anchored elsewhere (e.g. sampled-vs-sampled-sharded) run
-        # their own — the runner's outcome cache dedups the build.
+        # Sweeps hand every pair their shared batch baseline; a pair
+        # anchored elsewhere runs its own — the runner's outcome cache
+        # dedups the build.
         baseline = runner.run(scenario, seed=seed, mode=pair.baseline_mode)
     if pair.compare == "paths":
         # Both "sides" read the same warehouse; no variant run needed.

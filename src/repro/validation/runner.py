@@ -61,8 +61,8 @@ SCHEDULE_FILE = "fault_schedule.json"
 
 #: Warehouse-construction modes the pipeline claims equivalent.  Every
 #: mode ends in the same diagnosis; ``sharded`` builds a
-#: host-partitioned :class:`ShardedMScopeDB` through the parallel
-#: per-host shard writers instead of a monolithic file.
+#: host-partitioned :class:`ShardedMScopeDB` instead of a monolithic
+#: file.
 MODES = (
     "batch",
     "transform-jobs2",
@@ -71,13 +71,11 @@ MODES = (
     "policy-quarantine",
     "sharded",
     "sampled",
-    "sampled-sharded",
 )
 
-#: The fixed policy behind the ``sampled``/``sampled-sharded`` modes.
-#: Head sampling is coherent (pure request-id hash) and stateless, so
-#: it is deterministic under any job count and safe in the sharded
-#: per-host fan-out — exactly what a layout-conformance pair needs.
+#: The fixed policy behind the ``sampled`` mode.  Head sampling is
+#: coherent (pure request-id hash) and stateless, so it is
+#: deterministic under any job count.
 CONFORMANCE_SAMPLING = "head:0.5"
 
 
@@ -241,10 +239,9 @@ class ScenarioRunner:
 
         ``sampling`` threads a log-volume-reduction policy spec into
         the warehouse build (the frontier sweep varies it); the
-        ``sampled``/``sampled-sharded`` modes default it to
-        :data:`CONFORMANCE_SAMPLING` so the conformance runner can
-        name a fixed sampled pair.  ``kernel`` selects the simulator
-        substrate (:data:`repro.ntier.system.KERNELS`); the vector
+        ``sampled`` mode defaults it to :data:`CONFORMANCE_SAMPLING`.
+        ``kernel`` selects the simulator substrate
+        (:data:`repro.ntier.system.KERNELS`); the vector
         kernel must produce the same logs, warehouse content, and
         scores, and the kernel conformance pair holds it to that.
         """
@@ -261,7 +258,7 @@ class ScenarioRunner:
             raise ConfigError(
                 f"unknown kernel {kernel!r}; expected one of {KERNELS}"
             )
-        if sampling is None and mode in ("sampled", "sampled-sharded"):
+        if sampling is None and mode == "sampled":
             sampling = CONFORMANCE_SAMPLING
         done = self._outcomes.get((scenario, seed, mode, sampling, kernel))
         if done is not None:
@@ -301,7 +298,7 @@ class ScenarioRunner:
         else:
             run, schedule = cached
 
-        if mode in ("sharded", "sampled-sharded"):
+        if mode == "sharded":
             db_path = mode_dir / "mscope.shards"
             # Always build from scratch: appending to a leftover
             # warehouse (a reused --workdir, say) would silently
@@ -342,11 +339,12 @@ class ScenarioRunner:
         sampling: str | None = None,
     ) -> MScopeDB:
         assert run.log_dir is not None  # every registry run has a log_dir
-        if mode in ("sharded", "sampled-sharded"):
-            # Host-partitioned warehouse built through the parallel
-            # per-host shard writers.  Host-only sharding (no time
-            # window) keeps per-table row order identical to a serial
-            # batch build, so even diagnosis-report equality holds.
+        if mode == "sharded":
+            # Host-partitioned warehouse loaded by the same jobs=2
+            # fan-out as ``transform-jobs2``.  Host-only sharding (no
+            # time window) keeps per-table row order identical to a
+            # serial batch build, so even diagnosis-report equality
+            # holds.
             sharded = ShardedMScopeDB(db_path)
             transformer = MScopeDataTransformer(
                 sharded, jobs=2, telemetry=self.telemetry, sampling=sampling

@@ -7,18 +7,13 @@ from repro.warehouse.explorer import (
     SlowRequest,
     WarehouseExplorer,
 )
-from repro.warehouse.sharded import (
-    ShardedMScopeDB,
-    ShardHostWriter,
-    open_warehouse,
-)
+from repro.warehouse.sharded import ShardedMScopeDB, open_warehouse
 
 __all__ = [
     "IngestErrorSummary",
     "InteractionStats",
     "MScopeDB",
     "STATIC_TABLES",
-    "ShardHostWriter",
     "ShardedMScopeDB",
     "SlowRequest",
     "WarehouseExplorer",

@@ -88,7 +88,7 @@ def quote_identifier(name: str) -> str:
 
 # ----------------------------------------------------------------------
 # DDL rendering — the one copy both layouts execute.  The monolith runs
-# these statements on its own connection, the shard writers on each
+# these statements on its own connection, the sharded warehouse on each
 # shard file, so identifier/type validation and index names cannot
 # differ between a monolithic and a sharded warehouse.
 

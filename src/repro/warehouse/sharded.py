@@ -1,16 +1,16 @@
-"""ShardedMScopeDB — the scale-out, host/time-partitioned warehouse.
+"""ShardedMScopeDB — the host/time-partitioned warehouse.
 
-The monolithic :class:`~repro.warehouse.db.MScopeDB` funnels every
-monitor's rows through one sqlite file and one writer — the last
-single-writer drain in an otherwise parallel pipeline.  This module
-partitions the warehouse into per-``(host, time-window)`` **shard**
-databases behind the same API:
+The monolithic :class:`~repro.warehouse.db.MScopeDB` keeps every
+monitor's rows in one sqlite file.  This module partitions the
+warehouse into per-``(host, time-window)`` **shard** databases behind
+the same API:
 
 * **Writes** route by the dynamic table's host (milliScope tables are
-  named ``<monitor>_<hostname>``) and each row's timestamp window, so
-  ``transform_directory(jobs=N)`` gives every worker its *own*
-  :class:`ShardHostWriter` — N writers proceed in parallel with no
-  shared lock.
+  named ``<monitor>_<hostname>``) and each row's timestamp window.  The
+  importer is the one writer: it hands rows to
+  :meth:`ShardedMScopeDB.insert_rows`, which opens (and registers in
+  the manifest) whichever shard the row's window belongs to — the
+  window's own file, or the roll-up a compaction folded it into.
 * **Reads** name their table: :meth:`ShardedMScopeDB.query_table` runs
   the caller's statement, unchanged, on each shard file holding that
   table (under its real name, with the importer's indexes) and
@@ -27,8 +27,10 @@ databases behind the same API:
   on a shard file.
 * **Metadata** (the paper's static tables, the schema catalog, ingest
   errors, pipeline telemetry) lives in one small ``manifest.db`` next
-  to the shards, alongside the shard manifest itself.  That database
-  *is* the warehouse object: :class:`ShardedMScopeDB` subclasses
+  to the shards, alongside the shard manifest itself — the only record
+  of which file holds which window and table, and the commit point
+  (shard files commit first, the manifest last).  That database *is*
+  the warehouse object: :class:`ShardedMScopeDB` subclasses
   :class:`~repro.warehouse.db.MScopeDB` opened on ``manifest.db`` and
   overrides only the dynamic-table surface, so every static-table
   method is the monolith's own.
@@ -52,7 +54,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import operator
 import sqlite3
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -62,7 +63,6 @@ from repro.warehouse.db import (
     _INSERT_BATCH_SIZE,
     MScopeDB,
     add_column_sql,
-    check_column_type,
     column_index_sql,
     covering_index_sql,
     create_table_sql,
@@ -73,7 +73,6 @@ from repro.warehouse.db import (
 
 __all__ = [
     "MANIFEST_FILE",
-    "ShardHostWriter",
     "ShardInfo",
     "ShardedMScopeDB",
     "host_for_table",
@@ -188,305 +187,21 @@ class ShardInfo:
 
 
 def _connect_shard(path: Path, threadsafe: bool) -> sqlite3.Connection:
-    """Every shard connection, writer's or reader's, opens here, so a
+    """Every shard connection, write or read, opens here, so a
     ``threadsafe`` warehouse has no connection bound to one thread."""
     return sqlite3.connect(path, check_same_thread=not threadsafe)
 
 
-class ShardHostWriter:
-    """One host's parallel shard writer.
-
-    Owns every shard file of ``host`` under ``root``; routes inserted
-    rows into per-window shard databases by their timestamp column
-    (``timestamp_us``, else ``upstream_arrival_us``; rows with neither
-    land in a catch-all shard that pruning never skips).  Safe to use
-    from a worker process — it touches only its host's files, so N
-    hosts ingest through N writers with no shared lock.
-
-    It is also what a transform worker hands its
-    :class:`~repro.transformer.importer.MScopeDataImporter`: it answers
-    the slice of the :class:`MScopeDB` API the importer touches.
-    Measurement DDL/DML goes straight to the shard files; what belongs
-    in the manifest (schema catalog, load catalog, monitor registry,
-    sampling ledger) is appended to :attr:`meta_ops` as replayable
-    calls, which the parent applies to its :class:`ShardedMScopeDB` in
-    deterministic drain order — row data loses the single-writer drain
-    while metadata writes stay serialized.  A :class:`ShardedMScopeDB`
-    driving its own writers in-process writes the manifest itself and
-    never reads the log.
-    """
-
-    def __init__(
-        self,
-        root: Path | str,
-        host: str,
-        window_us: int | None = None,
-        threadsafe: bool = False,
-    ) -> None:
-        self.root = Path(root)
-        self.host = host
-        self.window_us = window_us
-        self.threadsafe = threadsafe
-        self.dir = self.root / _SHARD_DIR / host
-        self.dir.mkdir(parents=True, exist_ok=True)
-        #: window_index -> open connection
-        self._conns: dict[int, sqlite3.Connection] = {}
-        #: window_index -> tables materialized in that shard
-        self._shard_tables: dict[int, set[str]] = {}
-        #: table -> declared (column, type) pairs, creation order.  The
-        #: DDL truth: shard tables are always created with *declared*
-        #: types, never widened ones, so sqlite's column affinity
-        #: matches the monolith's (which also never re-declares).
-        self._declared: dict[str, list[tuple[str, str]]] = {}
-        #: table -> {column: catalog type} (declared + widenings) —
-        #: what table_schema() reports.
-        self._catalog: dict[str, dict[str, str]] = {}
-        #: table -> index DDL applied to each shard holding the table.
-        self._index_sql: dict[str, list[str]] = {}
-        self._bulk = False
-        #: Manifest writes this writer was asked for, each a callable
-        #: taking the warehouse to apply it to (picklable, so a worker
-        #: can return them).
-        self.meta_ops: list[operator.methodcaller] = []
-
-    # -- shard files ---------------------------------------------------
-
-    def _shard_name(self, window_index: int) -> str:
-        if self.window_us is None:
-            return "all.db"
-        if window_index == _MISC_WINDOW:
-            return "misc.db"
-        return f"w{window_index}.db"
-
-    def shard_path(self, window_index: int) -> Path:
-        return self.dir / self._shard_name(window_index)
-
-    def _conn(self, window_index: int) -> sqlite3.Connection:
-        conn = self._conns.get(window_index)
-        if conn is None:
-            conn = _connect_shard(
-                self.shard_path(window_index), self.threadsafe
-            )
-            set_file_pragmas(conn)
-            self._conns[window_index] = conn
-            self._shard_tables.setdefault(window_index, set())
-        return conn
-
-    def _window_of(self, value: Any) -> int:
-        if self.window_us is None:
-            return _WHOLE_WINDOW
-        if not isinstance(value, (int, float)):
-            return _MISC_WINDOW
-        return int(value // self.window_us)
-
-    def _materialize(self, window_index: int, table: str) -> None:
-        """Create ``table`` (and its pending indexes) in one shard."""
-        conn = self._conn(window_index)
-        tables = self._shard_tables[window_index]
-        if table in tables:
-            return
-        conn.execute(create_table_sql(table, self._declared[table]))
-        for sql in self._index_sql.get(table, []):
-            conn.execute(sql)
-        tables.add(table)
-
-    def _holding(self, table: str) -> Iterator[sqlite3.Connection]:
-        """The open shards in which ``table`` is materialized."""
-        for window_index, tables in self._shard_tables.items():
-            if table in tables:
-                yield self._conns[window_index]
-
-    def _defer(self, method: str, *args: Any, **kwargs: Any) -> None:
-        self.meta_ops.append(operator.methodcaller(method, *args, **kwargs))
-
-    # -- schema --------------------------------------------------------
-
-    def ensure_table(
-        self, table: str, columns: Sequence[tuple[str, str]]
-    ) -> None:
-        """Register a dynamic table's declared schema (idempotent).
-
-        Validates exactly as :meth:`MScopeDB.create_table` does; the
-        table materializes in a shard when its first row lands there.
-        """
-        create_table_sql(table, columns)
-        if table in self._declared:
-            return
-        self._declared[table] = list(columns)
-        self._catalog[table] = dict(columns)
-
-    def create_table(
-        self, name: str, columns: Sequence[tuple[str, str]]
-    ) -> None:
-        self.ensure_table(name, columns)
-        self._defer("create_table", name, tuple(columns))
-
-    def add_column(self, table: str, column: str, sql_type: str) -> None:
-        """Add a column (NULL backfill) to every shard holding it."""
-        sql = add_column_sql(table, column, sql_type)
-        self._declared[table].append((column, sql_type))
-        self._catalog[table][column] = sql_type
-        for conn in self._holding(table):
-            conn.execute(sql)
-        self._defer("add_column", table, column, sql_type)
-
-    def record_column_type(
-        self, table: str, column: str, sql_type: str
-    ) -> None:
-        """Record a catalog-level type widening (no DDL — matching the
-        monolith, where sqlite affinity absorbs wider values)."""
-        self._catalog[table][column] = check_column_type(column, sql_type)
-        self._defer("record_column_type", table, column, sql_type)
-
-    def table_schema(self, table: str) -> list[tuple[str, str]]:
-        declared = self._declared.get(table)
-        if declared is None:
-            raise QueryError(f"no such table {table!r}")
-        catalog = self._catalog[table]
-        return [(column, catalog[column]) for column, _ in declared]
-
-    def dynamic_tables(self) -> list[str]:
-        return sorted(self._declared)
-
-    # -- indexes -------------------------------------------------------
-
-    def _add_index(self, table: str, sql: str) -> None:
-        known = self._index_sql.setdefault(table, [])
-        if sql in known:
-            return
-        known.append(sql)
-        for conn in self._holding(table):
-            conn.execute(sql)
-
-    def create_index(self, table: str, column: str) -> None:
-        self._add_index(table, column_index_sql(table, column))
-
-    def create_response_time_index(self, table: str) -> None:
-        self._add_index(table, response_time_index_sql(table))
-
-    def create_covering_index(
-        self, table: str, columns: Sequence[str], name: str
-    ) -> None:
-        self._add_index(table, covering_index_sql(table, columns, name))
-
-    # -- manifest-only metadata (logged, never applied here) -----------
-
-    def record_load(self, *args: Any, **kwargs: Any) -> None:
-        self._defer("record_load", *args, **kwargs)
-
-    def record_sampling(self, *args: Any, **kwargs: Any) -> None:
-        self._defer("record_sampling", *args, **kwargs)
-
-    def register_monitor(self, *args: Any, **kwargs: Any) -> None:
-        self._defer("register_monitor", *args, **kwargs)
-
-    # -- rows ----------------------------------------------------------
-
-    def insert_rows(
-        self,
-        table: str,
-        columns: Sequence[str],
-        rows: Iterable[Sequence[Any]],
-    ) -> int:
-        """Route rows into window shards; returns the inserted count.
-
-        Rows are routed per-row on the timestamp column, preserving
-        input order within each shard — so a shard's rowid order is
-        the monolith's insert order restricted to its window.
-        """
-        if table not in self._declared:
-            raise QueryError(f"no such table {table!r}")
-        time_index: int | None = None
-        if self.window_us is not None:
-            for candidate in _TIME_COLUMNS:
-                if candidate in columns:
-                    time_index = list(columns).index(candidate)
-                    break
-        column_sql = ", ".join(quote_identifier(c) for c in columns)
-        placeholders = ", ".join("?" for _ in columns)
-        sql = (
-            f"INSERT INTO {quote_identifier(table)} ({column_sql}) "
-            f"VALUES ({placeholders})"
-        )
-        inserted = 0
-        iterator = iter(rows)
-        while True:
-            batch = list(itertools.islice(iterator, _INSERT_BATCH_SIZE))
-            if not batch:
-                break
-            if time_index is None and self.window_us is None:
-                groups: dict[int, list] = {_WHOLE_WINDOW: batch}
-            elif time_index is None:
-                groups = {_MISC_WINDOW: batch}
-            else:
-                groups = {}
-                for row in batch:
-                    groups.setdefault(
-                        self._window_of(row[time_index]), []
-                    ).append(row)
-            for window_index in sorted(groups):
-                self._materialize(window_index, table)
-                cursor = self._conns[window_index].executemany(
-                    sql, groups[window_index]
-                )
-                inserted += cursor.rowcount
-        if not self._bulk:
-            self.commit()
-        return inserted
-
-    # -- transactions & lifecycle --------------------------------------
-
-    def begin_bulk(self) -> None:
-        self._bulk = True
-
-    def end_bulk(self, *, rollback: bool = False) -> None:
-        self._bulk = False
-        if rollback:
-            for conn in self._conns.values():
-                conn.rollback()
-        else:
-            self.commit()
-
-    @contextlib.contextmanager
-    def bulk_load(self) -> Iterator["ShardHostWriter"]:
-        """One transaction per shard for the duration of the context."""
-        self.begin_bulk()
-        try:
-            yield self
-        except BaseException:
-            self.end_bulk(rollback=True)
-            raise
-        else:
-            self.end_bulk()
-
-    def commit(self) -> None:
-        for conn in self._conns.values():
-            conn.commit()
-
-    def records(self) -> list[ShardInfo]:
-        """Manifest records for every shard this writer touched."""
-        out = []
-        for window_index, tables in sorted(self._shard_tables.items()):
-            start_us, stop_us = _window_bounds(window_index, self.window_us)
-            relpath = str(
-                Path(_SHARD_DIR) / self.host / self._shard_name(window_index)
-            )
-            out.append(
-                ShardInfo(
-                    self.host, window_index, start_us, stop_us, relpath,
-                    tables,
-                )
-            )
-        return out
-
-    def close(self) -> list[ShardInfo]:
-        """Commit and close every shard; returns the manifest records."""
-        records = self.records()
-        for conn in self._conns.values():
-            conn.commit()
-            conn.close()
-        self._conns.clear()
-        return records
+def _shard_relpath(
+    host: str, window_index: int, window_us: int | None
+) -> str:
+    if window_us is None:
+        name = "all.db"
+    elif window_index == _MISC_WINDOW:
+        name = "misc.db"
+    else:
+        name = f"w{window_index}.db"
+    return str(Path(_SHARD_DIR) / host / name)
 
 
 class ShardedMScopeDB(MScopeDB):
@@ -508,8 +223,8 @@ class ShardedMScopeDB(MScopeDB):
     The inherited connection is ``manifest.db``: static tables, the
     schema catalog, telemetry, the sampling ledger and :meth:`query`
     are the base class's, untouched.  Only the *dynamic*-table surface
-    is overridden — DDL/DML route to per-host :class:`ShardHostWriter`
-    s, and :meth:`query_table` reads shard by shard; see the module
+    is overridden — DDL/DML route to the shard files the manifest
+    names, and :meth:`query_table` reads shard by shard; see the module
     docstring.  :attr:`shard_opens` / :attr:`shard_open_log` count
     every shard database opened for reading, which is what the
     partition-pruning benchmark asserts on.
@@ -523,16 +238,16 @@ class ShardedMScopeDB(MScopeDB):
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        #: shard key -> open write connection (the base constructor
+        #: already commits through :meth:`_commit`).
+        self._writes: dict[tuple[str, int], sqlite3.Connection] = {}
         super().__init__(self.root / MANIFEST_FILE, threadsafe=threadsafe)
-        #: The warehouse *directory* — diagnosis workers reopen by it.
+        #: The warehouse *directory* — read-side consumers reopen by it.
         self.path = str(self.root)
         self._create_shard_tables()
         self.window_us = self._resolve_window(window_us)
-        #: logical dynamic table -> declared (column, type) order
-        self._registry: dict[str, list[tuple[str, str]]] = {}
-        self._table_host: dict[str, str] = {}
-        self._shards: dict[tuple[str, int], ShardInfo] = {}
-        self._writers: dict[str, ShardHostWriter] = {}
+        #: table -> index DDL applied to each shard the table lands in.
+        self._index_sql: dict[str, list[str]] = {}
         #: shard key -> cached read connection, least recently used
         #: first (at most :data:`_MAX_READERS`).
         self._readers: dict[tuple[str, int], sqlite3.Connection] = {}
@@ -545,13 +260,33 @@ class ShardedMScopeDB(MScopeDB):
     # lifecycle
 
     def close(self) -> None:
-        for writer in self._writers.values():
-            writer.close()
-        self._writers.clear()
-        for conn in self._readers.values():
+        for conn in itertools.chain(
+            self._writes.values(), self._readers.values()
+        ):
             conn.close()
+        self._writes.clear()
         self._readers.clear()
         super().close()
+
+    def _commit(self) -> None:
+        """Commit the shards, then the manifest that names them."""
+        if self._bulk_depth == 0:
+            for conn in self._writes.values():
+                conn.commit()
+            super()._commit()
+
+    @contextlib.contextmanager
+    def bulk_load(self) -> Iterator["ShardedMScopeDB"]:
+        """One transaction per touched file; all roll back together."""
+        try:
+            with super().bulk_load():
+                yield self
+        except BaseException:
+            if self._bulk_depth == 0:
+                for conn in self._writes.values():
+                    conn.rollback()
+                self._load_manifest()  # forget rolled-back shards
+            raise
 
     def _create_shard_tables(self) -> None:
         self._require_conn().executescript(
@@ -607,6 +342,11 @@ class ShardedMScopeDB(MScopeDB):
         return existing
 
     def _load_manifest(self) -> None:
+        """(Re)build the in-memory map of shards from ``manifest.db``."""
+        #: logical dynamic table -> declared (column, type) order
+        self._registry: dict[str, list[tuple[str, str]]] = {}
+        self._table_host: dict[str, str] = {}
+        self._shards: dict[tuple[str, int], ShardInfo] = {}
         conn = self._require_conn()
         for host, window_index, start_us, stop_us, relpath in conn.execute(
             "SELECT host, window_index, start_us, stop_us, path "
@@ -627,13 +367,17 @@ class ShardedMScopeDB(MScopeDB):
             "ORDER BY table_name, position"
         ):
             self._registry.setdefault(table, []).append((column, declared))
+        hosts = self._known_hosts()
+        for table in self._registry.keys() - self._table_host.keys():
+            # Created but still empty: its name alone places it.
+            self._table_host[table] = host_for_table(table, hosts)
 
     # ------------------------------------------------------------------
     # write routing
 
     def _known_hosts(self) -> set[str]:
         hosts = {info.host for info in self._shards.values()}
-        hosts.update(self._writers)
+        hosts.update(self._table_host.values())
         hosts.update(
             row[0]
             for row in self._require_conn().execute(
@@ -642,89 +386,84 @@ class ShardedMScopeDB(MScopeDB):
         )
         return hosts
 
-    def writer(self, host: str) -> ShardHostWriter:
-        """The (lazily created) shard writer owning ``host``."""
-        writer = self._writers.get(host)
-        if writer is None:
-            self._require_conn()  # close() dropped every writer
-            writer = ShardHostWriter(
-                self.root, host, self.window_us, self.threadsafe
-            )
-            # Late-joining writers must see schemas created earlier
-            # (e.g. a warehouse reopened for further loads).
-            for table, columns in self._registry.items():
-                if self._table_host.get(table) == host:
-                    writer.ensure_table(table, columns)
-            if self._bulk_depth > 0:
-                writer.begin_bulk()
-            self._writers[host] = writer
-        return writer
-
-    def _writer_for_table(self, table: str) -> ShardHostWriter:
+    def _host_of(self, table: str) -> str:
         host = self._table_host.get(table)
-        if host is None:
+        if host is None or table not in self._registry:
             raise QueryError(f"no such table {table!r}")
-        return self.writer(host)
+        return host
 
-    @contextlib.contextmanager
-    def bulk_load(self) -> Iterator["ShardedMScopeDB"]:
-        """Defer commits across manifest and every shard writer."""
-        outermost = self._bulk_depth == 0
-        if outermost:
-            for writer in self._writers.values():
-                writer.begin_bulk()
-        try:
-            with super().bulk_load():
-                yield self
-        except BaseException:
-            if outermost:
-                for writer in self._writers.values():
-                    writer.end_bulk(rollback=True)
-            raise
-        else:
-            if outermost:
-                for writer in self._writers.values():
-                    writer.end_bulk()
-
-    def register_shards(self, records: Iterable[ShardInfo]) -> None:
-        """Adopt shard records (from a writer, possibly in a worker)."""
+    def _register(self, info: ShardInfo) -> ShardInfo:
+        """Enter a shard and its tables in the manifest."""
         conn = self._require_conn()
-        for record in records:
-            existing = self._shards.get(record.key)
-            if existing is None:
-                self._shards[record.key] = existing = ShardInfo(
-                    record.host,
-                    record.window_index,
-                    record.start_us,
-                    record.stop_us,
-                    record.relpath,
-                )
-                conn.execute(
-                    "INSERT OR REPLACE INTO shard_manifest VALUES "
-                    "(?, ?, ?, ?, ?)",
-                    (
-                        record.host,
-                        record.window_index,
-                        record.start_us,
-                        record.stop_us,
-                        record.relpath,
-                    ),
-                )
-            new_tables = record.tables - existing.tables
-            if new_tables:
-                existing.tables.update(new_tables)
-                conn.executemany(
-                    "INSERT OR REPLACE INTO shard_tables VALUES (?, ?, ?)",
-                    [
-                        (record.host, record.window_index, table)
-                        for table in sorted(new_tables)
-                    ],
-                )
-                for table in new_tables:
-                    self._table_host.setdefault(table, record.host)
-        self._commit()
+        conn.execute(
+            "INSERT OR REPLACE INTO shard_manifest VALUES (?, ?, ?, ?, ?)",
+            (*info.key, info.start_us, info.stop_us, info.relpath),
+        )
+        conn.executemany(
+            "INSERT OR REPLACE INTO shard_tables VALUES (?, ?, ?)",
+            [(*info.key, table) for table in sorted(info.tables)],
+        )
+        self._shards[info.key] = info
+        return info
 
-    # -- the dynamic-table write API, routed to the owning writer ------
+    def _shard_for(self, host: str, window_index: int) -> ShardInfo:
+        """The shard that takes ``host``'s rows of one window: its own
+        file, else the roll-up that compaction folded the window into,
+        else a new file entered in the manifest."""
+        info = self._shards.get((host, window_index))
+        if info is not None:
+            return info
+        start_us, stop_us = _window_bounds(window_index, self.window_us)
+        for info in self._shards.values():
+            if (
+                info.host == host
+                and start_us is not None
+                and info.start_us is not None
+                and info.stop_us is not None
+                and info.start_us <= start_us < info.stop_us
+            ):
+                return info
+        return self._register(
+            ShardInfo(
+                host,
+                window_index,
+                start_us,
+                stop_us,
+                _shard_relpath(host, window_index, self.window_us),
+            )
+        )
+
+    def _write_conn(self, info: ShardInfo) -> sqlite3.Connection:
+        """A shard's write connection, inside a transaction — DDL
+        included, so a rollback leaves the file as the manifest says."""
+        conn = self._writes.get(info.key)
+        if conn is None:
+            self._require_conn()  # close() closed every writer
+            conn = _connect_shard(self.root / info.relpath, self.threadsafe)
+            set_file_pragmas(conn)
+            self._writes[info.key] = conn
+        if not conn.in_transaction:
+            conn.execute("BEGIN")
+        return conn
+
+    def _materialize(self, info: ShardInfo, table: str) -> sqlite3.Connection:
+        """The write connection of a shard holding ``table``, creating
+        the table (and its indexes) there on its first row."""
+        conn = self._write_conn(info)
+        if table not in info.tables:
+            conn.execute(create_table_sql(table, self._registry[table]))
+            for sql in self._index_sql.get(table, []):
+                conn.execute(sql)
+            info.tables.add(table)
+            self._register(info)
+        return conn
+
+    def _alter(self, table: str, sql: str) -> None:
+        """Run DDL on every manifest shard holding ``table``."""
+        for info in self._shards_for(table):
+            self._write_conn(info).execute(sql)
+
+    # -- the dynamic-table write API ------------------------------------
 
     def create_table(
         self, name: str, columns: Sequence[tuple[str, str]]
@@ -734,12 +473,8 @@ class ShardedMScopeDB(MScopeDB):
         create_table_sql(name, columns)
         if name in self._registry:
             return
-        # A table whose shards a worker already registered stays on
-        # that worker's host; otherwise the name decides.
-        host = self._table_host.get(name) or host_for_table(
-            name, self._known_hosts()
-        )
-        self.writer(host).ensure_table(name, columns)
+        host = host_for_table(name, self._known_hosts())
+        (self.root / _SHARD_DIR / host).mkdir(parents=True, exist_ok=True)
         self._registry[name] = list(columns)
         self._table_host[name] = host
         conn = self._require_conn()
@@ -757,8 +492,10 @@ class ShardedMScopeDB(MScopeDB):
         self._commit()
 
     def add_column(self, table: str, column: str, sql_type: str) -> None:
-        writer = self._writer_for_table(table)
-        writer.add_column(table, column, sql_type)
+        """Add a column (NULL backfill) to every shard holding ``table``."""
+        sql = add_column_sql(table, column, sql_type)
+        self._host_of(table)
+        self._alter(table, sql)
         self._registry[table].append((column, sql_type))
         conn = self._require_conn()
         conn.execute(
@@ -771,47 +508,80 @@ class ShardedMScopeDB(MScopeDB):
         )
         self._commit()
 
-    def record_column_type(
-        self, table: str, column: str, sql_type: str
-    ) -> None:
-        if table in self._registry:
-            self._writer_for_table(table).record_column_type(
-                table, column, sql_type
-            )
-        super().record_column_type(table, column, sql_type)
-
     def insert_rows(
         self,
         table: str,
         columns: Sequence[str],
         rows: Iterable[Sequence[Any]],
     ) -> int:
-        writer = self._writer_for_table(table)
-        inserted = writer.insert_rows(table, columns, rows)
-        self.register_shards(writer.records())
+        """Route rows into window shards; returns the inserted count.
+
+        Rows route per row on the timestamp column (``timestamp_us``,
+        else ``upstream_arrival_us``; rows with neither land in a
+        catch-all shard that pruning never skips), preserving input
+        order within each shard — so a shard's rowid order is the
+        monolith's insert order restricted to its window.
+        """
+        host = self._host_of(table)
+        time_index: int | None = None
+        if self.window_us is not None:
+            time_index = next(
+                (columns.index(c) for c in _TIME_COLUMNS if c in columns),
+                None,
+            )
+        column_sql = ", ".join(quote_identifier(c) for c in columns)
+        placeholders = ", ".join("?" for _ in columns)
+        sql = (
+            f"INSERT INTO {quote_identifier(table)} ({column_sql}) "
+            f"VALUES ({placeholders})"
+        )
+        inserted = 0
+        iterator = iter(rows)
+        while batch := list(itertools.islice(iterator, _INSERT_BATCH_SIZE)):
+            groups: dict[int, list] = {}
+            if time_index is None:
+                groups[self._window_of(None)] = batch
+            else:
+                for row in batch:
+                    groups.setdefault(
+                        self._window_of(row[time_index]), []
+                    ).append(row)
+            for window_index in sorted(groups):
+                info = self._shard_for(host, window_index)
+                cursor = self._materialize(info, table).executemany(
+                    sql, groups[window_index]
+                )
+                inserted += cursor.rowcount
+        self._commit()
         return inserted
 
+    def _window_of(self, value: Any) -> int:
+        if self.window_us is None:
+            return _WHOLE_WINDOW
+        if not isinstance(value, (int, float)):
+            return _MISC_WINDOW
+        return int(value // self.window_us)
+
+    def _add_index(self, table: str, sql: str) -> None:
+        known = self._index_sql.setdefault(table, [])
+        if sql not in known:
+            known.append(sql)
+            self._alter(table, sql)
+            self._commit()
+
     def create_index(self, table: str, column: str) -> None:
-        self._writer_for_table(table).create_index(table, column)
+        self._add_index(table, column_index_sql(table, column))
 
     def create_response_time_index(self, table: str) -> None:
-        self._writer_for_table(table).create_response_time_index(table)
+        self._add_index(table, response_time_index_sql(table))
 
     def create_covering_index(
         self, table: str, columns: Sequence[str], name: str
     ) -> None:
-        self._writer_for_table(table).create_covering_index(
-            table, columns, name
-        )
+        self._add_index(table, covering_index_sql(table, columns, name))
 
     # ------------------------------------------------------------------
     # reads: the statement runs in each shard, the results are merged
-
-    def flush(self) -> None:
-        """Commit every writer so other connections see the data."""
-        for writer in self._writers.values():
-            if self._bulk_depth == 0:
-                writer.commit()
 
     def _shards_for(
         self,
@@ -832,16 +602,14 @@ class ShardedMScopeDB(MScopeDB):
         return infos
 
     def _reader(self, info: ShardInfo) -> sqlite3.Connection:
-        """The connection that reads one shard: the writer's own while
-        it has the shard open (it sees its uncommitted rows; not
-        counted as a shard open), else this handle's cached reader,
-        opened and counted on first use."""
+        """The connection that reads one shard: its write connection
+        while one is open (it sees its uncommitted rows; not counted as
+        a shard open), else this handle's cached reader, opened and
+        counted on first use."""
         self._require_conn()  # close() closed every reader
-        writer = self._writers.get(info.host)
-        if writer is not None:
-            conn = writer._conns.get(info.window_index)
-            if conn is not None:
-                return conn
+        conn = self._writes.get(info.key)
+        if conn is not None:
+            return conn
         conn = self._readers.pop(info.key, None)
         if conn is None:
             path = self.root / info.relpath
@@ -940,15 +708,10 @@ class ShardedMScopeDB(MScopeDB):
         )
 
     def _remove_shard(self, info: ShardInfo) -> None:
-        writer = self._writers.get(info.host)
-        if writer is not None:
-            conn = writer._conns.pop(info.window_index, None)
+        for conns in (self._writes, self._readers):
+            conn = conns.pop(info.key, None)
             if conn is not None:
                 conn.close()
-            writer._shard_tables.pop(info.window_index, None)
-        reader = self._readers.pop(info.key, None)
-        if reader is not None:
-            reader.close()
         path = self.root / info.relpath
         for suffix in ("", "-wal", "-shm"):
             Path(f"{path}{suffix}").unlink(missing_ok=True)
@@ -1056,7 +819,8 @@ class ShardedMScopeDB(MScopeDB):
             relpath,
             tables,
         )
-        self.register_shards([record])
+        self._register(record)
+        self._commit()
         return len(infos)
 
 
@@ -1067,8 +831,8 @@ def open_warehouse(
 
     A directory containing ``manifest.db`` is a sharded warehouse;
     anything else is treated as a monolithic sqlite file.  Every
-    read-side consumer (CLI subcommands, diagnosis workers, the serve
-    daemon) goes through this, so both layouts are interchangeable
+    read-side consumer (CLI subcommands, the validation harness, the
+    serve daemon) goes through this, so both layouts are interchangeable
     downstream.  ``threadsafe`` opens every underlying connection with
     ``check_same_thread=False`` for single-owner, multi-thread use.
     """

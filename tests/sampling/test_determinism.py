@@ -1,14 +1,11 @@
 """Drain-order determinism: sampled parallel ingest is reproducible.
 
-The monolith pipeline fans parse/convert out over a process pool but
-applies sampling at the single-writer import stage, draining in
-``(host, file)`` order — so for *every* policy (including the stateful
-tail and conflation ones) a ``jobs=N`` run must be iterdump-identical
-to serial, sampling ledger included.  A sharded warehouse fans out
-whole hosts instead: parallel-safe head sampling runs inside workers
-(the decisions are pure per-row functions), while stateful policies
-are forced back onto the serial path; both must land the sampled
-monolith's exact content.
+The pipeline fans parse/convert out over a process pool but applies
+sampling at the single-writer import stage, draining in ``(host,
+file)`` order — so for *every* policy (including the stateful tail and
+conflation ones) a ``jobs=N`` run must be iterdump-identical to
+serial, sampling ledger included, and a sharded warehouse loaded the
+same way must hold the sampled monolith's exact content.
 """
 
 import pytest
@@ -67,13 +64,12 @@ def test_parallel_monolith_is_iterdump_identical(log_dir, spec):
 
 @pytest.mark.parametrize("spec", [None, *POLICIES])
 def test_parallel_sharded_matches_sampled_monolith(log_dir, tmp_path, spec):
-    """Host fan-out (or the forced serial path for stateful policies)
-    still lands exactly the sampled monolith's content — and so does
-    the in-process sharded build, so the manifest a parent replays
-    from its workers' writers (``schema_catalog``, ``load_catalog``,
-    ``monitor_registry``, ``sampling_ledger``) is the one a serial
-    build writes directly.  Unsampled and time-windowed targets are
-    what the ``window_reads`` benchmark's set-up builds."""
+    """Serial or fanned out, a sampled load into shards lands exactly
+    the sampled monolith's content — rows, ``schema_catalog``,
+    ``load_catalog``, ``monitor_registry`` and ``sampling_ledger`` —
+    for every policy, host-only or time-windowed.  Time-windowed
+    targets are what the ``window_reads`` benchmark's set-up
+    builds."""
     mono = MScopeDB()
     MScopeDataTransformer(mono, sampling=spec).transform_directory(
         log_dir, jobs=1

@@ -90,12 +90,6 @@ def test_parse_policy_rejects_bad_specs(spec):
         parse_policy(spec)
 
 
-def test_only_head_sampling_is_parallel_safe():
-    assert parse_policy("head:0.5").parallel_safe
-    assert not parse_policy("tail:0.1:50").parallel_safe
-    assert not parse_policy("conflate:0.5").parallel_safe
-
-
 # ------------------------------------------------------------ head policy
 
 

@@ -126,6 +126,43 @@ def test_errors_report_empty_ledger_exits_zero(tmp_path, capsys):
     assert "no ingest errors" in capsys.readouterr().out
 
 
+def test_failed_sharded_transform_leaves_the_monoliths_partial_load(tmp_path):
+    """A fail-fast ``--jobs 2`` transform that dies in db1's last
+    declared file leaves in shards exactly what it leaves in one file,
+    and every shard file on disk is one the manifest names."""
+    from repro.common.errors import ParseError
+    from repro.transformer.faultgen import LogCorruptor
+    from repro.warehouse.sharded import ShardedMScopeDB
+
+    out = tmp_path / "out"
+    main(["run", "--scenario", "a", "--duration", "2", "--out", str(out)])
+    sar = out / "logs" / "db1" / "sar.log"
+    LogCorruptor(seed=7).garble_lines(
+        sar, [len(sar.read_text().splitlines()) // 2]
+    )
+    for db, layout in (("m.db", []), ("m.shards", ["--shard-window-s", "0.6"])):
+        with pytest.raises(ParseError, match="sar.log"):
+            main(
+                [
+                    "transform",
+                    "--logs",
+                    str(out / "logs"),
+                    "--db",
+                    str(tmp_path / db),
+                    "--jobs",
+                    "2",
+                    *layout,
+                ]
+            )
+    root = tmp_path / "m.shards"
+    with MScopeDB(tmp_path / "m.db") as mono, ShardedMScopeDB(root) as shard:
+        assert list(shard.iterdump_content()) == list(
+            mono.iterdump_content()
+        )
+        named = {root / info.relpath for info in shard.shard_manifest()}
+    assert set((root / "shards").glob("*/*.db")) == named
+
+
 def test_transform_fail_fast_is_the_default(tmp_path):
     from repro.common.errors import ParseError
 

@@ -7,7 +7,6 @@ from repro.sampling.policy import parse_policy
 from repro.transformer.importer import MScopeDataImporter
 from repro.transformer.xml_to_csv import CsvTable
 from repro.warehouse.db import MScopeDB
-from repro.warehouse.sharded import ShardedMScopeDB, ShardHostWriter
 
 
 def make_table(name="collectl_web1", columns=None, rows=None):
@@ -279,42 +278,3 @@ def test_two_sources_in_one_table_keep_separate_totals():
         "ORDER BY source_path"
     ) == [(other, 3), (EVENT_SOURCE, 3)]
     assert db.row_count("tomcat_events_app1") == 6
-
-
-def test_shard_writer_logs_the_catalog_and_ledger_for_replay(tmp_path):
-    """A transform worker's importer writes the manifest rows through
-    ``meta_ops``; replayed, they equal what a monolith import records."""
-    rows = event_rows()
-    tables = [event_table(rows[:20]), event_table(rows[20:])]
-    mono = MScopeDB()
-    load(mono, tables, "head:0.5")
-
-    writer = ShardHostWriter(tmp_path / "shards", "app1")
-    load(writer, tables, "head:0.5")
-    with ShardedMScopeDB(tmp_path / "shards") as sharded:
-        sharded.register_shards(writer.close())
-        for replay in writer.meta_ops:
-            replay(sharded)
-        assert catalogs(sharded) == catalogs(mono)
-        assert sharded.row_count("tomcat_events_app1") == mono.row_count(
-            "tomcat_events_app1"
-        )
-
-    class Recorder:
-        """Stands in for the warehouse: notes which methods a replay calls."""
-
-        def __init__(self):
-            self.calls = []
-
-        def __getattr__(self, name):
-            return lambda *args, **kwargs: self.calls.append(name)
-
-    recorder = Recorder()
-    for replay in writer.meta_ops:
-        replay(recorder)
-    # One catalog row, its provenance and one ledger row per import.
-    assert recorder.calls == [
-        "create_table",
-        "record_load", "register_monitor", "record_sampling",
-        "record_load", "register_monitor", "record_sampling",
-    ]

@@ -29,7 +29,6 @@ def test_catalogue_covers_the_claimed_pairs():
         "policy-quarantine-clean",
         "causal-bulk",
         "warehouse-sharded",
-        "sampled-sharded",
     } <= keys
     assert len(CONFORMANCE_PAIRS) >= 5
     assert len(keys) == len(CONFORMANCE_PAIRS), "duplicate pair keys"

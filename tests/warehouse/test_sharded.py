@@ -103,7 +103,6 @@ def pair(tmp_path):
     shard = _populate(
         ShardedMScopeDB(tmp_path / "mscope.shards", window_us=WINDOW)
     )
-    shard.flush()
     yield mono, shard
     mono.close()
     shard.close()
@@ -697,6 +696,75 @@ def test_compaction_preserves_content(pair):
         not (0 <= info.window_index < 3) or "roll" in info.relpath
         for info in shard.shard_manifest()
     )
+
+
+def test_late_write_into_a_compacted_window_lands_in_the_rollup(tmp_path):
+    """A row for a window compaction already rolled up goes into the
+    roll-up shard — read back on the same handle and after a reopen,
+    with no shard file the manifest does not name."""
+    root = tmp_path / "w.shards"
+    table, columns = "collectl_cpu_db1", [c for c, _ in METRIC_COLUMNS]
+    sql = f"SELECT timestamp_us FROM {table}"
+    expected = [(100,), (200,), (1_500_000,), (2_500_000,), (3_500_000,)]
+    shard = ShardedMScopeDB(root, window_us=SECOND)
+    shard.create_table(table, METRIC_COLUMNS)
+    shard.insert_rows(
+        table,
+        columns,
+        [(100, 1.0), (1_500_000, 2.0), (2_500_000, 3.0), (3_500_000, 4.0)],
+    )
+    assert shard.compact_shards_before(3 * SECOND) == 3
+    shard.insert_rows(table, columns, [(200, 5.0)])
+    assert shard.query_table(table, sql, merge=merge_sorted(0)) == expected
+    shard.close()
+    with ShardedMScopeDB(root) as reopened:
+        assert (
+            reopened.query_table(table, sql, merge=merge_sorted(0))
+            == expected
+        )
+        named = {root / info.relpath for info in reopened.shard_manifest()}
+    assert set((root / "shards").glob("*/*.db")) == named
+
+
+def test_rolled_back_load_leaves_no_shard_behind(tmp_path):
+    """A load that fails inside ``bulk_load`` rolls back the shard
+    files and the manifest together; the next load lands cleanly."""
+    table, columns = "collectl_cpu_db1", [c for c, _ in METRIC_COLUMNS]
+    with ShardedMScopeDB(tmp_path / "w.shards", window_us=SECOND) as shard:
+        shard.create_table(table, METRIC_COLUMNS)
+        with pytest.raises(RuntimeError):
+            with shard.bulk_load():
+                shard.insert_rows(table, columns, [(100, 1.0)])
+                raise RuntimeError("import failed")
+        assert shard.shard_manifest() == []
+        shard.insert_rows(table, columns, [(200, 2.0)])
+        assert shard.query_table(
+            table, f"SELECT timestamp_us FROM {table}"
+        ) == [(200,)]
+
+
+def test_add_column_on_reopen_reaches_every_shard(tmp_path):
+    """``add_column`` alters every manifest shard holding the table,
+    not only the shards this handle has written."""
+    root = tmp_path / "w.shards"
+    table = "collectl_cpu_db1"
+    with ShardedMScopeDB(root, window_us=SECOND) as shard:
+        shard.create_table(table, METRIC_COLUMNS)
+        shard.insert_rows(
+            table,
+            [c for c, _ in METRIC_COLUMNS],
+            [(100, 1.0), (1_500_000, 2.0)],
+        )
+    with ShardedMScopeDB(root) as reopened:
+        reopened.add_column(table, "cpu_user_pct", "REAL")
+        reopened.insert_rows(
+            table, ["timestamp_us", "cpu_user_pct"], [(2_500_000, 7.0)]
+        )
+        assert reopened.query_table(
+            table,
+            f"SELECT timestamp_us, cpu_user_pct FROM {table}",
+            merge=merge_sorted(0),
+        ) == [(100, None), (1_500_000, None), (2_500_000, 7.0)]
 
 
 # ----------------------------------------------------------------------
