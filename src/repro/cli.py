@@ -44,12 +44,10 @@ from repro.ntier.system import KERNELS
 from repro.telemetry.spans import TelemetryCollector
 from repro.transformer.errorpolicy import ERROR_MODES, QUARANTINE, ErrorPolicy
 from repro.transformer.pipeline import MScopeDataTransformer
-from repro.warehouse.db import MScopeDB
+from repro.warehouse.db import RUN_META_FILE, MScopeDB
 from repro.warehouse.sharded import ShardedMScopeDB, open_warehouse
 
 __all__ = ["main", "build_parser"]
-
-_META_FILE = "run_meta.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,15 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--diagnose-interval", type=float, default=2.0, metavar="SECONDS",
         help="delay between incremental diagnosis cycles",
-    )
-    serve.add_argument(
-        "--queue-capacity", type=int, default=64,
-        help="bounded ingest queue size; reaching it downshifts to "
-        "sampled ingest",
-    )
-    serve.add_argument(
-        "--sample-fraction", type=float, default=0.25,
-        help="fraction of the queue imported per cycle while degraded",
     )
     serve.add_argument(
         "--diagnosis-window", type=float, default=10.0, metavar="SECONDS",
@@ -490,7 +479,7 @@ def _cmd_run(args) -> int:
         "completed_requests": len(run.result.traces),
     }
     out.mkdir(parents=True, exist_ok=True)
-    (out / _META_FILE).write_text(json.dumps(meta, indent=2) + "\n")
+    (out / RUN_META_FILE).write_text(json.dumps(meta, indent=2) + "\n")
     print(
         f"scenario {meta['scenario']}: {meta['completed_requests']} requests, "
         f"{run.result.throughput():.0f} req/s, "
@@ -515,8 +504,7 @@ def _cmd_report(args) -> int:
     db = open_warehouse(args.db)
     epoch = args.epoch_us
     if epoch is None:
-        recorded = db.get_experiment_meta("epoch_us")
-        epoch = int(recorded) if recorded is not None else 0
+        epoch = db.recorded_epoch_us()
     path = write_markdown_report(db, args.out, epoch_us=epoch)
     print(f"report -> {path}")
     db.close()
@@ -547,12 +535,7 @@ def _cmd_transform(args) -> int:
         telemetry=telemetry, sampling=args.sampling,
     )
     outcomes = transformer.transform_directory(args.logs)
-    meta_path = args.logs.parent / _META_FILE
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
-        for key in ("seed", "duration_us", "epoch_us", "workload_users"):
-            if key in meta:
-                db.set_experiment_meta(key, str(meta[key]))
+    db.carry_run_meta(args.logs)
     rows = sum(o.rows_loaded for o in outcomes)
     for outcome in outcomes:
         where = f"{outcome.source.parent.name}/{outcome.source.name}"
@@ -660,8 +643,7 @@ def _cmd_diagnose(args) -> int:
     db = open_warehouse(args.db)
     epoch = args.epoch_us
     if epoch is None:
-        recorded = db.get_experiment_meta("epoch_us")
-        epoch = int(recorded) if recorded is not None else 0
+        epoch = db.recorded_epoch_us()
     window = None
     if args.window is not None:
         try:
@@ -703,8 +685,6 @@ def _cmd_serve(args) -> int:
         port=args.port,
         refresh_interval_s=args.refresh_interval,
         diagnose_interval_s=args.diagnose_interval,
-        queue_capacity=args.queue_capacity,
-        sample_fraction=args.sample_fraction,
         diagnosis_window_s=args.diagnosis_window,
         vlrt_floor=args.vlrt_floor,
         on_error=args.on_error,
@@ -742,8 +722,7 @@ def _cmd_shards(args) -> int:
         return 1
     # Cutoffs and spans are simulation-time seconds (rebased by the
     # recorded epoch), matching diagnose --window.
-    recorded = db.get_experiment_meta("epoch_us")
-    epoch = int(recorded) if recorded is not None else 0
+    epoch = db.recorded_epoch_us()
     if args.drop_before is not None:
         dropped = db.drop_shards_before(seconds(args.drop_before) + epoch)
         print(f"dropped {dropped} shards before {args.drop_before:g}s")

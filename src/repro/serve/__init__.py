@@ -5,8 +5,9 @@ batch: collect logs, transform, diagnose.  This package promotes the
 same machinery into a long-lived asyncio daemon:
 
 * continuous multi-host tail-ingest — one
-  :class:`~repro.transformer.live.LiveTransformer` per monitored host,
-  delta-importing into a monolithic or sharded warehouse;
+  :class:`~repro.transformer.live.LiveTransformer` whose parse cursors
+  resume every file where it stopped, delta-importing into a
+  monolithic or sharded warehouse;
 * an incremental diagnosis loop re-running the
   :class:`~repro.analysis.diagnosis.Diagnoser` over fixed time windows
   as data lands, caching per-window verdicts;
@@ -14,21 +15,16 @@ same machinery into a long-lived asyncio daemon:
   (text / JSON / Prometheus, reusing the telemetry formatters),
   ``/reports``, ``/paths/<request_id>``, and an ``/events`` SSE stream
   of heartbeats, ingest errors, and floor breaches;
-* backpressure: a bounded ingest queue whose high-water mark drops the
-  daemon to head-based sampled ingest — visible in ``/stats`` and on
-  the event stream — with full recovery once the storm subsides, and a
-  clean SIGTERM drain that leaves the warehouse import-consistent
+* a clean SIGTERM drain that leaves the warehouse import-consistent
   (iterdump-identical to a batch transform of the same final tree).
 """
 
 from repro.serve.daemon import MScopeServeDaemon, ServeConfig
 from repro.serve.events import EventBroker, ServeEvent
-from repro.serve.state import BackpressureQueue, IngestMode, ServeState
+from repro.serve.state import ServeState
 
 __all__ = [
-    "BackpressureQueue",
     "EventBroker",
-    "IngestMode",
     "MScopeServeDaemon",
     "ServeConfig",
     "ServeEvent",

@@ -4,31 +4,27 @@ The cycle logic is synchronous and injectable-clock testable; the
 asyncio layer (:meth:`MScopeServeDaemon.run`) only schedules cycles,
 handles signals, and hosts the HTTP API.  Each cycle:
 
-1. **Scan** — walk the log tree with the shared
-   :meth:`~repro.transformer.live.LiveTransformer.declared_files`
-   order and offer ``(host, file)`` work items for every file whose
-   size changed since its last successful refresh.  The queue is
-   bounded and deduplicating; a refused offer is a *deferral*, not a
-   loss — the file keeps its unread tail.
-2. **Backpressure** — crossing the queue's high-water mark downshifts
-   to :data:`~repro.serve.state.IngestMode.SAMPLED`: only the head of
-   the queue is imported per cycle until the depth falls back under
-   the low-water mark.  Both transitions are published on the event
-   stream and visible in ``/stats``.
-3. **Ingest** — one :class:`LiveTransformer` delta-imports each
-   taken file (monolithic or sharded warehouse — both open
-   ``threadsafe`` for the executor threads).  One is all a daemon
+1. **Ingest** — one
+   :meth:`~repro.transformer.live.LiveTransformer.refresh_directory`
+   over the log tree (monolithic or sharded warehouse — both open
+   ``threadsafe`` for the executor threads).  Each file's parse cursor
+   decides what is new: an unchanged file is not parsed, a grown one
+   is parsed from its cursor on, and an unparsable one keeps its
+   cursor and is retried next cycle.  The cursors are the daemon's
+   only record of what was ingested.  One transformer is all a daemon
    needs: cycles run one at a time under the warehouse lock, and a
    single write stage is what lets tail sampling see a request's
    records from *all* tiers.
-4. **Diagnose** — on its own interval, re-run the
+2. **Report** — each skipped file becomes an ``ingest-error`` event,
+   and the cycle's counters a ``heartbeat``.
+3. **Diagnose** — on its own interval, re-run the
    :class:`~repro.analysis.diagnosis.Diagnoser` over fixed
    simulation-time windows covering newly landed data and cache the
    per-window verdicts; the trailing window stays provisional and is
    re-diagnosed until data moves past it.
 
-Shutdown (SIGTERM/SIGINT) drains: sampling is lifted, ingest cycles
-repeat until a full scan imports nothing new, a final diagnosis runs,
+Shutdown (SIGTERM/SIGINT) drains: ingest cycles repeat until no
+cursor moves and no file is skipped, a final diagnosis runs,
 and the warehouse closes import-consistent — iterdump-identical to a
 batch transform of the same final tree (the serve-smoke CI job holds
 this).  Pipeline telemetry is kept in memory for ``/stats`` and is
@@ -41,7 +37,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import dataclasses
-import json
 import signal
 import threading
 import time
@@ -50,29 +45,25 @@ from typing import Any, Callable
 
 from repro.analysis.causal import CausalPath, reconstruct_paths_bulk
 from repro.analysis.diagnosis import Diagnoser
-from repro.common.errors import AnalysisError, DeclarationError, ParseError
+from repro.common.errors import AnalysisError, DeclarationError
 from repro.common.timebase import Micros, seconds
 from repro.common.windows import format_window
 from repro.serve import events as ev
 from repro.serve.events import EventBroker
 from repro.serve.render import report_to_dict
-from repro.serve.state import BackpressureQueue, IngestMode, ServeState
+from repro.serve.state import ServeState
 from repro.telemetry.aggregate import RunTelemetry
 from repro.telemetry.spans import TelemetryCollector
 from repro.transformer.errorpolicy import ErrorPolicy
-from repro.transformer.live import LiveTransformer
+from repro.transformer.live import LiveTransformer, RefreshOutcome
 from repro.warehouse.db import MScopeDB
 from repro.warehouse.sharded import ShardedMScopeDB, open_warehouse
 
 __all__ = [
-    "CycleOutcome",
     "MScopeServeDaemon",
     "ServeConfig",
     "WindowVerdict",
 ]
-
-_META_FILE = "run_meta.json"
-_META_KEYS = ("seed", "duration_us", "epoch_us", "workload_users")
 
 
 @dataclasses.dataclass(slots=True)
@@ -90,10 +81,6 @@ class ServeConfig:
     refresh_interval_s: float = 0.5
     #: Seconds between diagnosis cycles.
     diagnose_interval_s: float = 2.0
-    #: Bounded ingest queue capacity (work items = growing files).
-    queue_capacity: int = 64
-    #: Fraction of the queue imported per cycle while degraded.
-    sample_fraction: float = 0.25
     #: Simulation-time width of one diagnosis window (seconds).
     diagnosis_window_s: float = 10.0
     #: VLRT count a window may carry before a floor-breach event.
@@ -113,19 +100,6 @@ class ServeConfig:
     #: Log-volume-reduction policy spec (e.g. ``tail:0.05:50``);
     #: ``None`` ingests everything.
     sampling: str | None = None
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class CycleOutcome:
-    """What one ingest cycle did."""
-
-    new_rows: int
-    refreshed_files: int
-    skipped_files: int
-    taken: int
-    deferred: int
-    dropped: int
-    mode: IngestMode
 
 
 @dataclasses.dataclass(slots=True)
@@ -171,15 +145,15 @@ class MScopeServeDaemon:
         self.config = config
         self.clock = clock
         self.state = ServeState()
-        self.queue: BackpressureQueue[tuple[str, Path, int]] = BackpressureQueue(
-            config.queue_capacity,
-            high_water=config.queue_capacity,
-            low_water=max(0, config.queue_capacity // 4),
-        )
         self.broker = EventBroker()
         self.telemetry = TelemetryCollector()
         self.db = self._open_db()
-        self.epoch_us = self._resolve_meta()
+        # Run metadata lands exactly as the batch transform records it.
+        self.db.carry_run_meta(config.logs)
+        self.epoch_us = (
+            config.epoch_us if config.epoch_us is not None
+            else self.db.recorded_epoch_us()
+        )
         self._live = LiveTransformer(
             self.db,
             policy=ErrorPolicy(mode=config.on_error),
@@ -188,8 +162,6 @@ class MScopeServeDaemon:
             on_ingest_error=self._on_ingest_error,
             sampling=config.sampling,
         )
-        #: file -> byte size at its last successful refresh.
-        self._seen_bytes: dict[Path, int] = {}
         self._verdicts: dict[str, WindowVerdict] = {}
         self._breached: set[str] = set()
         #: First window not yet final; ``None`` until data exists.
@@ -214,23 +186,6 @@ class MScopeServeDaemon:
             )
         return open_warehouse(config.db, threadsafe=True)
 
-    def _resolve_meta(self) -> int:
-        """Carry run metadata into the warehouse, exactly as the batch
-        transform does, and resolve the epoch offset."""
-        meta_path = Path(self.config.logs).parent / _META_FILE
-        meta: dict[str, Any] = {}
-        if meta_path.exists():
-            meta = json.loads(meta_path.read_text())
-            for key in _META_KEYS:
-                if key in meta:
-                    self.db.set_experiment_meta(key, str(meta[key]))
-        if self.config.epoch_us is not None:
-            return self.config.epoch_us
-        if "epoch_us" in meta:
-            return int(meta["epoch_us"])
-        recorded = self.db.get_experiment_meta("epoch_us")
-        return int(recorded) if recorded is not None else 0
-
     def _on_ingest_error(self, source_path: str, reason: str) -> None:
         self.state.ingest_errors += 1
         self.broker.publish(
@@ -239,106 +194,34 @@ class MScopeServeDaemon:
 
     # -- the ingest cycle ----------------------------------------------
 
-    def _scan(self) -> tuple[int, int]:
-        """Offer every grown declared file; returns (offered, dropped)."""
+    def ingest_cycle(self) -> RefreshOutcome:
+        """One refresh of the log tree, each file from its cursor."""
+        started = self.clock()
         try:
-            pairs = self._live.declared_files(self.config.logs)
+            outcome = self._live.refresh_directory(self.config.logs)
         except DeclarationError:
             # The log tree may not exist yet; serve an empty system.
-            return 0, 0
-        offered = dropped = 0
-        for host, path in pairs:
-            try:
-                size = path.stat().st_size
-            except OSError:
-                continue  # rotated away between glob and stat
-            if self._seen_bytes.get(path) == size:
-                continue
-            offered += 1
-            if not self.queue.offer((host, path, size)):
-                dropped += 1
-        return offered, dropped
-
-    def ingest_cycle(self) -> CycleOutcome:
-        """One scan → backpressure check → bounded drain pass."""
-        started = self.clock()
-        _, dropped = self._scan()
-        if not self.state.sampled() and self.queue.above_high_water:
-            self.state.mode = IngestMode.SAMPLED
-            self.state.degrades += 1
+            outcome = RefreshOutcome()
+        for path, reason in outcome.skipped:
+            # Usually a mid-write file, sometimes a truncated one; its
+            # cursor stayed put, so the next cycle tries it again.
             self.broker.publish(
-                ev.DEGRADE,
-                {
-                    "reason": "ingest queue reached its high-water mark",
-                    "queue_depth": self.queue.depth,
-                    "capacity": self.queue.capacity,
-                },
-            )
-        if self.state.sampled() and not self.state.draining:
-            head = max(
-                1, int(self.queue.capacity * self.config.sample_fraction)
-            )
-            batch = self.queue.take(head)
-        else:
-            batch = self.queue.take()
-        deferred = self.queue.depth
-        new_rows = refreshed = skipped = 0
-        for host, path, size in batch:
-            try:
-                rows = self._live.refresh_file(path, host)
-            except ParseError as exc:
-                # Usually a mid-write file, sometimes a truncated one;
-                # the next scan re-offers it (its recorded size is left
-                # stale on purpose).
-                skipped += 1
-                self.broker.publish(
-                    ev.INGEST_ERROR, {"file": str(path), "reason": str(exc)}
-                )
-                continue
-            self._seen_bytes[path] = size
-            if rows:
-                refreshed += 1
-                new_rows += rows
-        if self.state.sampled() and self.queue.below_low_water:
-            self.state.mode = IngestMode.LIVE
-            self.state.recoveries += 1
-            self.broker.publish(
-                ev.RECOVER,
-                {
-                    "reason": (
-                        "drain" if self.state.draining
-                        else "ingest queue drained below its low-water mark"
-                    ),
-                    "queue_depth": self.queue.depth,
-                },
+                ev.INGEST_ERROR, {"file": str(path), "reason": reason}
             )
         self.state.cycles += 1
-        self.state.rows += new_rows
+        self.state.rows += outcome.new_rows
         self._refresh_sampling_gauges()
-        self.state.refreshed_files += refreshed
-        self.state.skipped_files += skipped
-        self.state.deferred += deferred
+        self.state.refreshed_files += outcome.refreshed_files
+        self.state.skipped_files += outcome.skipped_files
         self.state.last_cycle_s = max(0.0, self.clock() - started)
         self._trim_telemetry()
-        outcome = CycleOutcome(
-            new_rows=new_rows,
-            refreshed_files=refreshed,
-            skipped_files=skipped,
-            taken=len(batch),
-            deferred=deferred,
-            dropped=dropped,
-            mode=self.state.mode,
-        )
         self.broker.publish(
             ev.HEARTBEAT,
             {
                 "cycle": self.state.cycles,
-                "new_rows": new_rows,
-                "refreshed_files": refreshed,
-                "skipped_files": skipped,
-                "queue_depth": self.queue.depth,
-                "deferred": deferred,
-                "mode": self.state.mode.value,
+                "new_rows": outcome.new_rows,
+                "refreshed_files": outcome.refreshed_files,
+                "skipped_files": outcome.skipped_files,
                 "lag_s": round(self.state.last_cycle_s, 6),
                 "total_rows": self.state.rows,
             },
@@ -523,9 +406,6 @@ class MScopeServeDaemon:
             self.state.to_dict(),
             status="draining" if self.state.draining else "ok",
             uptime_s=round(max(0.0, self.clock() - self._started), 3),
-            queue_depth=self.queue.depth,
-            queue_capacity=self.queue.capacity,
-            queue_dropped=self.queue.dropped,
             warehouse=self.db.path,
             epoch_us=self.epoch_us,
         )
@@ -544,23 +424,18 @@ class MScopeServeDaemon:
     def drain(self) -> None:
         """Catch the warehouse up completely, then close it.
 
-        Sampling is lifted and ingest cycles repeat until a full scan
-        consumes nothing new — *takes* no files, not merely imports no
-        rows: under a tail-sampling policy a consumed file can defer
-        every row and still mean progress — (bounded by
-        ``drain_rounds`` in case a log writer never stops mid-record),
-        then a final diagnosis pass runs.  After this the warehouse content equals a batch
-        transform of the same final tree.
+        Ingest cycles repeat until one moves no cursor and skips no
+        file — moves no cursor, not merely imports no rows: under a
+        tail-sampling policy a consumed file can defer every row and
+        still mean progress — (bounded by ``drain_rounds`` in case a log
+        writer never stops mid-record), then a final diagnosis pass
+        runs.  After this the warehouse content equals a batch transform
+        of the same final tree.
         """
         self.state.draining = True
         for _ in range(max(1, self.config.drain_rounds)):
             outcome = self.ingest_cycle()
-            if (
-                outcome.taken == 0
-                and outcome.new_rows == 0
-                and outcome.skipped_files == 0
-                and self.queue.depth == 0
-            ):
+            if outcome.advanced_files == 0 and outcome.skipped_files == 0:
                 break
         # A stateful sampling policy (tail deferral) may still withhold
         # records; commit them before the final diagnosis so deferred

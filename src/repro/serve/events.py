@@ -9,11 +9,9 @@ before they attached.
 
 Event types (the SSE ``event:`` field):
 
-* ``heartbeat``     — one per ingest cycle: rows, files, lag, queue.
+* ``heartbeat``     — one per ingest cycle: rows, files, lag.
 * ``ingest-error``  — a damaged line or an unparsable file.
 * ``floor-breach``  — a diagnosis window exceeded the VLRT floor.
-* ``degrade``       — backpressure downshifted to sampled ingest.
-* ``recover``       — the queue drained; full ingest restored.
 * ``shutdown``      — the daemon is draining (final event).
 """
 
@@ -31,8 +29,6 @@ __all__ = ["EventBroker", "ServeEvent"]
 HEARTBEAT = "heartbeat"
 INGEST_ERROR = "ingest-error"
 FLOOR_BREACH = "floor-breach"
-DEGRADE = "degrade"
-RECOVER = "recover"
 SHUTDOWN = "shutdown"
 
 

@@ -9,7 +9,7 @@ closes after one request.  Endpoints:
     Liveness + the full serve-state counter block (JSON).
 ``GET /stats?format=text|json|prom``
     Pipeline telemetry through the batch formatters plus the serve
-    section (ingest mode, queue gauges, event counters).
+    section (ingest counters, event counters).
 ``GET /reports`` / ``GET /reports?window=START:STOP``
     Cached per-window diagnosis verdicts (window filter uses the same
     ``START:STOP`` grammar as ``mscope diagnose --window``; a bad
@@ -19,8 +19,8 @@ closes after one request.  Endpoints:
 ``GET /paths/<request_id>[,<request_id>...]``
     Bulk causal-path reconstruction straight from the live warehouse.
 ``GET /events[?replay=1]``
-    The SSE stream — heartbeats, ingest errors, degrade/recover,
-    floor breaches, and a final shutdown event.
+    The SSE stream — heartbeats, ingest errors, floor breaches, and a
+    final shutdown event.
 """
 
 from __future__ import annotations
@@ -181,8 +181,7 @@ class HttpServer:
                 )
             telemetry = await asyncio.to_thread(daemon.telemetry_snapshot)
             body, content_type = render_stats(
-                fmt, telemetry, daemon.state, daemon.queue,
-                daemon.broker.counts,
+                fmt, telemetry, daemon.state, daemon.broker.counts,
             )
             return 200, body, content_type
         if path == "/reports":

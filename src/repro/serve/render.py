@@ -2,7 +2,7 @@
 
 The daemon reuses the batch formatters in
 :mod:`repro.telemetry.export` for the pipeline telemetry and appends a
-``serve`` section (ingest mode, queue gauges, event counters) so one
+``serve`` section (ingest counters, event counters) so one
 ``/stats`` scrape tells the whole story.  Diagnosis reports serialize
 through :func:`report_to_dict` — structured fields plus the same
 ``to_text`` rendering ``mscope diagnose`` prints.
@@ -14,7 +14,7 @@ import json
 from typing import Any, Mapping
 
 from repro.analysis.diagnosis import DiagnosisReport
-from repro.serve.state import BackpressureQueue, ServeState
+from repro.serve.state import ServeState
 from repro.telemetry.aggregate import RunTelemetry
 from repro.telemetry.export import render_prometheus, render_text
 
@@ -69,9 +69,7 @@ def report_to_dict(report: DiagnosisReport) -> dict[str, Any]:
 
 
 def serve_prometheus_lines(
-    state: ServeState,
-    queue: BackpressureQueue,
-    event_counts: Mapping[str, int],
+    state: ServeState, event_counts: Mapping[str, int]
 ) -> list[str]:
     """The daemon's own gauges/counters in exposition format."""
     lines: list[str] = []
@@ -81,25 +79,6 @@ def serve_prometheus_lines(
         lines.append(f"# TYPE {_SERVE_PREFIX}_{name} {kind}")
         lines.append(f"{_SERVE_PREFIX}_{name} {value}")
 
-    metric(
-        "sampled_ingest", "gauge",
-        "1 while backpressure holds the daemon in sampled ingest",
-        1 if state.sampled() else 0,
-    )
-    metric(
-        "ingest_queue_depth", "gauge",
-        "Pending work items in the bounded ingest queue", queue.depth,
-    )
-    metric(
-        "ingest_queue_dropped_total", "counter",
-        "Work offers refused because the ingest queue was full",
-        queue.dropped,
-    )
-    metric(
-        "ingest_deferred_total", "counter",
-        "Work items deferred by sampled-mode head sampling",
-        state.deferred,
-    )
     metric(
         "ingest_cycles_total", "counter",
         "Ingest cycles completed", state.cycles,
@@ -112,14 +91,6 @@ def serve_prometheus_lines(
         "ingest_errors_total", "counter",
         "Damaged lines recorded by the lenient ingest policy",
         state.ingest_errors,
-    )
-    metric(
-        "degrades_total", "counter",
-        "Downshifts into sampled ingest", state.degrades,
-    )
-    metric(
-        "recoveries_total", "counter",
-        "Recoveries back to full ingest", state.recoveries,
     )
     metric(
         "diagnosis_windows", "gauge",
@@ -152,26 +123,20 @@ def render_stats(
     fmt: str,
     telemetry: RunTelemetry,
     state: ServeState,
-    queue: BackpressureQueue,
     event_counts: Mapping[str, int],
 ) -> tuple[str, str]:
     """``/stats`` body and content type for one of text/json/prom."""
     if fmt == "json":
         document = telemetry.to_json_dict()
-        document["serve"] = dict(state.to_dict(), queue_depth=queue.depth,
-                                 queue_dropped=queue.dropped)
+        document["serve"] = state.to_dict()
         return json.dumps(document, indent=2) + "\n", "application/json"
     if fmt == "prom":
         body = render_prometheus(telemetry)
-        body += "\n".join(
-            serve_prometheus_lines(state, queue, event_counts)
-        ) + "\n"
+        body += "\n".join(serve_prometheus_lines(state, event_counts)) + "\n"
         return body, "text/plain; version=0.0.4"
     body = render_text(telemetry)
     body += (
-        f"\nserve: mode={state.mode.value} cycles={state.cycles} "
-        f"rows={state.rows} queue={queue.depth}/{queue.capacity} "
-        f"dropped={queue.dropped} deferred={state.deferred} "
+        f"\nserve: cycles={state.cycles} rows={state.rows} "
         f"windows={state.cached_windows} breaches={state.floor_breaches}\n"
     )
     return body, "text/plain"

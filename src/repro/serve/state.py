@@ -1,127 +1,23 @@
-"""Backpressure and observable state for the serve daemon.
+"""Observable state for the serve daemon.
 
-Two pieces, both synchronous and loop-agnostic so the daemon's cycle
-logic stays unit-testable without asyncio:
-
-* :class:`BackpressureQueue` — the bounded ingest work queue.  The
-  scanner offers ``(host, path)`` work items; crossing the high-water
-  mark downshifts the daemon into :data:`IngestMode.SAMPLED` ingest
-  (only the head of the queue is imported per cycle, the tail is
-  deferred — files keep their data, so nothing is lost, only delayed),
-  and draining back under the low-water mark restores
-  :data:`IngestMode.LIVE`.
-* :class:`ServeState` — every counter and gauge the HTTP layer
-  renders: ingest mode, queue depth, rows/files/errors, per-cycle lag,
-  diagnosis progress.  ``to_dict`` is the JSON shape shared by
-  ``/healthz`` and ``/stats``.
+:class:`ServeState` holds every counter and gauge the HTTP layer
+renders: rows/files/errors, per-cycle lag, diagnosis progress.  It is
+synchronous and loop-agnostic so the daemon's cycle logic stays
+unit-testable without asyncio; ``to_dict`` is the JSON shape shared by
+``/healthz`` and ``/stats``.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
-import enum
-from typing import Generic, Hashable, TypeVar
 
-__all__ = ["BackpressureQueue", "IngestMode", "ServeState"]
-
-T = TypeVar("T", bound=Hashable)
-
-
-class IngestMode(str, enum.Enum):
-    """How much of the pending work each cycle imports."""
-
-    #: Every pending work item is ingested every cycle.
-    LIVE = "live"
-    #: Only the head sample of the queue is ingested; the rest defers.
-    SAMPLED = "sampled"
-
-
-class BackpressureQueue(Generic[T]):
-    """A bounded, deduplicating work queue with water marks.
-
-    Work items are hashable (the daemon uses ``(host, path)`` pairs);
-    an item already queued is not queued twice — re-offering a file
-    that is still pending carries no new information, so dedup keeps
-    the depth an honest measure of distinct backlog.
-
-    ``offer`` never blocks: when the queue is full the item is counted
-    as dropped and the caller re-offers it on a later scan (log files
-    retain their unread tail, so a drop defers work, it never loses
-    data).
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        high_water: int | None = None,
-        low_water: int | None = None,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"queue capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        #: Depth at/above which the daemon downshifts to sampled ingest.
-        self.high_water = high_water if high_water is not None else capacity
-        #: Depth at/below which full ingest is restored.
-        self.low_water = (
-            low_water if low_water is not None else max(0, capacity // 4)
-        )
-        if not 0 <= self.low_water < self.high_water <= capacity:
-            raise ValueError(
-                f"water marks must satisfy 0 <= low ({self.low_water}) < "
-                f"high ({self.high_water}) <= capacity ({capacity})"
-            )
-        self._items: collections.deque[T] = collections.deque()
-        self._queued: set[T] = set()
-        #: Offers refused because the queue was full.
-        self.dropped = 0
-        #: Offers absorbed as no-ops because the item was already queued.
-        self.duplicates = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def depth(self) -> int:
-        return len(self._items)
-
-    def offer(self, item: T) -> bool:
-        """Enqueue ``item``; False when full (counted as a drop)."""
-        if item in self._queued:
-            self.duplicates += 1
-            return True
-        if len(self._items) >= self.capacity:
-            self.dropped += 1
-            return False
-        self._items.append(item)
-        self._queued.add(item)
-        return True
-
-    def take(self, limit: int | None = None) -> list[T]:
-        """Dequeue up to ``limit`` items from the head (all if None)."""
-        if limit is None:
-            limit = len(self._items)
-        taken: list[T] = []
-        while self._items and len(taken) < limit:
-            item = self._items.popleft()
-            self._queued.discard(item)
-            taken.append(item)
-        return taken
-
-    @property
-    def above_high_water(self) -> bool:
-        return self.depth >= self.high_water
-
-    @property
-    def below_low_water(self) -> bool:
-        return self.depth <= self.low_water
+__all__ = ["ServeState"]
 
 
 @dataclasses.dataclass(slots=True)
 class ServeState:
     """Everything the HTTP layer observes about the daemon."""
 
-    mode: IngestMode = IngestMode.LIVE
     #: Ingest cycles completed.
     cycles: int = 0
     #: Rows delta-imported since startup.
@@ -132,12 +28,6 @@ class ServeState:
     skipped_files: int = 0
     #: Ingest errors recorded by the lenient policy.
     ingest_errors: int = 0
-    #: Work items deferred by sampled-mode head sampling.
-    deferred: int = 0
-    #: Mode downshifts (degrade events) since startup.
-    degrades: int = 0
-    #: Mode upshifts (recover events) since startup.
-    recoveries: int = 0
     #: Seconds the most recent ingest cycle took.
     last_cycle_s: float = 0.0
     #: Diagnosis cycles completed.
@@ -153,21 +43,14 @@ class ServeState:
     #: True once SIGTERM/shutdown drain has begun.
     draining: bool = False
 
-    def sampled(self) -> bool:
-        return self.mode is IngestMode.SAMPLED
-
     def to_dict(self) -> dict:
         """The JSON shape served by ``/healthz`` and ``/stats``."""
         return {
-            "mode": self.mode.value,
             "cycles": self.cycles,
             "rows": self.rows,
             "refreshed_files": self.refreshed_files,
             "skipped_files": self.skipped_files,
             "ingest_errors": self.ingest_errors,
-            "deferred": self.deferred,
-            "degrades": self.degrades,
-            "recoveries": self.recoveries,
             "last_cycle_s": round(self.last_cycle_s, 6),
             "diagnose_cycles": self.diagnose_cycles,
             "cached_windows": self.cached_windows,

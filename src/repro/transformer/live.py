@@ -22,7 +22,10 @@ Notes
   parsed from byte 0 with fresh state and the records beyond the
   cursor's count import.  SAR's XML output, a whole-document format
   well-formed only once closed, and any parser that does not opt in to
-  resumption always restart.
+  resumption restart whenever the file changed.  A file that did not
+  change since its cursor is not parsed at all, so the cursors are the
+  one record of what was ingested: an idle tree costs a few bytes read
+  per file.
 * A restart that finds *fewer* records than were already imported
   means the file was truncated or rotated: the refresh raises
   ``ParseError`` instead of silently ignoring everything appended
@@ -35,9 +38,11 @@ Notes
   output, which is well-formed only once closed) is retried within the
   refresh — ``max_retries`` bounded attempts with exponential backoff,
   giving a concurrent writer time to finish the record — and only then
-  skipped until the next refresh.  The retry count is reported in the
-  :class:`RefreshOutcome` so operators see contention instead of
-  silent per-refresh skips.
+  skipped until the next refresh; its cursor stays where it was.  The
+  :class:`RefreshOutcome` names each skipped file with its reason and
+  counts the retries, so operators see contention instead of silent
+  per-refresh skips.  A file that vanished since the directory was
+  listed is not a skip: there is nothing in it to ingest.
 * An :class:`~repro.transformer.errorpolicy.ErrorPolicy` can make the
   refresh lenient: damaged lines are recorded in ``ingest_errors``
   under the line numbers a batch parse gives them (idempotently — a
@@ -81,12 +86,21 @@ __all__ = ["LiveTransformer", "RefreshOutcome", "Heartbeat"]
 class RefreshOutcome:
     """Result of one refresh pass over a log directory."""
 
-    new_rows: int
-    refreshed_files: int
-    skipped_files: int
+    new_rows: int = 0
+    #: Files that imported at least one row.
+    refreshed_files: int = 0
+    #: Files whose cursor moved — consumed bytes even when a sampling
+    #: policy imported none of their rows.
+    advanced_files: int = 0
+    #: ``(path, reason)`` of every file left unparsed this refresh.
+    skipped: tuple[tuple[Path, str], ...] = ()
     #: Mid-write retry attempts spent this refresh (0 when every file
     #: parsed on its first attempt).
     retries: int = 0
+
+    @property
+    def skipped_files(self) -> int:
+        return len(self.skipped)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -280,37 +294,43 @@ class LiveTransformer:
         """
         pairs = self.declared_files(root)
         started = self._clock()
-        new_rows = 0
-        refreshed = 0
-        skipped = 0
-        retries = 0
+        new_rows = refreshed = advanced = retries = 0
+        skipped: list[tuple[Path, str]] = []
         spans: list[SpanData] = []
         with self.telemetry.probe().span(spans, "refresh") as span:
             for hostname, log_file in pairs:
+                before = self._cursors.get(log_file)
                 imported = None
+                reason = ""
                 for attempt in range(self.max_retries + 1):
                     try:
                         imported = self.refresh_file(log_file, hostname)
                         break
                     except ParseError as exc:
-                        self._last_error = str(exc)
+                        if not log_file.exists():
+                            imported = 0  # gone since the listing
+                            break
+                        self._last_error = reason = str(exc)
                         if attempt == self.max_retries:
                             break
                         self._sleep(self.backoff_s * (2**attempt))
                         retries += 1
                 if imported is None:
-                    skipped += 1
+                    skipped.append((log_file, reason))
                     continue
+                if self._cursors.get(log_file) != before:
+                    advanced += 1
                 if imported:
                     refreshed += 1
                     new_rows += imported
-            span.add(records=new_rows, errors=skipped)
+            span.add(records=new_rows, errors=len(skipped))
         self.telemetry.ingest(spans)
         self._beat(started, refreshed, new_rows)
         return RefreshOutcome(
             new_rows=new_rows,
             refreshed_files=refreshed,
-            skipped_files=skipped,
+            advanced_files=advanced,
+            skipped=tuple(skipped),
             retries=retries,
         )
 

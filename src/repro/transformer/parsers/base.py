@@ -240,7 +240,10 @@ class MScopeParser:
         """Parse what was appended to ``path`` since ``cursor``.
 
         Returns the records beyond ``cursor.records`` and the advanced
-        cursor.  A resumable parser reads on from the cursor's offset
+        cursor.  A file that is still the one ``cursor`` stopped in and
+        ends at its offset has nothing new: it yields no records and the
+        same cursor without being parsed, whatever the parser.
+        Otherwise a resumable parser reads on from the cursor's offset
         with its carried state and stops at the last newline.  It
         restarts from byte 0 with fresh state when the file was
         rewritten (another inode, shorter than the offset, or different
@@ -255,7 +258,11 @@ class MScopeParser:
         path = Path(path)
         try:
             with path.open("rb") as handle:
-                start = cursor if self._continues(handle, cursor) else START
+                size = self._size_if_same(handle, cursor)
+                if size == cursor.offset:
+                    return self.new_document(str(path)), cursor
+                resumes = size is not None and self.resumable
+                start = cursor if resumes else START
                 document, after = self._read(
                     handle, start, sink, str(path), final=not self.resumable
                 )
@@ -273,17 +280,20 @@ class MScopeParser:
             span.add(bytes=after.offset - start.offset)
         return document, after
 
-    def _continues(self, handle: BinaryIO, cursor: ParseCursor) -> bool:
-        """Whether ``handle`` is the file ``cursor`` stopped in, grown
-        or not, and this parser may read on from there."""
-        if not self.resumable or cursor.file_id is None:
-            return False
+    @staticmethod
+    def _size_if_same(handle: BinaryIO, cursor: ParseCursor) -> int | None:
+        """``handle``'s size when it is the file ``cursor`` stopped in,
+        grown or not; ``None`` when it was rewritten since."""
+        if cursor.file_id is None:
+            return None
         stat = os.fstat(handle.fileno())
         replaced = (stat.st_dev, stat.st_ino) != cursor.file_id
         if replaced or stat.st_size < cursor.offset:
-            return False
+            return None
         handle.seek(cursor.offset - len(cursor.tail))
-        return handle.read(len(cursor.tail)) == cursor.tail
+        if handle.read(len(cursor.tail)) != cursor.tail:
+            return None
+        return stat.st_size
 
     def _read(
         self,

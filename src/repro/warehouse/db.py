@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import json
 import re
 import sqlite3
 from operator import itemgetter
@@ -30,6 +31,7 @@ from repro.common.errors import QueryError, WarehouseError
 __all__ = [
     "MScopeDB",
     "RESPONSE_TIME_SQL",
+    "RUN_META_FILE",
     "STATIC_TABLES",
     "merge_sorted",
     "quote_identifier",
@@ -54,6 +56,12 @@ STATIC_TABLES = (
     "sampling_ledger",
     "conflated_requests",
 )
+
+#: The run description ``mscope run`` writes beside its log tree.
+RUN_META_FILE = "run_meta.json"
+
+#: The keys of it a warehouse built from that tree records.
+_RUN_META_KEYS = ("seed", "duration_us", "epoch_us", "workload_users")
 
 #: Rows per ``executemany`` batch during bulk inserts.
 _INSERT_BATCH_SIZE = 5000
@@ -429,6 +437,22 @@ class MScopeDB:
             "SELECT value FROM experiment_meta WHERE key = ?", (key,)
         ).fetchone()
         return row[0] if row else None
+
+    def carry_run_meta(self, logs: Path | str) -> None:
+        """Record the seed, duration, epoch and workload of the
+        :data:`RUN_META_FILE` beside the log tree ``logs``, if any."""
+        meta_path = Path(logs).parent / RUN_META_FILE
+        if not meta_path.exists():
+            return
+        meta = json.loads(meta_path.read_text())
+        for key in _RUN_META_KEYS:
+            if key in meta:
+                self.set_experiment_meta(key, str(meta[key]))
+
+    def recorded_epoch_us(self) -> int:
+        """The recorded ``epoch_us``, else 0."""
+        recorded = self.get_experiment_meta("epoch_us")
+        return int(recorded) if recorded is not None else 0
 
     def register_host(
         self,

@@ -15,8 +15,6 @@ from repro.common.timebase import WallClock, ms, seconds
 from repro.logfmt.mysql import format_mscope_query
 from repro.serve import events as ev
 from repro.serve.daemon import MScopeServeDaemon, ServeConfig
-from repro.serve.render import render_stats
-from repro.serve.state import IngestMode
 from repro.transformer.pipeline import MScopeDataTransformer
 from repro.warehouse.db import MScopeDB
 
@@ -60,7 +58,6 @@ def test_first_cycle_imports_everything(logs):
     daemon = make_daemon(logs)
     outcome = daemon.ingest_cycle()
     assert outcome.new_rows == 3
-    assert outcome.mode is IngestMode.LIVE
     assert daemon.state.rows == 3
     assert daemon.db.row_count("mysql_events_db1") == 3
 
@@ -79,7 +76,7 @@ def test_unchanged_file_is_not_reoffered(logs):
     daemon = make_daemon(logs)
     daemon.ingest_cycle()
     outcome = daemon.ingest_cycle()
-    assert outcome.taken == 0
+    assert outcome.advanced_files == 0
     assert outcome.new_rows == 0
 
 
@@ -155,8 +152,8 @@ def test_truncated_file_is_announced_and_reoffered(logs):
     assert error.data["file"] == str(path)
     assert "1 records < 3 already imported" in error.data["reason"]
     assert daemon.db.row_count("mysql_events_db1") == 3
-    # Its recorded size stays stale, so the next scan takes it again.
-    assert daemon.ingest_cycle().taken == 1
+    # Its cursor stays put, so the next cycle tries it again.
+    assert daemon.ingest_cycle().skipped_files == 1
 
 
 def test_lenient_policy_records_errors_without_skipping(logs):
@@ -184,7 +181,7 @@ def test_run_meta_copied_into_warehouse(tmp_path):
     assert daemon.db.get_experiment_meta("workload_users") == "5"
 
 
-# -- backpressure (the ingest storm) -----------------------------------
+# -- many growing files -------------------------------------------------
 
 
 @pytest.fixture()
@@ -198,46 +195,25 @@ def storm_logs(tmp_path):
     return root
 
 
-def test_storm_degrades_to_sampled_then_recovers(storm_logs):
-    daemon = make_daemon(storm_logs, queue_capacity=2)
-    outcome = daemon.ingest_cycle()
-    # Six growing files against a capacity-2 queue: downshift.
-    assert daemon.state.sampled()
-    assert outcome.dropped == 4
-    assert daemon.state.degrades == 1
-    degrade = daemon.broker.history(ev.DEGRADE)[0]
-    assert degrade.data["capacity"] == 2
-    # Sampled mode ingests only the head of the queue per cycle.
-    assert outcome.taken == 1
-    # Degradation is visible in /stats while the storm lasts.
-    body, _ = render_stats(
-        "prom", daemon.telemetry_snapshot(), daemon.state, daemon.queue,
-        daemon.broker.counts,
-    )
-    assert "mscope_serve_sampled_ingest 1" in body
-    # Backlog drains one file per cycle; recovery follows automatically.
-    for _ in range(10):
-        daemon.ingest_cycle()
-        if not daemon.state.sampled():
-            break
-    assert not daemon.state.sampled()
-    assert daemon.state.recoveries == 1
-    assert daemon.broker.history(ev.RECOVER)
-    # Nothing was lost, only deferred: every row landed.
-    for n in range(6):
-        assert daemon.db.row_count(f"mysql_events_db{n}") == 3
-    assert daemon.state.deferred > 0
-    body, _ = render_stats(
-        "prom", daemon.telemetry_snapshot(), daemon.state, daemon.queue,
-        daemon.broker.counts,
-    )
-    assert "mscope_serve_sampled_ingest 0" in body
+def test_every_growing_file_lands_every_cycle(tmp_path):
+    """100 files, each growing a line per cycle: no file waits behind
+    another, so every appended row lands in the cycle after its append."""
+    root = tmp_path / "logs"
+    hosts = [f"db{n}" for n in range(100)]
+    daemon = make_daemon(root)
+    for cycle in range(3):
+        for host in hosts:
+            append(root / host / "mysql_log.log", [mysql_line(cycle, host)])
+        outcome = daemon.ingest_cycle()
+        assert (outcome.new_rows, outcome.skipped_files) == (100, 0)
+    for host in hosts:
+        assert daemon.db.row_count(f"mysql_events_{host}") == 3
+    assert daemon.state.rows == 300
 
 
 def test_drain_catches_up_even_mid_storm(storm_logs):
-    daemon = make_daemon(storm_logs, queue_capacity=2)
+    daemon = make_daemon(storm_logs)
     daemon.ingest_cycle()
-    assert daemon.state.sampled()
     daemon.drain()
     assert daemon.state.draining
     for n in range(6):
@@ -247,7 +223,7 @@ def test_drain_catches_up_even_mid_storm(storm_logs):
 
 
 def test_drained_warehouse_matches_batch_transform(storm_logs):
-    daemon = make_daemon(storm_logs, queue_capacity=2)
+    daemon = make_daemon(storm_logs)
     daemon.ingest_cycle()
     append(
         storm_logs / "db0" / "mysql_log.log", [mysql_line(9, "db0")]

@@ -16,10 +16,10 @@ def test_sse_wire_format():
 def test_publish_increments_ids_and_counts():
     broker = EventBroker()
     first = broker.publish(ev.HEARTBEAT, {})
-    second = broker.publish(ev.DEGRADE, {})
+    second = broker.publish(ev.FLOOR_BREACH, {})
     assert (first.event_id, second.event_id) == (1, 2)
     assert broker.counts[ev.HEARTBEAT] == 1
-    assert broker.counts[ev.DEGRADE] == 1
+    assert broker.counts[ev.FLOOR_BREACH] == 1
 
 
 def test_subscriber_receives_events():
@@ -56,10 +56,10 @@ def test_replay_subscription_gets_history_first():
         broker = EventBroker()
         broker.attach_loop(asyncio.get_running_loop())
         broker.publish(ev.HEARTBEAT, {"cycle": 1})
-        broker.publish(ev.DEGRADE, {})
+        broker.publish(ev.FLOOR_BREACH, {})
         queue = broker.subscribe(replay=True)
         kinds = [queue.get_nowait().kind, queue.get_nowait().kind]
-        assert kinds == [ev.HEARTBEAT, ev.DEGRADE]
+        assert kinds == [ev.HEARTBEAT, ev.FLOOR_BREACH]
 
     asyncio.run(scenario())
 
@@ -68,7 +68,7 @@ def test_history_ring_is_bounded_and_filterable():
     broker = EventBroker(history=3)
     for cycle in range(5):
         broker.publish(ev.HEARTBEAT, {"cycle": cycle})
-    broker.publish(ev.RECOVER, {})
+    broker.publish(ev.INGEST_ERROR, {})
     assert len(broker.history()) == 3
     beats = broker.history(ev.HEARTBEAT)
     assert [event.data["cycle"] for event in beats] == [3, 4]

@@ -61,9 +61,8 @@ def test_healthz_reports_state(tmp_path):
         assert headers["Content-Type"] == "application/json"
         health = json.loads(body)
         assert health["status"] == "ok"
-        assert health["mode"] == "live"
         assert health["rows"] == 3
-        assert health["queue_capacity"] == 64
+        assert health["skipped_files"] == 0
 
     asyncio.run(with_daemon(daemon, scenario))
 
@@ -76,14 +75,14 @@ def test_stats_formats(tmp_path):
         status, _, body = await fetch(port, "/stats?format=json")
         assert status == 200
         document = json.loads(body)
-        assert document["serve"]["mode"] == "live"
+        assert document["serve"]["rows"] == 3
         assert "stages" in document
         status, headers, body = await fetch(port, "/stats?format=prom")
         assert status == 200
         assert "mscope_serve_rows_ingested_total 3" in body
         assert "version=0.0.4" in headers["Content-Type"]
         status, _, body = await fetch(port, "/stats")
-        assert status == 200 and "serve: mode=live" in body
+        assert status == 200 and "serve: cycles=" in body
         status, _, body = await fetch(port, "/stats?format=yaml")
         assert status == 400 and "unknown format" in body
 

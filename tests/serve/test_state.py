@@ -1,101 +1,13 @@
-"""Tests for the backpressure queue and serve-state counters."""
+"""Tests for the serve-state counters."""
 
 import json
 
-import pytest
-
-from repro.serve.state import BackpressureQueue, IngestMode, ServeState
-
-
-def test_offer_and_take_fifo():
-    queue = BackpressureQueue(capacity=4)
-    for item in ("a", "b", "c"):
-        assert queue.offer(item)
-    assert queue.depth == 3
-    assert queue.take() == ["a", "b", "c"]
-    assert queue.depth == 0
-
-
-def test_take_limit_takes_the_head():
-    queue = BackpressureQueue(capacity=8)
-    for item in range(6):
-        queue.offer(item)
-    assert queue.take(2) == [0, 1]
-    assert queue.depth == 4
-
-
-def test_full_queue_drops_and_counts():
-    queue = BackpressureQueue(capacity=2)
-    assert queue.offer("a")
-    assert queue.offer("b")
-    assert not queue.offer("c")
-    assert queue.dropped == 1
-    assert queue.depth == 2
-
-
-def test_duplicate_offers_are_absorbed():
-    queue = BackpressureQueue(capacity=4)
-    assert queue.offer("a")
-    assert queue.offer("a")
-    assert queue.depth == 1
-    assert queue.duplicates == 1
-    # A re-offer of a queued item is not a drop even when full.
-    queue.offer("b")
-    queue.offer("c")
-    queue.offer("d")
-    assert queue.offer("a")
-    assert queue.dropped == 0
-
-
-def test_taken_item_can_be_reoffered():
-    queue = BackpressureQueue(capacity=4)
-    queue.offer("a")
-    queue.take()
-    assert queue.offer("a")
-    assert queue.depth == 1
-
-
-def test_water_marks():
-    queue = BackpressureQueue(capacity=8, high_water=6, low_water=2)
-    for item in range(6):
-        queue.offer(item)
-    assert queue.above_high_water
-    assert not queue.below_low_water
-    queue.take(4)
-    assert not queue.above_high_water
-    assert queue.below_low_water
-
-
-def test_default_water_marks():
-    queue = BackpressureQueue(capacity=8)
-    assert queue.high_water == 8
-    assert queue.low_water == 2
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"capacity": 0},
-        {"capacity": 4, "high_water": 5},
-        {"capacity": 4, "high_water": 2, "low_water": 2},
-        {"capacity": 4, "high_water": 2, "low_water": 3},
-    ],
-)
-def test_invalid_configurations_rejected(kwargs):
-    with pytest.raises(ValueError):
-        BackpressureQueue(**kwargs)
-
-
-def test_state_defaults_to_live():
-    state = ServeState()
-    assert state.mode is IngestMode.LIVE
-    assert not state.sampled()
+from repro.serve.state import ServeState
 
 
 def test_state_to_dict_is_json_serializable():
-    state = ServeState(mode=IngestMode.SAMPLED, cycles=3, rows=100)
+    state = ServeState(cycles=3, rows=100)
     document = json.loads(json.dumps(state.to_dict()))
-    assert document["mode"] == "sampled"
     assert document["cycles"] == 3
     assert document["rows"] == 100
     assert document["draining"] is False

@@ -272,6 +272,6 @@ def test_serve_parser_defaults(tmp_path):
     args = build_parser().parse_args(["serve", "--logs", str(tmp_path)])
     assert args.command == "serve"
     assert args.port == 0
-    assert args.queue_capacity == 64
+    assert args.refresh_interval == 0.5
     assert args.on_error == "fail-fast"
     assert args.db is None

@@ -340,6 +340,52 @@ def test_each_appended_byte_is_parsed_once(log_dir):
     assert parsed / path.stat().st_size == 1.0
 
 
+def test_unchanged_file_is_not_parsed_again(log_dir):
+    """Even a parser that cannot resume (SAR's XML) leaves a file alone
+    while it is unchanged since its cursor; once it changes, it is
+    parsed again from byte 0."""
+    from repro.telemetry.spans import TelemetryCollector, zero_clock
+
+    path = log_dir / "db1" / "sar_xml.log"
+    path.write_text(COMPLETE_SAR_XML)
+    live = LiveTransformer(
+        MScopeDB(), telemetry=TelemetryCollector(clock=zero_clock)
+    )
+
+    def refresh():
+        rows = live.refresh_file(path, "db1")
+        return rows, live.telemetry.spans[-1].bytes
+
+    assert refresh() == (1, path.stat().st_size)
+    assert refresh() == (0, 0)
+    second = (
+        '<timestamp date="2017-03-01" time="10:00:01.050">'
+        '<cpu-load><cpu number="all" user="2.00" system="0.50" '
+        'iowait="0.00" steal="0.00" idle="97.50"/></cpu-load></timestamp>'
+    )
+    grown = COMPLETE_SAR_XML.replace("</statistics>", second + "</statistics>")
+    path.write_text(grown + "\n")
+    assert refresh() == (1, len(grown) + 1)
+    # Same size, other last bytes: a rewrite, read whole again.
+    path.write_text(grown + " ")
+    assert refresh() == (0, len(grown) + 1)
+    (table,) = live.db.dynamic_tables()
+    assert live.db.row_count(table) == 2
+
+
+def test_file_gone_since_listing_is_not_skipped(log_dir):
+    """A file rotated away between the listing and its open holds
+    nothing to ingest: it is neither skipped nor an error."""
+    path = log_dir / "db1" / "mysql_log.log"
+    append(path, [mysql_line(0)])
+    live = LiveTransformer(MScopeDB(), max_retries=0)
+    gone = log_dir / "db1" / "sar_xml.log"
+    live.declared_files = lambda root: [("db1", path), ("db1", gone)]
+    outcome = live.refresh_directory(log_dir)
+    assert (outcome.new_rows, outcome.skipped) == (1, ())
+    assert live.heartbeat().last_error is None
+
+
 def test_declared_files_is_the_one_walk(tmp_path):
     """The declaration's walk, its live projection and the batch
     transform's outcome order agree — with an undeclared log in a host
