@@ -270,7 +270,6 @@ class MScopeDataTransformer:
         self.db = db
         self.declaration = declaration or default_declaration()
         self.workdir = Path(workdir) if workdir is not None else None
-        self.converter = XmlToCsvConverter()
         self.jobs = jobs
         self.policy = policy or FAIL_FAST_POLICY
         self.telemetry = telemetry or NULL_TELEMETRY

@@ -3,11 +3,17 @@
 Every parser normalizes its source's timestamp dialect into one tag —
 ``timestamp_us``, integer microseconds since the Unix epoch — so the
 warehouse can join series from different monitors on a common axis.
+
+A log repeats one date on every line and each ``HH:MM:SS`` on every
+line of that second, so the date and the whole-second parse are
+memoised; a string that fails raises on every call (``lru_cache``
+never caches an exception).
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 
 from repro.common.errors import ParseError
 
@@ -22,10 +28,9 @@ def wall_to_epoch_us(date_str: str, time_str: str) -> int:
     All milliScope logs are written in UTC (the testbed's convention),
     so no timezone inference is attempted.
     """
-    date = _parse_date(date_str)
     parts = time_str.split(".")
     try:
-        clock = _dt.datetime.strptime(parts[0], "%H:%M:%S").time()
+        seconds = _epoch_seconds(date_str, parts[0])
     except ValueError as exc:
         raise ParseError(f"bad time {time_str!r}: {exc}") from exc
     micros = 0
@@ -36,10 +41,22 @@ def wall_to_epoch_us(date_str: str, time_str: str) -> int:
         micros = int(fraction.ljust(6, "0"))
     elif len(parts) > 2:
         raise ParseError(f"bad time {time_str!r}")
-    stamp = _dt.datetime.combine(date, clock, tzinfo=_UTC)
-    return int(stamp.timestamp()) * 1_000_000 + micros
+    return seconds * 1_000_000 + micros
 
 
+@functools.lru_cache(maxsize=1024)
+def _epoch_seconds(date_str: str, clock_str: str) -> int:
+    """Whole epoch seconds of a date and an ``HH:MM:SS`` clock.
+
+    Raises :class:`ParseError` for a bad date and ``ValueError`` for a
+    bad clock, which the caller words with the full time string.
+    """
+    date = _parse_date(date_str)
+    clock = _dt.datetime.strptime(clock_str, "%H:%M:%S").time()
+    return int(_dt.datetime.combine(date, clock, tzinfo=_UTC).timestamp())
+
+
+@functools.lru_cache(maxsize=256)
 def _parse_date(date_str: str) -> _dt.date:
     for fmt in ("%Y-%m-%d", "%m/%d/%Y", "%Y%m%d", "%y%m%d"):
         try:

@@ -9,6 +9,12 @@ table using the paper's bottom-up schema materialization —
   *narrowest* type (INTEGER ⊂ REAL ⊂ TEXT) that can store every value
   observed for that tag.
 
+Both rules are defined over whole columns, so the converter works one
+column at a time: it gathers each tag's values, types the column with
+two whole-column scans, and coerces it in one pass.
+:class:`TypeLattice` is the type rule's definition and the exact
+fallback for a column the scans do not settle.
+
 The converter also writes/reads the CSV + schema artifacts the
 downstream mScope Data Importer consumes.
 """
@@ -17,22 +23,24 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.common.errors import SchemaInferenceError
 from repro.transformer.xmlmodel import XmlDocument
 
 __all__ = ["CsvTable", "TypeLattice", "XmlToCsvConverter", "infer_sql_type"]
 
-_TYPE_ORDER = ("INTEGER", "REAL", "TEXT")
+_CASTS: dict[str, Callable[[str], Any]] = {"INTEGER": int, "REAL": float}
 
 
 def _is_int(value: str) -> bool:
     if not value:
         return False
     body = value[1:] if value[0] in "+-" else value
-    return body.isdigit()
+    # isdecimal(), not isdigit(): "²" is a digit int() rejects.
+    return body.isdecimal()
 
 
 def _is_real(value: str) -> bool:
@@ -77,13 +85,56 @@ class TypeLattice:
         """The inferred type (TEXT when no non-empty value was seen)."""
         return self._state if self._saw_value else "TEXT"
 
+    @property
+    def settled(self) -> bool:
+        """Whether the state is TEXT, which no further value can widen."""
+        return self._state == "TEXT"
+
 
 def infer_sql_type(values: list[str]) -> str:
     """The narrowest SQL type storing every value (best-match principle)."""
     lattice = TypeLattice()
     for value in values:
         lattice.observe(value)
+        if lattice.settled:
+            break
     return lattice.result()
+
+
+def _column_type(present: list[str]) -> str:
+    """:func:`infer_sql_type` of a column's non-empty values.
+
+    Two whole-column scans settle the usual columns: all ASCII digits
+    is INTEGER, and ASCII digits and dots that ``float()`` accepts is
+    REAL (some value has a dot, so not every value is an integer).  A
+    column they do not settle goes through the lattice, so the result
+    equals the lattice's on every input.
+    """
+    if not present:
+        return "TEXT"
+    joined = "".join(present)
+    if joined.isascii():
+        ascii_bytes = joined.encode()  # bytes.isdigit(): ~7x str.isdigit()
+        if ascii_bytes.isdigit():
+            return "INTEGER"
+        if ascii_bytes.replace(b".", b"").isdigit() and all(
+            map(_is_real, present)
+        ):
+            return "REAL"
+    return infer_sql_type(present)
+
+
+def _typed_column(values: list[str | None]) -> tuple[str, list[Any]]:
+    """One column's inferred type and its coerced values (as
+    :func:`_coerce` gives them, cell by cell)."""
+    present = [v for v in values if v]
+    sql_type = _column_type(present)
+    cast = _CASTS.get(sql_type)
+    if len(present) == len(values):
+        return sql_type, present if cast is None else list(map(cast, present))
+    if cast is None:
+        return sql_type, [v or None for v in values]
+    return sql_type, [cast(v) if v else None for v in values]
 
 
 def _coerce(value: str | None, sql_type: str) -> Any:
@@ -128,42 +179,31 @@ class XmlToCsvConverter:
         ``extra_columns`` adds constant-valued TEXT columns (e.g. the
         hostname the pipeline knows from the log's location).
         """
-        # One pass over the records both collects the tag union (in
-        # first-appearance order) and narrows each tag's type lattice,
-        # replacing the per-tag full scans of the old inference.
-        lattices: dict[str, TypeLattice] = {}
-        for record in document:
-            for tag, value in record.items():
-                lattice = lattices.get(tag)
-                if lattice is None:
-                    lattice = lattices[tag] = TypeLattice()
-                lattice.observe(value)
-        tags = list(lattices)
-        if not tags and not extra_columns:
+        records = [record.fields for record in document]
+        # The tag union, in first-appearance order.
+        union = dict.fromkeys(itertools.chain.from_iterable(records))
+        if not union and not extra_columns:
             raise SchemaInferenceError(
                 f"document {document.source!r} has no tags to infer from"
             )
-        type_by_tag = {tag: lattice.result() for tag, lattice in lattices.items()}
 
-        columns: list[tuple[str, str]] = [(t, type_by_tag[t]) for t in tags]
-        constants: list[tuple[str, str]] = []
+        columns: list[tuple[str, str]] = []
+        values: list[list[Any]] = []
+        for tag in union:
+            sql_type, column = _typed_column([f.get(tag) for f in records])
+            columns.append((tag, sql_type))
+            values.append(column)
         if extra_columns:
             for column, value in extra_columns.items():
-                if column in type_by_tag:
+                if column in union:
                     # The parser already extracted this field from the
                     # log itself (e.g. SAR's banner hostname); the
                     # log's own value wins.
                     continue
                 columns.append((column, "TEXT"))
-                constants.append((column, value))
+                values.append([value] * len(records))
 
-        rows: list[tuple] = []
-        for record in document:
-            row = [
-                _coerce(record.get(tag), type_by_tag[tag]) for tag in tags
-            ]
-            row.extend(value for _, value in constants)
-            rows.append(tuple(row))
+        rows = list(zip(*values))
         return CsvTable(
             name=table_name,
             columns=columns,

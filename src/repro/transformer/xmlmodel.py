@@ -10,6 +10,7 @@ real ``.xml`` file and read back, keeping the pipeline's stages honest
 
 from __future__ import annotations
 
+import functools
 import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -22,6 +23,12 @@ __all__ = ["LogRecord", "XmlDocument", "sanitize_tag"]
 
 _TAG_CLEAN_RE = re.compile(r"[^A-Za-z0-9_]")
 _TAG_OK_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+#: Tag names that already passed ``_TAG_OK_RE``, so :meth:`LogRecord.set`
+#: checks each distinct name once; past the cap, names are checked on
+#: every call.
+_VALID_TAGS: set[str] = set()
+_VALID_TAGS_MAX = 4096
 
 # Code points XML 1.0 cannot carry at all, escaped or not: C0 controls
 # (minus tab/newline/CR), surrogates, and the two non-characters.  Raw
@@ -38,10 +45,12 @@ def _xml_text(value: str) -> str:
     return escape(_XML_INVALID_RE.sub("\ufffd", value))
 
 
+@functools.lru_cache(maxsize=1024)
 def sanitize_tag(raw: str) -> str:
     """Turn an arbitrary column label into a valid XML tag / SQL column.
 
     ``[CPU]User%`` → ``cpu_user_pct``; ``%util`` → ``util_pct``.
+    Memoised: resource logs repeat the same header on every block.
     """
     name = raw.strip()
     name = name.replace("%", "_pct").replace("/", "_per_")
@@ -67,17 +76,21 @@ class LogRecord:
 
     def set(self, tag: str, value) -> None:
         """Set one field (tag must already be sanitized)."""
-        if not _TAG_OK_RE.match(tag):
-            raise ParseError(f"invalid tag name {tag!r}")
-        self._fields[tag] = str(value)
+        if tag not in _VALID_TAGS:
+            if not _TAG_OK_RE.match(tag):
+                raise ParseError(f"invalid tag name {tag!r}")
+            if len(_VALID_TAGS) < _VALID_TAGS_MAX:
+                _VALID_TAGS.add(tag)
+        self._fields[tag] = value if isinstance(value, str) else str(value)
 
     def get(self, tag: str, default: str | None = None) -> str | None:
         """Read one field."""
         return self._fields.get(tag, default)
 
-    def tags(self) -> list[str]:
-        """Tags in insertion order."""
-        return list(self._fields)
+    @property
+    def fields(self) -> Mapping[str, str]:
+        """The tag → value mapping, in insertion order (read only)."""
+        return self._fields
 
     def items(self) -> Iterator[tuple[str, str]]:
         return iter(self._fields.items())
@@ -114,14 +127,6 @@ class XmlDocument:
 
     def __iter__(self) -> Iterator[LogRecord]:
         return iter(self.records)
-
-    def all_tags(self) -> list[str]:
-        """Union of tags across records, ordered by first appearance."""
-        seen: dict[str, None] = {}
-        for record in self.records:
-            for tag in record.tags():
-                seen.setdefault(tag, None)
-        return list(seen)
 
     # ------------------------------------------------------------------
     # file round trip

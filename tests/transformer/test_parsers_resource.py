@@ -57,6 +57,17 @@ def test_sar_text_full_report():
     )
 
 
+@pytest.mark.parametrize(
+    "date, time",
+    [("2017-13-45", "10:00:00"), ("2017-03-01", "25:00:00"), ("x", "y")],
+)
+def test_malformed_timestamp_raises_on_every_call(date, time):
+    # The date and clock parses are memoised; a failure never is.
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            wall_to_epoch_us(date, time)
+
+
 def test_sar_text_repeated_headers_ok():
     rows = [SarCpuRow(ms(50), 1, 1, 0), SarCpuRow(ms(100), 2, 1, 0)]
     lines = [

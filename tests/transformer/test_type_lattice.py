@@ -15,7 +15,7 @@ def reference_infer(values):
 
     def is_int(v):
         body = v[1:] if v and v[0] in "+-" else v
-        return bool(v) and body.isdigit()
+        return bool(v) and body.isdecimal()
 
     def is_real(v):
         try:
@@ -61,6 +61,9 @@ CASES = [
     ["9" * 40],
     ["-0"],
     ["1", "2", "3", "banana", "4.0"],
+    ["²"],
+    ["²", "1.5"],
+    ["١٢"],
 ]
 
 

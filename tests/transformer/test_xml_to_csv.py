@@ -4,8 +4,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import SchemaInferenceError
-from repro.transformer.xml_to_csv import XmlToCsvConverter, infer_sql_type
+from repro.transformer.importer import MScopeDataImporter
+from repro.transformer.xml_to_csv import (
+    TypeLattice,
+    XmlToCsvConverter,
+    _coerce,
+    infer_sql_type,
+)
 from repro.transformer.xmlmodel import LogRecord, XmlDocument
+from repro.warehouse.db import MScopeDB
 
 
 def make_doc(records):
@@ -97,6 +104,26 @@ def test_extra_column_does_not_override_parsed_field():
     assert table.rows == [("fromlog",)]
 
 
+def test_unicode_digit_loads_as_text():
+    # "²" is a digit int() rejects: the column is TEXT, not a crash.
+    doc = make_doc([{"a": "²"}, {"a": "1.5"}])
+    table = XmlToCsvConverter().convert(doc, "t")
+    assert table.columns == [("a", "TEXT")]
+    assert table.rows == [("²",), ("1.5",)]
+    with MScopeDB() as db:
+        MScopeDataImporter(db).import_table(table, "web1", "p")
+        assert db.query("SELECT a, typeof(a) FROM t ORDER BY rowid") == [
+            ("²", "text"),
+            ("1.5", "text"),
+        ]
+
+
+def test_unicode_decimal_loads_as_integer():
+    table = XmlToCsvConverter().convert(make_doc([{"a": "١٢"}]), "t")
+    assert table.columns == [("a", "INTEGER")]
+    assert table.rows == [(12,)]
+
+
 def test_empty_document_rejected():
     doc = make_doc([])
     with pytest.raises(SchemaInferenceError):
@@ -166,3 +193,52 @@ def test_schema_always_narrowest(record_dicts):
         values = [r[index] for r in table.rows if r[index] is not None]
         raw = [str(v) for v in values]
         assert sql_type == infer_sql_type(raw)
+
+
+def per_cell_convert(doc, extra_columns):
+    """The cell-at-a-time conversion, as the oracle: one lattice per
+    tag fed in record order, then :func:`_coerce` on every cell."""
+    lattices: dict[str, TypeLattice] = {}
+    for record in doc:
+        for tag, value in record.items():
+            lattices.setdefault(tag, TypeLattice()).observe(value)
+    types = {tag: lattice.result() for tag, lattice in lattices.items()}
+    columns = list(types.items())
+    constants = [(c, v) for c, v in extra_columns.items() if c not in types]
+    columns += [(c, "TEXT") for c, _ in constants]
+    rows = [
+        tuple(_coerce(record.get(tag), types[tag]) for tag in types)
+        + tuple(v for _, v in constants)
+        for record in doc
+    ]
+    return columns, rows
+
+
+_CELL_VALUES = st.one_of(
+    st.integers(-(10**12), 10**12).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(
+        ["nan", "-inf", "Infinity", "1_0", " 5", "5 ", "+", "-", "", "+7",
+         "1.", ".5", "1e3", "²", "١٢", "٣.٥", "0x10", "sda", "ViewStory"]
+    ),
+    st.text(alphabet="05.+-eE_ \n²١٣nafix", max_size=4),
+    st.text(alphabet="05.", max_size=4),
+)
+
+
+@given(
+    st.lists(
+        st.dictionaries(st.sampled_from(["a", "b", "c", "d"]), _CELL_VALUES),
+        max_size=25,
+    )
+)
+def test_column_wise_convert_equals_per_cell(record_dicts):
+    """Property: column-at-a-time typing and coercion give exactly the
+    columns and rows of the per-cell lattice + coerce."""
+    doc = make_doc(record_dicts)
+    extra = {"hostname": "web1", "c": "dir"}
+    table = XmlToCsvConverter().convert(doc, "t", extra_columns=extra)
+    columns, rows = per_cell_convert(doc, extra)
+    assert table.columns == columns
+    # repr tells 1 from 1.0 and matches nan with nan.
+    assert repr(table.rows) == repr(rows)
