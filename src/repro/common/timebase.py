@@ -70,8 +70,17 @@ def to_seconds(value: Micros) -> float:
     return value / US_PER_SEC
 
 
+#: Wall-clock seconds a :class:`WallClock` keeps formatted; a run's log
+#: writers stay within a few seconds of each other.
+_SECOND_CACHE = 64
+
+
 class WallClock:
     """Maps simulation time to wall-clock timestamps for native logs.
+
+    The second-granularity fields of every format (date, ``HH:MM:SS``,
+    the Apache prefix) are formatted once per wall-clock second and
+    cached; only the sub-second digits are formatted per call.
 
     Parameters
     ----------
@@ -80,7 +89,7 @@ class WallClock:
         Must be timezone-aware; defaults to :data:`DEFAULT_EPOCH`.
     """
 
-    __slots__ = ("_epoch",)
+    __slots__ = ("_epoch", "_base", "_base_us", "_seconds")
 
     def __init__(self, epoch: _dt.datetime | None = None) -> None:
         if epoch is None:
@@ -88,6 +97,11 @@ class WallClock:
         if epoch.tzinfo is None:
             raise ValueError("WallClock epoch must be timezone-aware")
         self._epoch = epoch
+        # A skewed epoch need not sit on a whole second: cache keys
+        # count whole seconds from the epoch's own second.
+        self._base = epoch.replace(microsecond=0)
+        self._base_us = epoch.microsecond
+        self._seconds: dict[int, tuple[str, str, str]] = {}
 
     @property
     def epoch(self) -> _dt.datetime:
@@ -102,23 +116,37 @@ class WallClock:
         """Return microseconds since the Unix epoch at ``sim_time``."""
         return int(self._epoch.timestamp() * US_PER_SEC) + sim_time
 
+    def _second(self, sim_time: Micros) -> tuple[tuple[str, str, str], int]:
+        """``((clf prefix, HH:MM:SS, YYYY-MM-DD), microsecond)`` at ``sim_time``."""
+        second, micro = divmod(self._base_us + sim_time, US_PER_SEC)
+        fields = self._seconds.get(second)
+        if fields is None:
+            if len(self._seconds) >= _SECOND_CACHE:
+                self._seconds.clear()
+            dt = self._base + _dt.timedelta(seconds=second)
+            fields = (
+                dt.strftime("%d/%b/%Y:%H:%M:%S ") + dt.strftime("%z"),
+                dt.strftime("%H:%M:%S"),
+                dt.strftime("%Y-%m-%d"),
+            )
+            self._seconds[second] = fields
+        return fields, micro
+
     def apache_clf(self, sim_time: Micros) -> str:
         """Format ``sim_time`` as an Apache common-log-format timestamp.
 
         Example: ``01/Mar/2017:10:00:00 +0000``.
         """
-        dt = self.at(sim_time)
-        offset = dt.strftime("%z")
-        return dt.strftime("%d/%b/%Y:%H:%M:%S ") + offset
+        return self._second(sim_time)[0][0]
 
     def hms(self, sim_time: Micros) -> str:
         """Format as ``HH:MM:SS`` (the granularity SAR prints by default)."""
-        return self.at(sim_time).strftime("%H:%M:%S")
+        return self._second(sim_time)[0][1]
 
     def hms_ms(self, sim_time: Micros) -> str:
         """Format as ``HH:MM:SS.mmm`` (millisecond granularity)."""
-        dt = self.at(sim_time)
-        return dt.strftime("%H:%M:%S.") + f"{dt.microsecond // 1000:03d}"
+        fields, micro = self._second(sim_time)
+        return f"{fields[1]}.{micro // 1000:03d}"
 
     def iso(self, sim_time: Micros) -> str:
         """Format as an ISO-8601 timestamp with microseconds."""
@@ -126,4 +154,4 @@ class WallClock:
 
     def date(self, sim_time: Micros) -> str:
         """Format as ``YYYY-MM-DD``."""
-        return self.at(sim_time).strftime("%Y-%m-%d")
+        return self._second(sim_time)[0][2]

@@ -82,24 +82,26 @@ class EventMonitor(TierHook):
     # instrumentation cost
 
     def _instrumentation_cost(self, server: TierServer):
-        if self.per_event_cpu_us > 0:
-            yield from server.node.cpu.consume(
-                self.per_event_cpu_us, category="system"
-            )
-        if self.per_event_wait_us > 0:
-            yield server.node.engine.timeout(self.per_event_wait_us)
+        # One event per boundary: the CPU slice and the stall after it
+        # are one consume() chain, so the request resumes once.  The
+        # hooks return the chain's generator itself rather than wrap it.
+        return server.node.cpu.consume(
+            self.per_event_cpu_us,
+            category="system",
+            wait=self.per_event_wait_us,
+        )
 
     def on_upstream_arrival(self, server, request, boundary):
-        yield from self._instrumentation_cost(server)
+        return self._instrumentation_cost(server)
 
     def on_downstream_sending(self, server, request, target):
-        yield from self._instrumentation_cost(server)
+        return self._instrumentation_cost(server)
 
     def on_downstream_receiving(self, server, request, target):
-        yield from self._instrumentation_cost(server)
+        return self._instrumentation_cost(server)
 
     def on_upstream_departure(self, server, request, boundary):
-        yield from self._instrumentation_cost(server)
+        return self._instrumentation_cost(server)
 
     # ------------------------------------------------------------------
     # log formatting

@@ -32,17 +32,17 @@ class TomcatMScopeMonitor(EventMonitor):
         self.downstream_thread_cpu_us = downstream_thread_cpu_us
 
     def _downstream_cost(self, server):
-        total = self.per_event_cpu_us + self.downstream_thread_cpu_us
-        if total > 0:
-            yield from server.node.cpu.consume(total, category="system")
-        if self.per_event_wait_us > 0:
-            yield server.node.engine.timeout(self.per_event_wait_us)
+        return server.node.cpu.consume(
+            self.per_event_cpu_us + self.downstream_thread_cpu_us,
+            category="system",
+            wait=self.per_event_wait_us,
+        )
 
     def on_downstream_sending(self, server, request, target):
-        yield from self._downstream_cost(server)
+        return self._downstream_cost(server)
 
     def on_downstream_receiving(self, server, request, target):
-        yield from self._downstream_cost(server)
+        return self._downstream_cost(server)
 
     def format_line(self, server, request, boundary, payload):
         return format_mscope_tomcat(

@@ -17,6 +17,7 @@ from bisect import bisect_right
 from repro.common.errors import SimulationError
 from repro.common.timebase import Micros, US_PER_SEC, ms
 from repro.sim.engine import Engine
+from repro.sim.events import Event, Timeout
 from repro.sim.resources import Resource
 from repro.sim.tracking import StepSeries
 
@@ -125,32 +126,41 @@ class Cpu:
         category: str = "user",
         priority: int | None = None,
         quantum: Micros | None = None,
+        wait: Micros = 0,
     ):
-        """Occupy one core for ``duration`` µs, sliced into quanta.
+        """Occupy one core for ``duration`` µs, sliced into quanta, then
+        wait ``wait`` µs off-core.
 
         This is a process generator: ``yield from cpu.consume(...)``.
+        The caller resumes once however many quanta the demand takes:
+        the quanta run as a callback chain (see :class:`_CpuDemand`)
+        that draws the same agenda entries, in the same order, as a
+        process stepping through acquire → timeout → release itself
+        would.  ``wait`` models a non-CPU stall that follows the slice
+        (an instrumentation point's log-buffer lock, say); it is
+        scheduled from the last release, so slice and stall together
+        cost one resume.
         """
         if category not in self.accounting:
             raise SimulationError(f"unknown CPU category {category!r}")
         if duration < 0:
             raise SimulationError(f"negative CPU demand: {duration}")
-        if priority is None:
-            priority = self.USER_PRIORITY
-        step = quantum if quantum is not None else self.quantum
-        remaining = duration
-        counter = self.accounting[category]
-        while remaining > 0:
-            piece = min(step, remaining)
-            claim = self.resource.acquire(priority=priority)
-            yield claim
-            # A lowered clock (DVFS) stretches the wall time the demand
-            # occupies; the accounted busy time is the wall time, as
-            # /proc would report it.
-            wall = piece if self.speed >= 1.0 else round(piece / self.speed)
-            yield self.engine.timeout(wall)
-            self.resource.release(claim)
-            counter.add(self.engine.now, wall)
-            remaining -= piece
+        if wait < 0:
+            raise SimulationError(f"negative wait after CPU demand: {wait}")
+        step = self.quantum if quantum is None else quantum
+        if step <= 0:
+            raise SimulationError(f"cpu quantum must be positive: {step}")
+        if duration > 0:
+            if priority is None:
+                priority = self.USER_PRIORITY
+            done: Event = _CpuDemand(
+                self, duration, self.accounting[category], priority, step, wait
+            )
+        elif wait > 0:
+            done = self.engine.timeout(wait)
+        else:
+            return
+        yield done
 
     def seize(self, priority: int | None = None):
         """Claim one core without the quantum-release discipline.
@@ -208,6 +218,82 @@ class Cpu:
         return min(
             100.0, sum(self.category_pct(c, start, stop) for c in CPU_CATEGORIES)
         )
+
+
+class _CpuDemand(Event):
+    """One :meth:`Cpu.consume` demand: the event its caller waits on,
+    driven by a callback chain.
+
+    Each quantum is grant → timeout → release → next acquire, and each
+    step is a callback on the previous step's event, so the agenda
+    entries (the grant, the quantum's timeout, whatever a release
+    grants to a waiter) are drawn in the order a generator stepping
+    through the same calls would draw them.  The demand completes
+    inline at the last release, so the caller carries on at exactly
+    the point a generator would have; with a trailing ``wait`` it is
+    scheduled ``wait`` µs later instead, the entry a ``timeout(wait)``
+    yielded there would draw.  An exception raised along the chain
+    fails the demand inline, so it is thrown into the waiting process
+    where a generator would have raised it.
+    """
+
+    __slots__ = (
+        "cpu", "remaining", "counter", "priority", "step", "wait", "claim",
+        "wall",
+    )
+
+    def __init__(
+        self,
+        cpu: Cpu,
+        duration: Micros,
+        counter: CumulativeCounter,
+        priority: int,
+        step: Micros,
+        wait: Micros,
+    ) -> None:
+        super().__init__(cpu.engine)
+        self.cpu = cpu
+        self.remaining = duration
+        self.counter = counter
+        self.priority = priority
+        self.step = step
+        self.wait = wait
+        self._acquire()
+
+    def _acquire(self) -> None:
+        self.claim = self.cpu.resource.acquire(priority=self.priority)
+        self.claim.callbacks.append(self._granted)
+
+    def _granted(self, claim: Event) -> None:
+        cpu = self.cpu
+        remaining = self.remaining
+        piece = self.step if self.step < remaining else remaining
+        self.remaining = remaining - piece
+        try:
+            # A lowered clock (DVFS) stretches the wall time the demand
+            # occupies, read at each grant; the accounted busy time is
+            # the wall time, as /proc would report it.
+            speed = cpu.speed
+            self.wall = piece if speed >= 1.0 else round(piece / speed)
+            Timeout(cpu.engine, self.wall).callbacks.append(self._sliced)
+        except Exception as exc:
+            self._complete(exc)
+
+    def _sliced(self, timeout: Event) -> None:
+        cpu = self.cpu
+        try:
+            cpu.resource.release(self.claim)
+            self.counter.add(cpu.engine._now, self.wall)
+            if self.remaining > 0:
+                self._acquire()
+                return
+        except Exception as exc:
+            self._complete(exc)
+            return
+        if self.wait:
+            self.succeed(delay=self.wait)
+        else:
+            self._complete()
 
 
 class Disk:

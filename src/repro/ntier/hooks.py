@@ -1,10 +1,13 @@
 """Instrumentation hook points on tier servers.
 
-Event mScopeMonitors attach to servers through these hooks.  Hooks are
-*generator* callbacks: an attached monitor may consume CPU inline (its
-instrumentation cost) and the server's handler yields through it, so
+Event mScopeMonitors attach to servers through these hooks.  A hook
+returns the simulation events it costs (a generator, or any iterable
+of events): an attached monitor may consume CPU inline (its
+instrumentation cost) and the server's handler ``yield from``s it, so
 monitor overhead shows up in request latency and CPU accounting exactly
-as real instrumentation would.
+as real instrumentation would.  The event monitors' cost is one
+:meth:`~repro.ntier.hardware.Cpu.consume` chain per hook point, so a
+request resumes once per instrumented boundary.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ __all__ = ["TierHook", "HookDispatcher"]
 class TierHook:
     """Base class for server instrumentation; every method is a no-op.
 
-    Subclasses override the hook points they care about.  Each hook is
-    a generator: ``yield from`` simulation events to model the cost of
-    the instrumentation itself.
+    Subclasses override the hook points they care about.  Each hook
+    returns an iterable of simulation events (usually it is a
+    generator) modelling the cost of the instrumentation itself.
     """
 
     def on_upstream_arrival(

@@ -4,6 +4,16 @@ The engine owns the simulation clock (integer microseconds) and the
 agenda — a priority queue of triggered events.  Ties at the same
 timestamp are broken by insertion order, which keeps runs deterministic.
 
+That is the timeline contract: every agenda entry draws the next
+number from one sequence counter, and two runs that draw the same
+entries in the same order are the same run, down to the log bytes.
+How the entries get drawn is free.  :meth:`Event.succeed
+<repro.sim.events.Event.succeed>` and :class:`~repro.sim.events.Timeout`
+push onto the agenda inline, and :meth:`Cpu.consume
+<repro.ntier.hardware.Cpu.consume>` steps its quanta through callbacks
+rather than generator resumes; both keep the order, so neither moves
+the timeline.
+
 ``Engine`` is the *scalar* kernel: every occurrence is a Python
 :class:`~repro.sim.events.Event` popped one at a time.  The vector
 kernel (:class:`repro.sim.vector.VectorEngine`) extends it with a

@@ -6,11 +6,21 @@ and a three-state lifecycle — *pending* → *triggered* (scheduled on the
 engine's agenda) → *processed* (callbacks ran).  Processes (see
 :mod:`repro.sim.process`) suspend by yielding events and are resumed by
 the engine when those events are processed.
+
+Triggering an event pushes one ``(time, sequence, event)`` entry onto
+the agenda.  The order in which entries draw sequence numbers *is* the
+timeline: code that allocates the same entries in the same order
+simulates the same run, however many callbacks or generator resumes it
+takes to get there.  The hot paths here (:meth:`Event.succeed`,
+:class:`Timeout`) therefore push onto the agenda inline, and
+:meth:`Event._complete` lets a callback chain finish an event at the
+current instant without an agenda entry of its own.
 """
 
 from __future__ import annotations
 
 import enum
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.common.errors import SimulationError
@@ -30,6 +40,13 @@ class EventState(enum.Enum):
     PROCESSED = "processed"
 
 
+# Module constants: a global load is cheaper than an enum class lookup
+# on every state check.
+_PENDING = EventState.PENDING
+_TRIGGERED = EventState.TRIGGERED
+_PROCESSED = EventState.PROCESSED
+
+
 class Event:
     """An occurrence that processes can wait on.
 
@@ -46,7 +63,7 @@ class Event:
         self.callbacks: list[Callable[[Event], None]] = []
         self._value: Any = None
         self._exception: BaseException | None = None
-        self._state = EventState.PENDING
+        self._state = _PENDING
         self._defused = False
 
     @property
@@ -57,24 +74,24 @@ class Event:
     @property
     def triggered(self) -> bool:
         """Whether the event has been scheduled (or already processed)."""
-        return self._state is not EventState.PENDING
+        return self._state is not _PENDING
 
     @property
     def processed(self) -> bool:
         """Whether the event's callbacks have run."""
-        return self._state is EventState.PROCESSED
+        return self._state is _PROCESSED
 
     @property
     def ok(self) -> bool:
         """Whether the event succeeded (valid only once triggered)."""
-        if self._state is EventState.PENDING:
+        if self._state is _PENDING:
             raise SimulationError("event has not been triggered yet")
         return self._exception is None
 
     @property
     def value(self) -> Any:
         """The success value (or raises the failure exception)."""
-        if self._state is EventState.PENDING:
+        if self._state is _PENDING:
             raise SimulationError("event has not been triggered yet")
         if self._exception is not None:
             raise self._exception
@@ -87,10 +104,18 @@ class Event:
 
     def succeed(self, value: Any = None, delay: Micros = 0) -> "Event":
         """Mark the event successful and schedule its processing."""
-        self._require_pending()
+        # The hottest call in the kernel, so the pending check, and
+        # Engine._schedule's delay check and agenda push, are inline.
+        if self._state is not _PENDING:
+            self._require_pending()
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past: delay={delay}")
         self._value = value
-        self._state = EventState.TRIGGERED
-        self.engine._schedule(self, delay)
+        self._state = _TRIGGERED
+        engine = self.engine
+        sequence = engine._sequence
+        engine._sequence = sequence + 1
+        heappush(engine._agenda, (engine._now + delay, sequence, self))
         return self
 
     def fail(self, exception: BaseException, delay: Micros = 0) -> "Event":
@@ -99,7 +124,7 @@ class Event:
         if not isinstance(exception, BaseException):
             raise TypeError(f"fail() requires an exception, got {exception!r}")
         self._exception = exception
-        self._state = EventState.TRIGGERED
+        self._state = _TRIGGERED
         self.engine._schedule(self, delay)
         return self
 
@@ -109,12 +134,24 @@ class Event:
         return self
 
     def _require_pending(self) -> None:
-        if self._state is not EventState.PENDING:
+        if self._state is not _PENDING:
             raise SimulationError(f"event already {self._state.value}")
+
+    def _complete(self, exception: BaseException | None = None) -> None:
+        """Succeed (or fail) and run the callbacks now (kernel use only).
+
+        For a callback chain that ends at the instant the event is
+        due: the waiters resume inline, exactly where a generator that
+        ran the same steps would have carried on, and no agenda entry
+        is drawn.
+        """
+        self._require_pending()
+        self._exception = exception
+        self._process()
 
     def _process(self) -> None:
         """Run callbacks; called by the engine at the scheduled time."""
-        self._state = EventState.PROCESSED
+        self._state = _PROCESSED
         callbacks, self.callbacks = self.callbacks, []
         for callback in callbacks:
             callback(self)
@@ -140,9 +177,18 @@ class Timeout(Event):
     def __init__(self, engine: "Engine", delay: Micros, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(engine)
+        # Born triggered: fill every slot and push onto the agenda here
+        # rather than through Event.__init__ and succeed().
+        self.engine = engine
+        self.callbacks = []
+        self._value = value
+        self._exception = None
+        self._state = _TRIGGERED
+        self._defused = False
         self.delay = delay
-        self.succeed(value, delay=delay)
+        sequence = engine._sequence
+        engine._sequence = sequence + 1
+        heappush(engine._agenda, (engine._now + delay, sequence, self))
 
 
 class _Condition(Event):

@@ -54,12 +54,15 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
         self._waiting_on = None
+        # Read the outcome slots directly: the ok/value properties
+        # re-check a state that is always processed here.
+        exception = event._exception
         try:
-            if event.ok:
-                target = self._generator.send(event.value)
+            if exception is None:
+                target = self._generator.send(event._value)
             else:
-                event.defuse()
-                target = self._generator.throw(event.exception)  # type: ignore[arg-type]
+                event._defused = True
+                target = self._generator.throw(exception)
         except StopIteration as stop:
             self.succeed(stop.value)
             return

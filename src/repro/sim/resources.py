@@ -33,7 +33,7 @@ class Acquire(Event):
         super().__init__(resource.engine)
         self.resource = resource
         self.priority = priority
-        self.requested_at: Micros = resource.engine.now
+        self.requested_at: Micros = resource.engine._now
         self.granted_at: Micros | None = None
 
     def wait_time(self) -> Micros:
@@ -100,7 +100,7 @@ class Resource:
         else:
             heapq.heappush(self._waiting, (priority, self._sequence, claim))
             self._sequence += 1
-            self.queue_series.record(self.engine.now, len(self._waiting))
+            self.queue_series.record(self.engine._now, len(self._waiting))
         return claim
 
     def release(self, claim: Acquire) -> None:
@@ -108,16 +108,18 @@ class Resource:
         if claim not in self._users:
             raise SimulationError(f"claim does not hold a server of {self.name!r}")
         self._users.discard(claim)
-        self.busy_series.record(self.engine.now, len(self._users))
+        now = self.engine._now
+        self.busy_series.record(now, len(self._users))
         if self._waiting:
             _, _, next_claim = heapq.heappop(self._waiting)
-            self.queue_series.record(self.engine.now, len(self._waiting))
+            self.queue_series.record(now, len(self._waiting))
             self._grant(next_claim)
 
     def _grant(self, claim: Acquire) -> None:
         self._users.add(claim)
-        claim.granted_at = self.engine.now
-        self.busy_series.record(self.engine.now, len(self._users))
+        now = self.engine._now
+        claim.granted_at = now
+        self.busy_series.record(now, len(self._users))
         claim.succeed(claim)
 
     def utilization(self, start: Micros, stop: Micros) -> float:
@@ -156,14 +158,14 @@ class Store:
                 getter.succeed(item)
                 return
         self._items.append(item)
-        self.length_series.record(self.engine.now, len(self._items))
+        self.length_series.record(self.engine._now, len(self._items))
 
     def get(self) -> Event:
         """Return an event that fires with the next available item."""
         event = Event(self.engine)
         if self._items:
             item = self._items.popleft()
-            self.length_series.record(self.engine.now, len(self._items))
+            self.length_series.record(self.engine._now, len(self._items))
             event.succeed(item)
         else:
             self._getters.append(event)

@@ -1,5 +1,7 @@
 """Tests for the event mScopeMonitors."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.common.errors import MonitorError
@@ -12,7 +14,9 @@ from repro.monitors.event import (
     TomcatMScopeMonitor,
 )
 from repro.ntier import NTierSystem, SystemConfig
+from repro.ntier.hardware import Cpu
 from repro.rubbos import WorkloadSpec
+from repro.sim import Engine
 
 
 def small_system(seed=2):
@@ -172,3 +176,66 @@ def test_cpu_cost_without_wait():
     system_cpu = result.nodes["web1"].cpu.accounting["system"].total
     # 4 hook points x 100 us per request, plus log-write charges.
     assert system_cpu >= 400 * len(result.traces)
+
+
+def _stub_server():
+    """Just what a hook's cost model touches: ``server.node.cpu/engine``."""
+    engine = Engine()
+    cpu = Cpu(engine, cores=1)
+    return SimpleNamespace(node=SimpleNamespace(engine=engine, cpu=cpu))
+
+
+def _boundary_cost(monitor, server):
+    """Run one upstream-arrival hook; return (finish time, system CPU)."""
+    engine = server.node.engine
+    finished = []
+
+    def handler():
+        yield from monitor.on_upstream_arrival(server, None, None)
+        finished.append(engine.now)
+
+    engine.process(handler())
+    engine.run()
+    return finished[0], server.node.cpu.accounting["system"].total
+
+
+@pytest.mark.parametrize(
+    ("cpu_us", "wait_us"), [(10, 60), (0, 60), (10, 0), (0, 0)]
+)
+def test_boundary_cost_is_cpu_then_wait(cpu_us, wait_us):
+    server = _stub_server()
+    monitor = ApacheMScopeMonitor(per_event_cpu_us=cpu_us, per_event_wait_us=wait_us)
+    assert _boundary_cost(monitor, server) == (cpu_us + wait_us, cpu_us)
+
+
+def test_zero_cost_boundary_yields_nothing():
+    server = _stub_server()
+    monitor = ApacheMScopeMonitor(per_event_cpu_us=0, per_event_wait_us=0)
+    assert list(monitor.on_upstream_arrival(server, None, None)) == []
+    assert server.node.engine.peek() is None
+
+
+def test_tomcat_downstream_boundary_charges_the_extra_thread():
+    server = _stub_server()
+    monitor = TomcatMScopeMonitor(
+        per_event_cpu_us=12, per_event_wait_us=120, downstream_thread_cpu_us=15
+    )
+    engine = server.node.engine
+
+    def handler():
+        yield from monitor.on_downstream_sending(server, None, "cjdbc")
+
+    engine.process(handler())
+    engine.run()
+    assert engine.now == 12 + 15 + 120
+    assert server.node.cpu.accounting["system"].total == 27
+
+
+@pytest.mark.parametrize("wait_us", [0, 60])
+def test_boundary_cost_is_one_event(wait_us):
+    """Slice and stall are one chained event: the request resumes once."""
+    server = _stub_server()
+    monitor = ApacheMScopeMonitor(per_event_cpu_us=10, per_event_wait_us=wait_us)
+    assert len(list(monitor.on_upstream_arrival(server, None, None))) == 1
+    server.node.engine.run()
+    assert server.node.engine.now == 10 + wait_us

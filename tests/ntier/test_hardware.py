@@ -192,6 +192,160 @@ def test_cpu_zero_duration_consume_is_noop():
     assert p.value == 0
 
 
+def test_cpu_zero_duration_consume_yields_nothing():
+    engine = Engine()
+    cpu = Cpu(engine, cores=1)
+    assert list(cpu.consume(0)) == []
+    assert engine.peek() is None
+
+
+@pytest.mark.parametrize("quantum", [0, -5])
+def test_cpu_consume_rejects_non_positive_quantum(quantum):
+    # A zero per-call quantum used to slice the demand into empty
+    # pieces forever, at one timestamp.
+    cpu = Cpu(Engine(), cores=1)
+    with pytest.raises(SimulationError, match="quantum"):
+        next(cpu.consume(10, quantum=quantum))
+
+
+def test_cpu_consume_rejects_negative_wait():
+    cpu = Cpu(Engine(), cores=1)
+    with pytest.raises(SimulationError, match="wait"):
+        next(cpu.consume(10, wait=-1))
+
+
+def test_cpu_consume_orders_like_agenda_sequence():
+    """Same-timestamp ties follow sequence order, and the consumer
+    resumes the instant its last quantum is released."""
+    engine = Engine()
+    cpu = Cpu(engine, cores=1, quantum=1_000)
+    order = []
+
+    def early():
+        # Scheduled at t=0, before the consumer's quantum timeout.
+        yield engine.timeout(1_000)
+        order.append(("early", engine.now))
+
+    def consumer():
+        yield from cpu.consume(1_000)
+        order.append(("consumer", engine.now))
+
+    def late():
+        # Scheduled at t=500, after the quantum timeout: it fires at
+        # the same instant but must not overtake the consumer.
+        yield engine.timeout(500)
+        yield engine.timeout(500)
+        order.append(("late", engine.now))
+
+    engine.process(early())
+    engine.process(consumer())
+    engine.process(late())
+    engine.run()
+    assert order == [("early", 1_000), ("consumer", 1_000), ("late", 1_000)]
+
+
+def test_cpu_consume_preempted_between_quanta_by_kernel_seize():
+    engine = Engine()
+    cpu = Cpu(engine, cores=1, quantum=1_000)
+    seen = {}
+
+    def user():
+        yield from cpu.consume(3_000, category="user")
+        seen["user_done"] = engine.now
+
+    def kernel():
+        yield engine.timeout(500)
+        claim = cpu.seize()
+        yield claim
+        seen["kernel_granted"] = engine.now
+        yield engine.timeout(2_000)
+        cpu.charge("system", 2_000)
+        cpu.release(claim)
+
+    engine.process(user())
+    engine.process(kernel())
+    engine.run()
+    # The seize waits out the first quantum only; the user demand's
+    # remaining two quanta queue behind the kernel's hold.
+    assert seen == {"kernel_granted": 1_000, "user_done": 5_000}
+    assert cpu.accounting["user"].total == 3_000
+    assert cpu.accounting["user"].total_at(2_999) == 1_000
+    assert cpu.accounting["user"].total_at(4_000) == 2_000
+
+
+def test_cpu_consume_reads_dvfs_speed_at_each_grant():
+    engine = Engine()
+    cpu = Cpu(engine, cores=1, quantum=1_000)
+    done = []
+
+    def user():
+        yield from cpu.consume(3_000)
+        done.append(engine.now)
+
+    def governor():
+        # Mid-quantum: the running quantum keeps its wall time; the
+        # next grant (t=2000) sees the lowered clock.
+        yield engine.timeout(1_500)
+        cpu.speed = 0.5
+
+    engine.process(user())
+    engine.process(governor())
+    engine.run()
+    assert done == [1_000 + 1_000 + 2_000]
+    assert cpu.accounting["user"].total == 4_000
+
+
+def test_cpu_consume_failure_in_chain_fails_the_process():
+    engine = Engine()
+    cpu = Cpu(engine, cores=1, quantum=1_000)
+    caught = []
+
+    def user():
+        yield from cpu.consume(2_000)
+
+    def breaker():
+        yield engine.timeout(500)
+        cpu.speed = -1.0  # the next grant computes a negative wall time
+
+    proc = engine.process(user())
+
+    def watcher():
+        try:
+            yield proc
+        except SimulationError as exc:
+            caught.append((engine.now, str(exc)))
+
+    engine.process(breaker())
+    engine.process(watcher())
+    engine.run()
+    assert not proc.ok
+    assert isinstance(proc.exception, SimulationError)
+    assert caught == [(1_000, "negative timeout delay: -1000")]
+
+
+def test_cpu_consume_failure_in_chain_is_catchable_at_the_call():
+    engine = Engine()
+    cpu = Cpu(engine, cores=1, quantum=1_000)
+    caught = []
+
+    def user():
+        try:
+            yield from cpu.consume(2_000)
+        except SimulationError:
+            caught.append(engine.now)
+        return "recovered"
+
+    def breaker():
+        yield engine.timeout(500)
+        cpu.speed = -1.0
+
+    proc = engine.process(user())
+    engine.process(breaker())
+    engine.run()
+    assert caught == [1_000]
+    assert proc.value == "recovered"
+
+
 # ----------------------------------------------------------------------
 # Disk
 
