@@ -1,12 +1,12 @@
 """Columnar series cache for the bulk analysis engine.
 
-The scalar diagnosis path re-pulled every metric series from the
-warehouse *per anomaly window* and re-fetched every tier's boundary
-timestamps per window on top — an N+1 query pattern that dominates
-diagnosis time on large warehouses.  :class:`SeriesCache` inverts
-that: each warehouse table is read **once per diagnosis run** into
-numpy columns, and every window afterwards is served by
-``np.searchsorted`` slicing (O(log n)) against the cached arrays.
+Reading every metric series and every tier's boundary timestamps
+from the warehouse *per anomaly window* would be an N+1 query pattern
+that dominates diagnosis time on large warehouses.
+:class:`SeriesCache` avoids it: each warehouse table is read **once
+per diagnosis run** into numpy columns, and every window afterwards is
+served by ``np.searchsorted`` slicing (O(log n)) against the cached
+arrays.
 
 Three caches live here:
 

@@ -106,8 +106,9 @@ class CausalHop(NamedTuple):
     upstream_departure_us: Micros
     downstream_sending_us: Micros | None
     downstream_receiving_us: Micros | None
-    #: Host whose event table recorded this visit (``None`` on legacy
-    #: single-replica mappings) — what lets blame name a replica.
+    #: Host whose event table recorded this visit (``None`` when the
+    #: table name has no ``_events_{host}`` suffix) — what lets blame
+    #: name a replica.
     host: str | None = None
 
     def server_time_ms(self) -> float:
@@ -176,13 +177,12 @@ class CausalPath:
         return visited
 
     def validate_happens_before(self) -> None:
-        """Check the hop nesting is causally consistent.
+        """Check every hop lies inside the first hop's span.
 
-        Every non-first hop must arrive after the first hop's arrival
-        and depart before... strictly, within its caller's downstream
-        window; the flat check here validates global ordering:
-        arrivals are non-decreasing relative to the first arrival and
-        every hop fits inside the first hop's span.
+        A flat check of global ordering: no hop arrives before the
+        first hop arrives or departs after it departs.  It does not
+        check that each hop nests inside its own caller's downstream
+        window.
         """
         if not self.hops:
             raise AnalysisError(f"request {self.request_id} has no hops")
@@ -208,8 +208,8 @@ def _hop_selects(db: MScopeDB, table: str) -> tuple[str, str] | None:
     exist at all — a head-sampling policy that kept zero rows for a
     low-traffic replica never creates its table, and a missing branch
     must degrade to a partial path, not crash the join.  Schema
-    lookups hit :meth:`MScopeDB.table_schema`'s cache, so per-request
-    scalar reconstruction no longer re-reads the catalog every call.
+    lookups hit :meth:`MScopeDB.table_schema`'s cache, so repeated
+    reconstructions do not re-read the catalog.
     """
     try:
         columns = {name for name, _ in db.table_schema(table)}
@@ -233,40 +233,13 @@ def reconstruct_path(
     request_id: str,
     tier_tables: "dict[str, str | Sequence[str]] | None" = None,
 ) -> CausalPath:
-    """Join one request's records across every tier (and replica) table."""
-    tables = tier_tables or DEFAULT_EVENT_TABLES
-    hops: list[CausalHop] = []
-    for tier, table in _tier_table_pairs(tables):
-        selects = _hop_selects(db, table)
-        if selects is None:
-            continue
-        select_ds, select_dr = selects
-        host = _host_of(table)
-        # rowid breaks arrival-time ties, pinning one deterministic hop
-        # order shared with the bulk path.
-        rows = db.query_table(
-            table,
-            f"SELECT upstream_arrival_us, upstream_departure_us, "
-            f"{select_ds}, {select_dr} FROM {quote_identifier(table)} "
-            f"WHERE request_id = ? ORDER BY upstream_arrival_us, rowid",
-            (request_id,),
-            merge=merge_sorted(0),
-        )
-        for arrival, departure, sending, receiving in rows:
-            hops.append(
-                CausalHop(
-                    tier=tier,
-                    upstream_arrival_us=arrival,
-                    upstream_departure_us=departure,
-                    downstream_sending_us=sending,
-                    downstream_receiving_us=receiving,
-                    host=host,
-                )
-            )
-    if not hops:
-        raise AnalysisError(f"request {request_id!r} not found in any tier table")
-    hops.sort(key=_BY_ARRIVAL)
-    return CausalPath(request_id=request_id, hops=hops)
+    """Join one request's records across every tier (and replica) table.
+
+    The one-id call of :func:`reconstruct_paths_bulk`; raises
+    :class:`AnalysisError` when no tier table holds ``request_id``.
+    """
+    (path,) = reconstruct_paths_bulk(db, [request_id], tier_tables, strict=True)
+    return path
 
 
 def reconstruct_paths_bulk(
@@ -279,18 +252,17 @@ def reconstruct_paths_bulk(
 ) -> Iterator[CausalPath]:
     """Reconstruct many requests' paths with one read per tier table.
 
-    The batch counterpart of :func:`reconstruct_path`: instead of N×T
-    point queries (N requests, T tiers), each tier table is fetched
-    **once** — chunked ``WHERE request_id IN (...)`` probes against the
-    importer's ``request_id`` index, or a single full columnar scan
-    when the id set covers more than ``full_scan_fraction`` of the
-    table — and hops are grouped in dicts.  Yields paths in first-seen
-    ``request_ids`` order (duplicates collapse), each **identical** to
-    what the scalar API returns for the same id (property-tested).
+    Instead of N×T point queries (N requests, T tiers), each tier table
+    is fetched **once** — chunked ``WHERE request_id IN (...)`` probes
+    against the importer's ``request_id`` index, or a single full
+    columnar scan when the id set covers more than
+    ``full_scan_fraction`` of the table — and hops are grouped in dicts.
+    Yields paths in first-seen ``request_ids`` order (duplicates
+    collapse); each path's hops are sorted by arrival, ties kept in
+    tier-table then rowid order, whichever read strategy ran.
 
     Ids found in no tier table are skipped, unless ``strict`` — then
-    the first missing id raises :class:`AnalysisError`, matching the
-    scalar behaviour.
+    the first missing id raises :class:`AnalysisError`.
     """
     tables = tier_tables or DEFAULT_EVENT_TABLES
     ids = list(dict.fromkeys(request_ids))
@@ -342,6 +314,6 @@ def reconstruct_paths_bulk(
                 )
             continue
         # Stable sort over per-tier runs already in (arrival, rowid)
-        # order reproduces the scalar path's hop order exactly.
+        # order: ties keep tier-table order, then rowid order.
         hops.sort(key=_BY_ARRIVAL)
         yield CausalPath(request_id=request_id, hops=hops)

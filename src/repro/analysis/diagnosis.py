@@ -199,10 +199,10 @@ def _interaction_inputs(
 class Diagnoser:
     """Diagnoses VSBs from a populated mScopeDB.
 
-    The bulk analysis engine: every warehouse table a diagnosis needs
-    is read once per run into a :class:`SeriesCache`, and each anomaly
-    window is served by ``searchsorted`` slices of the cached columns
-    — the scalar per-window N+1 query pattern is gone.
+    Every warehouse table a diagnosis needs is read once per run into
+    a :class:`SeriesCache`, and each anomaly window is served by
+    ``searchsorted`` slices of the cached columns, so no query runs
+    per window.
 
     Parameters
     ----------

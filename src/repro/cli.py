@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=KERNELS,
         default="scalar",
         help="simulator kernel: scalar per-event engine, or the "
-        "vectorized event calendar (identical logs, higher throughput)",
+        "vectorized event calendar (identical logs)",
     )
     run.add_argument(
         "--duration", type=float, default=None, help="simulated seconds"

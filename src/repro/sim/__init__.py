@@ -5,13 +5,7 @@ from repro.sim.events import AllOf, AnyOf, Event, EventState, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Acquire, Resource, Store
 from repro.sim.tracking import StepSeries
-from repro.sim.vector import (
-    EventCalendar,
-    TierLoad,
-    TrafficGenerator,
-    TrafficReport,
-    VectorEngine,
-)
+from repro.sim.vector import EventCalendar, VectorEngine
 
 __all__ = [
     "Acquire",
@@ -25,8 +19,5 @@ __all__ = [
     "Resource",
     "StepSeries",
     "Store",
-    "TierLoad",
-    "TrafficGenerator",
-    "TrafficReport",
     "VectorEngine",
 ]

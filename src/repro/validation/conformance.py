@@ -3,12 +3,13 @@ asserted in one place.
 
 The pipeline makes several equivalence promises — parallel transform is
 byte-identical to serial, a caught-up :class:`LiveTransformer` matches
-a one-shot batch, bulk path reconstruction matches scalar, lenient
-error policies are no-ops on clean input.  Historically each promise had its own ad-hoc pairwise test;
-:data:`CONFORMANCE_PAIRS` is the single catalogue, and
-:func:`run_conformance_pair` executes one entry and returns a
-:class:`ConformanceResult` that names exactly what diverged (first
-differing line of the warehouse dump, or the differing report).
+a one-shot batch, a sharded warehouse holds the monolith's content, a
+vector-kernel simulation matches the scalar one, lenient error policies
+are no-ops on clean input.  Historically each promise had its own
+ad-hoc pairwise test; :data:`CONFORMANCE_PAIRS` is the single
+catalogue, and :func:`run_conformance_pair` executes one entry and
+returns a :class:`ConformanceResult` that names exactly what diverged
+(first differing line of the warehouse dump, or the differing report).
 
 Warehouse-comparing pairs run both sides from the *same* simulated
 logs (the baseline side's log directory is reused), so any divergence
@@ -41,9 +42,8 @@ class ConformancePair:
     variant_mode: str
     #: ``"warehouse"`` compares full SQL dumps; ``"content"`` compares
     #: the canonical content lines (layout-independent — how a sharded
-    #: warehouse is held equal to a monolithic one); ``"paths"`` holds
-    #: bulk path reconstruction to the scalar one on one warehouse.
-    #: Equal warehouses must then also render equal diagnosis reports.
+    #: warehouse is held equal to a monolithic one).  Equal warehouses
+    #: must then also render equal diagnosis reports.
     compare: str
     claim: str
     #: Simulator kernel the variant side runs on.  A cross-kernel pair
@@ -81,14 +81,6 @@ CONFORMANCE_PAIRS: tuple[ConformancePair, ...] = (
         variant_mode="policy-quarantine",
         compare="warehouse",
         claim="the quarantine policy is a no-op on clean logs",
-    ),
-    ConformancePair(
-        key="causal-bulk",
-        baseline_mode="batch",
-        variant_mode="batch",
-        compare="paths",
-        claim="reconstruct_paths_bulk hop-for-hop equals scalar "
-        "reconstruct_path",
     ),
     ConformancePair(
         key="warehouse-sharded",
@@ -202,33 +194,6 @@ def _normalized_content_lines(outcome: ScenarioOutcome):
         yield line
 
 
-def _paths_divergence(baseline: ScenarioOutcome) -> str | None:
-    """Scalar vs bulk path reconstruction over the baseline warehouse."""
-    from repro.analysis.causal import reconstruct_path, reconstruct_paths_bulk
-    from repro.warehouse.db import MScopeDB
-
-    with MScopeDB(baseline.db_path) as db:
-        front = "apache_events_web1"
-        ids = [
-            row[0]
-            for row in db.query(
-                f"SELECT DISTINCT request_id FROM {front} "
-                f"ORDER BY request_id"
-            )
-        ]
-        bulk = list(reconstruct_paths_bulk(db, ids))
-        if len(bulk) != len(ids):
-            return f"bulk returned {len(bulk)} paths for {len(ids)} ids"
-        for request_id, bulk_path in zip(ids, bulk):
-            scalar_path = reconstruct_path(db, request_id)
-            if scalar_path.hops != bulk_path.hops:
-                return (
-                    f"request {request_id}: scalar hops "
-                    f"{scalar_path.hops!r} != bulk hops {bulk_path.hops!r}"
-                )
-    return None
-
-
 def run_conformance_pair(
     pair: ConformancePair,
     scenario: str,
@@ -251,16 +216,6 @@ def run_conformance_pair(
         # anchored elsewhere runs its own — the runner's outcome cache
         # dedups the build.
         baseline = runner.run(scenario, seed=seed, mode=pair.baseline_mode)
-    if pair.compare == "paths":
-        # Both "sides" read the same warehouse; no variant run needed.
-        divergence = _paths_divergence(baseline)
-        return ConformanceResult(
-            pair=pair,
-            scenario=scenario,
-            seed=seed,
-            equal=divergence is None,
-            divergence=divergence,
-        )
     variant = runner.run(
         scenario, seed=seed, mode=pair.variant_mode, kernel=pair.variant_kernel
     )

@@ -1,17 +1,21 @@
-"""Property tests: the bulk reconstructor is the scalar API, batched.
+"""Property tests: path reconstruction against a ground-truth oracle.
 
-`reconstruct_paths_bulk` promises paths **identical** to what
-`reconstruct_path` returns per id — same hops, same order, same
-skip/raise behaviour for missing ids — across both of its fetch
-strategies (chunked ``IN (...)`` probes and the dense full-table
-scan).  Hypothesis drives randomized warehouses at it; directed tests
-pin the edge cases (duplicate ids, missing tiers, chunk boundaries).
+`expected_path` rebuilds a request's path from the rows a test
+inserted, without SQL: hops in tier order, then insertion order, then a
+stable sort by arrival, each tagged with the host its table names.
+`reconstruct_paths_bulk` must match it under both fetch strategies
+(chunked ``IN (...)`` probes and the dense full-table scan), and so
+must `reconstruct_path`, its one-id call.  Hypothesis drives randomized
+warehouses at it; directed tests pin the edge cases (duplicate ids,
+missing tiers, chunk boundaries).
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.causal import (
+    CausalHop,
+    CausalPath,
     reconstruct_path,
     reconstruct_paths_bulk,
 )
@@ -44,6 +48,18 @@ def build_warehouse(tier_rows):
     return db
 
 
+def expected_path(tier_rows, tables, rid):
+    """The path of ``rid`` built from the inserted rows (``None`` if absent)."""
+    hops = [
+        CausalHop(tier, arr, dep, ds, dr, table.partition("_events_")[2] or None)
+        for tier, table in tables.items()
+        for row_rid, arr, dep, ds, dr in tier_rows.get(table, [])
+        if row_rid == rid
+    ]
+    hops.sort(key=lambda hop: hop.upstream_arrival_us)
+    return CausalPath(rid, hops) if hops else None
+
+
 def paths_equal(a, b):
     return a.request_id == b.request_id and a.hops == b.hops
 
@@ -67,8 +83,8 @@ warehouses = st.fixed_dictionaries(
 @settings(max_examples=40, deadline=None)
 @given(tier_rows=warehouses, fraction=st.sampled_from([0.0, 1e9]))
 def test_bulk_matches_scalar(tier_rows, fraction):
-    """Every present id round-trips identically — via the full-scan
-    strategy (fraction=0 forces it) and the IN-probe strategy alike."""
+    """Every present id matches the oracle — via the full-scan strategy
+    (fraction=0 forces it), the IN-probe strategy and the one-id call."""
     db = build_warehouse(tier_rows)
     present = sorted({row[0] for rows in tier_rows.values() for row in rows})
     bulk = list(
@@ -78,8 +94,10 @@ def test_bulk_matches_scalar(tier_rows, fraction):
     )
     assert [p.request_id for p in bulk] == present
     for path in bulk:
-        scalar = reconstruct_path(db, path.request_id, TIER_TABLES)
-        assert paths_equal(path, scalar)
+        expected = expected_path(tier_rows, TIER_TABLES, path.request_id)
+        assert paths_equal(path, expected)
+        one = reconstruct_path(db, path.request_id, TIER_TABLES)
+        assert paths_equal(one, expected)
 
 
 @settings(max_examples=25, deadline=None)
@@ -95,31 +113,34 @@ def test_bulk_skips_missing_ids(tier_rows):
 # -- directed edge cases ----------------------------------------------
 
 
+#: Two same-id mysql hops with *equal* arrival times: hop order can
+#: only come from the rowid tiebreaker.
+DUPLICATE_ARRIVAL_ROWS = {
+    "apache_events_web1": [("R1", 100, 900, 150, 850)],
+    "mysql_events_db1": [
+        ("R1", 200, 300, None, None),
+        ("R1", 200, 700, None, None),
+    ],
+}
+
+
 def duplicate_arrival_db():
-    """Two same-id mysql hops with *equal* arrival times: hop order can
-    only come from the shared rowid tiebreaker."""
-    return build_warehouse(
-        {
-            "apache_events_web1": [("R1", 100, 900, 150, 850)],
-            "mysql_events_db1": [
-                ("R1", 200, 300, None, None),
-                ("R1", 200, 700, None, None),
-            ],
-        }
-    )
+    return build_warehouse(DUPLICATE_ARRIVAL_ROWS)
 
 
 @pytest.mark.parametrize("fraction", [0.0, 1e9])
 def test_duplicate_arrival_hops_keep_scalar_order(fraction):
     db = duplicate_arrival_db()
-    scalar = reconstruct_path(db, "R1", TIER_TABLES)
+    expected = expected_path(DUPLICATE_ARRIVAL_ROWS, TIER_TABLES, "R1")
     (bulk,) = reconstruct_paths_bulk(
         db, ["R1"], TIER_TABLES, full_scan_fraction=fraction
     )
-    assert paths_equal(bulk, scalar)
+    assert paths_equal(bulk, expected)
+    assert paths_equal(reconstruct_path(db, "R1", TIER_TABLES), expected)
     # The tie really exists — the test is vacuous otherwise.
-    arrivals = [h.upstream_arrival_us for h in scalar.hops]
+    arrivals = [h.upstream_arrival_us for h in expected.hops]
     assert len(arrivals) != len(set(arrivals))
+    assert [h.upstream_departure_us for h in expected.hops] == [900, 300, 700]
 
 
 def test_duplicate_requested_ids_collapse():
@@ -171,5 +192,7 @@ def test_tables_without_request_id_skipped():
     db.create_table("sar_web1", [("timestamp_us", "INTEGER")])
     tables = dict(TIER_TABLES)
     tables["sar"] = "sar_web1"
+    expected = expected_path(DUPLICATE_ARRIVAL_ROWS, tables, "R1")
     (bulk,) = reconstruct_paths_bulk(db, ["R1"], tables)
-    assert paths_equal(bulk, reconstruct_path(db, "R1", tables))
+    assert paths_equal(bulk, expected)
+    assert paths_equal(reconstruct_path(db, "R1", tables), expected)

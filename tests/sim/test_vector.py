@@ -1,15 +1,11 @@
-"""Vector kernel unit tests: calendar ordering, engine interleaving,
-block RNG determinism, open-loop traffic generation."""
+"""Vector kernel unit tests: calendar ordering and engine interleaving."""
 
 import random
 
-import numpy as np
 import pytest
 
-from repro.common.errors import ConfigError, SimulationError
-from repro.common.rng import RngStreams, derive_stream_seed
-from repro.rubbos.workload import WorkloadSpec
-from repro.sim.vector import EventCalendar, TrafficGenerator, VectorEngine
+from repro.common.errors import SimulationError
+from repro.sim.vector import EventCalendar, VectorEngine
 
 
 class TestEventCalendar:
@@ -38,34 +34,6 @@ class TestEventCalendar:
         assert cal.pop_next()[:2] == (30, 3)
         assert cal.pop_next() is None
 
-    def test_pop_before_is_strict_and_sorted(self):
-        cal = EventCalendar()
-        cal.push_block(
-            np.array([5, 1, 9, 5]),
-            np.array([0, 1, 2, 3]),
-            np.full(4, 1, dtype=np.int32),
-            np.arange(4),
-        )
-        due = cal.pop_before(5)
-        assert list(due["time"]) == [1]
-        # Rows at exactly t=5 stay until the boundary seq passes them.
-        due = cal.pop_before(5, seq=1)
-        assert list(due["seq"]) == [0]
-        due = cal.pop_before(100)
-        assert list(zip(due["time"], due["seq"])) == [(5, 3), (9, 2)]
-
-    def test_pop_before_merges_buffer_and_blocks(self):
-        cal = EventCalendar()
-        cal.push_block(
-            np.array([4, 8]), np.array([0, 1]),
-            np.full(2, 1, dtype=np.int32), np.arange(2),
-        )
-        cal.push(2, 2, 1, 9)
-        cal.push(6, 3, 1, 9)
-        due = cal.pop_before(7)
-        assert list(zip(due["time"], due["seq"])) == [(2, 2), (4, 0), (6, 3)]
-        assert len(cal) == 1
-
     def test_peek_settles_lazily(self):
         cal = EventCalendar()
         cal.push(100, 0, 1, 0)
@@ -75,12 +43,18 @@ class TestEventCalendar:
 
     def test_len_counts_all_regions(self):
         cal = EventCalendar()
-        cal.push_block(
-            np.array([1, 2]), np.array([0, 1]),
-            np.full(2, 1, dtype=np.int32), np.arange(2),
-        )
-        cal.push(3, 2, 1, 0)
-        assert len(cal) == 3
+        cal.push(5, 0, 1, 0)
+        cal.push(6, 1, 1, 1)
+        assert cal.peek() == (5, 0)  # settles both rows into main
+        cal.push(1, 2, 1, 2)
+        assert cal.peek() == (1, 2)  # earlier than main: lands in pending
+        cal.push(9, 3, 1, 3)
+        assert cal.peek() == (1, 2)  # later than every head: stays buffered
+        assert len(cal) == 4
+        assert [cal.pop_next()[:2] for _ in range(4)] == [
+            (1, 2), (5, 0), (6, 1), (9, 3)
+        ]
+        assert len(cal) == 0
 
 
 class TestVectorEngine:
@@ -176,111 +150,3 @@ class TestVectorEngine:
         engine.schedule_row(1, 0, delay=1)
         assert engine._sequence == 3
         assert not timeout.processed
-
-
-class TestBlockGenerators:
-    def test_same_name_same_seed_reproduces(self):
-        a = RngStreams(7).block_generator("vector.think")
-        b = RngStreams(7).block_generator("vector.think")
-        assert np.array_equal(a.random(100), b.random(100))
-
-    def test_distinct_names_are_independent(self):
-        streams = RngStreams(7)
-        a = streams.block_generator("vector.think")
-        b = streams.block_generator("vector.ramp")
-        assert not np.array_equal(a.random(100), b.random(100))
-
-    def test_shares_derivation_with_scalar_streams(self):
-        # Same (seed, name) derivation — different bit generators, but
-        # the naming contract is one function for both kernels.
-        assert derive_stream_seed(7, "client.think") == (7 << 32) ^ __import__(
-            "zlib"
-        ).crc32(b"client.think")
-
-
-class TestTrafficGenerator:
-    def _spec(self, users=500, think_us=300_000, ramp_us=100_000):
-        return WorkloadSpec(
-            users=users, think_time_us=think_us, ramp_up_us=ramp_us
-        )
-
-    def test_deterministic_per_seed(self):
-        spec = self._spec()
-        a = TrafficGenerator(spec, seed=7).generate(horizon_us=1_000_000)
-        b = TrafficGenerator(spec, seed=7).generate(horizon_us=1_000_000)
-        assert np.array_equal(a.arrival_times, b.arrival_times)
-        assert np.array_equal(a.arrival_users, b.arrival_users)
-        assert np.array_equal(a.arrival_interactions, b.arrival_interactions)
-        assert a.to_dict() == b.to_dict()
-        c = TrafficGenerator(spec, seed=8).generate(horizon_us=1_000_000)
-        assert not np.array_equal(a.arrival_times, c.arrival_times)
-
-    def test_arrivals_sorted_and_within_horizon(self):
-        report = TrafficGenerator(self._spec(), seed=3).generate(
-            horizon_us=1_500_000
-        )
-        assert report.arrivals > 0
-        assert np.all(np.diff(report.arrival_times) >= 0)
-        assert int(report.arrival_times[-1]) < 1_500_000
-        assert report.arrival_users.min() >= 0
-        assert report.arrival_users.max() < 500
-
-    def test_every_user_participates(self):
-        # Horizon >> ramp + think: every user fires at least once.
-        report = TrafficGenerator(
-            self._spec(users=200), seed=5
-        ).generate(horizon_us=3_000_000)
-        assert len(np.unique(report.arrival_users)) == 200
-
-    def test_tier_loads_have_full_request_tables(self):
-        report = TrafficGenerator(self._spec(), seed=4).generate(
-            horizon_us=1_000_000
-        )
-        for tier, load in report.tiers.items():
-            assert len(load.entry) == report.arrivals
-            # Interactions without DB queries have zero demand at the
-            # innermost tiers, so residency is >= 0, not > 0.
-            assert np.all(load.exit >= load.entry)
-            assert load.peak_in_flight >= 1
-            assert 0.0 < load.offered_utilization(report.horizon_us) < 2.0
-        apache = report.tiers["apache"]
-        assert np.all(apache.exit > apache.entry)
-        # Residency nests: apache holds a request strictly longer than
-        # the tiers below it.
-        apache = report.tiers["apache"]
-        mysql = report.tiers["mysql"]
-        assert float((apache.exit - apache.entry).mean()) > float(
-            (mysql.exit - mysql.entry).mean()
-        )
-
-    def test_saturation_detected_with_tiny_pools(self):
-        report = TrafficGenerator(
-            self._spec(users=400, think_us=50_000),
-            seed=6,
-            tier_workers={"apache": 2, "tomcat": 2, "cjdbc": 2, "mysql": 1},
-        ).generate(horizon_us=1_000_000)
-        assert any(load.saturated for load in report.tiers.values())
-        saturated = [t for t, load in report.tiers.items() if load.saturated]
-        assert report.to_dict()["tiers"][saturated[0]]["peak_queue_depth"] > 0
-
-    def test_max_arrivals_truncates(self):
-        report = TrafficGenerator(self._spec(), seed=2).generate(
-            horizon_us=5_000_000, max_arrivals=300
-        )
-        assert report.arrivals >= 300
-        assert report.horizon_us <= 5_000_000
-
-    def test_analyze_tiers_off_skips_load_resolution(self):
-        full = TrafficGenerator(self._spec(), seed=9).generate(
-            horizon_us=1_000_000
-        )
-        bare = TrafficGenerator(self._spec(), seed=9).generate(
-            horizon_us=1_000_000, analyze_tiers=False
-        )
-        assert bare.tiers == {}
-        assert np.array_equal(full.arrival_times, bare.arrival_times)
-
-    def test_markov_sessions_rejected(self):
-        spec = WorkloadSpec(users=10, session_model="markov")
-        with pytest.raises(ConfigError):
-            TrafficGenerator(spec, seed=1)

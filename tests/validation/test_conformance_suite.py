@@ -3,7 +3,7 @@ equivalence claim the pipeline makes.
 
 Each pair runs the db_log_flush scenario through the baseline and
 variant mode from the *same* simulated logs and asserts the promised
-equality (warehouse SQL dump, diagnosis reports, or causal hops).
+equality (warehouse SQL dump or content lines, then diagnosis reports).
 Replaces scattered pairwise checks with a single catalogue — adding a
 new equivalent mode means adding one ConformancePair entry, and it is
 immediately held to the same standard.
@@ -27,7 +27,6 @@ def test_catalogue_covers_the_claimed_pairs():
         "live-incremental",
         "policy-skip-clean",
         "policy-quarantine-clean",
-        "causal-bulk",
         "warehouse-sharded",
     } <= keys
     assert len(CONFORMANCE_PAIRS) >= 5
