@@ -141,6 +141,9 @@ def scalar_reference_reconstruct(db, request_id, tier_tables):
     before MScopeDB grew its schema cache)."""
     hops = []
     for tier, table in tier_tables.items():
+        # The host a ``{tier}_events_{host}`` table belongs to, derived
+        # as analysis.causal does.
+        host = table.partition("_events_")[2] or None
         rows = db.query(f"PRAGMA table_info({quote_identifier(table)})")
         overrides = dict(
             db.query(
@@ -175,6 +178,7 @@ def scalar_reference_reconstruct(db, request_id, tier_tables):
                     upstream_departure_us=departure,
                     downstream_sending_us=sending,
                     downstream_receiving_us=receiving,
+                    host=host,
                 )
             )
     hops.sort(key=lambda h: h.upstream_arrival_us)

@@ -85,7 +85,7 @@ def test_run_loop_not_slower_than_step_loop():
 
     def step_loop():
         engine = _pingpong_engine()
-        while engine._agenda:
+        while engine.peek() is not None:
             engine.step()
 
     # Interleave the measurements: frequency scaling and cache warm-up

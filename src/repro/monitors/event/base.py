@@ -83,8 +83,8 @@ class EventMonitor(TierHook):
 
     def _instrumentation_cost(self, server: TierServer):
         # One event per boundary: the CPU slice and the stall after it
-        # are one consume() chain, so the request resumes once.  The
-        # hooks return the chain's generator itself rather than wrap it.
+        # are one consume() demand, so the request resumes once.  The
+        # hooks return consume()'s tuple itself rather than wrap it.
         return server.node.cpu.consume(
             self.per_event_cpu_us,
             category="system",

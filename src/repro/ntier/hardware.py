@@ -13,11 +13,12 @@ cumulative totals differenced over a sampling window.
 from __future__ import annotations
 
 from bisect import bisect_right
+from heapq import heappush
 
 from repro.common.errors import SimulationError
 from repro.common.timebase import Micros, US_PER_SEC, ms
 from repro.sim.engine import Engine
-from repro.sim.events import Event, Timeout
+from repro.sim.events import _PENDING, Event, Timeout
 from repro.sim.resources import Resource
 from repro.sim.tracking import StepSeries
 
@@ -46,14 +47,15 @@ class CumulativeCounter:
         """Add ``amount`` to the counter at ``time``."""
         if amount < 0:
             raise SimulationError(f"counter decrement not allowed: {amount}")
-        last = self._times[-1]
-        if time < last:
-            raise SimulationError(f"counter add out of order: {time} < {last}")
-        if time == last:
+        times = self._times
+        last = times[-1]
+        if time > last:
+            times.append(time)
+            self._totals.append(self._totals[-1] + amount)
+        elif time == last:
             self._totals[-1] += amount
         else:
-            self._times.append(time)
-            self._totals.append(self._totals[-1] + amount)
+            raise SimulationError(f"counter add out of order: {time} < {last}")
 
     @property
     def total(self) -> float:
@@ -127,19 +129,20 @@ class Cpu:
         priority: int | None = None,
         quantum: Micros | None = None,
         wait: Micros = 0,
-    ):
+    ) -> tuple[Event, ...]:
         """Occupy one core for ``duration`` µs, sliced into quanta, then
         wait ``wait`` µs off-core.
 
-        This is a process generator: ``yield from cpu.consume(...)``.
-        The caller resumes once however many quanta the demand takes:
-        the quanta run as a callback chain (see :class:`_CpuDemand`)
-        that draws the same agenda entries, in the same order, as a
-        process stepping through acquire → timeout → release itself
+        Returns the events to wait on, at most one:
+        ``yield from cpu.consume(...)``.  The caller resumes once
+        however many quanta the demand takes: the demand is one
+        :class:`_CpuDemand` that claims a core and times its own
+        quanta, drawing the same agenda entries, in the same order, as
+        a process stepping through acquire → timeout → release itself
         would.  ``wait`` models a non-CPU stall that follows the slice
         (an instrumentation point's log-buffer lock, say); it is
         scheduled from the last release, so slice and stall together
-        cost one resume.
+        cost one resume.  A zero demand with no wait returns no event.
         """
         if category not in self.accounting:
             raise SimulationError(f"unknown CPU category {category!r}")
@@ -153,14 +156,14 @@ class Cpu:
         if duration > 0:
             if priority is None:
                 priority = self.USER_PRIORITY
-            done: Event = _CpuDemand(
-                self, duration, self.accounting[category], priority, step, wait
+            return (
+                _CpuDemand(
+                    self, duration, self.accounting[category], priority, step, wait
+                ),
             )
-        elif wait > 0:
-            done = self.engine.timeout(wait)
-        else:
-            return
-        yield done
+        if wait > 0:
+            return (Timeout(self.engine, wait),)
+        return ()
 
     def seize(self, priority: int | None = None):
         """Claim one core without the quantum-release discipline.
@@ -220,26 +223,65 @@ class Cpu:
         )
 
 
-class _CpuDemand(Event):
-    """One :meth:`Cpu.consume` demand: the event its caller waits on,
-    driven by a callback chain.
+class _SelfScheduling(Event):
+    """An event that holds a :class:`~repro.sim.resources.Resource`
+    server itself and steps through its chain by putting itself back on
+    the agenda: one object where a process would allocate an
+    ``Acquire`` and a ``Timeout`` and resume on each.
 
-    Each quantum is grant → timeout → release → next acquire, and each
-    step is a callback on the previous step's event, so the agenda
-    entries (the grant, the quantum's timeout, whatever a release
-    grants to a waiter) are drawn in the order a generator stepping
-    through the same calls would draw them.  The demand completes
-    inline at the last release, so the caller carries on at exactly
-    the point a generator would have; with a trailing ``wait`` it is
-    scheduled ``wait`` µs later instead, the entry a ``timeout(wait)``
-    yielded there would draw.  An exception raised along the chain
-    fails the demand inline, so it is thrown into the waiting process
-    where a generator would have raised it.
+    A grant puts it on the agenda now, the entry an ``Acquire``'s
+    ``succeed`` would draw; each later step draws the entry the
+    ``Timeout`` it replaces would draw.  The event stays pending until
+    the chain finishes, so the waiting process resumes exactly once.
+    """
+
+    __slots__ = ()
+
+    def _granted(self, now: Micros) -> None:
+        # self._push(0), inline: one per grant of a core or the disk.
+        engine = self.engine
+        engine._sequence += 1
+        engine._lane.append(self)
+
+    def _push(self, delay: Micros) -> None:
+        """:meth:`Engine._schedule <repro.sim.engine.Engine._schedule>`
+        inline, for a delay that is never negative."""
+        engine = self.engine
+        sequence = engine._sequence
+        engine._sequence = sequence + 1
+        if delay:
+            heappush(engine._agenda, (engine._now + delay, sequence, self))
+        else:
+            engine._lane.append(self)
+
+    def _finish(self, exception: BaseException | None = None) -> None:
+        """Succeed (or fail) and resume the waiters now."""
+        self._exception = exception
+        Event._process(self)
+
+
+class _CpuDemand(_SelfScheduling):
+    """One :meth:`Cpu.consume` demand: the event its caller waits on,
+    its own core claim and its own quantum timer.
+
+    Once granted a core, processing it steps the chain:
+
+    * granted → take one quantum and put itself back on the agenda when
+      the quantum ends (the entry a ``Timeout(wall)`` would draw);
+    * sliced → release the core, account the time, and request the core
+      again for the next quantum, or finish.
+
+    It finishes inline at the last release, so the caller carries on at
+    exactly the point a generator would have; with a trailing ``wait``
+    it succeeds ``wait`` µs later instead, the entry a
+    ``timeout(wait)`` yielded there would draw.  An exception raised
+    along the chain fails the demand inline, so it is thrown into the
+    waiting process where a generator would have raised it.
     """
 
     __slots__ = (
-        "cpu", "remaining", "counter", "priority", "step", "wait", "claim",
-        "wall",
+        "cpu", "remaining", "counter", "priority", "step", "wait", "wall",
+        "_on_core",
     )
 
     def __init__(
@@ -251,49 +293,65 @@ class _CpuDemand(Event):
         step: Micros,
         wait: Micros,
     ) -> None:
-        super().__init__(cpu.engine)
+        # One per consume() call: fill Event's slots here rather than
+        # through Event.__init__ (measurably cheaper, as for Timeout).
+        self.engine = cpu.engine
+        self.callbacks = []
+        self._value = None
+        self._exception = None
+        self._state = _PENDING
+        self._defused = False
         self.cpu = cpu
         self.remaining = duration
         self.counter = counter
         self.priority = priority
         self.step = step
         self.wait = wait
-        self._acquire()
+        self.wall: Micros = 0
+        self._on_core = False
+        cpu.resource._request(self, priority)
 
-    def _acquire(self) -> None:
-        self.claim = self.cpu.resource.acquire(priority=self.priority)
-        self.claim.callbacks.append(self._granted)
-
-    def _granted(self, claim: Event) -> None:
-        cpu = self.cpu
-        remaining = self.remaining
-        piece = self.step if self.step < remaining else remaining
-        self.remaining = remaining - piece
-        try:
-            # A lowered clock (DVFS) stretches the wall time the demand
-            # occupies, read at each grant; the accounted busy time is
-            # the wall time, as /proc would report it.
-            speed = cpu.speed
-            self.wall = piece if speed >= 1.0 else round(piece / speed)
-            Timeout(cpu.engine, self.wall).callbacks.append(self._sliced)
-        except Exception as exc:
-            self._complete(exc)
-
-    def _sliced(self, timeout: Event) -> None:
-        cpu = self.cpu
-        try:
-            cpu.resource.release(self.claim)
-            self.counter.add(cpu.engine._now, self.wall)
-            if self.remaining > 0:
-                self._acquire()
+    def _process(self) -> None:
+        if self._on_core:
+            # The quantum is over: release the core, account the time,
+            # and queue for the next quantum, or finish.
+            self._on_core = False
+            cpu = self.cpu
+            try:
+                cpu.resource.release(self)
+                self.counter.add(self.engine._now, self.wall)
+                if self.remaining > 0:
+                    cpu.resource._request(self, self.priority)
+                    return
+            except Exception as exc:
+                self._finish(exc)
                 return
-        except Exception as exc:
-            self._complete(exc)
-            return
-        if self.wait:
-            self.succeed(delay=self.wait)
+            if self.wait:
+                self.succeed(delay=self.wait)
+            else:
+                self._finish()
+        elif self._state is _PENDING:
+            # Granted a core: run one quantum on it.
+            remaining = self.remaining
+            piece = self.step if self.step < remaining else remaining
+            self.remaining = remaining - piece
+            try:
+                # A lowered clock (DVFS) stretches the wall time the
+                # demand occupies, read at each grant; the accounted
+                # busy time is the wall time, as /proc would report it.
+                speed = self.cpu.speed
+                wall = piece if speed >= 1.0 else round(piece / speed)
+                if wall < 0:
+                    raise SimulationError(f"negative timeout delay: {wall}")
+            except Exception as exc:
+                self._finish(exc)
+                return
+            self.wall = wall
+            self._on_core = True
+            self._push(wall)
         else:
-            self._complete()
+            # The trailing wait is over.
+            Event._process(self)
 
 
 class Disk:
@@ -301,7 +359,9 @@ class Disk:
 
     Read/write byte counters mirror what IOstat derives from
     ``/proc/diskstats``; utilization comes from the busy integral of
-    the service channel.
+    the service channel.  One I/O is one :class:`_DiskIo` event (claim →
+    service time → release → counters), so the caller resumes once per
+    I/O.
     """
 
     def __init__(
@@ -329,28 +389,13 @@ class Disk:
             raise SimulationError(f"negative I/O size: {nbytes}")
         return self.seek_us + (nbytes * US_PER_SEC) // self.bandwidth
 
-    def read(self, nbytes: int, priority: int = 5):
-        """Perform a synchronous read (process generator)."""
-        yield from self._io(nbytes, self.read_bytes, self.read_ops, priority)
+    def read(self, nbytes: int, priority: int = 5) -> tuple[Event]:
+        """A synchronous read: ``yield from disk.read(...)``."""
+        return (_DiskIo(self, nbytes, self.read_bytes, self.read_ops, priority),)
 
-    def write(self, nbytes: int, priority: int = 5):
-        """Perform a synchronous write (process generator)."""
-        yield from self._io(nbytes, self.write_bytes, self.write_ops, priority)
-
-    def _io(
-        self,
-        nbytes: int,
-        byte_counter: CumulativeCounter,
-        op_counter: CumulativeCounter,
-        priority: int,
-    ):
-        duration = self.transfer_duration(nbytes)
-        claim = self.resource.acquire(priority=priority)
-        yield claim
-        yield self.engine.timeout(duration)
-        self.resource.release(claim)
-        byte_counter.add(self.engine.now, nbytes)
-        op_counter.add(self.engine.now, 1)
+    def write(self, nbytes: int, priority: int = 5) -> tuple[Event]:
+        """A synchronous write: ``yield from disk.write(...)``."""
+        return (_DiskIo(self, nbytes, self.write_bytes, self.write_ops, priority),)
 
     def utilization(self, start: Micros, stop: Micros) -> float:
         """Fraction of time the disk was servicing I/O over ``[start, stop)``."""
@@ -360,6 +405,52 @@ class Disk:
     def queue_series(self) -> StepSeries:
         """Step series of the I/O wait-queue length."""
         return self.resource.queue_series
+
+
+class _DiskIo(_SelfScheduling):
+    """One disk I/O: the event its caller waits on, its own claim on
+    the service channel and its own service timer.
+
+    Once granted the channel, processing it starts the service time;
+    processing it again releases the channel, counts the bytes and the
+    op, and resumes the caller inline, where a generator stepping
+    through the same calls would have carried on (or, if that step
+    raises, fails into it).
+    """
+
+    __slots__ = ("disk", "nbytes", "byte_counter", "op_counter", "duration", "_serving")
+
+    def __init__(
+        self,
+        disk: Disk,
+        nbytes: int,
+        byte_counter: CumulativeCounter,
+        op_counter: CumulativeCounter,
+        priority: int,
+    ) -> None:
+        super().__init__(disk.engine)
+        self.disk = disk
+        self.nbytes = nbytes
+        self.byte_counter = byte_counter
+        self.op_counter = op_counter
+        self.duration = disk.transfer_duration(nbytes)
+        self._serving = False
+        disk.resource._request(self, priority)
+
+    def _process(self) -> None:
+        if not self._serving:
+            self._serving = True
+            self._push(self.duration)
+            return
+        now = self.engine._now
+        try:
+            self.disk.resource.release(self)
+            self.byte_counter.add(now, self.nbytes)
+            self.op_counter.add(now, 1)
+        except Exception as exc:
+            self._finish(exc)
+            return
+        self._finish()
 
 
 class PageCache:

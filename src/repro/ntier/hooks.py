@@ -1,13 +1,13 @@
 """Instrumentation hook points on tier servers.
 
 Event mScopeMonitors attach to servers through these hooks.  A hook
-returns the simulation events it costs (a generator, or any iterable
-of events): an attached monitor may consume CPU inline (its
+returns the simulation events it costs (a generator, a tuple, or any
+iterable of events): an attached monitor may consume CPU inline (its
 instrumentation cost) and the server's handler ``yield from``s it, so
 monitor overhead shows up in request latency and CPU accounting exactly
-as real instrumentation would.  The event monitors' cost is one
-:meth:`~repro.ntier.hardware.Cpu.consume` chain per hook point, so a
-request resumes once per instrumented boundary.
+as real instrumentation would.  The event monitors' cost is what
+:meth:`~repro.ntier.hardware.Cpu.consume` returns, one event per hook
+point, so a request resumes once per instrumented boundary.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ class TierHook:
     """Base class for server instrumentation; every method is a no-op.
 
     Subclasses override the hook points they care about.  Each hook
-    returns an iterable of simulation events (usually it is a
-    generator) modelling the cost of the instrumentation itself.
+    returns an iterable of simulation events (a generator, or the
+    tuple :meth:`~repro.ntier.hardware.Cpu.consume` returns) modelling
+    the cost of the instrumentation itself.
     """
 
     def on_upstream_arrival(

@@ -7,14 +7,14 @@ engine's agenda) → *processed* (callbacks ran).  Processes (see
 :mod:`repro.sim.process`) suspend by yielding events and are resumed by
 the engine when those events are processed.
 
-Triggering an event pushes one ``(time, sequence, event)`` entry onto
-the agenda.  The order in which entries draw sequence numbers *is* the
-timeline: code that allocates the same entries in the same order
-simulates the same run, however many callbacks or generator resumes it
+Triggering an event draws one sequence number and puts the event on
+the agenda: on the engine's heap under ``(time, sequence)`` when it is
+due later, on the engine's lane (a FIFO of entries due now) when the
+delay is zero.  The order in which entries draw sequence numbers *is*
+the timeline: code that allocates the same entries in the same order
+simulates the same run, however many objects or generator resumes it
 takes to get there.  The hot paths here (:meth:`Event.succeed`,
-:class:`Timeout`) therefore push onto the agenda inline, and
-:meth:`Event._complete` lets a callback chain finish an event at the
-current instant without an agenda entry of its own.
+:class:`Timeout`) therefore push onto the agenda inline.
 """
 
 from __future__ import annotations
@@ -115,7 +115,10 @@ class Event:
         engine = self.engine
         sequence = engine._sequence
         engine._sequence = sequence + 1
-        heappush(engine._agenda, (engine._now + delay, sequence, self))
+        if delay:
+            heappush(engine._agenda, (engine._now + delay, sequence, self))
+        else:
+            engine._lane.append(self)
         return self
 
     def fail(self, exception: BaseException, delay: Micros = 0) -> "Event":
@@ -136,18 +139,6 @@ class Event:
     def _require_pending(self) -> None:
         if self._state is not _PENDING:
             raise SimulationError(f"event already {self._state.value}")
-
-    def _complete(self, exception: BaseException | None = None) -> None:
-        """Succeed (or fail) and run the callbacks now (kernel use only).
-
-        For a callback chain that ends at the instant the event is
-        due: the waiters resume inline, exactly where a generator that
-        ran the same steps would have carried on, and no agenda entry
-        is drawn.
-        """
-        self._require_pending()
-        self._exception = exception
-        self._process()
 
     def _process(self) -> None:
         """Run callbacks; called by the engine at the scheduled time."""
@@ -188,7 +179,10 @@ class Timeout(Event):
         self.delay = delay
         sequence = engine._sequence
         engine._sequence = sequence + 1
-        heappush(engine._agenda, (engine._now + delay, sequence, self))
+        if delay:
+            heappush(engine._agenda, (engine._now + delay, sequence, self))
+        else:
+            engine._lane.append(self)
 
 
 class _Condition(Event):

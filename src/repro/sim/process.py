@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.common.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import _PROCESSED, Event
 
 if TYPE_CHECKING:
     from repro.sim.engine import Engine
@@ -32,7 +32,7 @@ class Process(Event):
         instances.  Its ``return`` value becomes the process's value.
     """
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator",)
 
     def __init__(self, engine: "Engine", generator: Generator[Event, Any, Any]) -> None:
         super().__init__(engine)
@@ -41,7 +41,6 @@ class Process(Event):
                 f"Process requires a generator, got {type(generator).__name__}"
             )
         self._generator = generator
-        self._waiting_on: Event | None = None
         bootstrap = Event(engine)
         bootstrap.callbacks.append(self._resume)
         bootstrap.succeed()
@@ -53,7 +52,6 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
-        self._waiting_on = None
         # Read the outcome slots directly: the ok/value properties
         # re-check a state that is always processed here.
         exception = event._exception
@@ -81,16 +79,15 @@ class Process(Event):
             self.fail(SimulationError("process yielded an event from another engine"))
             return
 
-        self._waiting_on = target
-        if target.processed:
+        if target._state is _PROCESSED:
             # The event already ran its callbacks; resume on a fresh
             # zero-delay event carrying the same outcome so ordering
             # stays strictly agenda-driven.
             relay = Event(self.engine)
             relay.callbacks.append(self._resume)
-            if target.exception is None:
-                relay.succeed(target.value)
+            if target._exception is None:
+                relay.succeed(target._value)
             else:
-                relay.fail(target.exception)
+                relay.fail(target._exception)
         else:
             target.callbacks.append(self._resume)

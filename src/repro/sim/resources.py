@@ -2,16 +2,20 @@
 
 :class:`Resource` models a pool of identical servers (worker threads,
 CPU cores, a disk's single service channel) with a priority-FIFO wait
-queue.  :class:`Store` is an unbounded FIFO of messages with blocking
-``get`` — the building block for accept queues and the inter-tier
-message bus.
+queue.  A server goes to a *holder*: any object with a
+``_granted(now)`` method, called the instant it gets one.  That is an
+:class:`Acquire`, the event a process yields on, or a kernel chain that
+puts itself on the agenda, such as a CPU demand or a disk I/O
+(:mod:`repro.ntier.hardware`); all of them go through one grant path.
+:class:`Store` is an unbounded FIFO of messages with blocking ``get`` —
+the building block for accept queues and the inter-tier message bus.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Protocol
 
 from repro.common.errors import SimulationError
 from repro.common.timebase import Micros
@@ -22,6 +26,12 @@ if TYPE_CHECKING:
     from repro.sim.engine import Engine
 
 __all__ = ["Resource", "Acquire", "Store"]
+
+
+class _Holder(Protocol):
+    """Anything that can hold a server: it is told when it gets one."""
+
+    def _granted(self, now: Micros) -> None: ...
 
 
 class Acquire(Event):
@@ -35,6 +45,10 @@ class Acquire(Event):
         self.priority = priority
         self.requested_at: Micros = resource.engine._now
         self.granted_at: Micros | None = None
+
+    def _granted(self, now: Micros) -> None:
+        self.granted_at = now
+        self.succeed(self)
 
     def wait_time(self) -> Micros:
         """Queueing delay experienced before the claim was granted."""
@@ -78,8 +92,8 @@ class Resource:
         self.name = name
         self.busy_series = StepSeries(initial=0)
         self.queue_series = StepSeries(initial=0)
-        self._users: set[Acquire] = set()
-        self._waiting: list[tuple[int, int, Acquire]] = []
+        self._users: set[_Holder] = set()
+        self._waiting: list[tuple[int, int, _Holder]] = []
         self._sequence = 0
 
     @property
@@ -95,32 +109,37 @@ class Resource:
     def acquire(self, priority: int = 0) -> Acquire:
         """Claim one server; the returned event fires when granted."""
         claim = Acquire(self, priority)
-        if len(self._users) < self.capacity:
-            self._grant(claim)
-        else:
-            heapq.heappush(self._waiting, (priority, self._sequence, claim))
-            self._sequence += 1
-            self.queue_series.record(self.engine._now, len(self._waiting))
+        self._request(claim, priority)
         return claim
 
-    def release(self, claim: Acquire) -> None:
-        """Return the server held by ``claim`` and admit the next waiter."""
-        if claim not in self._users:
-            raise SimulationError(f"claim does not hold a server of {self.name!r}")
-        self._users.discard(claim)
-        now = self.engine._now
-        self.busy_series.record(now, len(self._users))
-        if self._waiting:
-            _, _, next_claim = heapq.heappop(self._waiting)
-            self.queue_series.record(now, len(self._waiting))
-            self._grant(next_claim)
+    def _request(self, holder: _Holder, priority: int) -> None:
+        """Grant ``holder`` a server now, or queue it (kernel use only)."""
+        if len(self._users) < self.capacity:
+            self._grant(holder)
+        else:
+            heapq.heappush(self._waiting, (priority, self._sequence, holder))
+            self._sequence += 1
+            self.queue_series.record(self.engine._now, len(self._waiting))
 
-    def _grant(self, claim: Acquire) -> None:
-        self._users.add(claim)
+    def release(self, holder: _Holder) -> None:
+        """Return the server ``holder`` has and admit the next waiter."""
+        users = self._users
+        if holder not in users:
+            raise SimulationError(f"claim does not hold a server of {self.name!r}")
+        users.discard(holder)
         now = self.engine._now
-        claim.granted_at = now
-        self.busy_series.record(now, len(self._users))
-        claim.succeed(claim)
+        self.busy_series.record(now, len(users))
+        if self._waiting:
+            _, _, next_holder = heapq.heappop(self._waiting)
+            self.queue_series.record(now, len(self._waiting))
+            self._grant(next_holder)
+
+    def _grant(self, holder: _Holder) -> None:
+        users = self._users
+        users.add(holder)
+        now = self.engine._now
+        self.busy_series.record(now, len(users))
+        holder._granted(now)
 
     def utilization(self, start: Micros, stop: Micros) -> float:
         """Fraction of total server capacity busy over ``[start, stop)``."""

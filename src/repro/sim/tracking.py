@@ -34,27 +34,28 @@ class StepSeries:
     70
     """
 
-    __slots__ = ("_times", "_values", "_cumulative", "_dirty")
+    __slots__ = ("_times", "_values", "_cumulative")
 
     def __init__(self, initial: float = 0) -> None:
         self._times: list[Micros] = [0]
         self._values: list[float] = [initial]
+        #: ``_cumulative[i]`` is the integral over ``[0, _times[i])``;
+        #: it may lag behind ``_times`` and is extended on demand.
         self._cumulative: list[float] = [0.0]
-        self._dirty = False
 
     def record(self, time: Micros, value: float) -> None:
         """Record that the series takes ``value`` from ``time`` onward."""
-        last = self._times[-1]
-        if time < last:
+        times = self._times
+        last = times[-1]
+        if time > last:
+            times.append(time)
+            self._values.append(value)
+        elif time == last:
+            self._values[-1] = value
+        else:
             raise SimulationError(
                 f"StepSeries.record out of order: {time} < {last}"
             )
-        if time == last:
-            self._values[-1] = value
-        else:
-            self._times.append(time)
-            self._values.append(value)
-        self._dirty = True
 
     def adjust(self, time: Micros, delta: float) -> float:
         """Add ``delta`` to the current value at ``time``; return the new value."""
@@ -83,14 +84,17 @@ class StepSeries:
         return self._values[index]
 
     def _ensure_cumulative(self) -> None:
-        if not self._dirty and len(self._cumulative) == len(self._times):
-            return
-        cumulative = [0.0]
-        for i in range(1, len(self._times)):
-            span = self._times[i] - self._times[i - 1]
-            cumulative.append(cumulative[-1] + span * self._values[i - 1])
-        self._cumulative = cumulative
-        self._dirty = False
+        # Extend the prefix integral from where it stopped.  Entry i
+        # reads only values[i - 1], and record() changes nothing but
+        # values[-1] or the tail, so the entries already built stay
+        # exact.
+        cumulative = self._cumulative
+        times = self._times
+        values = self._values
+        total = cumulative[-1]
+        for i in range(len(cumulative), len(times)):
+            total += (times[i] - times[i - 1]) * values[i - 1]
+            cumulative.append(total)
 
     def integral(self, start: Micros, stop: Micros) -> float:
         """Integral of the series over ``[start, stop)`` (value·µs)."""

@@ -191,6 +191,25 @@ class EventCalendar:
         return (int(row["time"]), int(row["seq"]), int(row["code"]), int(row["slot"]))
 
 
+class _HeapLane:
+    """The vector kernel's lane: a zero-delay push goes onto the heap
+    under the key it drew, so the run loop's ``(time, seq)`` merge with
+    the calendar sees it.  Always empty as a lane."""
+
+    __slots__ = ("engine",)
+
+    def __init__(self, engine: Engine) -> None:
+        self.engine = engine
+
+    def __len__(self) -> int:
+        return 0
+
+    def append(self, event) -> None:
+        # The pusher has just drawn its sequence number.
+        engine = self.engine
+        heapq.heappush(engine._agenda, (engine._now, engine._sequence - 1, event))
+
+
 class VectorEngine(Engine):
     """An engine whose agenda is the scalar heap plus an event calendar.
 
@@ -210,6 +229,7 @@ class VectorEngine(Engine):
 
     def __init__(self) -> None:
         super().__init__()
+        self._lane = _HeapLane(self)
         self.calendar = EventCalendar()
         self._handlers: dict[int, object] = {}
 

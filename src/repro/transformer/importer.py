@@ -130,6 +130,16 @@ class MScopeDataImporter:
             )
 
     def _load(self, table: CsvTable, hostname: str, parser_name: str) -> int:
+        try:
+            return self._load_in_transaction(table, hostname, parser_name)
+        except BaseException:
+            # The load rolled back, DDL included: list the tables anew.
+            self._known_tables = None
+            raise
+
+    def _load_in_transaction(
+        self, table: CsvTable, hostname: str, parser_name: str
+    ) -> int:
         key = (table.name, table.source)
         with self.db.bulk_load():
             known = self._tables()

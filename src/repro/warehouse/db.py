@@ -321,11 +321,15 @@ class MScopeDB:
 
         Every write inside the context joins one transaction that
         commits when the outermost context exits cleanly (contexts
-        nest; inner exits are no-ops).  On an exception the
-        transaction rolls back, so a load is all-or-nothing at the
-        granularity of the outermost context.
+        nest; inner exits are no-ops).  The outermost context opens
+        the transaction itself, so DDL joins it too (Python's sqlite3
+        opens one only before DML).  On an exception the transaction
+        rolls back and the schema cache is dropped, so a load is
+        all-or-nothing at the granularity of the outermost context.
         """
         conn = self._require_conn()
+        if self._bulk_depth == 0 and not conn.in_transaction:
+            conn.execute("BEGIN")
         self._bulk_depth += 1
         try:
             yield self
@@ -333,6 +337,7 @@ class MScopeDB:
             self._bulk_depth -= 1
             if self._bulk_depth == 0:
                 conn.rollback()
+                self._schema_cache.clear()
             raise
         else:
             self._bulk_depth -= 1

@@ -450,3 +450,98 @@ def test_page_cache_series_tracks_history():
     engine.run()
     assert cache.dirty_series.value_at(50) == 500
     assert cache.dirty_series.value_at(150) == 300
+
+
+# ----------------------------------------------------------------------
+# Agenda entries and resumes per demand
+
+
+class CountingGenerator:
+    """A process body that counts how often the engine resumes it."""
+
+    def __init__(self, generator):
+        self.generator = generator
+        self.resumes = 0
+
+    def send(self, value):
+        self.resumes += 1
+        return self.generator.send(value)
+
+    def throw(self, exception):
+        self.resumes += 1
+        return self.generator.throw(exception)
+
+
+def test_cpu_demand_draws_two_entries_per_quantum_and_no_claim_objects(
+    monkeypatch,
+):
+    import repro.ntier.hardware as hardware
+    from repro.sim.resources import Acquire
+
+    built = []
+    for cls in (Acquire, hardware.Timeout):
+        original = cls.__init__
+
+        def counting(self, *args, _original=original, **kwargs):
+            built.append(type(self).__name__)
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    engine = Engine()
+    cpu = Cpu(engine, cores=1, quantum=1_000)
+    drawn = []
+
+    def work():
+        before = engine._sequence
+        yield from cpu.consume(3_000)
+        drawn.append(engine._sequence - before)
+
+    body = CountingGenerator(work())
+    engine.process(body)
+    engine.run()
+    # A grant and a quantum timer per quantum; the caller resumes once.
+    assert drawn == [6]
+    assert built == []
+    assert body.resumes == 2
+    assert engine.now == 3_000
+    assert cpu.accounting["user"].total == 3_000
+
+
+def test_disk_io_resumes_its_caller_once():
+    engine = Engine()
+    disk = Disk(engine, bandwidth_bytes_per_sec=1_000_000, seek_us=100)
+    drawn = []
+
+    def io():
+        before = engine._sequence
+        yield from disk.read(1_000)
+        drawn.append((engine._sequence - before, engine.now))
+
+    body = CountingGenerator(io())
+    engine.process(body)
+    engine.run()
+    # The start, then one resume for the whole I/O: claim, service
+    # time (1 ms + 100 µs seek), release and counters.
+    assert body.resumes == 2
+    assert drawn == [(2, 1_100)]
+    assert disk.read_ops.total == 1 and disk.read_bytes.total == 1_000
+    assert disk.utilization(0, 1_100) == 1.0
+
+
+def test_disk_io_queued_behind_another_keeps_fifo_and_one_resume():
+    engine = Engine()
+    disk = Disk(engine, bandwidth_bytes_per_sec=1_000_000, seek_us=0)
+    done = []
+    bodies = []
+
+    def io(name):
+        yield from disk.write(500)
+        done.append((name, engine.now))
+
+    for name in ("a", "b", "c"):
+        bodies.append(CountingGenerator(io(name)))
+        engine.process(bodies[-1])
+    engine.run()
+    assert done == [("a", 500), ("b", 1_000), ("c", 1_500)]
+    assert [body.resumes for body in bodies] == [2, 2, 2]
+    assert disk.write_ops.total == 3

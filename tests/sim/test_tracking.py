@@ -145,3 +145,46 @@ def test_value_at_returns_last_recorded(values):
     for i, v in enumerate(values):
         assert s.value_at((i + 1) * 10) == v
         assert s.value_at((i + 1) * 10 + 5) == v
+
+
+#: One step of an interleaving: record after a gap (0 overwrites the
+#: value at the current time), or ask for an integral or a mean.
+SERIES_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("record"),
+            st.sampled_from([0, 0, 1, 7, 250]),
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+        ),
+        st.tuples(st.just("integral"), st.integers(0, 400), st.integers(0, 400)),
+        st.tuples(st.just("mean"), st.integers(0, 400), st.integers(1, 400)),
+    ),
+    max_size=60,
+)
+
+
+@given(SERIES_OPS)
+def test_integral_extended_lazily_equals_a_rebuild(ops):
+    """Property: queries interleaved with records (same-time overwrites
+    included) give exactly what a series built from the final records
+    in one go gives."""
+    series = StepSeries(initial=3)
+    records = []
+    queries = []
+    now = 0
+    for op, a, b in ops:
+        if op == "record":
+            now += a
+            series.record(now, b)
+            records.append((now, b))
+        else:
+            start = min(a, now)
+            stop = start + b
+            getattr(series, op)(start, stop)  # extends the integral so far
+            queries.append((op, start, stop))
+    rebuilt = StepSeries(initial=3)
+    for time, value in records:
+        rebuilt.record(time, value)
+    horizon = now + 500
+    for op, start, stop in queries + [("integral", 0, horizon), ("mean", 0, horizon)]:
+        assert getattr(series, op)(start, stop) == getattr(rebuilt, op)(start, stop)

@@ -7,6 +7,7 @@ from repro.sampling.policy import parse_policy
 from repro.transformer.importer import MScopeDataImporter
 from repro.transformer.xml_to_csv import CsvTable
 from repro.warehouse.db import MScopeDB
+from repro.warehouse.sharded import ShardedMScopeDB
 
 
 def make_table(name="collectl_web1", columns=None, rows=None):
@@ -278,3 +279,41 @@ def test_two_sources_in_one_table_keep_separate_totals():
         "ORDER BY source_path"
     ) == [(other, 3), (EVENT_SOURCE, 3)]
     assert db.row_count("tomcat_events_app1") == 6
+
+
+@pytest.mark.parametrize("layout", ["monolith", "sharded"])
+def test_failed_first_load_then_retry_equals_clean_import(
+    tmp_path, monkeypatch, layout
+):
+    """A load that fails leaves nothing behind, not even the table its
+    DDL created, so a retry lands exactly what a clean import does."""
+
+    def open_db(name):
+        if layout == "monolith":
+            return MScopeDB(tmp_path / f"{name}.db")
+        return ShardedMScopeDB(tmp_path / f"{name}.shards", window_us=50 * MS)
+
+    rows = [event_row(i) for i in range(9)]
+    clean = open_db("clean")
+    load(clean, [event_table(rows)])
+
+    retried = open_db("retried")
+    importer = MScopeDataImporter(retried)
+    real_insert = type(retried).insert_rows
+    calls = []
+
+    def insert_fails_once(self, *args, **kwargs):
+        calls.append(args[0])
+        if len(calls) == 1:
+            raise DataImportError("disk full")
+        return real_insert(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(retried), "insert_rows", insert_fails_once)
+    with pytest.raises(DataImportError, match="disk full"):
+        importer.import_table(event_table(rows), "app1", "tomcat")
+    assert retried.dynamic_tables() == []
+    importer.import_table(event_table(rows), "app1", "tomcat")
+    importer.flush()
+    assert list(retried.iterdump_content()) == list(clean.iterdump_content())
+    clean.close()
+    retried.close()
