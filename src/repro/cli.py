@@ -1,6 +1,6 @@
 """The ``mscope`` command-line interface.
 
-Four subcommands mirror the framework's workflow:
+The main subcommands mirror the framework's workflow:
 
 * ``mscope run``        — simulate an instrumented scenario, writing
   native monitor logs plus a ``run_meta.json`` describing the run;
@@ -17,6 +17,9 @@ Four subcommands mirror the framework's workflow:
   tail-ingest of a growing log tree, incremental diagnosis, and an
   HTTP API (``/healthz``, ``/stats``, ``/reports``, ``/paths``, SSE
   ``/events``);
+* ``mscope validate``   — simulate labeled faults, build, diagnose and
+  score the diagnosis against the injected ground truth (optionally
+  under each sampling policy, and with every build-equivalence pair);
 * ``mscope figures``    — regenerate the paper's figures.
 
 Example session::
@@ -31,12 +34,13 @@ Example session::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
 
 from repro.analysis.diagnosis import Diagnoser
-from repro.common.errors import ConfigError
+from repro.common.errors import AnalysisError, ConfigError
 from repro.common.timebase import seconds
 from repro.common.windows import WindowParseError, parse_window
 from repro.experiments.scenarios import baseline_run, scenario_a, scenario_b
@@ -307,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--out", type=Path, required=True)
     report.add_argument("--epoch-us", type=int, default=None)
 
-    from repro.validation.runner import MODES, SCENARIOS
+    from repro.validation.runner import SCENARIOS
 
     validate = subparsers.add_parser(
         "validate",
@@ -317,22 +321,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario",
         choices=tuple(SCENARIOS) + ("fast", "all"),
         default="db_log_flush",
-        help="a registered scenario, 'fast' (the gating pair), or "
+        help="a registered scenario, 'fast' (the gating four), or "
         "'all' (the nightly sweep)",
     )
     validate.add_argument("--seed", type=int, default=7)
     validate.add_argument(
-        "--mode",
-        choices=MODES + ("all",),
-        default="batch",
-        help="warehouse-construction mode; 'all' sweeps every mode",
-    )
-    validate.add_argument(
-        "--kernel",
-        choices=("scalar", "vector", "all"),
-        default="scalar",
-        help="simulator kernel; 'all' scores every scenario on both "
-        "(the nightly matrix does)",
+        "--sampling",
+        default=None,
+        metavar="POLICIES",
+        help="score each log-volume-reduction policy instead of the "
+        "unsampled build: 'grid' (the frontier grid), 'pinned' (the "
+        "pinned operating point, held to the frontier floors), or "
+        "comma-separated specs (held to the scenario's floors)",
     )
     validate.add_argument(
         "--format",
@@ -350,8 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument(
         "--check-floors",
         action="store_true",
-        help="exit non-zero when a scenario misses its registered "
-        "accuracy floors",
+        help="exit non-zero when a scored build misses its floors "
+        "(the scenario's registered floors; the frontier floors at the "
+        "pinned sampling policy)",
     )
     validate.add_argument(
         "--conformance",
@@ -367,52 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: a temporary directory, removed afterwards)",
     )
 
-    frontier = subparsers.add_parser(
-        "frontier",
-        help="measure the sampling accuracy/volume frontier over the "
-        "labeled fault scenarios",
-    )
-    frontier.add_argument(
-        "--scenario",
-        choices=tuple(SCENARIOS) + ("fast", "all"),
-        default="all",
-        help="a registered scenario, 'fast' (the gating pair), or "
-        "'all' (the full labeled set, default)",
-    )
-    frontier.add_argument("--seed", type=int, default=7)
-    frontier.add_argument(
-        "--policies",
-        default="grid",
-        metavar="SPECS",
-        help="comma-separated policy specs to sweep, 'grid' (the "
-        "default rate grid), or 'pinned' (only the pinned operating "
-        "point — what the gating CI job runs)",
-    )
-    frontier.add_argument(
-        "--check-floors",
-        action="store_true",
-        help="exit non-zero when the pinned operating point misses a "
-        "gating floor on any swept scenario",
-    )
-    frontier.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="frontier table (default) or the full JSON document",
-    )
-    frontier.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        help="also write the frontier JSON artifact to this file",
-    )
-    frontier.add_argument(
-        "--workdir",
-        type=Path,
-        default=None,
-        help="keep run artifacts here (default: a temporary "
-        "directory, removed afterwards)",
-    )
     return parser
 
 
@@ -430,7 +385,6 @@ def main(argv: list[str] | None = None) -> int:
         "report": _cmd_report,
         "shards": _cmd_shards,
         "validate": _cmd_validate,
-        "frontier": _cmd_frontier,
     }[args.command]
     return handler(args)
 
@@ -439,6 +393,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_run(args) -> int:
+    code = _simulate(args)
+    # A finished run's object graph (engine, processes, servers,
+    # monitors) is cyclic, so reference counting never frees it; collect
+    # it here, or a caller that simulates again carries this run into
+    # the next one.
+    gc.collect()
+    return code
+
+
+def _simulate(args) -> int:
     out: Path = args.out
     log_dir = out / "logs"
     if args.config is not None:
@@ -752,11 +716,17 @@ def _cmd_validate(args) -> int:
     import shutil
     import tempfile
 
+    from repro.sampling.frontier import (
+        DEFAULT_POLICY_GRID,
+        FRONTIER_FLOORS,
+        PINNED_POLICY,
+    )
+    from repro.sampling.policy import parse_policy
     from repro.validation.conformance import (
         CONFORMANCE_PAIRS,
         run_conformance_pair,
     )
-    from repro.validation.runner import MODES, SCENARIOS, ScenarioRunner
+    from repro.validation.runner import SCENARIOS, ScenarioRunner
 
     if args.scenario == "fast":
         names = [name for name, spec in SCENARIOS.items() if spec.fast]
@@ -764,9 +734,21 @@ def _cmd_validate(args) -> int:
         names = list(SCENARIOS)
     else:
         names = [args.scenario]
-    modes = list(MODES) if args.mode == "all" else [args.mode]
-    kernel = getattr(args, "kernel", "scalar")
-    kernels = ["scalar", "vector"] if kernel == "all" else [kernel]
+    policies: list[str | None]
+    if args.sampling is None:
+        policies = [None]
+    elif args.sampling == "grid":
+        policies = list(DEFAULT_POLICY_GRID)
+    elif args.sampling == "pinned":
+        policies = [PINNED_POLICY]
+    else:
+        policies = [spec for spec in args.sampling.split(",") if spec]
+        try:
+            for spec in policies:
+                parse_policy(spec)
+        except AnalysisError as exc:
+            print(f"bad --sampling: {exc}", file=sys.stderr)
+            return 2
 
     workdir = args.workdir
     cleanup = workdir is None
@@ -779,29 +761,25 @@ def _cmd_validate(args) -> int:
     try:
         for name in names:
             spec = SCENARIOS[name]
-            baseline = None
-            for mode in modes:
-                for run_kernel in kernels:
-                    outcome = runner.run(
-                        name, seed=args.seed, mode=mode, kernel=run_kernel
+            for policy in policies:
+                # Every policy is scored on the batch build; the
+                # conformance pairs prove the other builds equal to it.
+                outcome = runner.run(name, seed=args.seed, sampling=policy)
+                outcomes.append(outcome)
+                if args.check_floors:
+                    floors = (
+                        FRONTIER_FLOORS if policy == PINNED_POLICY
+                        else spec.floors
                     )
-                    if mode == "batch" and run_kernel == "scalar":
-                        baseline = outcome
-                    outcomes.append(outcome)
-                    if args.check_floors:
-                        for violation in outcome.passes_floors(spec.floors):
-                            failures.append(
-                                f"{name} ({mode}, {run_kernel}): {violation}"
-                            )
+                    where = name if policy is None else f"{name} [{policy}]"
+                    failures.extend(
+                        f"{where}: {violation}"
+                        for violation in outcome.passes_floors(floors)
+                    )
             if args.conformance:
                 for pair in CONFORMANCE_PAIRS:
                     result = run_conformance_pair(
-                        pair,
-                        name,
-                        args.seed,
-                        workdir,
-                        baseline=baseline,
-                        runner=runner,
+                        pair, name, args.seed, workdir, runner=runner
                     )
                     conformance_results.append(result)
                     if not result.equal:
@@ -843,104 +821,6 @@ def _cmd_validate(args) -> int:
         if cleanup:
             shutil.rmtree(workdir, ignore_errors=True)
     return 1 if failures else 0
-
-
-def _bench_recorder():
-    """The benchmarks/record.py recorder, when the CI bench env asks
-    for it (``MSCOPE_BENCH_JSON``); ``None`` otherwise.  Loaded by
-    path — ``benchmarks/`` is repo tooling, not part of the package."""
-    import importlib.util
-    import os
-
-    if not os.environ.get("MSCOPE_BENCH_JSON"):
-        return None
-    path = Path(__file__).resolve().parents[2] / "benchmarks" / "record.py"
-    if not path.exists():
-        return None
-    spec = importlib.util.spec_from_file_location("_mscope_bench_record", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.record
-
-
-def _cmd_frontier(args) -> int:
-    import shutil
-    import tempfile
-
-    from repro.sampling.frontier import (
-        DEFAULT_POLICY_GRID,
-        PINNED_POLICY,
-        check_frontier_floors,
-        run_frontier,
-    )
-    from repro.validation.runner import SCENARIOS
-
-    if args.scenario == "fast":
-        names = [name for name, spec in SCENARIOS.items() if spec.fast]
-    elif args.scenario == "all":
-        names = sorted(SCENARIOS)
-    else:
-        names = [args.scenario]
-    if args.policies == "grid":
-        policies = list(DEFAULT_POLICY_GRID)
-    elif args.policies == "pinned":
-        policies = [PINNED_POLICY]
-    else:
-        policies = [spec for spec in args.policies.split(",") if spec]
-
-    workdir = args.workdir
-    cleanup = workdir is None
-    if workdir is None:
-        workdir = Path(tempfile.mkdtemp(prefix="mscope-frontier-"))
-    try:
-        frontier = run_frontier(
-            workdir,
-            policies=policies,
-            scenarios=names,
-            seed=args.seed,
-            record=_bench_recorder(),
-        )
-    finally:
-        if cleanup:
-            shutil.rmtree(workdir, ignore_errors=True)
-    violations = (
-        check_frontier_floors(frontier) if args.check_floors else []
-    )
-    frontier["violations"] = violations
-    rendered = json.dumps(frontier, indent=2, sort_keys=True)
-    if args.json is not None:
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(rendered + "\n")
-    if args.format == "json":
-        print(rendered)
-    else:
-        header = (
-            f"{'policy':14s} {'scenario':18s} {'recall':>6s} "
-            f"{'rank1':>6s} {'rows':>7s} {'bytes':>7s}"
-        )
-        print(header)
-        for policy in policies:
-            cells = frontier["policies"][policy]["scenarios"]
-            for name in names:
-                cell = cells[name]
-                pin = " <- pinned" if policy == frontier["pinned_policy"] else ""
-                print(
-                    f"{policy:14s} {name:18s} {cell['recall']:6.3f} "
-                    f"{cell['rank1_attribution']:6.3f} "
-                    f"{cell['row_reduction']:6.1f}x "
-                    f"{cell['byte_reduction']:6.1f}x{pin}"
-                )
-        if args.check_floors:
-            if violations:
-                print()
-                for violation in violations:
-                    print(f"FAIL: {violation}")
-            else:
-                print(
-                    f"\npinned operating point {frontier['pinned_policy']} "
-                    "holds every gating floor"
-                )
-    return 1 if violations else 0
 
 
 def _cmd_figures(args) -> int:

@@ -3,17 +3,16 @@
 The paper concedes that fine-grained monitoring can double disk write
 volume (four timestamps per request per tier).  This package holds the
 pluggable sampling policies the transformer layer threads through
-batch, live, and sharded ingest, plus the measured accuracy/volume
-frontier (`mscope frontier`) that proves the reduced logs still
-diagnose correctly.
+batch, live, and sharded ingest, plus the data of the accuracy/volume
+frontier (the policy grid, the pinned operating point and its floors)
+that ``mscope validate --sampling`` measures to prove the reduced logs
+still diagnose correctly.
 """
 
 from repro.sampling.frontier import (
     DEFAULT_POLICY_GRID,
     FRONTIER_FLOORS,
     PINNED_POLICY,
-    check_frontier_floors,
-    run_frontier,
 )
 from repro.sampling.policy import (
     ConflationPolicy,
@@ -35,9 +34,7 @@ __all__ = [
     "SampleCounts",
     "SamplingPolicy",
     "TailSamplingPolicy",
-    "check_frontier_floors",
     "coherent_keep",
     "parse_policy",
     "row_bytes",
-    "run_frontier",
 ]

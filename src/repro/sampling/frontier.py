@@ -1,50 +1,35 @@
-"""The measured accuracy/volume frontier behind ``mscope frontier``.
+"""The sampling frontier's data: the policy grid, the pinned point and
+its floors.
 
 The paper's monitors double a tier's disk write volume; the sampling
-policies in :mod:`repro.sampling.policy` buy that volume back.  This
-module *measures* what each policy costs in diagnosis accuracy: it
-sweeps policy × rate across the labeled fault scenarios through
-:class:`~repro.validation.runner.ScenarioRunner`, scores every cell
-with :func:`~repro.validation.scoring.score_reports`, reads the
-achieved volume reduction out of the warehouse's ``sampling_ledger``
-(measured, never estimated), and emits the frontier as one JSON
-artifact.
+policies in :mod:`repro.sampling.policy` buy that volume back.
+``mscope validate --sampling`` measures what each policy costs in
+diagnosis accuracy: it builds each labeled scenario's batch warehouse
+under the policy, scores the diagnosis against the fault schedule, and
+reads the achieved volume reduction from the warehouse's
+``sampling_ledger`` (measured, never estimated).
 
 :data:`PINNED_POLICY` is the operating point the sweep selected —
 tail sampling keeps every slow request on all tiers while thinning
 the fast ones to its base rate, and the ledger-corrected VLRT
 baseline (:meth:`~repro.analysis.diagnosis.Diagnoser.sampled_baseline_us`)
 keeps detection calibrated at base rates where a naive median
-collapses.  Its floors in :data:`FRONTIER_FLOORS` are claimed nowhere
-and tested everywhere: the gating CI job and the validation suite
-re-run the fast scenarios at the pinned point and fail on any
-regression.
+collapses.  ``validate --check-floors`` holds it to
+:data:`FRONTIER_FLOORS`, and every other policy to the scenario's own
+floors; the gating CI job and the validation suite run the fast
+scenarios at the pinned point.
 """
-
-from __future__ import annotations
-
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.validation.runner import ScenarioRunner
-
-# NOTE: the validation/warehouse imports live inside the functions:
-# the transformer layer imports this package for its policies, and the
-# validation runner imports the transformer — a module-level import
-# here would close that cycle.
 
 __all__ = [
     "DEFAULT_POLICY_GRID",
     "FRONTIER_FLOORS",
     "PINNED_POLICY",
-    "check_frontier_floors",
-    "run_frontier",
 ]
 
 #: The operating point the frontier sweep pinned (seed 7): recall and
-#: rank-1 attribution stay at 1.0 on all five labeled scenarios while
-#: the ledger shows >=12.8x row and byte reduction on each.  At this
+#: rank-1 attribution stay at 1.0 on all eleven labeled scenarios, and
+#: the ledger shows >=12.8x row and byte reduction on each but
+#: ``memory_leak`` (7.7x, under the floor; nightly only).  At this
 #: base rate the raw VLRT median collapses (the survivors are mostly
 #: slow requests); the pinned point only holds together with the
 #: Diagnoser's inverse-probability baseline correction.
@@ -77,117 +62,3 @@ DEFAULT_POLICY_GRID: tuple[str, ...] = (
     "conflate:0.2",
     "conflate:0.05",
 )
-
-
-def _frontier_cell(
-    runner: "ScenarioRunner", scenario: str, seed: int, policy: str
-) -> dict:
-    """Accuracy + measured volume for one (scenario, policy) cell."""
-    from repro.warehouse.sharded import open_warehouse
-
-    outcome = runner.run(scenario, seed=seed, mode="batch", sampling=policy)
-    db = open_warehouse(outcome.db_path)
-    try:
-        summary = db.sampling_summary()
-    finally:
-        db.close()
-    score = outcome.score
-    latency = score.mean_detection_latency_us
-    return {
-        "precision": round(score.precision, 4),
-        "recall": round(score.recall, 4),
-        "attribution": round(score.attribution_accuracy, 4),
-        "rank1_attribution": round(score.primary_attribution_accuracy, 4),
-        "detection_latency_ms": (
-            round(latency / 1000.0, 1) if latency is not None else None
-        ),
-        "row_reduction": (
-            round(summary["row_reduction"], 2) if summary else 1.0
-        ),
-        "byte_reduction": (
-            round(summary["byte_reduction"], 2) if summary else 1.0
-        ),
-    }
-
-
-def run_frontier(
-    workdir: Path,
-    policies: Iterable[str] = DEFAULT_POLICY_GRID,
-    scenarios: Iterable[str] | None = None,
-    seed: int = 7,
-    record: "Callable[..., None] | None" = None,
-) -> dict:
-    """Sweep ``policies`` × ``scenarios`` and build the frontier.
-
-    Every cell is a full scenario run: simulate (cached per scenario),
-    ingest under the policy, diagnose, score against the labeled fault
-    schedule, and read the achieved reduction from the ledger.
-    ``record(section, **fields)`` (the benchmark recorder) is called
-    once per cell when given.  The returned document is deterministic
-    for a given ``(policies, scenarios, seed)``.
-    """
-    from repro.validation.runner import SCENARIOS, ScenarioRunner
-
-    if scenarios is None:
-        names = sorted(SCENARIOS)
-    else:
-        names = list(scenarios)
-    runner = ScenarioRunner(Path(workdir))
-    grid: dict[str, dict] = {}
-    for policy in policies:
-        cells = {
-            name: _frontier_cell(runner, name, seed, policy)
-            for name in names
-        }
-        if record is not None:
-            # One bench-record section per cell (the recorder merges
-            # by section name, so a shared name would keep only the
-            # last cell).
-            for name, cell in cells.items():
-                record(f"frontier:{policy}:{name}", **cell)
-        grid[policy] = {
-            "scenarios": cells,
-            # The frontier coordinate of this policy: its *worst*
-            # scenario on each axis — an operating point is only as
-            # good as the scenario it degrades most.
-            "worst": {
-                metric: min(cell[metric] for cell in cells.values())
-                for metric in (
-                    "precision",
-                    "recall",
-                    "rank1_attribution",
-                    "row_reduction",
-                    "byte_reduction",
-                )
-            },
-        }
-    return {
-        "seed": seed,
-        "scenarios": names,
-        "pinned_policy": PINNED_POLICY,
-        "floors": dict(FRONTIER_FLOORS),
-        "policies": grid,
-    }
-
-
-def check_frontier_floors(frontier: dict) -> list[str]:
-    """Floor violations of the pinned operating point (empty = holds).
-
-    Checks every swept scenario cell of ``pinned_policy`` against
-    :data:`FRONTIER_FLOORS`; the pinned policy missing from the sweep
-    is itself a violation (a sweep that silently dropped the gated
-    point must not pass the gate).
-    """
-    pinned = frontier.get("pinned_policy", PINNED_POLICY)
-    entry = frontier["policies"].get(pinned)
-    if entry is None:
-        return [f"pinned policy {pinned!r} was not swept"]
-    violations = []
-    for name, cell in sorted(entry["scenarios"].items()):
-        for metric, floor in sorted(FRONTIER_FLOORS.items()):
-            if cell[metric] < floor:
-                violations.append(
-                    f"{name} [{pinned}]: {metric} {cell[metric]:.3f} "
-                    f"< floor {floor:.3f}"
-                )
-    return violations

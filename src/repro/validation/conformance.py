@@ -9,7 +9,10 @@ are no-ops on clean input.  Historically each promise had its own
 ad-hoc pairwise test; :data:`CONFORMANCE_PAIRS` is the single
 catalogue, and :func:`run_conformance_pair` executes one entry and
 returns a :class:`ConformanceResult` that names exactly what diverged
-(first differing line of the warehouse dump, or the differing report).
+(first differing line of the warehouse dump, the differing report, or
+the differing score field).  ``mscope validate`` scores only the batch
+build and relies on the score comparison: every other build is
+checked, not assumed, to score the same.
 
 Warehouse-comparing pairs run both sides from the *same* simulated
 logs (the baseline side's log directory is reused), so any divergence
@@ -179,6 +182,20 @@ def _report_divergence(
     return None
 
 
+def _score_divergence(
+    baseline: ScenarioOutcome, variant: ScenarioOutcome
+) -> str | None:
+    base_score = baseline.score.to_dict()
+    var_score = variant.score.to_dict()
+    for field in sorted(base_score):
+        if base_score[field] != var_score[field]:
+            return (
+                f"score {field}: baseline {base_score[field]!r} "
+                f"!= variant {var_score[field]!r}"
+            )
+    return None
+
+
 def _normalized_content_lines(outcome: ScenarioOutcome):
     """Content lines with the outcome's log-dir prefix masked.
 
@@ -232,10 +249,13 @@ def run_conformance_pair(
         divergence = _first_dump_divergence(
             baseline.content_lines(), variant.content_lines()
         )
-    # Equal warehouses must also diagnose equally; check both so a
-    # pair failure always names the earliest layer that diverged.
+    # Equal warehouses must also diagnose and score equally; check
+    # each layer in turn so a pair failure names the earliest that
+    # diverged.
     if divergence is None:
         divergence = _report_divergence(baseline, variant)
+    if divergence is None:
+        divergence = _score_divergence(baseline, variant)
     return ConformanceResult(
         pair=pair,
         scenario=scenario,

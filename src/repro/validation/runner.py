@@ -62,7 +62,8 @@ SCHEDULE_FILE = "fault_schedule.json"
 #: Warehouse-construction modes the pipeline claims equivalent.  Every
 #: mode ends in the same diagnosis; ``sharded`` builds a
 #: host-partitioned :class:`ShardedMScopeDB` instead of a monolithic
-#: file.
+#: file.  ``mscope validate`` scores ``batch``; the conformance pairs
+#: hold every other mode equal to it.
 MODES = (
     "batch",
     "transform-jobs2",
@@ -70,13 +71,7 @@ MODES = (
     "policy-skip",
     "policy-quarantine",
     "sharded",
-    "sampled",
 )
-
-#: The fixed policy behind the ``sampled`` mode.  Head sampling is
-#: coherent (pure request-id hash) and stateless, so it is
-#: deterministic under any job count.
-CONFORMANCE_SAMPLING = "head:0.5"
 
 
 @dataclasses.dataclass(slots=True)
@@ -101,6 +96,11 @@ class ScenarioOutcome:
     #: The simulated native-log directory this warehouse was built
     #: from (cross-kernel conformance normalizes its prefix away).
     log_dir: Path | None = None
+    #: Log-volume-reduction policy the build ran under (``None`` =
+    #: unsampled), and the reduction its ``sampling_ledger`` measured.
+    sampling: str | None = None
+    row_reduction: float = 1.0
+    byte_reduction: float = 1.0
 
     def dump_lines(self):
         """The warehouse SQL dump, streamed line by line."""
@@ -131,11 +131,20 @@ class ScenarioOutcome:
         return [report.to_text() for report in self.reports]
 
     def passes_floors(self, floors: dict[str, float]) -> list[str]:
-        """Floor violations (empty = all floors met)."""
+        """Floor violations (empty = all floors met).
+
+        ``floors`` may name any accuracy metric or, for a sampled build,
+        the measured volume reduction: a scenario's registered floors
+        and :data:`~repro.sampling.frontier.FRONTIER_FLOORS` are checked
+        the same way.
+        """
         actual = {
             "precision": self.score.precision,
             "recall": self.score.recall,
             "attribution": self.score.attribution_accuracy,
+            "rank1_attribution": self.score.primary_attribution_accuracy,
+            "row_reduction": self.row_reduction,
+            "byte_reduction": self.byte_reduction,
         }
         return [
             f"{metric} {actual[metric]:.3f} < floor {floor:.3f}"
@@ -145,7 +154,7 @@ class ScenarioOutcome:
 
     def to_dict(self) -> dict:
         """Deterministic summary: no wall-clock, no filesystem paths."""
-        return {
+        summary = {
             "scenario": self.scenario,
             "seed": self.seed,
             "mode": self.mode,
@@ -153,6 +162,11 @@ class ScenarioOutcome:
             "score": self.score.to_dict(),
             "reports": self.report_texts,
         }
+        if self.sampling is not None:
+            summary["sampling"] = self.sampling
+            summary["row_reduction"] = round(self.row_reduction, 2)
+            summary["byte_reduction"] = round(self.byte_reduction, 2)
+        return summary
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -161,9 +175,10 @@ class ScenarioOutcome:
         score = self.score
         latency = score.mean_detection_latency_us
         kernel = "" if self.kernel == "scalar" else f", kernel {self.kernel}"
+        sampling = "" if self.sampling is None else f", sampling {self.sampling}"
         lines = [
             f"scenario {self.scenario} "
-            f"(seed {self.seed}, mode {self.mode}{kernel})",
+            f"(seed {self.seed}, mode {self.mode}{kernel}{sampling})",
             f"  injected episodes : {score.labels_total}",
             f"  detected          : {score.labels_detected}",
             f"  precision         : {score.precision:.3f}",
@@ -173,6 +188,11 @@ class ScenarioOutcome:
             "  detection latency : "
             + (f"{latency / 1000:.0f} ms" if latency is not None else "n/a"),
         ]
+        if self.sampling is not None:
+            lines.append(
+                f"  volume reduction  : {self.row_reduction:.1f}x rows, "
+                f"{self.byte_reduction:.1f}x bytes"
+            )
         for match in score.matches:
             label = match.label
             span = f"[{label.start_us / 1e6:.3f}s, {label.stop_us / 1e6:.3f}s]"
@@ -219,9 +239,9 @@ class ScenarioRunner:
             tuple[str, int, str], tuple[ScenarioRun, FaultSchedule]
         ] = {}
         # One outcome per (scenario, seed, mode, sampling, kernel):
-        # re-requesting a mode (e.g. the conformance pass after a
-        # full-matrix sweep) must reuse the built warehouse, not
-        # re-ingest into it.
+        # re-requesting a mode (e.g. the conformance pairs' batch
+        # baseline after the scored batch build) must reuse the built
+        # warehouse, not re-ingest into it.
         self._outcomes: dict[
             tuple[str, int, str, str | None, str], ScenarioOutcome
         ] = {}
@@ -238,10 +258,10 @@ class ScenarioRunner:
         """Simulate, ingest (per ``mode``), diagnose, and score.
 
         ``sampling`` threads a log-volume-reduction policy spec into
-        the warehouse build (the frontier sweep varies it); the
-        ``sampled`` mode defaults it to :data:`CONFORMANCE_SAMPLING`.
-        ``kernel`` selects the simulator substrate
-        (:data:`repro.ntier.system.KERNELS`); the vector
+        the warehouse build (``mscope validate --sampling`` varies it);
+        the outcome carries the reduction the warehouse's
+        ``sampling_ledger`` measured.  ``kernel`` selects the simulator
+        substrate (:data:`repro.ntier.system.KERNELS`); the vector
         kernel must produce the same logs, warehouse content, and
         scores, and the kernel conformance pair holds it to that.
         """
@@ -258,8 +278,6 @@ class ScenarioRunner:
             raise ConfigError(
                 f"unknown kernel {kernel!r}; expected one of {KERNELS}"
             )
-        if sampling is None and mode == "sampled":
-            sampling = CONFORMANCE_SAMPLING
         done = self._outcomes.get((scenario, seed, mode, sampling, kernel))
         if done is not None:
             if done.score.slack_us == slack_us:
@@ -280,7 +298,7 @@ class ScenarioRunner:
             leaf_run = f"{leaf_run}-{kernel}"
         rundir = self.workdir / leaf_run
         # Distinct policy specs build distinct warehouses; slug the
-        # spec into the directory so a frontier sweep never collides.
+        # spec into the directory so a policy sweep never collides.
         leaf = mode if sampling is None else f"{mode}+{sampling.replace(':', '_')}"
         mode_dir = rundir / leaf
         mode_dir.mkdir(parents=True, exist_ok=True)
@@ -313,6 +331,7 @@ class ScenarioRunner:
                 db, epoch_us=run.epoch_us, telemetry=self.telemetry
             ).diagnose()
             self.telemetry.persist_stages(db)
+            ledger = db.sampling_summary() if sampling is not None else None
         finally:
             db.close()
         score = score_reports(schedule, reports, slack_us=slack_us)
@@ -326,6 +345,9 @@ class ScenarioRunner:
             db_path=db_path,
             kernel=kernel,
             log_dir=run.log_dir,
+            sampling=sampling,
+            row_reduction=ledger["row_reduction"] if ledger else 1.0,
+            byte_reduction=ledger["byte_reduction"] if ledger else 1.0,
         )
         self._outcomes[(scenario, seed, mode, sampling, kernel)] = outcome
         return outcome

@@ -26,6 +26,40 @@ def test_run_writes_logs_and_meta(tmp_path, capsys):
     assert "req/s" in capsys.readouterr().out
 
 
+def test_run_frees_the_simulation_before_returning(
+    tmp_path, capsys, monkeypatch
+):
+    """A finished run's object graph is cyclic; ``mscope run`` must not
+    leave it for a later full collection (an in-process caller that
+    simulates again would otherwise hold both runs at once)."""
+    import gc
+    import weakref
+
+    from repro import cli
+
+    systems = []
+
+    def recording_scenario_a(**kwargs):
+        run = scenario_a(**kwargs)
+        systems.append(weakref.ref(run.system))
+        return run
+
+    scenario_a = cli.scenario_a
+    monkeypatch.setattr(cli, "scenario_a", recording_scenario_a)
+    gc.disable()  # only an explicit collection may free the run
+    try:
+        code = main(
+            ["run", "--scenario", "a", "--duration", "1",
+             "--out", str(tmp_path / "out")]
+        )
+        (system,) = systems
+        assert code == 0
+        assert system() is None
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
 def test_transform_and_diagnose_round_trip(tmp_path, capsys):
     out = tmp_path / "out"
     main(["run", "--scenario", "a", "--out", str(out)])

@@ -89,3 +89,35 @@ def test_divergence_streams_line_iterables(db_log_flush_outcome):
         db_log_flush_outcome.dump_lines(), tampered()
     )
     assert divergence is not None and "line 11" in divergence
+
+
+def test_a_doctored_variant_score_is_a_divergence(
+    validation_runner, db_log_flush_outcome
+):
+    """Equal warehouses and reports are not taken to mean equal scores:
+    the pair compares ``score.to_dict()`` too, which is what lets
+    ``mscope validate`` score only the batch build."""
+    import dataclasses
+
+    pair = next(p for p in CONFORMANCE_PAIRS if p.key == "transform-parallel")
+
+    class DoctoringRunner:
+        def run(self, scenario, seed, mode="batch", kernel="scalar"):
+            outcome = validation_runner.run(scenario, seed, mode, kernel=kernel)
+            if mode != pair.variant_mode:
+                return outcome
+            score = dataclasses.replace(
+                outcome.score, reports_matched=outcome.score.reports_matched - 1
+            )
+            return dataclasses.replace(outcome, score=score)
+
+    result = run_conformance_pair(
+        pair,
+        "db_log_flush",
+        GATING_SEED,
+        validation_runner.workdir,
+        baseline=db_log_flush_outcome,
+        runner=DoctoringRunner(),
+    )
+    assert not result.equal
+    assert result.divergence.startswith("score precision: baseline 1.0")

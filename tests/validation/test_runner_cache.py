@@ -1,8 +1,8 @@
 """Re-running a (scenario, seed, mode) must never re-ingest.
 
-The full-matrix CLI sweep (``--mode all --conformance``) requests the
-same mode twice through one runner — once for the score table, once as
-a conformance baseline/variant.  A naive second build would append the
+``mscope validate --conformance`` requests the batch mode twice
+through one runner — once for the score table, once as every
+conformance pair's baseline.  A naive second build would append the
 same logs into the existing warehouse and silently double every table
 (the bug showed up as exactly-2x VLRT counts in every conformance
 divergence).

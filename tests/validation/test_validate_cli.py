@@ -103,31 +103,44 @@ def test_validate_workdir_keeps_artifacts(tmp_path, capsys):
     assert (rundir / "logs").is_dir()
 
 
-def test_validate_kernel_all_scores_both_kernels(tmp_path, capsys):
+def test_validate_sampling_pinned_check_floors_fails_on_unmet_floor(
+    tmp_path, capsys, monkeypatch
+):
+    """The pinned sampling point is held to FRONTIER_FLOORS by the same
+    --check-floors path as an unsampled build."""
+    from repro.sampling.frontier import FRONTIER_FLOORS, PINNED_POLICY
+
+    monkeypatch.setitem(FRONTIER_FLOORS, "byte_reduction", 1e9)
     code = main(
         [
             "validate",
             "--scenario",
-            "retry_storm",
+            "db_log_flush",
             "--seed",
             "7",
-            "--kernel",
-            "all",
-            "--format",
-            "json",
+            "--sampling",
+            "pinned",
             "--check-floors",
             "--workdir",
             str(tmp_path / "work"),
         ]
     )
     out = capsys.readouterr().out
-    assert code == 0
-    payload = json.loads(out)
-    kernels = [entry["kernel"] for entry in payload["scenarios"]]
-    assert kernels == ["scalar", "vector"]
-    # Kernel conformance, through the CLI: identical scores.
-    scores = {entry["score"]["recall"] for entry in payload["scenarios"]}
-    assert scores == {1.0}
-    assert payload["failures"] == []
-    # The vector run keeps its own artifact directory.
-    assert (tmp_path / "work" / "retry_storm-seed7-vector").is_dir()
+    assert code == 1
+    assert f"sampling {PINNED_POLICY}" in out
+    assert f"FAIL: db_log_flush [{PINNED_POLICY}]: byte_reduction" in out
+
+
+def test_validate_rejects_a_bad_sampling_spec(tmp_path, capsys):
+    code = main(
+        [
+            "validate",
+            "--sampling",
+            "head:0.5,bogus",
+            "--workdir",
+            str(tmp_path / "work"),
+        ]
+    )
+    assert code == 2
+    assert "bad --sampling" in capsys.readouterr().err
+    assert not (tmp_path / "work").exists()
