@@ -9,8 +9,8 @@ Run:  python examples/accuracy_and_overhead.py [--full]
 
 import sys
 
-from repro import figure_09, figure_10, figure_11
 from repro.common.timebase import seconds
+from repro.experiments import figure_09, figure_10, figure_11
 
 
 def main() -> None:

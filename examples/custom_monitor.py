@@ -15,15 +15,17 @@ Run:  python examples/custom_monitor.py
 import tempfile
 from pathlib import Path
 
-from repro import MScopeDB, MScopeDataTransformer, default_declaration, scenario_a
 from repro.common.timebase import ms
+from repro.experiments import scenario_a
 from repro.monitors.resource.base import ResourceMonitor
 from repro.ntier.system import NTierSystem, SystemConfig
 from repro.rubbos import WorkloadSpec
+from repro.transformer import MScopeDataTransformer, default_declaration
 from repro.transformer.declaration import ParserBinding
 from repro.transformer.parsers.base import MScopeParser, register_parser
 from repro.transformer.timestamps import wall_to_epoch_us
 from repro.transformer.xmlmodel import LogRecord
+from repro.warehouse import MScopeDB
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ Run:  python examples/interference_hunt.py
 import tempfile
 from pathlib import Path
 
-from repro import Diagnoser, MScopeDataTransformer, MScopeDB
+from repro.analysis import Diagnoser
 from repro.analysis.breakdown import tier_latency_series
 from repro.common.timebase import ms, seconds
 from repro.monitors import EventMonitorSuite, ResourceMonitorSuite
@@ -26,6 +26,8 @@ from repro.ntier import (
 )
 from repro.experiments.scenarios import scenario_tier_configs
 from repro.rubbos import WorkloadSpec
+from repro.transformer import MScopeDataTransformer
+from repro.warehouse import MScopeDB
 
 
 def main() -> None:

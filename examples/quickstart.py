@@ -10,7 +10,8 @@ Run:  python examples/quickstart.py
 import tempfile
 from pathlib import Path
 
-from repro import Diagnoser, figure_02, load_warehouse, scenario_a
+from repro.analysis import Diagnoser
+from repro.experiments import figure_02, load_warehouse, scenario_a
 
 
 def main() -> None:

@@ -13,13 +13,14 @@ Run:  python examples/scaled_deployment.py
 import tempfile
 from pathlib import Path
 
-from repro import Diagnoser, MScopeDB, MScopeDataTransformer
-from repro.analysis import sparkline
+from repro.analysis import Diagnoser, sparkline
 from repro.analysis.metrics import metric_series
 from repro.common.timebase import ms, seconds
 from repro.monitors import EventMonitorSuite, ResourceMonitorSuite
 from repro.ntier import DBLogFlushFault, NTierSystem, SystemConfig, TierConfig
 from repro.rubbos import WorkloadSpec
+from repro.transformer import MScopeDataTransformer
+from repro.warehouse import MScopeDB
 
 MB = 1024 * 1024
 

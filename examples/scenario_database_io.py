@@ -11,8 +11,8 @@ Run:  python examples/scenario_database_io.py
 import tempfile
 from pathlib import Path
 
-from repro import (
-    Diagnoser,
+from repro.analysis import Diagnoser
+from repro.experiments import (
     figure_02,
     figure_04,
     figure_05,

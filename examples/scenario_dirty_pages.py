@@ -12,7 +12,8 @@ Run:  python examples/scenario_dirty_pages.py
 import tempfile
 from pathlib import Path
 
-from repro import Diagnoser, figure_08, load_warehouse, scenario_b
+from repro.analysis import Diagnoser
+from repro.experiments import figure_08, load_warehouse, scenario_b
 
 
 def main() -> None:

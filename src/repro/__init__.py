@@ -17,104 +17,9 @@ Web Services" (ICDCS 2017):
 
 Quickstart::
 
-    from repro import scenario_a, figure_02
+    from repro.experiments import figure_02, scenario_a
     run = scenario_a()
     print(figure_02(run).to_text())
 """
 
-from repro.analysis import (
-    Diagnoser,
-    DiagnosisReport,
-    build_markdown_report,
-    reconstruct_path,
-    write_markdown_report,
-)
-from repro.baselines import CoarseAveragingMonitor, SamplingTracer, SysVizTracer
-from repro.common import (
-    Micros,
-    RequestIdGenerator,
-    RequestTrace,
-    RngStreams,
-    WallClock,
-    ms,
-    seconds,
-)
-from repro.experiments import (
-    baseline_run,
-    saturation_sweep,
-    figure_02,
-    figure_04,
-    figure_05,
-    figure_06,
-    figure_07,
-    figure_08,
-    figure_09,
-    figure_10,
-    figure_11,
-    load_warehouse,
-    scenario_a,
-    scenario_b,
-)
-from repro.monitors import EventMonitorSuite, ResourceMonitorSuite
-from repro.ntier import (
-    DBLogFlushFault,
-    DirtyPageFlushFault,
-    NTierSystem,
-    SystemConfig,
-    TierConfig,
-)
-from repro.rubbos import WorkloadSpec, default_interactions
-from repro.transformer import (
-    LiveTransformer,
-    MScopeDataTransformer,
-    default_declaration,
-)
-from repro.warehouse import MScopeDB, WarehouseExplorer
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "CoarseAveragingMonitor",
-    "DBLogFlushFault",
-    "Diagnoser",
-    "DiagnosisReport",
-    "DirtyPageFlushFault",
-    "EventMonitorSuite",
-    "LiveTransformer",
-    "MScopeDB",
-    "MScopeDataTransformer",
-    "Micros",
-    "NTierSystem",
-    "RequestIdGenerator",
-    "RequestTrace",
-    "ResourceMonitorSuite",
-    "RngStreams",
-    "SamplingTracer",
-    "SysVizTracer",
-    "SystemConfig",
-    "TierConfig",
-    "WallClock",
-    "WarehouseExplorer",
-    "WorkloadSpec",
-    "baseline_run",
-    "build_markdown_report",
-    "default_declaration",
-    "default_interactions",
-    "figure_02",
-    "figure_04",
-    "figure_05",
-    "figure_06",
-    "figure_07",
-    "figure_08",
-    "figure_09",
-    "figure_10",
-    "figure_11",
-    "load_warehouse",
-    "ms",
-    "reconstruct_path",
-    "saturation_sweep",
-    "scenario_a",
-    "scenario_b",
-    "seconds",
-    "write_markdown_report",
-]

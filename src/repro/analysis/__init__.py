@@ -5,18 +5,8 @@ from repro.analysis.breakdown import (
     request_breakdown_ms,
     tier_latency_series,
 )
-from repro.analysis.causal_graph import (
-    critical_path,
-    critical_path_ms,
-    path_to_graph,
-)
-from repro.analysis.lag import (
-    LagResult,
-    correlation_with_pvalue,
-    lagged_correlation,
-)
-from repro.analysis.export import to_chrome_trace, to_span_tree, write_chrome_trace
-from repro.analysis.render import ascii_chart, sparkline
+from repro.analysis.lag import LagResult, lagged_correlation
+from repro.analysis.render import sparkline
 from repro.analysis.skew import (
     SkewEstimate,
     estimate_pairwise_offset,
@@ -71,17 +61,9 @@ __all__ = [
     "Diagnoser",
     "DiagnosisReport",
     "LagResult",
-    "ascii_chart",
     "build_markdown_report",
-    "to_chrome_trace",
-    "to_span_tree",
-    "write_chrome_trace",
     "write_markdown_report",
-    "correlation_with_pvalue",
-    "critical_path",
-    "critical_path_ms",
     "lagged_correlation",
-    "path_to_graph",
     "sparkline",
     "MetricCandidate",
     "NETWORK_LABEL",

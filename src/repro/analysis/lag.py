@@ -13,13 +13,12 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy import stats
 
 from repro.analysis.series import Series
 from repro.common.errors import AnalysisError
 from repro.common.timebase import Micros
 
-__all__ = ["correlation_with_pvalue", "lagged_correlation", "LagResult"]
+__all__ = ["lagged_correlation", "LagResult"]
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -38,17 +37,6 @@ class LagResult:
         if self.best_lag_us < 0:
             return "b"
         return "simultaneous"
-
-
-def correlation_with_pvalue(a: Series, b: Series) -> tuple[float, float]:
-    """Pearson r and its two-sided p-value, step-aligned on ``a``'s grid."""
-    if len(a) < 3 or len(b) < 3:
-        raise AnalysisError("need at least 3 points per series")
-    aligned = b.resample(a.times)
-    if float(a.values.std()) == 0.0 or float(aligned.values.std()) == 0.0:
-        raise AnalysisError("correlation undefined for a constant series")
-    result = stats.pearsonr(a.values, aligned.values)
-    return float(result.statistic), float(result.pvalue)
 
 
 def lagged_correlation(
@@ -70,7 +58,7 @@ def lagged_correlation(
     # All lags at once: one (n_lags, n_points) step-resample of ``b``
     # followed by a row-wise Pearson r.  The diagnosis engine calls
     # this once per candidate per anomaly window, so the per-lag
-    # Python/scipy dispatch this replaces dominated whole runs.
+    # Python dispatch this replaces dominated whole runs.
     lags = np.arange(-max_lag_us, max_lag_us + 1, step_us, dtype=np.int64)
     probe_lags = np.concatenate((np.zeros(1, dtype=np.int64), lags))
     grids = a.times[np.newaxis, :] + probe_lags[:, np.newaxis]

@@ -1,8 +1,8 @@
 """Terminal rendering of analysis series.
 
 The repository has no plotting dependency; these helpers render a
-:class:`~repro.analysis.series.Series` as a compact ASCII chart so the
-examples can *show* the paper's figures in a terminal.
+:class:`~repro.analysis.series.Series` as a one-line sparkline so the
+report and the examples can *show* a series in a terminal.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.analysis.series import Series
 from repro.common.errors import AnalysisError
 
-__all__ = ["sparkline", "ascii_chart"]
+__all__ = ["sparkline"]
 
 _SPARK_LEVELS = " ▁▂▃▄▅▆▇█"
 
@@ -40,49 +40,3 @@ def sparkline(series: Series, width: int = 60) -> str:
         cells.append(_SPARK_LEVELS[level])
     return "".join(cells)
 
-
-def ascii_chart(
-    series: Series,
-    width: int = 60,
-    height: int = 10,
-    label: str = "",
-) -> str:
-    """A multi-line ASCII chart with a value axis.
-
-    Examples
-    --------
-    >>> s = Series.from_pairs([(i, float(i % 7)) for i in range(100)])
-    >>> print(ascii_chart(s, width=20, height=4))  # doctest: +SKIP
-    """
-    if series.is_empty():
-        raise AnalysisError("cannot render an empty series")
-    if width < 1 or height < 2:
-        raise AnalysisError("chart needs width >= 1 and height >= 2")
-    start, stop = int(series.times[0]), int(series.times[-1])
-    if stop == start:
-        grid = [start]
-    else:
-        step = max(1, (stop - start) // width)
-        grid = list(range(start, stop, step))[:width]
-    resampled = series.resample(grid)
-    low = float(resampled.values.min())
-    high = float(resampled.values.max())
-    span = high - low or 1.0
-
-    rows = []
-    for row in range(height, 0, -1):
-        threshold = low + span * (row - 0.5) / height
-        cells = "".join(
-            "█" if value >= threshold else " " for value in resampled.values
-        )
-        axis = f"{low + span * row / height:8.1f} |"
-        rows.append(axis + cells)
-    footer = " " * 9 + "+" + "-" * len(grid)
-    time_axis = (
-        " " * 10
-        + f"{start / 1e6:<.2f}s"
-        + " " * max(1, len(grid) - 12)
-        + f"{stop / 1e6:>.2f}s"
-    )
-    title = f"  {label}" if label else ""
-    return "\n".join(([title] if title else []) + rows + [footer, time_axis])

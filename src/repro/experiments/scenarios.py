@@ -52,6 +52,7 @@ from repro.warehouse.db import MScopeDB
 __all__ = [
     "SCENARIOS",
     "Scenario",
+    "RunMetadata",
     "ScenarioRun",
     "scenario_tier_configs",
     "scenario_a",
@@ -63,6 +64,23 @@ __all__ = [
 ]
 
 MB = 1024 * 1024
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class RunMetadata:
+    """A finished run's metadata, detached from its simulation.
+
+    Enough to build, annotate and diagnose the run's warehouse after
+    the (large, cyclic) :class:`ScenarioRun` object graph is freed.
+    """
+
+    seed: int
+    workload_users: int
+    duration: Micros
+    epoch_us: int
+    log_dir: Path | None
+    #: ``(hostname, tier, cores, disk bytes/s)`` per tier server.
+    hosts: tuple[tuple[str, str, int, int], ...]
 
 
 @dataclasses.dataclass(slots=True)
@@ -82,6 +100,26 @@ class ScenarioRun:
     def epoch_us(self) -> int:
         """Epoch offset for rebasing warehouse timestamps."""
         return self.system.wall_clock.epoch_micros(0)
+
+    @property
+    def metadata(self) -> RunMetadata:
+        """What a warehouse built from this run records about it."""
+        return RunMetadata(
+            seed=self.system.config.seed,
+            workload_users=self.system.config.workload.users,
+            duration=self.duration,
+            epoch_us=self.epoch_us,
+            log_dir=self.log_dir,
+            hosts=tuple(
+                (
+                    server.node.name,
+                    tier,
+                    server.node.spec.cores,
+                    server.node.spec.disk_bandwidth_bytes_per_sec,
+                )
+                for tier, server in self.system.servers.items()
+            ),
+        )
 
 
 def scenario_tier_configs() -> dict[str, TierConfig]:
@@ -439,23 +477,20 @@ def load_warehouse(
         db = MScopeDB()
     transformer = MScopeDataTransformer(db, workdir=workdir, jobs=jobs)
     transformer.transform_directory(run.log_dir)
-    record_run_metadata(run, db)
+    record_run_metadata(run.metadata, db)
     return db
 
 
-def record_run_metadata(run: ScenarioRun, db: MScopeDB) -> None:
+def record_run_metadata(meta: RunMetadata, db: MScopeDB) -> None:
     """Record the run's experiment and host metadata in ``db``.
 
     Shared by :func:`load_warehouse` and the validation harness's
     :class:`~repro.validation.runner.ScenarioRunner`, whose modes build
     their warehouses through different transformer paths.
     """
-    db.set_experiment_meta("seed", str(run.system.config.seed))
-    db.set_experiment_meta("workload_users", str(run.system.config.workload.users))
-    db.set_experiment_meta("duration_us", str(run.duration))
-    db.set_experiment_meta("epoch_us", str(run.epoch_us))
-    for tier, server in run.system.servers.items():
-        node = server.node
-        db.register_host(
-            node.name, tier, node.spec.cores, node.spec.disk_bandwidth_bytes_per_sec
-        )
+    db.set_experiment_meta("seed", str(meta.seed))
+    db.set_experiment_meta("workload_users", str(meta.workload_users))
+    db.set_experiment_meta("duration_us", str(meta.duration))
+    db.set_experiment_meta("epoch_us", str(meta.epoch_us))
+    for hostname, tier, cores, disk_bandwidth in meta.hosts:
+        db.register_host(hostname, tier, cores, disk_bandwidth)

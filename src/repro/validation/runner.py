@@ -23,6 +23,7 @@ same ``(scenario, seed, mode)`` produce byte-identical reports.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import shutil
 from pathlib import Path
@@ -33,7 +34,7 @@ from repro.common.timebase import Micros
 from repro.ntier.system import KERNELS
 from repro.experiments.scenarios import (
     SCENARIOS,
-    ScenarioRun,
+    RunMetadata,
     record_run_metadata,
     run_scenario,
 )
@@ -234,9 +235,10 @@ class ScenarioRunner:
         # mode: all modes then ingest the *same* native logs, so
         # warehouse dumps (which record source paths) are directly
         # comparable and any conformance divergence is the ingest
-        # path's fault.
+        # path's fault.  Only the run's metadata and fault schedule
+        # are kept; the simulation itself is freed once they are read.
         self._runs: dict[
-            tuple[str, int, str], tuple[ScenarioRun, FaultSchedule]
+            tuple[str, int, str], tuple[RunMetadata, FaultSchedule]
         ] = {}
         # One outcome per (scenario, seed, mode, sampling, kernel):
         # re-requesting a mode (e.g. the conformance pairs' batch
@@ -312,9 +314,14 @@ class ScenarioRunner:
             run = run_scenario(scenario, seed, rundir / "logs", kernel)
             schedule = FaultSchedule.from_faults(run.system, run.faults)
             schedule.save(rundir / SCHEDULE_FILE)
-            self._runs[(scenario, seed, kernel)] = (run, schedule)
+            meta = run.metadata
+            self._runs[(scenario, seed, kernel)] = (meta, schedule)
+            # The finished run's object graph is cyclic: drop it and
+            # collect now, or it lives on through every later build.
+            del run
+            gc.collect()
         else:
-            run, schedule = cached
+            meta, schedule = cached
 
         if mode == "sharded":
             db_path = mode_dir / "mscope.shards"
@@ -325,10 +332,10 @@ class ScenarioRunner:
         else:
             db_path = mode_dir / "mscope.db"
             db_path.unlink(missing_ok=True)
-        db = self._build_warehouse(run, db_path, mode, mode_dir, sampling)
+        db = self._build_warehouse(meta, db_path, mode, mode_dir, sampling)
         try:
             reports = Diagnoser(
-                db, epoch_us=run.epoch_us, telemetry=self.telemetry
+                db, epoch_us=meta.epoch_us, telemetry=self.telemetry
             ).diagnose()
             self.telemetry.persist_stages(db)
             ledger = db.sampling_summary() if sampling is not None else None
@@ -344,7 +351,7 @@ class ScenarioRunner:
             schedule=schedule,
             db_path=db_path,
             kernel=kernel,
-            log_dir=run.log_dir,
+            log_dir=meta.log_dir,
             sampling=sampling,
             row_reduction=ledger["row_reduction"] if ledger else 1.0,
             byte_reduction=ledger["byte_reduction"] if ledger else 1.0,
@@ -354,13 +361,13 @@ class ScenarioRunner:
 
     def _build_warehouse(
         self,
-        run: ScenarioRun,
+        meta: RunMetadata,
         db_path: Path,
         mode: str,
         rundir: Path,
         sampling: str | None = None,
     ) -> MScopeDB:
-        assert run.log_dir is not None  # every registry run has a log_dir
+        assert meta.log_dir is not None  # every registry run has a log_dir
         if mode == "sharded":
             # Host-partitioned warehouse loaded by the same jobs=2
             # fan-out as ``transform-jobs2``.  Host-only sharding (no
@@ -371,15 +378,15 @@ class ScenarioRunner:
             transformer = MScopeDataTransformer(
                 sharded, jobs=2, telemetry=self.telemetry, sampling=sampling
             )
-            transformer.transform_directory(run.log_dir)
-            record_run_metadata(run, sharded)
+            transformer.transform_directory(meta.log_dir)
+            record_run_metadata(meta, sharded)
             return sharded
         db = MScopeDB(db_path)
         if mode == "live":
             # One catch-up refresh over the finished logs; incremental
             # split behaviour is covered by the live property test.
             live = LiveTransformer(db, telemetry=self.telemetry, sampling=sampling)
-            live.refresh_directory(run.log_dir)
+            live.refresh_directory(meta.log_dir)
             live.flush_sampling()
         else:
             policy = None
@@ -397,6 +404,6 @@ class ScenarioRunner:
                 telemetry=self.telemetry,
                 sampling=sampling,
             )
-            transformer.transform_directory(run.log_dir)
-        record_run_metadata(run, db)
+            transformer.transform_directory(meta.log_dir)
+        record_run_metadata(meta, db)
         return db

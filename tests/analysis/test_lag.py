@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.analysis.lag import correlation_with_pvalue, lagged_correlation
+from repro.analysis.lag import lagged_correlation
 from repro.analysis.series import Series
 from repro.common.errors import AnalysisError
 
@@ -15,29 +15,6 @@ def pulse(center_us, width_us, grid_step=10_000, horizon=2_000_000):
         inside = center_us <= t < center_us + width_us
         pairs.append((t, 1.0 if inside else 0.0))
     return Series.from_pairs(pairs)
-
-
-def test_pvalue_small_for_strong_correlation():
-    a = Series.from_pairs([(i, float(i)) for i in range(50)])
-    b = Series.from_pairs([(i, 3.0 * i + 2) for i in range(50)])
-    r, p = correlation_with_pvalue(a, b)
-    assert r == pytest.approx(1.0)
-    assert p < 1e-6
-
-
-def test_pvalue_large_for_noise():
-    a = Series.from_pairs([(i, float((i * 7919) % 13)) for i in range(60)])
-    b = Series.from_pairs([(i, float((i * 104729) % 17)) for i in range(60)])
-    r, p = correlation_with_pvalue(a, b)
-    assert abs(r) < 0.5
-    assert p > 0.001
-
-
-def test_constant_series_rejected():
-    a = Series.from_pairs([(i, 1.0) for i in range(10)])
-    b = Series.from_pairs([(i, float(i)) for i in range(10)])
-    with pytest.raises(AnalysisError):
-        correlation_with_pvalue(a, b)
 
 
 def test_lag_detects_leader():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.render import ascii_chart, sparkline
+from repro.analysis.render import sparkline
 from repro.analysis.series import Series
 from repro.common.errors import AnalysisError
 
@@ -34,22 +34,3 @@ def test_sparkline_empty_rejected():
     with pytest.raises(AnalysisError):
         sparkline(Series.from_pairs([]))
 
-
-def test_ascii_chart_dimensions():
-    chart = ascii_chart(ramp(), width=30, height=6, label="ramp")
-    lines = chart.split("\n")
-    assert lines[0].strip() == "ramp"
-    assert len(lines) == 1 + 6 + 2  # title + rows + footer + time axis
-
-
-def test_ascii_chart_peak_in_top_row():
-    chart = ascii_chart(ramp(), width=30, height=5)
-    top_row = chart.split("\n")[0]
-    assert "█" in top_row
-
-
-def test_ascii_chart_validation():
-    with pytest.raises(AnalysisError):
-        ascii_chart(ramp(), width=0)
-    with pytest.raises(AnalysisError):
-        ascii_chart(ramp(), height=1)

@@ -1,5 +1,8 @@
-"""Smoke tests: the fast examples run end to end and say what they should."""
+"""Smoke tests: the fast examples run end to end and say what they should,
+and every example's imports resolve."""
 
+import ast
+import importlib
 import io
 import runpy
 import sys
@@ -48,3 +51,20 @@ def test_example_runs(name, expectations):
     output = run_example(name)
     for expected in expectations:
         assert expected in output, f"{name}: missing {expected!r}"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(EXAMPLES.glob("*.py")), ids=lambda path: path.name
+)
+def test_example_imports_resolve(path):
+    """Every ``from X import Y`` in an example names something ``X``
+    has, so the examples too slow to run here cannot rot either."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), (
+                    f"{path.name}:{node.lineno}: "
+                    f"{node.module} has no {alias.name!r}"
+                )

@@ -39,3 +39,32 @@ def test_rescore_with_different_slack_keeps_the_warehouse(
     )
     assert rescored.warehouse_dump == db_log_flush_outcome.warehouse_dump
     assert rescored.score.slack_us == 0
+
+
+def test_run_frees_the_simulation_before_returning(tmp_path, monkeypatch):
+    """The runner keeps a run's metadata and fault schedule, not the run:
+    its object graph (system, traces, monitors) is cyclic, and caching it
+    would carry every simulation through every later build."""
+    import gc
+    import weakref
+
+    from repro.validation import runner as runner_module
+
+    systems = []
+    run_scenario = runner_module.run_scenario
+
+    def recording_run_scenario(*args, **kwargs):
+        run = run_scenario(*args, **kwargs)
+        systems.append(weakref.ref(run.system))
+        return run
+
+    monkeypatch.setattr(runner_module, "run_scenario", recording_run_scenario)
+    runner = runner_module.ScenarioRunner(tmp_path)
+    gc.disable()  # only an explicit collection may free the run
+    try:
+        outcome = runner.run("db_log_flush", GATING_SEED)
+        (system,) = systems
+        assert system() is None
+    finally:
+        gc.enable()
+    assert outcome.score.labels_total > 0
