@@ -16,7 +16,12 @@ Measured numbers land in the shared bench-record artifact
 (``MSCOPE_BENCH_JSON``, schema ``mscope-bench-record/v1``).
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from record import record
 
@@ -135,3 +140,82 @@ def test_full_system_kernels_agree(benchmark):
     assert completed == PINNED_TRACES
     record("full_system_vector", traces=completed, seed=3, users=150)
 
+
+
+#: Simulated seconds of scenario A the memory record runs.
+_MEMORY_SECONDS = 10
+
+#: Ceiling on live bytes per simulated second of scenario A (MiB):
+#: 1.82 measured with packed histories (2.72 with list-backed ones),
+#: CPython 3.11, plus headroom for interpreter differences.
+_MEMORY_BUDGET_MIB_PER_S = 2.1
+
+#: Runs scenario A in a fresh interpreter (so maxrss is the run's own)
+#: and prints what the simulator's histories hold at the end.
+_MEMORY_PROBE = """
+import gc, json, resource, sys, tempfile, tracemalloc
+from pathlib import Path
+
+from repro.common.timebase import seconds
+from repro.experiments.scenarios import scenario_a
+from repro.ntier.hardware import CumulativeCounter
+from repro.sim.tracking import StepSeries
+
+traced = sys.argv[2] == "traced"
+if traced:
+    tracemalloc.start()
+with tempfile.TemporaryDirectory() as logs:
+    run = scenario_a(seed=3, duration=seconds(int(sys.argv[1])), log_dir=Path(logs))
+    held = tracemalloc.get_traced_memory()[0] if traced else None
+    histories = [
+        o for o in gc.get_objects()
+        if isinstance(o, (StepSeries, CumulativeCounter))
+    ]
+    print(json.dumps({
+        "histories": len(histories),
+        "entries": sum(len(o._times) for o in histories),
+        "traced_bytes": held,
+        "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }))
+"""
+
+
+def _memory_probe(mode: str) -> dict:
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", _MEMORY_PROBE, str(_MEMORY_SECONDS), mode],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_simulator_memory_per_simulated_second():
+    """Scenario A's live memory grows with simulated time, because the
+    CPU, disk, log-facility and queue histories keep every change since
+    t = 0.  Packed, a change costs 8 B per stored time or sum; this
+    record tracks bytes held and peak RSS per simulated second.
+    """
+    plain = _memory_probe("plain")
+    traced = _memory_probe("traced")
+    assert plain["entries"] == traced["entries"]  # deterministic run
+    traced_per_s = traced["traced_bytes"] / _MEMORY_SECONDS
+    record(
+        "simulator_memory",
+        scenario="a",
+        seed=3,
+        simulated_s=_MEMORY_SECONDS,
+        histories=plain["histories"],
+        history_entries=plain["entries"],
+        traced_mib_per_sim_s=round(traced_per_s / 2**20, 3),
+        maxrss_mb=round(plain["maxrss_mb"], 1),
+    )
+    print(
+        f"scenario a, {_MEMORY_SECONDS} s: {plain['entries']} history "
+        f"entries in {plain['histories']} histories, "
+        f"{traced_per_s / 2**20:.2f} MiB traced per simulated s, "
+        f"maxrss {plain['maxrss_mb']:.1f} MB"
+    )
+    assert traced_per_s / 2**20 <= _MEMORY_BUDGET_MIB_PER_S

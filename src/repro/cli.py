@@ -39,17 +39,14 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.diagnosis import Diagnoser
 from repro.common.errors import AnalysisError, ConfigError
+from repro.common.kernels import KERNELS
 from repro.common.timebase import seconds
-from repro.common.windows import WindowParseError, parse_window
-from repro.experiments.scenarios import baseline_run, scenario_a, scenario_b
-from repro.ntier.system import KERNELS
-from repro.telemetry.spans import TelemetryCollector
 from repro.transformer.errorpolicy import ERROR_MODES, QUARANTINE, ErrorPolicy
-from repro.transformer.pipeline import MScopeDataTransformer
-from repro.warehouse.db import RUN_META_FILE, MScopeDB
-from repro.warehouse.sharded import ShardedMScopeDB, open_warehouse
+
+# Each handler imports what it runs: the parser needs none of it, and
+# ``--help`` or ``mscope stats`` should not pay for the simulator, the
+# diagnosis engine and numpy.
 
 __all__ = ["main", "build_parser"]
 
@@ -311,18 +308,15 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--out", type=Path, required=True)
     report.add_argument("--epoch-us", type=int, default=None)
 
-    from repro.validation.runner import SCENARIOS
-
     validate = subparsers.add_parser(
         "validate",
         help="score diagnosis accuracy against injected ground truth",
     )
     validate.add_argument(
         "--scenario",
-        choices=tuple(SCENARIOS) + ("fast", "all"),
         default="db_log_flush",
-        help="a registered scenario, 'fast' (the gating four), or "
-        "'all' (the nightly sweep)",
+        help="a registered scenario (an unknown name lists them), "
+        "'fast' (the gating four), or 'all' (the nightly sweep)",
     )
     validate.add_argument("--seed", type=int, default=7)
     validate.add_argument(
@@ -403,6 +397,9 @@ def _cmd_run(args) -> int:
 
 
 def _simulate(args) -> int:
+    from repro.experiments import scenarios
+    from repro.warehouse.db import RUN_META_FILE
+
     out: Path = args.out
     log_dir = out / "logs"
     if args.config is not None:
@@ -413,19 +410,19 @@ def _simulate(args) -> int:
             return 2
     elif args.scenario == "a":
         duration = seconds(args.duration) if args.duration else seconds(5)
-        run = scenario_a(
+        run = scenarios.scenario_a(
             seed=args.seed, duration=duration, log_dir=log_dir,
             kernel=args.kernel,
         )
     elif args.scenario == "b":
         duration = seconds(args.duration) if args.duration else seconds(5)
-        run = scenario_b(
+        run = scenarios.scenario_b(
             seed=args.seed, duration=duration, log_dir=log_dir,
             kernel=args.kernel,
         )
     else:
         duration = seconds(args.duration) if args.duration else seconds(6)
-        run = baseline_run(
+        run = scenarios.baseline_run(
             args.workload,
             seed=args.seed,
             duration=duration,
@@ -462,20 +459,39 @@ def _run_from_config(config_path: Path, log_dir: Path):
     return _build(spec.system_config, spec.faults, spec.duration)
 
 
+def _open_existing(path: Path):
+    """The warehouse at ``path`` for a read-only subcommand, or ``None``
+    after saying there is none: a mistyped ``--db`` must not leave an
+    empty warehouse behind."""
+    from repro.warehouse.sharded import MANIFEST_FILE, open_warehouse
+
+    if not (path.is_file() or (path / MANIFEST_FILE).is_file()):
+        print(f"no warehouse at {path}", file=sys.stderr)
+        return None
+    return open_warehouse(path)
+
+
 def _cmd_report(args) -> int:
     from repro.analysis.report import write_markdown_report
 
-    db = open_warehouse(args.db)
-    epoch = args.epoch_us
-    if epoch is None:
-        epoch = db.recorded_epoch_us()
-    path = write_markdown_report(db, args.out, epoch_us=epoch)
+    db = _open_existing(args.db)
+    if db is None:
+        return 2
+    with db:
+        epoch = args.epoch_us
+        if epoch is None:
+            epoch = db.recorded_epoch_us()
+        path = write_markdown_report(db, args.out, epoch_us=epoch)
     print(f"report -> {path}")
-    db.close()
     return 0
 
 
 def _cmd_transform(args) -> int:
+    from repro.telemetry.spans import TelemetryCollector
+    from repro.transformer.pipeline import MScopeDataTransformer
+    from repro.warehouse.db import MScopeDB
+    from repro.warehouse.sharded import ShardedMScopeDB
+
     quarantine_dir = args.quarantine_dir
     if args.on_error == QUARANTINE and quarantine_dir is None:
         quarantine_dir = Path(f"{args.db}.quarantine")
@@ -562,7 +578,10 @@ def _cmd_stats(args) -> int:
         render_text,
     )
 
-    with open_warehouse(args.db) as db:
+    db = _open_existing(args.db)
+    if db is None:
+        return 2
+    with db:
         telemetry = RunTelemetry.from_db(db)
         if telemetry is None:
             print(
@@ -580,7 +599,10 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_errors(args) -> int:
-    with open_warehouse(args.db) as db:
+    db = _open_existing(args.db)
+    if db is None:
+        return 2
+    with db:
         rows = db.ingest_errors()
         if not rows:
             print("no ingest errors recorded")
@@ -602,38 +624,44 @@ def _cmd_errors(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    from repro.analysis.diagnosis import Diagnoser
+    from repro.common.windows import WindowParseError, parse_window
     from repro.telemetry.spans import NULL_TELEMETRY, TelemetryCollector
 
-    db = open_warehouse(args.db)
-    epoch = args.epoch_us
-    if epoch is None:
-        epoch = db.recorded_epoch_us()
     window = None
     if args.window is not None:
         try:
             window = parse_window(args.window)
         except WindowParseError as exc:
             print(f"bad --window: {exc}", file=sys.stderr)
-            db.close()
             return 2
-    telemetry = NULL_TELEMETRY if args.no_stats else TelemetryCollector()
-    reports = Diagnoser(
-        db,
-        epoch_us=epoch,
-        telemetry=telemetry,
-        window_us=window,
-    ).diagnose()
-    # Analysis spans land next to the ingest stages, so `mscope stats`
-    # shows one end-to-end latency breakdown.
-    telemetry.persist_stages(db)
+    db = _open_existing(args.db)
+    if db is None:
+        return 2
+    with db:
+        epoch = args.epoch_us
+        if epoch is None:
+            epoch = db.recorded_epoch_us()
+        telemetry = NULL_TELEMETRY if args.no_stats else TelemetryCollector()
+        try:
+            reports = Diagnoser(
+                db,
+                epoch_us=epoch,
+                telemetry=telemetry,
+                window_us=window,
+            ).diagnose()
+        except AnalysisError as exc:
+            print(f"cannot diagnose {args.db}: {exc}", file=sys.stderr)
+            return 2
+        # Analysis spans land next to the ingest stages, so `mscope
+        # stats` shows one end-to-end latency breakdown.
+        telemetry.persist_stages(db)
     if not reports:
         print("no anomaly windows found")
-        db.close()
         return 1
     for report in reports:
         print(report.to_text())
         print()
-    db.close()
     return 0
 
 
@@ -679,7 +707,11 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_shards(args) -> int:
-    db = open_warehouse(args.db)
+    from repro.warehouse.sharded import ShardedMScopeDB
+
+    db = _open_existing(args.db)
+    if db is None:
+        return 2
     if not isinstance(db, ShardedMScopeDB):
         print(f"{args.db} is a monolithic warehouse (no shards)")
         db.close()
@@ -728,6 +760,14 @@ def _cmd_validate(args) -> int:
     )
     from repro.validation.runner import SCENARIOS, ScenarioRunner
 
+    known = (*SCENARIOS, "fast", "all")
+    if args.scenario not in known:
+        print(
+            f"bad --scenario: {args.scenario!r}; expected one of "
+            f"{', '.join(known)}",
+            file=sys.stderr,
+        )
+        return 2
     if args.scenario == "fast":
         names = [name for name, spec in SCENARIOS.items() if spec.fast]
     elif args.scenario == "all":
@@ -835,6 +875,7 @@ def _cmd_figures(args) -> int:
         figure_10,
         figure_11,
     )
+    from repro.experiments.scenarios import scenario_a, scenario_b
 
     wanted = {token.strip() for token in args.which.split(",") if token.strip()}
     run_a = None

@@ -12,6 +12,7 @@ cumulative totals differenced over a sampling window.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from heapq import heappush
 
@@ -34,14 +35,16 @@ class CumulativeCounter:
     """A monotone cumulative counter readable over windows.
 
     Mirrors ``/proc`` semantics: monitors sample the running total and
-    difference consecutive samples.
+    difference consecutive samples.  Change times and running totals
+    are packed int64/double arrays, 16 B per change; a total is a float
+    sum seeded from ``0.0``, so the double array stores it exactly.
     """
 
     __slots__ = ("_times", "_totals")
 
     def __init__(self) -> None:
-        self._times: list[Micros] = [0]
-        self._totals: list[float] = [0.0]
+        self._times = array("q", [0])
+        self._totals = array("d", [0.0])
 
     def add(self, time: Micros, amount: float) -> None:
         """Add ``amount`` to the counter at ``time``."""

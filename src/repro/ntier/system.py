@@ -16,6 +16,7 @@ from typing import Iterable
 
 from repro.common.errors import ConfigError
 from repro.common.ids import RequestIdGenerator
+from repro.common.kernels import KERNELS
 from repro.common.records import RequestTrace
 from repro.common.rng import RngStreams
 from repro.common.timebase import DEFAULT_EPOCH, Micros, WallClock
@@ -91,10 +92,6 @@ def default_tier_configs() -> dict[str, TierConfig]:
         "cjdbc": TierConfig(workers=90),
         "mysql": TierConfig(workers=90),
     }
-
-
-#: Simulator kernels a system can run on.
-KERNELS = ("scalar", "vector")
 
 
 @dataclasses.dataclass(slots=True)

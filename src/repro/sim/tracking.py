@@ -8,6 +8,7 @@ integral/mean/max, and uniform resampling.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from typing import Iterator
 
@@ -37,11 +38,15 @@ class StepSeries:
     __slots__ = ("_times", "_values", "_cumulative")
 
     def __init__(self, initial: float = 0) -> None:
-        self._times: list[Micros] = [0]
+        # Times and prefix integrals are packed int64/double arrays (8 B
+        # an entry, no boxed object): they hold the same int µs and the
+        # same float sums a list would.  Values stay a list, because
+        # callers record ints and get them back as ints.
+        self._times = array("q", [0])
         self._values: list[float] = [initial]
         #: ``_cumulative[i]`` is the integral over ``[0, _times[i])``;
         #: it may lag behind ``_times`` and is extended on demand.
-        self._cumulative: list[float] = [0.0]
+        self._cumulative = array("d", [0.0])
 
     def record(self, time: Micros, value: float) -> None:
         """Record that the series takes ``value`` from ``time`` onward."""

@@ -180,16 +180,19 @@ class MScopeDataImporter:
             # The catalog row is keyed (table, source) and carries the
             # stream's running total, so a file loaded in deltas (live)
             # converges on the row a one-shot batch load records.
-            _, _, already = self._streams.get(key, (hostname, parser_name, 0))
-            loaded = already + inserted
+            stream = self._streams.get(key)
+            loaded = inserted if stream is None else stream[2] + inserted
             self.db.record_load(table.name, table.source, loaded, width)
-            self.db.register_monitor(
-                monitor=table.monitor,
-                hostname=hostname,
-                source_path=table.source,
-                parser=parser_name,
-                table_name=table.name,
-            )
+            if stream is None:
+                # Provenance never changes for a stream: register it on
+                # its first successful load, not on every live delta.
+                self.db.register_monitor(
+                    monitor=table.monitor,
+                    hostname=hostname,
+                    source_path=table.source,
+                    parser=parser_name,
+                    table_name=table.name,
+                )
         self._streams[key] = (hostname, parser_name, loaded)
         sampling = self.sampling
         if sampling is not None and key in sampling.counts:

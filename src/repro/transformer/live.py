@@ -224,7 +224,10 @@ class LiveTransformer:
         lines are recorded in ``ingest_errors`` instead of raising.
         """
         path = Path(path)
-        binding = self.declaration.resolve(path)
+        return self._refresh(path, hostname, self.declaration.resolve(path))
+
+    def _refresh(self, path: Path, hostname: str, binding) -> int:
+        """:meth:`refresh_file` with the binding already resolved."""
         parser = self._parser_for(binding)
         sink = ErrorSink(self.policy, str(path), binding.parser_name)
         spans: list[SpanData] = []
@@ -292,19 +295,21 @@ class LiveTransformer:
         the retries is skipped this round and picked up again on the
         next refresh.
         """
-        pairs = self.declared_files(root)
+        # The walk resolves each file's binding; pass it on rather than
+        # resolve every file again.
+        declared = self.declaration.declared_files(root)
         started = self._clock()
         new_rows = refreshed = advanced = retries = 0
         skipped: list[tuple[Path, str]] = []
         spans: list[SpanData] = []
         with self.telemetry.probe().span(spans, "refresh") as span:
-            for hostname, log_file in pairs:
+            for hostname, log_file, binding in declared:
                 before = self._cursors.get(log_file)
                 imported = None
                 reason = ""
                 for attempt in range(self.max_retries + 1):
                     try:
-                        imported = self.refresh_file(log_file, hostname)
+                        imported = self._refresh(log_file, hostname, binding)
                         break
                     except ParseError as exc:
                         if not log_file.exists():

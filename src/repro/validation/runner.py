@@ -30,8 +30,8 @@ from pathlib import Path
 
 from repro.analysis.diagnosis import Diagnoser, DiagnosisReport
 from repro.common.errors import ConfigError
+from repro.common.kernels import KERNELS
 from repro.common.timebase import Micros
-from repro.ntier.system import KERNELS
 from repro.experiments.scenarios import (
     SCENARIOS,
     RunMetadata,
@@ -263,7 +263,7 @@ class ScenarioRunner:
         the warehouse build (``mscope validate --sampling`` varies it);
         the outcome carries the reduction the warehouse's
         ``sampling_ledger`` measured.  ``kernel`` selects the simulator
-        substrate (:data:`repro.ntier.system.KERNELS`); the vector
+        substrate (:data:`repro.common.kernels.KERNELS`); the vector
         kernel must produce the same logs, warehouse content, and
         scores, and the kernel conformance pair holds it to that.
         """

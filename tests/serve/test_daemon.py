@@ -236,6 +236,35 @@ def test_drained_warehouse_matches_batch_transform(storm_logs):
     )
 
 
+def test_live_session_registers_each_stream_once(storm_logs):
+    """Over a multi-cycle session every stream's ``monitor_registry``
+    row is written on its first load only (a host appearing mid-session
+    included), and the drained warehouse still equals a batch one."""
+    daemon = make_daemon(storm_logs)
+    registry_writes = []
+    daemon.db._conn.set_trace_callback(
+        lambda sql: registry_writes.append(sql)
+        if "INTO monitor_registry" in sql
+        else None
+    )
+    for cycle in range(4):
+        for n in range(6):
+            append(
+                storm_logs / f"db{n}" / "mysql_log.log",
+                [mysql_line(10 + cycle, f"db{n}")],
+            )
+        if cycle == 2:
+            append(storm_logs / "db6" / "mysql_log.log", [mysql_line(0, "db6")])
+        assert daemon.ingest_cycle().new_rows
+    daemon.drain()
+    assert len(registry_writes) == 7
+    batch = MScopeDB()
+    MScopeDataTransformer(batch).transform_directory(storm_logs)
+    assert list(daemon.db.iterdump_content()) == list(
+        batch.iterdump_content()
+    )
+
+
 # -- diagnosis ---------------------------------------------------------
 
 EPOCH = 1_000_000_000

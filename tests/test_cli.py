@@ -35,7 +35,7 @@ def test_run_frees_the_simulation_before_returning(
     import gc
     import weakref
 
-    from repro import cli
+    from repro.experiments import scenarios
 
     systems = []
 
@@ -44,8 +44,8 @@ def test_run_frees_the_simulation_before_returning(
         systems.append(weakref.ref(run.system))
         return run
 
-    scenario_a = cli.scenario_a
-    monkeypatch.setattr(cli, "scenario_a", recording_scenario_a)
+    scenario_a = scenarios.scenario_a
+    monkeypatch.setattr(scenarios, "scenario_a", recording_scenario_a)
     gc.disable()  # only an explicit collection may free the run
     try:
         code = main(
@@ -309,3 +309,52 @@ def test_serve_parser_defaults(tmp_path):
     assert args.refresh_interval == 0.5
     assert args.on_error == "fail-fast"
     assert args.db is None
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["errors"], ["stats"], ["diagnose"], ["shards"], ["report", "--out"]],
+    ids=lambda command: command[0],
+)
+@pytest.mark.parametrize("name", ["typo.db", "typo-shards"])
+def test_read_only_commands_create_no_warehouse(
+    tmp_path, capsys, command, name
+):
+    """A mistyped ``--db`` is reported, not created empty and read."""
+    db_path = tmp_path / name
+    argv = [command[0], "--db", str(db_path)]
+    if command[1:]:
+        argv += [command[1], str(tmp_path / "report.md")]
+    assert main(argv) == 2
+    assert f"no warehouse at {db_path}" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == []
+
+
+def test_diagnose_without_event_tables_exits_2_and_closes(
+    tmp_path, capsys, monkeypatch
+):
+    """A warehouse with nothing to diagnose gets the engine's message,
+    not a traceback, and the handle is closed on that path too."""
+    from repro.warehouse import sharded
+
+    db_path = tmp_path / "m.db"
+    MScopeDB(db_path).close()
+    real_open = sharded.open_warehouse
+    opened = []
+
+    def recording_open(path, threadsafe=False):
+        opened.append(real_open(path, threadsafe))
+        return opened[-1]
+
+    monkeypatch.setattr(sharded, "open_warehouse", recording_open)
+    assert main(["diagnose", "--db", str(db_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot diagnose {db_path}: front event table" in err
+    (db,) = opened
+    assert db._conn is None
+
+
+def test_validate_rejects_an_unknown_scenario(capsys):
+    assert main(["validate", "--scenario", "no_such_fault"]) == 2
+    err = capsys.readouterr().err
+    assert "bad --scenario: 'no_such_fault'" in err and "db_log_flush" in err

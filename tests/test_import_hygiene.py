@@ -90,3 +90,34 @@ def test_warehouse_and_transformer_load_no_analysis_stack(module):
     heavy = {"repro.analysis", "repro.ntier", "repro.experiments"}
     pulled = {name for name in loaded if ".".join(name.split(".")[:2]) in heavy}
     assert not pulled, sorted(pulled)
+
+
+def test_the_cli_loads_no_simulator_analysis_or_numpy():
+    """Each subcommand imports what it runs, so importing the CLI and
+    printing its help pull in none of the simulator, the scenario
+    builders, the monitors, the diagnosis engine or numpy."""
+    out = run_python(
+        """
+import json, sys
+
+import repro.cli
+
+imported = sorted(sys.modules)
+try:
+    repro.cli.main(["--help"])
+except SystemExit as exit:
+    assert exit.code == 0, exit.code
+print(json.dumps([imported, sorted(sys.modules)]))
+"""
+    )
+    heavy = {
+        "repro.sim", "repro.ntier", "repro.experiments", "repro.analysis",
+        "repro.monitors", "numpy",
+    }
+    for loaded in json.loads(out.splitlines()[-1]):
+        pulled = {
+            name for name in loaded
+            if name.partition(".")[0] in heavy
+            or ".".join(name.split(".")[:2]) in heavy
+        }
+        assert not pulled, sorted(pulled)

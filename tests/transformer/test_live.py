@@ -1,5 +1,7 @@
 """Tests for the incremental (live) transformer."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.common.errors import DeclarationError, ParseError
@@ -380,7 +382,10 @@ def test_file_gone_since_listing_is_not_skipped(log_dir):
     append(path, [mysql_line(0)])
     live = LiveTransformer(MScopeDB(), max_retries=0)
     gone = log_dir / "db1" / "sar_xml.log"
-    live.declared_files = lambda root: [("db1", path), ("db1", gone)]
+    listing = [
+        ("db1", file, live.declaration.resolve(file)) for file in (path, gone)
+    ]
+    live.declaration.declared_files = lambda root: listing
     outcome = live.refresh_directory(log_dir)
     assert (outcome.new_rows, outcome.skipped) == (1, ())
     assert live.heartbeat().last_error is None
@@ -516,3 +521,24 @@ def test_heartbeat_carries_last_error(log_dir):
 def test_heartbeat_none_before_any_cycle(log_dir):
     live = LiveTransformer(MScopeDB())
     assert live.heartbeat() is None
+
+
+def test_refresh_directory_resolves_each_file_once_per_cycle(log_dir):
+    """The walk's binding is the one the refresh parses with: a cycle
+    resolves every declared file once, not once to list it and again
+    to parse it."""
+    live = LiveTransformer(MScopeDB())
+    declaration = live.declaration
+    resolved = []
+
+    def counting_try_resolve(path, _real=declaration.try_resolve):
+        resolved.append(Path(path).name)
+        return _real(path)
+
+    declaration.try_resolve = counting_try_resolve
+    (log_dir / "db1" / "sar_xml.log").write_text(COMPLETE_SAR_XML)
+    for i in range(3):
+        append(log_dir / "db1" / "mysql_log.log", [mysql_line(i)])
+        live.refresh_directory(log_dir)
+    assert resolved == ["mysql_log.log", "sar_xml.log"] * 3
+    assert live.db.row_count("mysql_events_db1") == 3
