@@ -15,7 +15,7 @@ from repro.monitors import EventMonitorSuite
 from repro.ntier import NTierSystem, SystemConfig, TierConfig
 from repro.ntier.node import NodeSpec
 from repro.rubbos import WorkloadSpec
-from repro.transformer import MScopeDataTransformer
+from repro.transformer.pipeline import MScopeDataTransformer
 from repro.warehouse import MScopeDB
 
 OFFSETS = {"apache": 0, "tomcat": 5_000, "cjdbc": -2_000, "mysql": 11_000}

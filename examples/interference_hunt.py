@@ -26,7 +26,7 @@ from repro.ntier import (
 )
 from repro.experiments.scenarios import scenario_tier_configs
 from repro.rubbos import WorkloadSpec
-from repro.transformer import MScopeDataTransformer
+from repro.transformer.pipeline import MScopeDataTransformer
 from repro.warehouse import MScopeDB
 
 

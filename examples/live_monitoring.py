@@ -19,7 +19,7 @@ from repro.experiments.scenarios import scenario_tier_configs
 from repro.monitors import EventMonitorSuite, ResourceMonitorSuite
 from repro.ntier import DBLogFlushFault, NTierSystem, SystemConfig
 from repro.rubbos import WorkloadSpec
-from repro.transformer import LiveTransformer
+from repro.transformer.live import LiveTransformer
 from repro.warehouse import MScopeDB
 
 MB = 1024 * 1024

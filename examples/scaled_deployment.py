@@ -19,7 +19,7 @@ from repro.common.timebase import ms, seconds
 from repro.monitors import EventMonitorSuite, ResourceMonitorSuite
 from repro.ntier import DBLogFlushFault, NTierSystem, SystemConfig, TierConfig
 from repro.rubbos import WorkloadSpec
-from repro.transformer import MScopeDataTransformer
+from repro.transformer.pipeline import MScopeDataTransformer
 from repro.warehouse import MScopeDB
 
 MB = 1024 * 1024

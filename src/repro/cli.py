@@ -40,7 +40,6 @@ import sys
 from pathlib import Path
 
 from repro.common.errors import AnalysisError, ConfigError
-from repro.common.kernels import KERNELS
 from repro.common.timebase import seconds
 from repro.transformer.errorpolicy import ERROR_MODES, QUARANTINE, ErrorPolicy
 
@@ -73,13 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON scenario file (overrides --scenario)",
     )
     run.add_argument("--seed", type=int, default=3)
-    run.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default="scalar",
-        help="simulator kernel: scalar per-event engine, or the "
-        "vectorized event calendar (identical logs)",
-    )
     run.add_argument(
         "--duration", type=float, default=None, help="simulated seconds"
     )
@@ -411,14 +403,12 @@ def _simulate(args) -> int:
     elif args.scenario == "a":
         duration = seconds(args.duration) if args.duration else seconds(5)
         run = scenarios.scenario_a(
-            seed=args.seed, duration=duration, log_dir=log_dir,
-            kernel=args.kernel,
+            seed=args.seed, duration=duration, log_dir=log_dir
         )
     elif args.scenario == "b":
         duration = seconds(args.duration) if args.duration else seconds(5)
         run = scenarios.scenario_b(
-            seed=args.seed, duration=duration, log_dir=log_dir,
-            kernel=args.kernel,
+            seed=args.seed, duration=duration, log_dir=log_dir
         )
     else:
         duration = seconds(args.duration) if args.duration else seconds(6)
@@ -428,12 +418,10 @@ def _simulate(args) -> int:
             duration=duration,
             log_dir=log_dir,
             resource_monitors=True,
-            kernel=args.kernel,
         )
     meta = {
         "scenario": "config" if args.config is not None else args.scenario,
         "seed": run.system.config.seed,
-        "kernel": run.system.config.kernel,
         "duration_us": run.duration,
         "epoch_us": run.epoch_us,
         "workload_users": run.system.config.workload.users,

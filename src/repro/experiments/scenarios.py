@@ -139,11 +139,11 @@ def scenario_tier_configs() -> dict[str, TierConfig]:
 def _config(
     seed: int,
     log_dir: Path | None,
-    kernel: str,
     tiers: dict[str, TierConfig] | None,
     users: int = 300,
     think_ms: float = 700.0,
     mix_name: str = READ_WRITE_MIX,
+    kernel: str = "scalar",
 ) -> SystemConfig:
     workload = WorkloadSpec(
         users=users, think_time_us=ms(think_ms), ramp_up_us=ms(300),
@@ -238,11 +238,10 @@ def scenario_a(
     log_dir: Path | None = None,
     monitor_interval: Micros = ms(50),
     with_sysviz: bool = False,
-    kernel: str = "scalar",
 ) -> ScenarioRun:
     """Database-I/O very short bottleneck (Figures 2, 4, 6, 7)."""
     return _build(
-        _config(seed, log_dir, kernel, scenario_tier_configs(), users, think_ms),
+        _config(seed, log_dir, scenario_tier_configs(), users, think_ms),
         _log_flush(flush_at, flush_bytes),
         duration,
         monitor_interval,
@@ -258,11 +257,10 @@ def scenario_b(
     log_dir: Path | None = None,
     monitor_interval: Micros = ms(50),
     with_sysviz: bool = False,
-    kernel: str = "scalar",
 ) -> ScenarioRun:
     """Dirty-page recycling bottleneck, two staggered peaks (Figure 8)."""
     return _build(
-        _config(seed, log_dir, kernel, scenario_tier_configs(), users, think_ms),
+        _config(seed, log_dir, scenario_tier_configs(), users, think_ms),
         _dirty_pages(),
         duration,
         monitor_interval,
@@ -419,11 +417,15 @@ def run_scenario(
     kernel: str = "scalar",
 ) -> ScenarioRun:
     """Run one :data:`SCENARIOS` row for 5 s on the calibrated
-    small-pool testbed (300 users, 700 ms think time)."""
+    small-pool testbed (300 users, 700 ms think time).
+
+    ``kernel`` picks the :data:`~repro.ntier.system.KERNELS` entry; the
+    timeline pins hold both kernels to the same log bytes.
+    """
     row = SCENARIOS[name]
     tiers = {**scenario_tier_configs(), **row.tiers}
     return _build(
-        _config(seed, log_dir, kernel, tiers, mix_name=row.mix),
+        _config(seed, log_dir, tiers, mix_name=row.mix, kernel=kernel),
         row.faults(),
         seconds(5),
     )
@@ -439,7 +441,6 @@ def baseline_run(
     log_dir: Path | None = None,
     with_sysviz: bool = False,
     monitor_interval: Micros = ms(50),
-    kernel: str = "scalar",
 ) -> ScenarioRun:
     """A healthy full-size run for accuracy/overhead evaluation.
 
@@ -448,7 +449,7 @@ def baseline_run(
     """
     return _build(
         # None keeps the default (production-size) tier configs.
-        _config(seed, log_dir, kernel, None, workload_users, think_ms),
+        _config(seed, log_dir, None, workload_users, think_ms),
         [],
         duration,
         monitor_interval,

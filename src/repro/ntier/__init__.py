@@ -23,7 +23,6 @@ from repro.ntier.node import Node, NodeSpec
 from repro.ntier.request import Request
 from repro.ntier.server import TierServer
 from repro.ntier.system import (
-    KERNELS,
     NTierSystem,
     SystemConfig,
     SystemResult,
@@ -57,7 +56,6 @@ __all__ = [
     "FileLogSink",
     "GarbageCollectionFault",
     "HookDispatcher",
-    "KERNELS",
     "LogSink",
     "MemoryLogSink",
     "Message",

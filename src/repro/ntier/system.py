@@ -16,7 +16,6 @@ from typing import Iterable
 
 from repro.common.errors import ConfigError
 from repro.common.ids import RequestIdGenerator
-from repro.common.kernels import KERNELS
 from repro.common.records import RequestTrace
 from repro.common.rng import RngStreams
 from repro.common.timebase import DEFAULT_EPOCH, Micros, WallClock
@@ -51,6 +50,12 @@ _TIER_NODE_PREFIX = {
     "cjdbc": "mid",
     "mysql": "db",
 }
+
+
+#: The simulator kernels :attr:`SystemConfig.kernel` selects: ``scalar``
+#: is the per-event engine; ``vector`` adds the event calendar.  Both
+#: write identical logs.
+KERNELS = ("scalar", "vector")
 
 
 def tier_address(tier: str, replica: int) -> str:

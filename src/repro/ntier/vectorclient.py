@@ -22,6 +22,8 @@ Dump identity with the scalar client is engineered, not hoped for:
 Servers, monitors, faults, and the bus are untouched scalar code, so a
 ``kernel="vector"`` run produces byte-identical monitor logs — and an
 ``iterdump_content()``-identical warehouse — to ``kernel="scalar"``.
+The timeline pins (``tests/sim/test_timeline_identity.py``) check it
+on every fault scenario.
 """
 
 from __future__ import annotations

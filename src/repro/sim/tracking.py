@@ -122,11 +122,12 @@ class StepSeries:
         return self.integral(start, stop) / (stop - start)
 
     def max_between(self, start: Micros, stop: Micros) -> float:
-        """Maximum instantaneous value over ``[start, stop)``."""
-        if stop <= start:
-            raise SimulationError(f"max window empty: [{start}, {stop})")
-        lo = bisect_right(self._times, start) - 1
+        """Maximum instantaneous value over ``[start, stop)``; the part
+        of the window before time 0 holds no value."""
+        lo = max(bisect_right(self._times, start) - 1, 0)
         hi = bisect_right(self._times, stop - 1)
+        if stop <= start or hi <= lo:
+            raise SimulationError(f"max window empty: [{start}, {stop})")
         return max(self._values[lo:hi])
 
     def resample(

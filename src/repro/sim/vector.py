@@ -3,7 +3,7 @@
 The scalar :class:`~repro.sim.engine.Engine` pays Python-object prices
 per occurrence — a :class:`~repro.sim.events.Event`, a heap tuple, a
 generator resume.  This module holds the alternative substrate behind
-``kernel="vector"``:
+``SystemConfig(kernel="vector")``:
 
 * :class:`EventCalendar` — the agenda as a numpy structured array
   (``time``, ``seq``, ``code``, ``slot``), pushed one row at a time and
@@ -17,6 +17,10 @@ generator resume.  This module holds the alternative substrate behind
   allocating ``Timeout``/``Process`` objects.  Sequence numbers come
   from the engine's one counter, which is what makes a
   ``kernel="vector"`` run dump-identical to ``kernel="scalar"``.
+
+The timeline pins (``tests/sim/test_timeline_identity.py``) hold both
+kernels to the same log bytes and agenda-entry count on every fault
+scenario.
 """
 
 from __future__ import annotations

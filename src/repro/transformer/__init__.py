@@ -1,67 +1,6 @@
-"""mScopeDataTransformer: declaration → parsers → XML → CSV → mScopeDB."""
+"""mScopeDataTransformer: declaration → parsers → XML → CSV → mScopeDB.
 
-from repro.transformer.declaration import (
-    ParserBinding,
-    ParserRule,
-    ParsingDeclaration,
-    RULE_LINE_SEQUENCE,
-    RULE_REGEX_TOKEN,
-    default_declaration,
-)
-from repro.transformer.errorpolicy import (
-    ERROR_MODES,
-    FAIL_FAST,
-    QUARANTINE,
-    SKIP,
-    ErrorBudgetExceeded,
-    ErrorPolicy,
-    ErrorSink,
-    IngestError,
-)
-from repro.transformer.importer import MScopeDataImporter
-from repro.transformer.live import LiveTransformer, RefreshOutcome
-from repro.transformer.pipeline import MScopeDataTransformer, TransformOutcome
-from repro.transformer.timestamps import (
-    clf_to_epoch_us,
-    compact_date_to_iso,
-    wall_to_epoch_us,
-)
-from repro.transformer.xml_to_csv import (
-    CsvTable,
-    TypeLattice,
-    XmlToCsvConverter,
-    infer_sql_type,
-)
-from repro.transformer.xmlmodel import LogRecord, XmlDocument, sanitize_tag
-
-__all__ = [
-    "CsvTable",
-    "ERROR_MODES",
-    "ErrorBudgetExceeded",
-    "ErrorPolicy",
-    "ErrorSink",
-    "FAIL_FAST",
-    "IngestError",
-    "LiveTransformer",
-    "QUARANTINE",
-    "SKIP",
-    "LogRecord",
-    "MScopeDataImporter",
-    "RefreshOutcome",
-    "MScopeDataTransformer",
-    "ParserBinding",
-    "ParserRule",
-    "ParsingDeclaration",
-    "RULE_LINE_SEQUENCE",
-    "RULE_REGEX_TOKEN",
-    "TransformOutcome",
-    "TypeLattice",
-    "XmlDocument",
-    "XmlToCsvConverter",
-    "clf_to_epoch_us",
-    "compact_date_to_iso",
-    "default_declaration",
-    "infer_sql_type",
-    "sanitize_tag",
-    "wall_to_epoch_us",
-]
+Nothing is re-exported: import a name from its submodule
+(``from repro.transformer.pipeline import MScopeDataTransformer``), so
+loading one stage does not load them all.
+"""

@@ -3,14 +3,13 @@ asserted in one place.
 
 The pipeline makes several equivalence promises — parallel transform is
 byte-identical to serial, a caught-up :class:`LiveTransformer` matches
-a one-shot batch, a sharded warehouse holds the monolith's content, a
-vector-kernel simulation matches the scalar one, lenient error policies
-are no-ops on clean input.  Historically each promise had its own
-ad-hoc pairwise test; :data:`CONFORMANCE_PAIRS` is the single
-catalogue, and :func:`run_conformance_pair` executes one entry and
-returns a :class:`ConformanceResult` that names exactly what diverged
-(first differing line of the warehouse dump, the differing report, or
-the differing score field).  ``mscope validate`` scores only the batch
+a one-shot batch, a sharded warehouse holds the monolith's content,
+lenient error policies are no-ops on clean input.  Historically each
+promise had its own ad-hoc pairwise test; :data:`CONFORMANCE_PAIRS` is
+the single catalogue, and :func:`run_conformance_pair` executes one
+entry and returns a :class:`ConformanceResult` that names exactly what
+diverged (first differing line of the warehouse dump, the differing
+report, or the differing score field).  ``mscope validate`` scores only the batch
 build and relies on the score comparison: every other build is
 checked, not assumed, to score the same.
 
@@ -49,11 +48,6 @@ class ConformancePair:
     #: must then also render equal diagnosis reports.
     compare: str
     claim: str
-    #: Simulator kernel the variant side runs on.  A cross-kernel pair
-    #: simulates twice (two log directories), so its content lines are
-    #: compared with each side's log-dir prefix normalized away —
-    #: everything else must match byte for byte.
-    variant_kernel: str = "scalar"
 
 
 CONFORMANCE_PAIRS: tuple[ConformancePair, ...] = (
@@ -92,16 +86,6 @@ CONFORMANCE_PAIRS: tuple[ConformancePair, ...] = (
         compare="content",
         claim="a host-partitioned sharded warehouse holds exactly the "
         "monolith's content",
-    ),
-    ConformancePair(
-        key="kernel-vector",
-        baseline_mode="batch",
-        variant_mode="batch",
-        variant_kernel="vector",
-        compare="content",
-        claim="a vector-kernel simulation yields a warehouse holding "
-        "exactly the scalar kernel's content (modulo the log "
-        "directory the source paths point into)",
     ),
 )
 
@@ -196,21 +180,6 @@ def _score_divergence(
     return None
 
 
-def _normalized_content_lines(outcome: ScenarioOutcome):
-    """Content lines with the outcome's log-dir prefix masked.
-
-    A cross-kernel pair necessarily simulates twice, so the registry
-    tables record source paths under two different log directories.
-    Masking each side's own prefix with ``<logs>`` leaves every other
-    byte — timestamps, payloads, row order — under comparison.
-    """
-    prefix = str(outcome.log_dir) if outcome.log_dir is not None else None
-    for line in outcome.content_lines():
-        if prefix is not None and prefix in line:
-            line = line.replace(prefix, "<logs>")
-        yield line
-
-
 def run_conformance_pair(
     pair: ConformancePair,
     scenario: str,
@@ -233,17 +202,10 @@ def run_conformance_pair(
         # anchored elsewhere runs its own — the runner's outcome cache
         # dedups the build.
         baseline = runner.run(scenario, seed=seed, mode=pair.baseline_mode)
-    variant = runner.run(
-        scenario, seed=seed, mode=pair.variant_mode, kernel=pair.variant_kernel
-    )
+    variant = runner.run(scenario, seed=seed, mode=pair.variant_mode)
     if pair.compare == "warehouse":
         divergence = _first_dump_divergence(
             baseline.dump_lines(), variant.dump_lines()
-        )
-    elif pair.variant_kernel != baseline.kernel:
-        divergence = _first_dump_divergence(
-            _normalized_content_lines(baseline),
-            _normalized_content_lines(variant),
         )
     else:
         divergence = _first_dump_divergence(

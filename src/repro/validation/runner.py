@@ -30,7 +30,6 @@ from pathlib import Path
 
 from repro.analysis.diagnosis import Diagnoser, DiagnosisReport
 from repro.common.errors import ConfigError
-from repro.common.kernels import KERNELS
 from repro.common.timebase import Micros
 from repro.experiments.scenarios import (
     SCENARIOS,
@@ -92,11 +91,6 @@ class ScenarioOutcome:
     reports: list[DiagnosisReport]
     schedule: FaultSchedule
     db_path: Path
-    #: Simulator kernel the scenario ran on.
-    kernel: str = "scalar"
-    #: The simulated native-log directory this warehouse was built
-    #: from (cross-kernel conformance normalizes its prefix away).
-    log_dir: Path | None = None
     #: Log-volume-reduction policy the build ran under (``None`` =
     #: unsampled), and the reduction its ``sampling_ledger`` measured.
     sampling: str | None = None
@@ -159,7 +153,6 @@ class ScenarioOutcome:
             "scenario": self.scenario,
             "seed": self.seed,
             "mode": self.mode,
-            "kernel": self.kernel,
             "score": self.score.to_dict(),
             "reports": self.report_texts,
         }
@@ -175,11 +168,10 @@ class ScenarioOutcome:
     def to_text(self) -> str:
         score = self.score
         latency = score.mean_detection_latency_us
-        kernel = "" if self.kernel == "scalar" else f", kernel {self.kernel}"
         sampling = "" if self.sampling is None else f", sampling {self.sampling}"
         lines = [
             f"scenario {self.scenario} "
-            f"(seed {self.seed}, mode {self.mode}{kernel}{sampling})",
+            f"(seed {self.seed}, mode {self.mode}{sampling})",
             f"  injected episodes : {score.labels_total}",
             f"  detected          : {score.labels_detected}",
             f"  precision         : {score.precision:.3f}",
@@ -231,21 +223,19 @@ class ScenarioRunner:
     ) -> None:
         self.workdir = Path(workdir)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        # One simulation per (scenario, seed, kernel), shared by every
+        # One simulation per (scenario, seed), shared by every
         # mode: all modes then ingest the *same* native logs, so
         # warehouse dumps (which record source paths) are directly
         # comparable and any conformance divergence is the ingest
         # path's fault.  Only the run's metadata and fault schedule
         # are kept; the simulation itself is freed once they are read.
-        self._runs: dict[
-            tuple[str, int, str], tuple[RunMetadata, FaultSchedule]
-        ] = {}
-        # One outcome per (scenario, seed, mode, sampling, kernel):
+        self._runs: dict[tuple[str, int], tuple[RunMetadata, FaultSchedule]] = {}
+        # One outcome per (scenario, seed, mode, sampling):
         # re-requesting a mode (e.g. the conformance pairs' batch
         # baseline after the scored batch build) must reuse the built
         # warehouse, not re-ingest into it.
         self._outcomes: dict[
-            tuple[str, int, str, str | None, str], ScenarioOutcome
+            tuple[str, int, str, str | None], ScenarioOutcome
         ] = {}
 
     def run(
@@ -255,17 +245,13 @@ class ScenarioRunner:
         mode: str = "batch",
         slack_us: Micros = DEFAULT_SLACK_US,
         sampling: str | None = None,
-        kernel: str = "scalar",
     ) -> ScenarioOutcome:
         """Simulate, ingest (per ``mode``), diagnose, and score.
 
         ``sampling`` threads a log-volume-reduction policy spec into
         the warehouse build (``mscope validate --sampling`` varies it);
         the outcome carries the reduction the warehouse's
-        ``sampling_ledger`` measured.  ``kernel`` selects the simulator
-        substrate (:data:`repro.common.kernels.KERNELS`); the vector
-        kernel must produce the same logs, warehouse content, and
-        scores, and the kernel conformance pair holds it to that.
+        ``sampling_ledger`` measured.
         """
         if scenario not in SCENARIOS:
             raise ConfigError(
@@ -276,11 +262,7 @@ class ScenarioRunner:
             raise ConfigError(
                 f"unknown mode {mode!r}; expected one of {MODES}"
             )
-        if kernel not in KERNELS:
-            raise ConfigError(
-                f"unknown kernel {kernel!r}; expected one of {KERNELS}"
-            )
-        done = self._outcomes.get((scenario, seed, mode, sampling, kernel))
+        done = self._outcomes.get((scenario, seed, mode, sampling))
         if done is not None:
             if done.score.slack_us == slack_us:
                 return done
@@ -293,29 +275,24 @@ class ScenarioRunner:
                 ),
             )
 
-        # The scalar kernel keeps the historical directory name, so
-        # reused workdirs and existing tooling see unchanged paths.
-        leaf_run = f"{scenario}-seed{seed}"
-        if kernel != "scalar":
-            leaf_run = f"{leaf_run}-{kernel}"
-        rundir = self.workdir / leaf_run
+        rundir = self.workdir / f"{scenario}-seed{seed}"
         # Distinct policy specs build distinct warehouses; slug the
         # spec into the directory so a policy sweep never collides.
         leaf = mode if sampling is None else f"{mode}+{sampling.replace(':', '_')}"
         mode_dir = rundir / leaf
         mode_dir.mkdir(parents=True, exist_ok=True)
 
-        cached = self._runs.get((scenario, seed, kernel))
+        cached = self._runs.get((scenario, seed))
         if cached is None:
             # A leftover logs tree (reused --workdir) must not survive:
             # the monitors append to existing files, which would double
             # every log line on re-simulation.
             shutil.rmtree(rundir / "logs", ignore_errors=True)
-            run = run_scenario(scenario, seed, rundir / "logs", kernel)
+            run = run_scenario(scenario, seed, rundir / "logs")
             schedule = FaultSchedule.from_faults(run.system, run.faults)
             schedule.save(rundir / SCHEDULE_FILE)
             meta = run.metadata
-            self._runs[(scenario, seed, kernel)] = (meta, schedule)
+            self._runs[(scenario, seed)] = (meta, schedule)
             # The finished run's object graph is cyclic: drop it and
             # collect now, or it lives on through every later build.
             del run
@@ -350,13 +327,11 @@ class ScenarioRunner:
             reports=reports,
             schedule=schedule,
             db_path=db_path,
-            kernel=kernel,
-            log_dir=meta.log_dir,
             sampling=sampling,
             row_reduction=ledger["row_reduction"] if ledger else 1.0,
             byte_reduction=ledger["byte_reduction"] if ledger else 1.0,
         )
-        self._outcomes[(scenario, seed, mode, sampling, kernel)] = outcome
+        self._outcomes[(scenario, seed, mode, sampling)] = outcome
         return outcome
 
     def _build_warehouse(

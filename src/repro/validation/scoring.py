@@ -1,27 +1,34 @@
 """Scoring diagnosis output against a labeled fault schedule.
 
 Interval matching with slack: a diagnosed
-:class:`~repro.analysis.anomaly.AnomalyWindow` *detects* a
+:class:`~repro.analysis.anomaly.AnomalyWindow` *overlaps* a
 :class:`~repro.validation.schedule.FaultLabel` when the two intervals
-overlap within ``slack_us``.  Slack absorbs detection physics rather
+intersect within ``slack_us``.  Slack absorbs detection physics rather
 than hiding misses — queues keep draining after the bottleneck lifts,
 and the VLRT requests that reveal an episode complete up to a
 queue-drain time after it ends, so diagnosed windows legitimately trail
 injected intervals.
 
+Detection is a one-to-one matching: each report detects at most one
+label and each label is detected by at most one report.  Pairs are
+taken greedily, largest overlap with the slack-widened label first,
+ties to the earliest window start, so slack can widen the overlap test
+but never make one window count twice.
+
 From the matching we report the four accuracy figures the harness
 gates on:
 
 * **recall** — labeled episodes detected / episodes injected;
-* **precision** — diagnosed windows matching a label / windows
-  reported (false alarms lower it);
-* **detection latency** — how far the earliest matching window's start
-  trails the episode's start (0 when the window starts first, which
-  the clustering margin legitimately allows);
-* **cause attribution** — of the detected episodes, how many were
-  pinned on the right host *and* resource kind.  ``attributed`` counts
-  the cause appearing anywhere in the ranked list; ``attributed_primary``
-  demands rank 1.
+* **precision** — diagnosed windows overlapping any label / windows
+  reported (false alarms lower it; a window split in two is a
+  duplicate, not a false alarm, so it does not);
+* **detection latency** — how far the matched window's start trails
+  the episode's start (0 when the window starts first, which the
+  clustering margin legitimately allows);
+* **cause attribution** — of the detected episodes, how many the
+  matched report pinned on the right host *and* resource kind.
+  ``attributed`` counts the cause appearing anywhere in the ranked
+  list; ``attributed_primary`` demands rank 1.
 """
 
 from __future__ import annotations
@@ -51,20 +58,24 @@ class MatchedLabel:
 
     label: FaultLabel
     detected: bool
-    #: Earliest matching window's span (µs); ``None`` when undetected.
+    #: The matched window's span (µs); ``None`` when undetected.
     window_start_us: Micros | None
     window_stop_us: Micros | None
-    #: ``max(0, window_start - label_start)`` for the earliest match.
+    #: ``max(0, window_start - label_start)`` for the matched window.
     detection_latency_us: Micros | None
-    #: Correct (kind, host) anywhere in a matching report's cause list.
+    #: Correct (kind, host) anywhere in the matched report's cause list.
     attributed: bool
-    #: Correct (kind, host) ranked first in a matching report.
+    #: Correct (kind, host) ranked first in the matched report.
     attributed_primary: bool
+    #: Index of the matched report in the scored list; ``None`` when
+    #: undetected.
+    report_index: int | None = None
 
     def to_dict(self) -> dict:
         return {
             "label": self.label.to_dict(),
             "detected": self.detected,
+            "report_index": self.report_index,
             "window_start_us": self.window_start_us,
             "window_stop_us": self.window_stop_us,
             "detection_latency_us": self.detection_latency_us,
@@ -176,21 +187,46 @@ def _report_attributes(
     return anywhere, first
 
 
+def _overlap_us(
+    label: FaultLabel, report: DiagnosisReport, slack_us: Micros
+) -> Micros:
+    """Length of the report window's intersection with the label
+    widened by ``slack_us`` on both sides."""
+    return min(report.window.stop, label.stop_us + slack_us) - max(
+        report.window.start, label.start_us - slack_us
+    )
+
+
 def score_reports(
     schedule: FaultSchedule,
     reports: list[DiagnosisReport],
     slack_us: Micros = DEFAULT_SLACK_US,
 ) -> ValidationScore:
-    """Match diagnosed windows against the labeled schedule."""
+    """Match diagnosed windows one-to-one against the labeled schedule."""
+    labels = list(schedule)
+    candidates = sorted(
+        (
+            -_overlap_us(label, report, slack_us),
+            report.window.start,
+            label_index,
+            report_index,
+        )
+        for label_index, label in enumerate(labels)
+        for report_index, report in enumerate(reports)
+        if label.overlaps(report.window.start, report.window.stop, slack_us)
+    )
+    matched_reports = {report_index for *_, report_index in candidates}
+    pairs: dict[int, int] = {}
+    taken: set[int] = set()
+    for *_, label_index, report_index in candidates:
+        if label_index not in pairs and report_index not in taken:
+            pairs[label_index] = report_index
+            taken.add(report_index)
+
     matches: list[MatchedLabel] = []
-    matched_reports: set[int] = set()
-    for label in schedule:
-        hits = [
-            (index, report)
-            for index, report in enumerate(reports)
-            if label.overlaps(report.window.start, report.window.stop, slack_us)
-        ]
-        if not hits:
+    for label_index, label in enumerate(labels):
+        report_index = pairs.get(label_index)
+        if report_index is None:
             matches.append(
                 MatchedLabel(
                     label=label,
@@ -203,24 +239,18 @@ def score_reports(
                 )
             )
             continue
-        matched_reports.update(index for index, _ in hits)
-        earliest = min(hits, key=lambda hit: hit[1].window.start)[1]
-        attributed = attributed_primary = False
-        for _, report in hits:
-            anywhere, first = _report_attributes(report, label)
-            attributed = attributed or anywhere
-            attributed_primary = attributed_primary or first
+        report = reports[report_index]
+        attributed, attributed_primary = _report_attributes(report, label)
         matches.append(
             MatchedLabel(
                 label=label,
                 detected=True,
-                window_start_us=earliest.window.start,
-                window_stop_us=earliest.window.stop,
-                detection_latency_us=max(
-                    0, earliest.window.start - label.start_us
-                ),
+                window_start_us=report.window.start,
+                window_stop_us=report.window.stop,
+                detection_latency_us=max(0, report.window.start - label.start_us),
                 attributed=attributed,
                 attributed_primary=attributed_primary,
+                report_index=report_index,
             )
         )
     return ValidationScore(

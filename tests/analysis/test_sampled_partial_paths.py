@@ -23,7 +23,7 @@ from repro.monitors import EventMonitorSuite
 from repro.ntier import NTierSystem, SystemConfig, TierConfig
 from repro.rubbos import FANOUT_MIX, WorkloadSpec
 from repro.sampling import coherent_keep
-from repro.transformer import MScopeDataTransformer
+from repro.transformer.pipeline import MScopeDataTransformer
 from repro.warehouse import MScopeDB
 
 SEED = 32

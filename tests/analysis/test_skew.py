@@ -10,7 +10,7 @@ from repro.monitors import EventMonitorSuite
 from repro.ntier import NTierSystem, SystemConfig, TierConfig
 from repro.ntier.node import NodeSpec
 from repro.rubbos import WorkloadSpec
-from repro.transformer import MScopeDataTransformer
+from repro.transformer.pipeline import MScopeDataTransformer
 from repro.warehouse import MScopeDB
 
 #: Injected ground-truth offsets (µs) per tier.

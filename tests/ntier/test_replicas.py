@@ -122,7 +122,7 @@ def test_replicated_apache_balances_clients():
 
 
 def test_replicated_logs_transform_per_host(tmp_path):
-    from repro.transformer import MScopeDataTransformer
+    from repro.transformer.pipeline import MScopeDataTransformer
     from repro.warehouse import MScopeDB
 
     config = replicated_config()

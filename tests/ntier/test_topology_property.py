@@ -21,7 +21,7 @@ from repro.ntier.balancer import DISPATCH_POLICIES
 from repro.ntier.faults import CacheStampedeFault
 from repro.ntier.system import tier_address
 from repro.rubbos import WorkloadSpec
-from repro.transformer import MScopeDataTransformer
+from repro.transformer.pipeline import MScopeDataTransformer
 from repro.warehouse import MScopeDB
 from repro.warehouse.db import quote_identifier
 

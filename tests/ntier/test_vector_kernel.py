@@ -3,8 +3,8 @@
 The vector kernel's whole claim is *identity*, not similarity: same
 seed, same workload → same traces, byte-identical native monitor logs,
 and an ``iterdump``-identical warehouse.  These tests hold it to that
-on small systems (the validation scenarios cover the full monitored
-fault matrix in tests/validation/test_kernel_conformance.py).
+on small systems; the timeline pins in tests/sim/test_timeline_identity.py
+hold every fault scenario's logs and agenda on both kernels.
 """
 
 from pathlib import Path

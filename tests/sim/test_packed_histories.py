@@ -76,10 +76,10 @@ class ListStepSeries:
         return self.integral(start, stop) / (stop - start)
 
     def max_between(self, start, stop):
-        if stop <= start:
-            raise SimulationError("max window empty")
-        lo = bisect_right(self._times, start) - 1
+        lo = max(bisect_right(self._times, start) - 1, 0)
         hi = bisect_right(self._times, stop - 1)
+        if stop <= start or hi <= lo:
+            raise SimulationError("max window empty")
         return max(self._values[lo:hi])
 
     def resample(self, start, stop, step):
@@ -146,11 +146,10 @@ class ListCumulativeCounter:
 
 
 def answer(call):
-    """``repr`` of what ``call()`` returns, or the error type it raises
-    (a window that starts before 0 can empty ``max_between``'s slice)."""
+    """``repr`` of what ``call()`` returns, or the error type it raises."""
     try:
         result = call()
-    except (SimulationError, ValueError) as exc:
+    except SimulationError as exc:
         return ("raises", type(exc))
     if hasattr(result, "__next__"):
         result = list(result)

@@ -16,7 +16,12 @@ the table holds:
 * the requests it completed, so agenda entries per completed request
   is pinned too.
 
-Tier-1 runs the ``fast`` rows at seed 7; the full grid at seeds 7 and
+The vector kernel (``SystemConfig(kernel="vector")``) must reproduce
+every pin exactly: identical input bytes mean an identical warehouse,
+identical reports and identical scores, so nothing downstream needs a
+second comparison.
+
+Tier-1 runs the ``fast`` rows at seed 7 on both kernels; the full grid at seeds 7 and
 11 carries the ``nightly`` marker (``pytest -m nightly``).  A change
 that moves a pin on purpose re-baselines every golden, dump and floor,
 and must say so.
@@ -172,13 +177,23 @@ def test_every_scenario_row_is_pinned():
     assert {seed for _name, seed in PINNED} == {7, 11}
 
 
-@pytest.mark.parametrize(("name", "seed"), list(_grid()))
-def test_timeline_identity(name, seed, tmp_path):
-    run = run_scenario(name, seed, tmp_path / "logs")
-    FaultSchedule.from_faults(run.system, run.faults).save(
-        tmp_path / SCHEDULE_FILE
-    )
+def assert_pinned(name: str, seed: int, root: Path, kernel: str) -> None:
+    run = run_scenario(name, seed, root / "logs", kernel=kernel)
+    assert run.system.engine.kernel == kernel
+    FaultSchedule.from_faults(run.system, run.faults).save(root / SCHEDULE_FILE)
     digest, entries, completed = PINNED[(name, seed)]
     assert len(run.result.traces) == completed
     assert run.system.engine._sequence == entries
-    assert tree_digest(tmp_path) == digest
+    assert tree_digest(root) == digest
+
+
+@pytest.mark.parametrize(("name", "seed"), list(_grid()))
+def test_timeline_identity(name, seed, tmp_path):
+    assert_pinned(name, seed, tmp_path, "scalar")
+
+
+@pytest.mark.parametrize(("name", "seed"), list(_grid()))
+def test_vector_kernel_timeline_identity(name, seed, tmp_path):
+    """The vector kernel schedules the scalar kernel's agenda: the same
+    pins, not a second table."""
+    assert_pinned(name, seed, tmp_path, "vector")

@@ -83,6 +83,15 @@ def test_max_between():
     assert s.max_between(30, 40) == 1
 
 
+def test_max_between_window_starting_before_the_first_sample():
+    s = StepSeries(initial=9)
+    s.record(5, 0)
+    assert s.max_between(-5, 10) == 9
+    assert s.max_between(-5, 1) == 9
+    with pytest.raises(SimulationError, match="max window empty"):
+        s.max_between(-1, 0)
+
+
 def test_resample_grid():
     s = StepSeries()
     s.record(10, 1)

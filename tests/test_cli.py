@@ -24,6 +24,14 @@ def test_run_writes_logs_and_meta(tmp_path, capsys):
     assert meta["duration_us"] == 2_000_000
     assert (out / "logs" / "web1" / "access_log.log").exists()
     assert "req/s" in capsys.readouterr().out
+    assert "kernel" not in meta
+
+
+def test_run_offers_no_kernel_choice(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit:
+        main(["run", "--kernel", "vector", "--out", str(tmp_path)])
+    assert exit.value.code == 2
+    assert "--kernel" in capsys.readouterr().err
 
 
 def test_run_frees_the_simulation_before_returning(

@@ -95,7 +95,8 @@ def test_warehouse_and_transformer_load_no_analysis_stack(module):
 def test_the_cli_loads_no_simulator_analysis_or_numpy():
     """Each subcommand imports what it runs, so importing the CLI and
     printing its help pull in none of the simulator, the scenario
-    builders, the monitors, the diagnosis engine or numpy."""
+    builders, the monitors, the diagnosis engine, numpy, or the
+    transform, sampling, shard and telemetry stages."""
     out = run_python(
         """
 import json, sys
@@ -110,14 +111,16 @@ except SystemExit as exit:
 print(json.dumps([imported, sorted(sys.modules)]))
 """
     )
-    heavy = {
+    heavy = (
         "repro.sim", "repro.ntier", "repro.experiments", "repro.analysis",
-        "repro.monitors", "numpy",
-    }
+        "repro.monitors", "numpy", "repro.transformer.pipeline",
+        "repro.transformer.live", "repro.transformer.importer",
+        "repro.sampling", "repro.warehouse.sharded", "repro.telemetry",
+    )
     for loaded in json.loads(out.splitlines()[-1]):
         pulled = {
             name for name in loaded
-            if name.partition(".")[0] in heavy
-            or ".".join(name.split(".")[:2]) in heavy
+            for package in heavy
+            if name == package or name.startswith(package + ".")
         }
         assert not pulled, sorted(pulled)

@@ -102,8 +102,8 @@ def test_a_doctored_variant_score_is_a_divergence(
     pair = next(p for p in CONFORMANCE_PAIRS if p.key == "transform-parallel")
 
     class DoctoringRunner:
-        def run(self, scenario, seed, mode="batch", kernel="scalar"):
-            outcome = validation_runner.run(scenario, seed, mode, kernel=kernel)
+        def run(self, scenario, seed, mode="batch"):
+            outcome = validation_runner.run(scenario, seed, mode)
             if mode != pair.variant_mode:
                 return outcome
             score = dataclasses.replace(
