@@ -11,12 +11,12 @@ alone (no extra instrumentation).
 from conftest import report
 from repro.analysis.skew import estimate_tier_offsets
 from repro.common.timebase import ms, seconds
-from repro.monitors import EventMonitorSuite
-from repro.ntier import NTierSystem, SystemConfig, TierConfig
+from repro.monitors.event.suite import EventMonitorSuite
+from repro.ntier.system import NTierSystem, SystemConfig, TierConfig
 from repro.ntier.node import NodeSpec
-from repro.rubbos import WorkloadSpec
+from repro.rubbos.workload import WorkloadSpec
 from repro.transformer.pipeline import MScopeDataTransformer
-from repro.warehouse import MScopeDB
+from repro.warehouse.db import MScopeDB
 
 OFFSETS = {"apache": 0, "tomcat": 5_000, "cjdbc": -2_000, "mysql": 11_000}
 

@@ -9,8 +9,8 @@ operations and iowait, and visibly slower requests.
 from conftest import report
 from repro.common.timebase import ms, seconds
 from repro.monitors.event.suite import EventMonitorSuite
-from repro.ntier import NTierSystem, SystemConfig
-from repro.rubbos import WorkloadSpec
+from repro.ntier.system import NTierSystem, SystemConfig
+from repro.rubbos.workload import WorkloadSpec
 
 _EVENT_STREAMS = {
     "apache": "access_log",

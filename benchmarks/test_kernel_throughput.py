@@ -26,9 +26,9 @@ from pathlib import Path
 from record import record
 
 from repro.common.timebase import ms, seconds
-from repro.ntier import NTierSystem, SystemConfig
-from repro.rubbos import WorkloadSpec
-from repro.sim import Engine
+from repro.ntier.system import NTierSystem, SystemConfig
+from repro.rubbos.workload import WorkloadSpec
+from repro.sim.engine import Engine
 
 #: Exact end-to-end trace count at seed 3, 150 users, 2 s — pinned
 #: from a reference run; both kernels must reproduce it.

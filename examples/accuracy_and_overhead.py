@@ -10,7 +10,7 @@ Run:  python examples/accuracy_and_overhead.py [--full]
 import sys
 
 from repro.common.timebase import seconds
-from repro.experiments import figure_09, figure_10, figure_11
+from repro.experiments.figures_validation import figure_09, figure_10, figure_11
 
 
 def main() -> None:

@@ -18,13 +18,13 @@ from pathlib import Path
 from repro.common.timebase import ms
 from repro.monitors.resource.base import ResourceMonitor
 from repro.ntier.system import NTierSystem, SystemConfig
-from repro.rubbos import WorkloadSpec
+from repro.rubbos.workload import WorkloadSpec
 from repro.transformer.declaration import ParserBinding, default_declaration
 from repro.transformer.parsers.base import MScopeParser, register_parser
 from repro.transformer.pipeline import MScopeDataTransformer
 from repro.transformer.timestamps import wall_to_epoch_us
 from repro.transformer.xmlmodel import LogRecord
-from repro.warehouse import MScopeDB
+from repro.warehouse.db import MScopeDB
 
 
 # ----------------------------------------------------------------------

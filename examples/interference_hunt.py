@@ -13,21 +13,21 @@ Run:  python examples/interference_hunt.py
 import tempfile
 from pathlib import Path
 
-from repro.analysis import Diagnoser
+from repro.analysis.diagnosis import Diagnoser
 from repro.analysis.breakdown import tier_latency_series
 from repro.common.timebase import ms, seconds
-from repro.monitors import EventMonitorSuite, ResourceMonitorSuite
-from repro.ntier import (
+from repro.monitors.event.suite import EventMonitorSuite
+from repro.monitors.resource.suite import ResourceMonitorSuite
+from repro.ntier.faults import (
     DvfsSlowdownFault,
     GarbageCollectionFault,
-    NTierSystem,
-    SystemConfig,
     VmConsolidationFault,
 )
+from repro.ntier.system import NTierSystem, SystemConfig
 from repro.experiments.scenarios import scenario_tier_configs
-from repro.rubbos import WorkloadSpec
+from repro.rubbos.workload import WorkloadSpec
 from repro.transformer.pipeline import MScopeDataTransformer
-from repro.warehouse import MScopeDB
+from repro.warehouse.db import MScopeDB
 
 
 def main() -> None:

@@ -16,11 +16,13 @@ from repro.analysis.diagnosis import Diagnoser
 from repro.common.errors import AnalysisError
 from repro.common.timebase import ms, seconds
 from repro.experiments.scenarios import scenario_tier_configs
-from repro.monitors import EventMonitorSuite, ResourceMonitorSuite
-from repro.ntier import DBLogFlushFault, NTierSystem, SystemConfig
-from repro.rubbos import WorkloadSpec
+from repro.monitors.event.suite import EventMonitorSuite
+from repro.monitors.resource.suite import ResourceMonitorSuite
+from repro.ntier.faults import DBLogFlushFault
+from repro.ntier.system import NTierSystem, SystemConfig
+from repro.rubbos.workload import WorkloadSpec
 from repro.transformer.live import LiveTransformer
-from repro.warehouse import MScopeDB
+from repro.warehouse.db import MScopeDB
 
 MB = 1024 * 1024
 

@@ -10,8 +10,9 @@ Run:  python examples/quickstart.py
 import tempfile
 from pathlib import Path
 
-from repro.analysis import Diagnoser
-from repro.experiments import figure_02, load_warehouse, scenario_a
+from repro.analysis.diagnosis import Diagnoser
+from repro.experiments.figures_anomaly import figure_02
+from repro.experiments.scenarios import load_warehouse, scenario_a
 
 
 def main() -> None:

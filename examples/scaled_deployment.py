@@ -13,14 +13,17 @@ Run:  python examples/scaled_deployment.py
 import tempfile
 from pathlib import Path
 
-from repro.analysis import Diagnoser, sparkline
+from repro.analysis.diagnosis import Diagnoser
+from repro.analysis.render import sparkline
 from repro.analysis.metrics import metric_series
 from repro.common.timebase import ms, seconds
-from repro.monitors import EventMonitorSuite, ResourceMonitorSuite
-from repro.ntier import DBLogFlushFault, NTierSystem, SystemConfig, TierConfig
-from repro.rubbos import WorkloadSpec
+from repro.monitors.event.suite import EventMonitorSuite
+from repro.monitors.resource.suite import ResourceMonitorSuite
+from repro.ntier.faults import DBLogFlushFault
+from repro.ntier.system import NTierSystem, SystemConfig, TierConfig
+from repro.rubbos.workload import WorkloadSpec
 from repro.transformer.pipeline import MScopeDataTransformer
-from repro.warehouse import MScopeDB
+from repro.warehouse.db import MScopeDB
 
 MB = 1024 * 1024
 

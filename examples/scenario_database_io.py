@@ -11,16 +11,15 @@ Run:  python examples/scenario_database_io.py
 import tempfile
 from pathlib import Path
 
-from repro.analysis import Diagnoser
-from repro.experiments import (
+from repro.analysis.diagnosis import Diagnoser
+from repro.experiments.figures_anomaly import (
     figure_02,
     figure_04,
     figure_05,
     figure_06,
     figure_07,
-    load_warehouse,
-    scenario_a,
 )
+from repro.experiments.scenarios import load_warehouse, scenario_a
 
 
 def main() -> None:

@@ -12,8 +12,9 @@ Run:  python examples/scenario_dirty_pages.py
 import tempfile
 from pathlib import Path
 
-from repro.analysis import Diagnoser
-from repro.experiments import figure_08, load_warehouse, scenario_b
+from repro.analysis.diagnosis import Diagnoser
+from repro.experiments.figures_anomaly import figure_08
+from repro.experiments.scenarios import load_warehouse, scenario_b
 
 
 def main() -> None:

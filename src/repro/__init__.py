@@ -17,7 +17,8 @@ Web Services" (ICDCS 2017):
 
 Quickstart::
 
-    from repro.experiments import figure_02, scenario_a
+    from repro.experiments.figures_anomaly import figure_02
+    from repro.experiments.scenarios import scenario_a
     run = scenario_a()
     print(figure_02(run).to_text())
 """

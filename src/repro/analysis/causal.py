@@ -150,24 +150,6 @@ class CausalPath:
         breakdown = self.tier_breakdown_ms()
         return max(breakdown, key=breakdown.__getitem__)
 
-    def host_breakdown_ms(self) -> dict[tuple[str, str | None], float]:
-        """Local (exclusive) time per ``(tier, host)``, summed over visits."""
-        breakdown: dict[tuple[str, str | None], float] = {}
-        for hop in self.hops:
-            key = (hop.tier, hop.host)
-            breakdown[key] = breakdown.get(key, 0.0) + hop.local_time_ms()
-        return breakdown
-
-    def dominant_replica(self) -> tuple[str, str | None]:
-        """The ``(tier, host)`` contributing the most exclusive time.
-
-        Replica-level blame: with a scaled-out tier the dominant tier
-        alone cannot say *which* backend held the request; the host
-        recorded on each hop can.
-        """
-        breakdown = self.host_breakdown_ms()
-        return max(breakdown, key=breakdown.__getitem__)
-
     def hosts_per_tier(self) -> dict[str, set[str]]:
         """Distinct hosts visited per logical tier (``None`` excluded)."""
         visited: dict[str, set[str]] = {}

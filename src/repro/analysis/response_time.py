@@ -23,7 +23,6 @@ __all__ = [
     "completions_from_traces",
     "completions_from_warehouse",
     "point_in_time_response_times",
-    "sampled_average_response_times",
 ]
 
 #: How far before a query window a request may have *arrived* (or been
@@ -166,64 +165,3 @@ def point_in_time_response_times(
         t = end
     return windows
 
-
-def percentile_windows(
-    samples: list[CompletionSample],
-    window_us: Micros,
-    start: Micros,
-    stop: Micros,
-    percentiles: tuple[float, ...] = (50.0, 95.0, 99.0),
-) -> list[dict[str, float]]:
-    """Response-time percentiles (ms) per window over ``[start, stop)``.
-
-    Each returned dict has ``"start"`` plus one ``"pNN"`` key per
-    requested percentile (0.0 for empty windows).  Percentiles use the
-    nearest-rank method, matching how load-test reports quote them.
-    """
-    if window_us <= 0:
-        raise AnalysisError(f"window must be positive: {window_us}")
-    if stop <= start:
-        raise AnalysisError(f"analysis span empty: [{start}, {stop})")
-    for p in percentiles:
-        if not 0.0 < p <= 100.0:
-            raise AnalysisError(f"percentile out of (0, 100]: {p}")
-    ordered = sorted(samples, key=lambda s: s.completed_at)
-    rows: list[dict[str, float]] = []
-    t = start
-    index = 0
-    while t < stop:
-        end = min(t + window_us, stop)
-        bucket: list[Micros] = []
-        while index < len(ordered) and ordered[index].completed_at < end:
-            if ordered[index].completed_at >= t:
-                bucket.append(ordered[index].response_time_us)
-            index += 1
-        bucket.sort()
-        row: dict[str, float] = {"start": float(t)}
-        for p in percentiles:
-            if bucket:
-                rank = max(0, -(-int(p * len(bucket)) // 100) - 1)
-                rank = min(rank, len(bucket) - 1)
-                row[f"p{p:g}"] = to_ms(bucket[rank])
-            else:
-                row[f"p{p:g}"] = 0.0
-        rows.append(row)
-        t = end
-    return rows
-
-
-def sampled_average_response_times(
-    samples: list[CompletionSample],
-    window_us: Micros,
-    start: Micros,
-    stop: Micros,
-) -> list[PointInTimeWindow]:
-    """The coarse baseline: per-window *averages* only.
-
-    This is what a second-granularity sampling monitor reports — the
-    series that misses the Figure 2 peak entirely.
-    """
-    return [
-        PointInTimeWindow(w.start, w.stop, w.count, w.mean_ms, w.mean_ms)
-        for w in point_in_time_response_times(samples, window_us, start, stop)
-    ]

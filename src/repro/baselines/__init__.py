@@ -1,11 +1,1 @@
 """Baselines: SysViz-style wire tracer and sampling monitors."""
-
-from repro.baselines.sampling import CoarseAveragingMonitor, SamplingTracer
-from repro.baselines.sysviz import SysVizTracer, WireRecord
-
-__all__ = [
-    "CoarseAveragingMonitor",
-    "SamplingTracer",
-    "SysVizTracer",
-    "WireRecord",
-]

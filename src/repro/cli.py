@@ -39,7 +39,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.common.errors import AnalysisError, ConfigError
+from repro.common.errors import AnalysisError
 from repro.common.timebase import seconds
 from repro.transformer.errorpolicy import ERROR_MODES, QUARANTINE, ErrorPolicy
 
@@ -64,12 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("a", "b", "baseline"),
         default="a",
         help="a = DB log flush, b = dirty pages, baseline = healthy run",
-    )
-    run.add_argument(
-        "--config",
-        type=Path,
-        default=None,
-        help="JSON scenario file (overrides --scenario)",
     )
     run.add_argument("--seed", type=int, default=3)
     run.add_argument(
@@ -389,18 +383,12 @@ def _cmd_run(args) -> int:
 
 
 def _simulate(args) -> int:
-    from repro.experiments import scenarios
+    import repro.experiments.scenarios as scenarios
     from repro.warehouse.db import RUN_META_FILE
 
     out: Path = args.out
     log_dir = out / "logs"
-    if args.config is not None:
-        try:
-            run = _run_from_config(args.config, log_dir)
-        except ConfigError as exc:
-            print(f"bad --config: {exc}", file=sys.stderr)
-            return 2
-    elif args.scenario == "a":
+    if args.scenario == "a":
         duration = seconds(args.duration) if args.duration else seconds(5)
         run = scenarios.scenario_a(
             seed=args.seed, duration=duration, log_dir=log_dir
@@ -420,7 +408,7 @@ def _simulate(args) -> int:
             resource_monitors=True,
         )
     meta = {
-        "scenario": "config" if args.config is not None else args.scenario,
+        "scenario": args.scenario,
         "seed": run.system.config.seed,
         "duration_us": run.duration,
         "epoch_us": run.epoch_us,
@@ -436,15 +424,6 @@ def _simulate(args) -> int:
     )
     print(f"logs -> {log_dir}")
     return 0
-
-
-def _run_from_config(config_path: Path, log_dir: Path):
-    from repro.experiments.configfile import load_scenario_file
-    from repro.experiments.scenarios import _build
-
-    spec = load_scenario_file(config_path)
-    spec.system_config.log_dir = log_dir
-    return _build(spec.system_config, spec.faults, spec.duration)
 
 
 def _open_existing(path: Path):
@@ -852,17 +831,15 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_figures(args) -> int:
-    from repro.experiments import (
+    from repro.experiments.figures_anomaly import (
         figure_02,
         figure_04,
         figure_05,
         figure_06,
         figure_07,
         figure_08,
-        figure_09,
-        figure_10,
-        figure_11,
     )
+    from repro.experiments.figures_validation import figure_09, figure_10, figure_11
     from repro.experiments.scenarios import scenario_a, scenario_b
 
     wanted = {token.strip() for token in args.which.split(",") if token.strip()}

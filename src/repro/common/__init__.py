@@ -1,68 +1,1 @@
 """Shared foundations: time base, IDs, RNG streams, records, errors."""
-
-from repro.common.errors import (
-    AnalysisError,
-    ConfigError,
-    DataImportError,
-    DeclarationError,
-    LogFormatError,
-    MilliScopeError,
-    MonitorError,
-    ParseError,
-    QueryError,
-    SchemaInferenceError,
-    SimulationError,
-    WarehouseError,
-)
-from repro.common.ids import REQUEST_ID_WIDTH, RequestIdGenerator
-from repro.common.records import (
-    BoundaryRecord,
-    DownstreamCall,
-    RequestTrace,
-    ResourceSample,
-)
-from repro.common.rng import RngStreams
-from repro.common.timebase import (
-    DEFAULT_EPOCH,
-    Micros,
-    US_PER_MS,
-    US_PER_SEC,
-    WallClock,
-    minutes,
-    ms,
-    seconds,
-    to_ms,
-    to_seconds,
-)
-
-__all__ = [
-    "AnalysisError",
-    "BoundaryRecord",
-    "ConfigError",
-    "DataImportError",
-    "DeclarationError",
-    "DEFAULT_EPOCH",
-    "DownstreamCall",
-    "LogFormatError",
-    "Micros",
-    "MilliScopeError",
-    "MonitorError",
-    "ParseError",
-    "QueryError",
-    "REQUEST_ID_WIDTH",
-    "RequestIdGenerator",
-    "RequestTrace",
-    "ResourceSample",
-    "RngStreams",
-    "SchemaInferenceError",
-    "SimulationError",
-    "US_PER_MS",
-    "US_PER_SEC",
-    "WallClock",
-    "WarehouseError",
-    "minutes",
-    "ms",
-    "seconds",
-    "to_ms",
-    "to_seconds",
-]

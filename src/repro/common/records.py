@@ -18,7 +18,6 @@ visits); each visit is its own :class:`BoundaryRecord`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable
 
 from repro.common.timebase import Micros, to_ms
 
@@ -150,14 +149,3 @@ class ResourceSample:
     timestamp: Micros
     interval: Micros
     metrics: dict[str, float]
-
-
-def merge_visit_spans(
-    visits: Iterable[BoundaryRecord],
-) -> list[tuple[Micros, Micros]]:
-    """Return the ``(arrival, departure)`` spans of completed visits."""
-    return [
-        (v.upstream_arrival, v.upstream_departure)
-        for v in visits
-        if v.upstream_departure is not None
-    ]

@@ -1,71 +1,1 @@
 """Experiment scenarios and figure harnesses."""
-
-from repro.experiments.figures_anomaly import (
-    Fig02Result,
-    Fig04Result,
-    Fig05Result,
-    Fig06Result,
-    Fig07Result,
-    Fig08Result,
-    figure_02,
-    figure_04,
-    figure_05,
-    figure_06,
-    figure_07,
-    figure_08,
-)
-from repro.experiments.figures_validation import (
-    Fig09Result,
-    Fig10Result,
-    Fig10Row,
-    Fig11Result,
-    Fig11Row,
-    figure_09,
-    figure_10,
-    figure_11,
-)
-from repro.experiments.sweeps import (
-    SaturationSweep,
-    SweepPoint,
-    saturation_sweep,
-)
-from repro.experiments.scenarios import (
-    ScenarioRun,
-    baseline_run,
-    load_warehouse,
-    scenario_a,
-    scenario_b,
-    scenario_tier_configs,
-)
-
-__all__ = [
-    "Fig02Result",
-    "Fig04Result",
-    "Fig05Result",
-    "Fig06Result",
-    "Fig07Result",
-    "Fig08Result",
-    "Fig09Result",
-    "Fig10Result",
-    "Fig10Row",
-    "Fig11Result",
-    "Fig11Row",
-    "SaturationSweep",
-    "ScenarioRun",
-    "SweepPoint",
-    "baseline_run",
-    "saturation_sweep",
-    "figure_02",
-    "figure_04",
-    "figure_05",
-    "figure_06",
-    "figure_07",
-    "figure_08",
-    "figure_09",
-    "figure_10",
-    "figure_11",
-    "load_warehouse",
-    "scenario_a",
-    "scenario_b",
-    "scenario_tier_configs",
-]

@@ -301,9 +301,6 @@ class Fig08Result:
         count = sum(w.count for w in self.pit_windows)
         return weighted / max(count, 1)
 
-    def queue_peak_in(self, tier: str, window: tuple[Micros, Micros]) -> float:
-        return self.queue_series[tier].window(*window).max()
-
     def queue_mean_in(self, tier: str, window: tuple[Micros, Micros]) -> float:
         """Mean queue length over the window.
 

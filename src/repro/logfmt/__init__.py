@@ -1,62 +1,1 @@
 """Native log format emitters for every monitored component."""
-
-from repro.logfmt.apache import (
-    MSCOPE_ACCESS_FIELDS,
-    format_mscope_access,
-    format_plain_access,
-)
-from repro.logfmt.cjdbc import format_mscope_cjdbc, format_plain_cjdbc
-from repro.logfmt.collectl import (
-    COLLECTL_CSV_COLUMNS,
-    CollectlSample,
-    collectl_csv_header,
-    collectl_text_header,
-    format_collectl_csv_row,
-    format_collectl_text_row,
-)
-from repro.logfmt.iostat import IostatDeviceRow, format_iostat_block
-from repro.logfmt.mysql import (
-    format_mscope_query,
-    format_plain_binlog,
-    statement_with_id,
-)
-from repro.logfmt.sar import (
-    SarCpuRow,
-    format_sar_text_average,
-    format_sar_text_row,
-    format_sar_xml_row,
-    sar_text_banner,
-    sar_text_header,
-    sar_xml_close,
-    sar_xml_open,
-)
-from repro.logfmt.tomcat import format_mscope_tomcat, format_plain_tomcat
-
-__all__ = [
-    "COLLECTL_CSV_COLUMNS",
-    "CollectlSample",
-    "IostatDeviceRow",
-    "MSCOPE_ACCESS_FIELDS",
-    "SarCpuRow",
-    "collectl_csv_header",
-    "collectl_text_header",
-    "format_collectl_csv_row",
-    "format_collectl_text_row",
-    "format_iostat_block",
-    "format_mscope_access",
-    "format_mscope_cjdbc",
-    "format_mscope_query",
-    "format_mscope_tomcat",
-    "format_plain_access",
-    "format_plain_binlog",
-    "format_plain_cjdbc",
-    "format_plain_tomcat",
-    "format_sar_text_average",
-    "format_sar_text_row",
-    "format_sar_xml_row",
-    "sar_text_banner",
-    "sar_text_header",
-    "sar_xml_close",
-    "sar_xml_open",
-    "statement_with_id",
-]

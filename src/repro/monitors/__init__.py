@@ -1,31 +1,1 @@
 """mScopeMonitors: event instrumentation and resource samplers."""
-
-from repro.monitors.event import (
-    ApacheMScopeMonitor,
-    CjdbcMScopeMonitor,
-    EventMonitor,
-    EventMonitorSuite,
-    MySqlMScopeMonitor,
-    TomcatMScopeMonitor,
-)
-from repro.monitors.resource import (
-    CollectlMonitor,
-    IostatMonitor,
-    ResourceMonitor,
-    ResourceMonitorSuite,
-    SarMonitor,
-)
-
-__all__ = [
-    "ApacheMScopeMonitor",
-    "CjdbcMScopeMonitor",
-    "CollectlMonitor",
-    "EventMonitor",
-    "EventMonitorSuite",
-    "IostatMonitor",
-    "MySqlMScopeMonitor",
-    "ResourceMonitor",
-    "ResourceMonitorSuite",
-    "SarMonitor",
-    "TomcatMScopeMonitor",
-]

@@ -1,17 +1,1 @@
 """Event mScopeMonitors: per-tier request-boundary instrumentation."""
-
-from repro.monitors.event.apache import ApacheMScopeMonitor
-from repro.monitors.event.base import EventMonitor
-from repro.monitors.event.cjdbc import CjdbcMScopeMonitor
-from repro.monitors.event.mysql import MySqlMScopeMonitor
-from repro.monitors.event.suite import EventMonitorSuite
-from repro.monitors.event.tomcat import TomcatMScopeMonitor
-
-__all__ = [
-    "ApacheMScopeMonitor",
-    "CjdbcMScopeMonitor",
-    "EventMonitor",
-    "EventMonitorSuite",
-    "MySqlMScopeMonitor",
-    "TomcatMScopeMonitor",
-]

@@ -1,29 +1,1 @@
 """Resource mScopeMonitors: SAR, IOstat, Collectl samplers."""
-
-from repro.monitors.resource.base import (
-    ResourceMonitor,
-    cpu_window_metrics,
-    disk_window_metrics,
-)
-from repro.monitors.resource.collectl import (
-    COLLECTL_CSV_MODE,
-    COLLECTL_TEXT_MODE,
-    CollectlMonitor,
-)
-from repro.monitors.resource.iostat import IostatMonitor
-from repro.monitors.resource.sar import SAR_TEXT_MODE, SAR_XML_MODE, SarMonitor
-from repro.monitors.resource.suite import ResourceMonitorSuite
-
-__all__ = [
-    "COLLECTL_CSV_MODE",
-    "COLLECTL_TEXT_MODE",
-    "CollectlMonitor",
-    "IostatMonitor",
-    "ResourceMonitor",
-    "ResourceMonitorSuite",
-    "SAR_TEXT_MODE",
-    "SAR_XML_MODE",
-    "SarMonitor",
-    "cpu_window_metrics",
-    "disk_window_metrics",
-]

@@ -60,7 +60,7 @@ __all__ = [
 
 def _check_count(what: str, value: object, minimum: int) -> None:
     """Reject a count that is not an integer ``>= minimum`` (a bool is
-    not a count, and a JSON string must fail here, not mid-run)."""
+    not a count, and a string must fail here, not mid-run)."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
 

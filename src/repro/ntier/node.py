@@ -127,10 +127,6 @@ class Node:
         """All log streams created so far, by name."""
         return dict(self._facilities)
 
-    def total_log_bytes(self) -> float:
-        """Total bytes written across every log stream on this node."""
-        return sum(f.bytes_written.total for f in self._facilities.values())
-
     def close_logs(self) -> None:
         """Flush and close every log sink (idempotent)."""
         for facility in self._facilities.values():

@@ -1,34 +1,1 @@
 """RUBBoS benchmark workload: interactions, mixes, workload specs."""
-
-from repro.rubbos.interactions import (
-    BROWSE_ONLY_MIX,
-    FANOUT_MIX,
-    READ_WRITE_MIX,
-    InteractionProfile,
-    QuerySpec,
-    default_interactions,
-    fanout_interactions,
-    interaction_by_name,
-)
-from repro.rubbos.transitions import (
-    START_STATE,
-    TransitionModel,
-    default_transition_table,
-)
-from repro.rubbos.workload import InteractionMix, WorkloadSpec
-
-__all__ = [
-    "BROWSE_ONLY_MIX",
-    "FANOUT_MIX",
-    "InteractionMix",
-    "START_STATE",
-    "TransitionModel",
-    "default_transition_table",
-    "InteractionProfile",
-    "QuerySpec",
-    "READ_WRITE_MIX",
-    "WorkloadSpec",
-    "default_interactions",
-    "fanout_interactions",
-    "interaction_by_name",
-]

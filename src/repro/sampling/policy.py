@@ -127,11 +127,6 @@ class SamplingPolicy:
         """Cumulative ``conflated_requests`` rows (conflation only)."""
         return []
 
-    @property
-    def sampled_keys(self) -> list[tuple[str, str]]:
-        """Every ``(table, source)`` this policy made decisions for."""
-        return sorted(self.counts)
-
 
 def _column_index(table: CsvTable, name: str) -> int | None:
     try:

@@ -18,15 +18,3 @@ same machinery into a long-lived asyncio daemon:
 * a clean SIGTERM drain that leaves the warehouse import-consistent
   (iterdump-identical to a batch transform of the same final tree).
 """
-
-from repro.serve.daemon import MScopeServeDaemon, ServeConfig
-from repro.serve.events import EventBroker, ServeEvent
-from repro.serve.state import ServeState
-
-__all__ = [
-    "EventBroker",
-    "MScopeServeDaemon",
-    "ServeConfig",
-    "ServeEvent",
-    "ServeState",
-]

@@ -48,7 +48,7 @@ from repro.analysis.diagnosis import Diagnoser
 from repro.common.errors import AnalysisError, DeclarationError
 from repro.common.timebase import Micros, seconds
 from repro.common.windows import format_window
-from repro.serve import events as ev
+import repro.serve.events as ev
 from repro.serve.events import EventBroker
 from repro.serve.render import report_to_dict
 from repro.serve.state import ServeState

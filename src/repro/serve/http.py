@@ -31,7 +31,7 @@ import urllib.parse
 from typing import TYPE_CHECKING, Any
 
 from repro.common.windows import WindowParseError, parse_window
-from repro.serve import events as ev
+import repro.serve.events as ev
 from repro.serve.render import render_stats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard

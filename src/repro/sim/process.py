@@ -45,11 +45,6 @@ class Process(Event):
         bootstrap.callbacks.append(self._resume)
         bootstrap.succeed()
 
-    @property
-    def is_alive(self) -> bool:
-        """Whether the process has not yet finished."""
-        return not self.triggered
-
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
         # Read the outcome slots directly: the ok/value properties

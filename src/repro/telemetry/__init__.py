@@ -6,41 +6,3 @@ primitives, :mod:`repro.telemetry.aggregate` for the per-run rollup,
 and :mod:`repro.telemetry.export` for the JSON / Prometheus / text
 renderings.
 """
-
-from repro.telemetry.aggregate import (
-    LatencyHistogram,
-    RunTelemetry,
-    StageStats,
-    WorkerStats,
-    merge_histograms,
-    span_tree,
-)
-from repro.telemetry.export import render_json, render_prometheus, render_text
-from repro.telemetry.spans import (
-    MAIN_WORKER,
-    NULL_PROBE,
-    NULL_TELEMETRY,
-    SpanData,
-    SpanProbe,
-    TelemetryCollector,
-    zero_clock,
-)
-
-__all__ = [
-    "LatencyHistogram",
-    "RunTelemetry",
-    "StageStats",
-    "WorkerStats",
-    "merge_histograms",
-    "span_tree",
-    "render_json",
-    "render_prometheus",
-    "render_text",
-    "MAIN_WORKER",
-    "NULL_PROBE",
-    "NULL_TELEMETRY",
-    "SpanData",
-    "SpanProbe",
-    "TelemetryCollector",
-    "zero_clock",
-]

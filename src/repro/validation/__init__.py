@@ -18,30 +18,3 @@ claim requires:
   asserting warehouse-dump or report equality for every mode pair the
   pipeline claims equivalent.
 """
-
-from repro.validation.conformance import (
-    CONFORMANCE_PAIRS,
-    ConformancePair,
-    run_conformance_pair,
-)
-from repro.validation.runner import (
-    SCENARIOS,
-    ScenarioOutcome,
-    ScenarioRunner,
-)
-from repro.validation.schedule import FaultLabel, FaultSchedule
-from repro.validation.scoring import MatchedLabel, ValidationScore, score_reports
-
-__all__ = [
-    "FaultLabel",
-    "FaultSchedule",
-    "MatchedLabel",
-    "ValidationScore",
-    "score_reports",
-    "SCENARIOS",
-    "ScenarioRunner",
-    "ScenarioOutcome",
-    "CONFORMANCE_PAIRS",
-    "ConformancePair",
-    "run_conformance_pair",
-]

@@ -20,7 +20,6 @@ from repro.warehouse.db import (
 
 __all__ = [
     "WarehouseExplorer",
-    "IngestErrorSummary",
     "InteractionStats",
     "SlowRequest",
     "slowest_requests_sql",
@@ -97,21 +96,6 @@ class SlowRequest:
     interaction: str
     response_ms: float
     completed_at_us: Micros
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class IngestErrorSummary:
-    """Per-source-file rollup of the ``ingest_errors`` ledger.
-
-    ``file_failed`` is true when the file has a whole-file error row
-    (line number 0) — it imported nothing, so any analysis that needs
-    that monitor's data is blind there.
-    """
-
-    source_path: str
-    parser: str
-    error_count: int
-    file_failed: bool
 
 
 class WarehouseExplorer:
@@ -233,37 +217,6 @@ class WarehouseExplorer:
         return [row[0] for row in self.db.query(
             "SELECT hostname FROM host_config ORDER BY hostname"
         )]
-
-    # ------------------------------------------------------------------
-    # ingestion health
-
-    def ingest_errors(self, source_path: str | None = None) -> list[tuple]:
-        """The raw ``ingest_errors`` rows a lenient transform recorded."""
-        return self.db.ingest_errors(source_path)
-
-    def error_summary(self) -> list[IngestErrorSummary]:
-        """Per-file ingest-error rollup, most-damaged file first.
-
-        The first thing to check before trusting an analysis: an empty
-        summary means every record of every log imported; a
-        ``file_failed`` entry means an entire monitor stream is missing
-        from the warehouse.
-        """
-        rows = self.db.query(
-            "SELECT source_path, parser, COUNT(*), "
-            "MAX(CASE WHEN line_number = 0 THEN 1 ELSE 0 END) "
-            "FROM ingest_errors GROUP BY source_path, parser "
-            "ORDER BY 3 DESC, source_path"
-        )
-        return [
-            IngestErrorSummary(
-                source_path=source_path,
-                parser=parser,
-                error_count=count,
-                file_failed=bool(failed),
-            )
-            for source_path, parser, count, failed in rows
-        ]
 
     # ------------------------------------------------------------------
     # pipeline telemetry

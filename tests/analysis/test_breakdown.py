@@ -64,8 +64,8 @@ def test_series_validation():
 
 def test_breakdown_on_simulated_traffic():
     from repro.common.timebase import seconds
-    from repro.ntier import NTierSystem, SystemConfig
-    from repro.rubbos import WorkloadSpec
+    from repro.ntier.system import NTierSystem, SystemConfig
+    from repro.rubbos.workload import WorkloadSpec
 
     config = SystemConfig(
         workload=WorkloadSpec(users=30, think_time_us=ms(300), ramp_up_us=ms(100)),

@@ -7,7 +7,6 @@ from repro.analysis.response_time import (
     completions_from_traces,
     completions_from_warehouse,
     point_in_time_response_times,
-    sampled_average_response_times,
 )
 from repro.common.errors import AnalysisError
 from repro.common.records import RequestTrace
@@ -53,16 +52,6 @@ def test_invalid_parameters_rejected():
         point_in_time_response_times([], 10, 100, 100)
 
 
-def test_sampled_average_flattens_peaks():
-    # One 500 ms outlier among many 5 ms requests within one window.
-    samples = [sample(i, 5, f"R0A0000000{i:02d}") for i in range(40)]
-    samples.append(sample(41, 500, "R0A000000099"))
-    pit = point_in_time_response_times(samples, ms(50), 0, ms(50))
-    avg = sampled_average_response_times(samples, ms(50), 0, ms(50))
-    assert pit[0].max_ms == 500
-    assert avg[0].max_ms < 25  # the peak is invisible in the average
-
-
 def test_completions_from_traces_skips_incomplete():
     done = RequestTrace("R0A000000001", "ViewStory", client_send=0)
     done.client_receive = ms(12)
@@ -94,37 +83,3 @@ def test_completions_from_warehouse_rebases_epoch():
     assert samples[0].response_time_us == 5_000
     assert samples[0].interaction == "ViewStory"
 
-
-def test_percentile_windows_nearest_rank():
-    from repro.analysis.response_time import percentile_windows
-
-    samples = [sample(i, i + 1, f"R0A{i:09d}") for i in range(100)]  # 1..100 ms
-    rows = percentile_windows(samples, ms(1000), 0, ms(1000))
-    (row,) = rows
-    assert row["p50"] == 50
-    assert row["p95"] == 95
-    assert row["p99"] == 99
-
-
-def test_percentile_windows_empty_bucket_zero():
-    from repro.analysis.response_time import percentile_windows
-
-    rows = percentile_windows([], ms(50), 0, ms(100))
-    assert all(r["p99"] == 0.0 for r in rows)
-
-
-def test_percentile_windows_validation():
-    from repro.analysis.response_time import percentile_windows
-
-    with pytest.raises(AnalysisError):
-        percentile_windows([], ms(50), 0, ms(100), percentiles=(0.0,))
-    with pytest.raises(AnalysisError):
-        percentile_windows([], 0, 0, ms(100))
-
-
-def test_percentile_single_sample():
-    from repro.analysis.response_time import percentile_windows
-
-    rows = percentile_windows([sample(10, 7)], ms(50), 0, ms(50))
-    assert rows[0]["p50"] == 7
-    assert rows[0]["p99"] == 7

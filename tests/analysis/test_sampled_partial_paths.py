@@ -19,12 +19,13 @@ from repro.analysis.causal import (
 )
 from repro.common.errors import AnalysisError
 from repro.common.timebase import ms, seconds
-from repro.monitors import EventMonitorSuite
-from repro.ntier import NTierSystem, SystemConfig, TierConfig
-from repro.rubbos import FANOUT_MIX, WorkloadSpec
-from repro.sampling import coherent_keep
+from repro.monitors.event.suite import EventMonitorSuite
+from repro.ntier.system import NTierSystem, SystemConfig, TierConfig
+from repro.rubbos.interactions import FANOUT_MIX
+from repro.rubbos.workload import WorkloadSpec
+from repro.sampling.policy import coherent_keep
 from repro.transformer.pipeline import MScopeDataTransformer
-from repro.warehouse import MScopeDB
+from repro.warehouse.db import MScopeDB
 
 SEED = 32
 RATE = 0.1

@@ -6,7 +6,6 @@ import pytest
 from repro.analysis.cache import SeriesCache
 from repro.analysis.metrics import metric_series
 from repro.analysis.queues import concurrency_series, spans_from_warehouse
-from repro.analysis.series import Series
 from repro.telemetry.spans import SpanData, SpanProbe
 from repro.warehouse.db import MScopeDB
 

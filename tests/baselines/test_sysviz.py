@@ -2,8 +2,8 @@
 
 from repro.baselines.sysviz import SysVizTracer
 from repro.common.timebase import ms, seconds
-from repro.ntier import NTierSystem, SystemConfig
-from repro.rubbos import WorkloadSpec
+from repro.ntier.system import NTierSystem, SystemConfig
+from repro.rubbos.workload import WorkloadSpec
 
 
 def traced_run(duration=seconds(1), users=30, seed=2):

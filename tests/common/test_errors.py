@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common import errors
+import repro.common.errors as errors
 
 
 def test_all_errors_share_the_base():

@@ -94,8 +94,9 @@ def test_registry_row_installs_its_faults(name):
     """Every row — nightly-only ones included — builds on its tier
     overrides and installs its injectors (an unknown tier fails at
     install) in a 0.3 s run on a tiny client pool."""
-    from repro.ntier import FAULTS, NTierSystem, SystemConfig
-    from repro.rubbos import WorkloadSpec
+    from repro.ntier.faults import FAULTS
+    from repro.ntier.system import NTierSystem, SystemConfig
+    from repro.rubbos.workload import WorkloadSpec
 
     row = SCENARIOS[name]
     assert set(row.floors) == {"precision", "recall", "attribution"}

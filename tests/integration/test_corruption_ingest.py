@@ -17,19 +17,19 @@ import pytest
 from repro.common.errors import ParseError
 from repro.common.records import BoundaryRecord, DownstreamCall
 from repro.common.timebase import WallClock, ms
-from repro.logfmt import (
+from repro.logfmt.apache import format_mscope_access
+from repro.logfmt.cjdbc import format_mscope_cjdbc
+from repro.logfmt.collectl import (
     CollectlSample,
-    IostatDeviceRow,
-    SarCpuRow,
     collectl_csv_header,
     collectl_text_header,
     format_collectl_csv_row,
     format_collectl_text_row,
-    format_iostat_block,
-    format_mscope_access,
-    format_mscope_cjdbc,
-    format_mscope_query,
-    format_mscope_tomcat,
+)
+from repro.logfmt.iostat import IostatDeviceRow, format_iostat_block
+from repro.logfmt.mysql import format_mscope_query
+from repro.logfmt.sar import (
+    SarCpuRow,
     format_sar_text_row,
     format_sar_xml_row,
     sar_text_banner,
@@ -37,6 +37,7 @@ from repro.logfmt import (
     sar_xml_close,
     sar_xml_open,
 )
+from repro.logfmt.tomcat import format_mscope_tomcat
 from repro.transformer.errorpolicy import (
     FAIL_FAST_POLICY,
     QUARANTINE,

@@ -10,9 +10,9 @@ import pytest
 
 from repro.analysis.queues import concurrency_series, spans_from_traces
 from repro.common.timebase import ms, seconds
-from repro.ntier import NTierSystem, SystemConfig
+from repro.ntier.system import NTierSystem, SystemConfig
 from repro.ntier.tiers import TIER_ORDER
-from repro.rubbos import WorkloadSpec
+from repro.rubbos.workload import WorkloadSpec
 
 
 @pytest.fixture(scope="module")

@@ -64,8 +64,8 @@ def test_markov_workload_runs_at_scale():
     from collections import Counter
 
     from repro.common.timebase import ms
-    from repro.ntier import NTierSystem, SystemConfig
-    from repro.rubbos import WorkloadSpec
+    from repro.ntier.system import NTierSystem, SystemConfig
+    from repro.rubbos.workload import WorkloadSpec
 
     config = SystemConfig(
         workload=WorkloadSpec(

@@ -6,17 +6,15 @@ import pytest
 
 from repro.common.errors import MonitorError
 from repro.common.timebase import ms, seconds
-from repro.monitors.event import (
-    ApacheMScopeMonitor,
-    CjdbcMScopeMonitor,
-    EventMonitorSuite,
-    MySqlMScopeMonitor,
-    TomcatMScopeMonitor,
-)
-from repro.ntier import NTierSystem, SystemConfig
+from repro.monitors.event.apache import ApacheMScopeMonitor
+from repro.monitors.event.cjdbc import CjdbcMScopeMonitor
+from repro.monitors.event.mysql import MySqlMScopeMonitor
+from repro.monitors.event.suite import EventMonitorSuite
+from repro.monitors.event.tomcat import TomcatMScopeMonitor
+from repro.ntier.system import NTierSystem, SystemConfig
 from repro.ntier.hardware import Cpu
-from repro.rubbos import WorkloadSpec
-from repro.sim import Engine
+from repro.rubbos.workload import WorkloadSpec
+from repro.sim.engine import Engine
 
 
 def small_system(seed=2):
@@ -146,7 +144,7 @@ def test_instrumented_logs_roughly_double_bytes():
 
 def test_wait_cost_adds_latency_not_cpu():
     """The lock/IO wait component lengthens requests without burning CPU."""
-    from repro.monitors.event import ApacheMScopeMonitor
+    from repro.monitors.event.apache import ApacheMScopeMonitor
 
     base = small_system(seed=3)
     rt_base = base.run(seconds(1)).mean_response_time_ms()
@@ -166,7 +164,7 @@ def test_wait_cost_adds_latency_not_cpu():
 
 
 def test_cpu_cost_without_wait():
-    from repro.monitors.event import ApacheMScopeMonitor
+    from repro.monitors.event.apache import ApacheMScopeMonitor
 
     system = small_system(seed=3)
     ApacheMScopeMonitor(per_event_cpu_us=100, per_event_wait_us=0).attach(

@@ -4,14 +4,12 @@ import pytest
 
 from repro.common.errors import MonitorError
 from repro.common.timebase import ms, seconds
-from repro.monitors.resource import (
-    CollectlMonitor,
-    IostatMonitor,
-    ResourceMonitorSuite,
-    SarMonitor,
-)
-from repro.ntier import NTierSystem, SystemConfig
-from repro.rubbos import WorkloadSpec
+from repro.monitors.resource.collectl import CollectlMonitor
+from repro.monitors.resource.iostat import IostatMonitor
+from repro.monitors.resource.sar import SarMonitor
+from repro.monitors.resource.suite import ResourceMonitorSuite
+from repro.ntier.system import NTierSystem, SystemConfig
+from repro.rubbos.workload import WorkloadSpec
 
 
 def small_system(seed=2):

@@ -4,8 +4,9 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.common.timebase import ms, seconds
-from repro.ntier import NTierSystem, SystemConfig, TierHook
-from repro.rubbos import WorkloadSpec
+from repro.ntier.hooks import TierHook
+from repro.ntier.system import NTierSystem, SystemConfig
+from repro.rubbos.workload import WorkloadSpec
 
 
 class ExplodingHook(TierHook):

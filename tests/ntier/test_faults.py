@@ -4,14 +4,15 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.timebase import ms, seconds
-from repro.ntier import (
+from repro.ntier.faults import (
     DBLogFlushFault,
     DirtyPageFlushFault,
+    DvfsSlowdownFault,
     GarbageCollectionFault,
-    NTierSystem,
-    SystemConfig,
+    VmConsolidationFault,
 )
-from repro.rubbos import WorkloadSpec
+from repro.ntier.system import NTierSystem, SystemConfig
+from repro.rubbos.workload import WorkloadSpec
 
 MB = 1024 * 1024
 
@@ -157,3 +158,24 @@ def test_gc_pause_blocks_tier():
         and t.response_time_ms() > 100
     ]
     assert slow, "GC pause produced no slow requests"
+
+
+# ----------------------------------------------------------------------
+# Counts
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DBLogFlushFault(start_at=0, period=100, bursts="2"),
+        lambda: GarbageCollectionFault("tomcat", 0, 100, collections=0),
+        lambda: DvfsSlowdownFault("apache", 0, 100, episodes=True),
+        lambda: VmConsolidationFault("mysql", 0, 100, stolen_cores="2"),
+    ],
+    ids=["string-bursts", "zero-collections", "bool-episodes", "string-cores"],
+)
+def test_malformed_fault_counts_raise_config_error(build):
+    """A bad count is a config error at construction, not a TypeError
+    from inside the simulation."""
+    with pytest.raises(ConfigError, match="must be an integer"):
+        build()

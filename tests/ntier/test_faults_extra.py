@@ -4,13 +4,9 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.timebase import ms, seconds
-from repro.ntier import (
-    DvfsSlowdownFault,
-    NTierSystem,
-    SystemConfig,
-    VmConsolidationFault,
-)
-from repro.rubbos import WorkloadSpec
+from repro.ntier.faults import DvfsSlowdownFault, VmConsolidationFault
+from repro.ntier.system import NTierSystem, SystemConfig
+from repro.rubbos.workload import WorkloadSpec
 
 
 def build_system(faults, users=60, seed=4):
@@ -73,7 +69,7 @@ def test_dvfs_slows_requests_in_window():
 def test_dvfs_cpu_busy_time_stretches():
     # At quarter speed, the same demand occupies 4x the wall time.
     from repro.ntier.hardware import Cpu
-    from repro.sim import Engine
+    from repro.sim.engine import Engine
 
     engine = Engine()
     cpu = Cpu(engine, cores=1, quantum=1_000)
@@ -151,7 +147,7 @@ def test_vm_partial_steal_leaves_capacity():
 
 
 def test_sar_reports_steal_column():
-    from repro.monitors.resource import SarMonitor
+    from repro.monitors.resource.sar import SarMonitor
 
     fault = VmConsolidationFault(
         "tomcat", start_at=ms(500), period=seconds(5), burst=ms(300), episodes=1

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.common.errors import SimulationError
 from repro.ntier.hardware import Cpu, CumulativeCounter, Disk, PageCache
-from repro.sim import Engine
+from repro.sim.engine import Engine
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from repro.common.errors import MonitorError
 from repro.ntier.logfacility import FileLogSink, MemoryLogSink, NativeLogFacility
 from repro.ntier.node import Node
-from repro.sim import Engine
+from repro.sim.engine import Engine
 
 
 def make_node():

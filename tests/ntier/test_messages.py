@@ -7,7 +7,7 @@ from repro.common.records import RequestTrace
 from repro.ntier.messages import NetworkBus
 from repro.ntier.request import Request
 from repro.rubbos.interactions import interaction_by_name
-from repro.sim import Engine
+from repro.sim.engine import Engine
 
 
 def make_request(request_id="R0A000000001"):

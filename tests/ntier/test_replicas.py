@@ -4,10 +4,15 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.timebase import ms, seconds
-from repro.monitors import EventMonitorSuite
-from repro.ntier import NTierSystem, SystemConfig, TierConfig
-from repro.ntier.system import logical_tier, tier_address
-from repro.rubbos import WorkloadSpec
+from repro.monitors.event.suite import EventMonitorSuite
+from repro.ntier.system import (
+    NTierSystem,
+    SystemConfig,
+    TierConfig,
+    logical_tier,
+    tier_address,
+)
+from repro.rubbos.workload import WorkloadSpec
 
 
 def replicated_config(seed=8, tomcat_replicas=2, mysql_replicas=2):
@@ -123,7 +128,7 @@ def test_replicated_apache_balances_clients():
 
 def test_replicated_logs_transform_per_host(tmp_path):
     from repro.transformer.pipeline import MScopeDataTransformer
-    from repro.warehouse import MScopeDB
+    from repro.warehouse.db import MScopeDB
 
     config = replicated_config()
     config.log_dir = tmp_path / "logs"

@@ -1,8 +1,9 @@
 """Tests for tier-server behaviour: boundaries, hooks, formatters, queues."""
 
 from repro.common.timebase import ms, seconds
-from repro.ntier import NTierSystem, SystemConfig, TierConfig, TierHook
-from repro.rubbos import WorkloadSpec
+from repro.ntier.hooks import TierHook
+from repro.ntier.system import NTierSystem, SystemConfig, TierConfig
+from repro.rubbos.workload import WorkloadSpec
 
 
 def small_system(**tier_overrides):

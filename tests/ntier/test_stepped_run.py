@@ -4,8 +4,8 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.timebase import ms, seconds
-from repro.ntier import NTierSystem, SystemConfig
-from repro.rubbos import WorkloadSpec
+from repro.ntier.system import NTierSystem, SystemConfig
+from repro.rubbos.workload import WorkloadSpec
 
 
 def small_config(seed=2, **kwargs):

@@ -4,9 +4,9 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.timebase import ms, seconds
-from repro.ntier import NTierSystem, SystemConfig, TierConfig
+from repro.ntier.system import NTierSystem, SystemConfig, TierConfig
 from repro.ntier.tiers import TIER_ORDER
-from repro.rubbos import WorkloadSpec
+from repro.rubbos.workload import WorkloadSpec
 
 
 def small_config(**kwargs):

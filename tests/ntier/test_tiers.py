@@ -3,8 +3,8 @@
 import pytest
 
 from repro.common.timebase import ms, seconds
-from repro.ntier import NTierSystem, SystemConfig
-from repro.rubbos import WorkloadSpec
+from repro.ntier.system import NTierSystem, SystemConfig
+from repro.rubbos.workload import WorkloadSpec
 from repro.rubbos.interactions import interaction_by_name
 
 
@@ -90,7 +90,7 @@ def test_mysql_read_misses_follow_miss_ratio():
 
 
 def test_commit_barrier_released_after_flush():
-    from repro.ntier import DBLogFlushFault
+    from repro.ntier.faults import DBLogFlushFault
 
     config = SystemConfig(
         workload=WorkloadSpec(users=60, think_time_us=ms(300), ramp_up_us=ms(100)),

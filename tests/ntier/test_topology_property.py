@@ -15,15 +15,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.analysis.causal import discover_tier_tables, reconstruct_paths_bulk
 from repro.analysis.diagnosis import Diagnoser
 from repro.common.timebase import ms, seconds
-from repro.monitors import EventMonitorSuite, ResourceMonitorSuite
-from repro.ntier import NTierSystem, SystemConfig, TierConfig
+from repro.monitors.event.suite import EventMonitorSuite
+from repro.monitors.resource.suite import ResourceMonitorSuite
 from repro.ntier.balancer import DISPATCH_POLICIES
 from repro.ntier.faults import CacheStampedeFault
-from repro.ntier.system import tier_address
-from repro.rubbos import WorkloadSpec
+from repro.ntier.system import NTierSystem, SystemConfig, TierConfig, tier_address
+from repro.rubbos.workload import WorkloadSpec
 from repro.transformer.pipeline import MScopeDataTransformer
-from repro.warehouse import MScopeDB
-from repro.warehouse.db import quote_identifier
+from repro.warehouse.db import MScopeDB, quote_identifier
 
 #: Hosts a replicated tier may legitimately appear on.
 _NODE_PREFIX = {"apache": "web", "tomcat": "app", "cjdbc": "mid", "mysql": "db"}

@@ -103,8 +103,8 @@ def test_walk_deterministic_per_seed():
 
 def test_client_emulator_markov_mode():
     from repro.common.timebase import ms, seconds
-    from repro.ntier import NTierSystem, SystemConfig
-    from repro.rubbos import WorkloadSpec
+    from repro.ntier.system import NTierSystem, SystemConfig
+    from repro.rubbos.workload import WorkloadSpec
 
     config = SystemConfig(
         workload=WorkloadSpec(
@@ -124,7 +124,7 @@ def test_client_emulator_markov_mode():
 
 
 def test_invalid_session_model_rejected():
-    from repro.rubbos import WorkloadSpec
+    from repro.rubbos.workload import WorkloadSpec
 
     with pytest.raises(ConfigError):
         WorkloadSpec(users=1, session_model="quantum").validate()

@@ -13,7 +13,7 @@ import pytest
 from repro.common.records import BoundaryRecord
 from repro.common.timebase import WallClock, ms, seconds
 from repro.logfmt.mysql import format_mscope_query
-from repro.serve import events as ev
+import repro.serve.events as ev
 from repro.serve.daemon import MScopeServeDaemon, ServeConfig
 from repro.transformer.pipeline import MScopeDataTransformer
 from repro.warehouse.db import MScopeDB
@@ -327,7 +327,7 @@ def test_diagnosis_starts_at_the_first_window_holding_data(
     """No run_meta.json and no epoch override: the epoch resolves to 0,
     timestamps are absolute, and the first window with data is ~10^8
     windows from zero — the daemon must not diagnose its way there."""
-    from repro.serve import daemon as daemon_module
+    import repro.serve.daemon as daemon_module
 
     built = []
     real = daemon_module.Diagnoser

@@ -3,7 +3,7 @@
 import asyncio
 import json
 
-from repro.serve import events as ev
+import repro.serve.events as ev
 from repro.serve.events import EventBroker, ServeEvent
 
 

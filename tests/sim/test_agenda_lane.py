@@ -9,7 +9,8 @@ processing order against it, under ``run()`` and under ``step()``.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Engine, Event, Timeout
+from repro.sim.engine import Engine
+from repro.sim.events import Event, Timeout
 
 
 class Recorder:

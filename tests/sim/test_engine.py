@@ -3,7 +3,8 @@
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Engine, EventState
+from repro.sim.engine import Engine
+from repro.sim.events import AllOf, AnyOf, EventState
 
 
 def test_clock_starts_at_zero():

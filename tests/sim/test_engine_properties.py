@@ -2,7 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Engine, Resource
+from repro.sim.engine import Engine
+from repro.sim.resources import Resource
 
 
 @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=50))

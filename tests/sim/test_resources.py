@@ -3,7 +3,8 @@
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim import Engine, Resource, Store
+from repro.sim.engine import Engine
+from repro.sim.resources import Resource, Store
 
 
 def test_resource_capacity_validated():

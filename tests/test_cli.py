@@ -34,6 +34,13 @@ def test_run_offers_no_kernel_choice(tmp_path, capsys):
     assert "--kernel" in capsys.readouterr().err
 
 
+def test_run_reads_no_scenario_file(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit:
+        main(["run", "--config", "x", "--out", str(tmp_path)])
+    assert exit.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
 def test_run_frees_the_simulation_before_returning(
     tmp_path, capsys, monkeypatch
 ):
@@ -43,7 +50,7 @@ def test_run_frees_the_simulation_before_returning(
     import gc
     import weakref
 
-    from repro.experiments import scenarios
+    import repro.experiments.scenarios as scenarios
 
     systems = []
 
@@ -343,7 +350,7 @@ def test_diagnose_without_event_tables_exits_2_and_closes(
 ):
     """A warehouse with nothing to diagnose gets the engine's message,
     not a traceback, and the handle is closed on that path too."""
-    from repro.warehouse import sharded
+    import repro.warehouse.sharded as sharded
 
     db_path = tmp_path / "m.db"
     MScopeDB(db_path).close()

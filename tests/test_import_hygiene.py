@@ -1,10 +1,13 @@
 """numpy is the only third-party runtime dependency, and the light
 entry points stay light.
 
-Each check runs in a fresh interpreter, so what it sees in
-``sys.modules`` is what the import itself pulled in.
+Each loading check runs in a fresh interpreter, so what it sees in
+``sys.modules`` is what the import itself pulled in.  Package
+``__init__``s are docstrings: every name is imported from the module
+that defines it, so importing one module runs no sibling's code.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -52,6 +55,15 @@ def loaded_after(module: str) -> set[str]:
     return set(json.loads(out.splitlines()[-1]))
 
 
+def _pulled(loaded, modules: tuple[str, ...]) -> list[str]:
+    """The loaded modules that are one of ``modules`` or inside one."""
+    return sorted(
+        name for name in loaded
+        for module in modules
+        if name == module or name.startswith(module + ".")
+    )
+
+
 def test_every_module_and_the_cli_import_without_scipy_or_networkx():
     out = run_python(
         BLOCK_OPTIONAL
@@ -73,6 +85,27 @@ except SystemExit as exit:
 """
     )
     assert "usage: mscope" in out
+
+
+def test_package_inits_are_docstrings():
+    """Each name has one import path, its defining module.  The parsers
+    package is the exception: importing its modules runs the
+    ``@register_parser`` decorators that fill the registry
+    ``create_parser`` reads."""
+    inits = sorted((SRC / "repro").rglob("__init__.py"))
+    assert len(inits) > 10
+    offenders = {}
+    for path in inits:
+        name = path.relative_to(SRC).as_posix()
+        if name == "repro/transformer/parsers/__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        extra = [ast.unparse(node) for node in tree.body[1:]]
+        if name == "repro/__init__.py":
+            extra = [s for s in extra if not s.startswith("__version__ = ")]
+        if ast.get_docstring(tree) is None or extra:
+            offenders[name] = extra
+    assert not offenders, offenders
 
 
 def test_importing_the_package_loads_nothing_else():
@@ -118,9 +151,24 @@ print(json.dumps([imported, sorted(sys.modules)]))
         "repro.sampling", "repro.warehouse.sharded", "repro.telemetry",
     )
     for loaded in json.loads(out.splitlines()[-1]):
-        pulled = {
-            name for name in loaded
-            for package in heavy
-            if name == package or name.startswith(package + ".")
-        }
-        assert not pulled, sorted(pulled)
+        assert not _pulled(loaded, heavy)
+
+
+def test_the_diagnosis_engine_loads_no_reporting_or_layout_code():
+    loaded = loaded_after("repro.analysis.diagnosis")
+    assert "repro.analysis.diagnosis" in loaded
+    assert not _pulled(loaded, (
+        "repro.analysis.report", "repro.analysis.breakdown",
+        "repro.analysis.skew", "repro.analysis.render",
+        "repro.warehouse.explorer", "repro.warehouse.sharded",
+    ))
+
+
+def test_the_scenario_builders_load_no_figures_or_validation():
+    loaded = loaded_after("repro.experiments.scenarios")
+    assert "repro.experiments.scenarios" in loaded
+    assert not _pulled(loaded, (
+        "repro.experiments.figures_anomaly",
+        "repro.experiments.figures_validation",
+        "repro.experiments.sweeps", "repro.validation",
+    ))

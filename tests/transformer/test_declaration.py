@@ -7,7 +7,6 @@ from repro.transformer.declaration import (
     ParserBinding,
     ParserRule,
     ParsingDeclaration,
-    RULE_LINE_SEQUENCE,
     RULE_REGEX_TOKEN,
     default_declaration,
 )

@@ -48,7 +48,7 @@ def test_run_frees_the_simulation_before_returning(tmp_path, monkeypatch):
     import gc
     import weakref
 
-    from repro.validation import runner as runner_module
+    import repro.validation.runner as runner_module
 
     systems = []
     run_scenario = runner_module.run_scenario

@@ -57,7 +57,7 @@ def test_validate_json_reports_meet_acceptance_floors(tmp_path, capsys):
 
 
 def test_validate_check_floors_fails_on_unmet_floor(tmp_path, capsys, monkeypatch):
-    from repro.validation import runner as runner_module
+    import repro.validation.runner as runner_module
 
     spec = runner_module.SCENARIOS["db_log_flush"]
     impossible = {**spec.floors, "precision": 1.1}

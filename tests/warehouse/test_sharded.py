@@ -20,7 +20,7 @@ from repro.analysis.response_time import completions_from_warehouse
 from repro.analysis.skew import estimate_pairwise_offset
 from repro.common.errors import QueryError, WarehouseError
 from repro.serve.daemon import MScopeServeDaemon, ServeConfig
-from repro.warehouse import sharded
+import repro.warehouse.sharded as sharded
 from repro.warehouse.db import MScopeDB, merge_sorted
 from repro.warehouse.explorer import (
     WarehouseExplorer,
