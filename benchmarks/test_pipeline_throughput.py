@@ -3,13 +3,27 @@
 Not a paper result per se, but the transformation pipeline is the
 paper's Figure 3; this bench measures how fast mScopeDataTransformer
 moves a full scenario's native logs (every monitor format) into
-mScopeDB, and checks the load is complete.
+mScopeDB, and checks the load is complete.  A second bench replays a
+tree into the serve daemon in many small cycles and in a few large
+ones: live ingest should cost per row, not per cycle or file.
 """
+
+import time
 
 from conftest import report
 from record import record
+from repro.common.timebase import seconds
+from repro.experiments.scenarios import scenario_a
+from repro.serve.daemon import MScopeServeDaemon, ServeConfig
 from repro.transformer.pipeline import MScopeDataTransformer
 from repro.warehouse.db import MScopeDB
+
+#: Bound on ingest CPU for 60 cycles over that for 4 cycles of the same
+#: rows, each the least of ``REPLAYS`` interleaved replays (2.0-3.3 when
+#: every grown file committed on its own, 1.5-2.7 with one transaction
+#: per cycle, on a shared 2-vCPU box; see CHANGES.md).
+MAX_PER_CYCLE_RATIO = 3.0
+REPLAYS = 5
 
 
 def test_pipeline_throughput(benchmark, scenario_a_run):
@@ -39,3 +53,64 @@ def test_pipeline_throughput(benchmark, scenario_a_run):
     )
     assert rows > 1_000
     assert len(db.dynamic_tables()) >= 16
+
+
+def replay_cpu_s(source, live, steps):
+    """Process CPU of ``steps`` ingest cycles replaying ``source``'s
+    logs into a daemon tailing ``live`` (with a file-backed warehouse,
+    as ``mscope serve --db`` runs), each step appending the next
+    ``1/steps`` of every file's lines."""
+    chunks = {}
+    for path in sorted(source.glob("*/*.log")):
+        lines = path.read_bytes().splitlines(keepends=True)
+        count = len(lines)
+        chunks[path.relative_to(source)] = [
+            b"".join(lines[count * k // steps : count * (k + 1) // steps])
+            for k in range(steps)
+        ]
+    logs = live / "logs"
+    for relative in chunks:
+        (logs / relative).parent.mkdir(parents=True, exist_ok=True)
+        (logs / relative).write_bytes(b"")
+    daemon = MScopeServeDaemon(ServeConfig(logs=logs, db=live / "serve.db"))
+    cpu = 0.0
+    for step in range(steps):
+        for relative, parts in chunks.items():
+            with (logs / relative).open("ab") as handle:
+                handle.write(parts[step])
+        started = time.process_time()
+        daemon.ingest_cycle()
+        cpu += time.process_time() - started
+    rows = daemon.state.rows
+    daemon.db.close()
+    return cpu, rows
+
+
+def test_live_ingest_cost_is_per_row(tmp_path):
+    source = tmp_path / "tree"
+    scenario_a(duration=seconds(4), log_dir=source)
+    many, few = [], []
+    for k in range(REPLAYS):  # interleaved, so drift hits both alike
+        many.append(replay_cpu_s(source, tmp_path / f"live60-{k}", 60))
+        few.append(replay_cpu_s(source, tmp_path / f"live4-{k}", 4))
+    (rows,) = {rows for _, rows in many + few}
+    assert rows > 1_000
+    many_s, few_s = min(cpu for cpu, _ in many), min(cpu for cpu, _ in few)
+    ratio = many_s / few_s
+    # The same rows either way: what 56 more cycles cost is fixed cost.
+    per_cycle_ms = (many_s - few_s) / 56 * 1e3
+    report(
+        "Live ingest (serve cycles)",
+        f"{rows} rows: 60 cycles {many_s * 1e3:.0f} ms CPU, "
+        f"4 cycles {few_s * 1e3:.0f} ms CPU, ratio {ratio:.2f}, "
+        f"{per_cycle_ms:.2f} ms fixed per cycle",
+    )
+    record(
+        "live_ingest_cost",
+        rows=rows,
+        cycles60_cpu_ms=round(many_s * 1e3, 1),
+        cycles4_cpu_ms=round(few_s * 1e3, 1),
+        ratio=round(ratio, 3),
+        fixed_ms_per_cycle=round(per_cycle_ms, 3),
+    )
+    assert ratio < MAX_PER_CYCLE_RATIO

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+from typing import Any
 
 from repro.common.errors import AnalysisError
 from repro.transformer.xml_to_csv import CsvTable
@@ -117,6 +118,21 @@ class SamplingPolicy:
 
     def apply(self, table: CsvTable) -> CsvTable:
         raise NotImplementedError
+
+    def checkpoint(self) -> Any:
+        """What :meth:`restore` needs to undo every later :meth:`apply`
+        and :meth:`flush` — the importer takes one as it opens a
+        transaction.  Costs O(streams) here; a stateful policy adds
+        what its deferred state needs."""
+        return {
+            key: dataclasses.replace(entry) for key, entry in self.counts.items()
+        }
+
+    def restore(self, saved: Any) -> None:
+        """Return to the :meth:`checkpoint` ``saved`` — the importer
+        does so when the transaction that applied the policy rolls
+        back, so its rows are not counted twice when they come again."""
+        self.counts = saved
 
     def flush(self) -> list[CsvTable]:
         """Release buffered rows, one table per ``(table, source)``
@@ -217,6 +233,9 @@ class TailSamplingPolicy(SamplingPolicy):
         self._table_info: dict[tuple[str, str], tuple[list, str]] = {}
         #: rows settled as keepers, awaiting the next flush().
         self._flushable: dict[tuple[str, str], list[tuple]] = {}
+        #: Request ids whose buffered rows grew since the checkpoint,
+        #: once per row, so :meth:`restore` can take the rows back off.
+        self._appended: list[str] = []
 
     @property
     def pending_requests(self) -> int:
@@ -256,8 +275,46 @@ class TailSamplingPolicy(SamplingPolicy):
                 self._buffer.setdefault(rid, []).append(
                     (table.name, table.source, row)
                 )
+                self._appended.append(rid)
                 self._evict_over_bound()
         return dataclasses.replace(table, rows=kept)
+
+    def checkpoint(self) -> Any:
+        """Counts, plus the deferral state: the decisions made so far
+        (only ever added to, so their number), the buffer (copied —
+        at most ``max_requests`` entries), and the flushable rows (only
+        ever appended to until a flush swaps the dict, so their
+        lengths)."""
+        self._appended = []
+        return (
+            super().checkpoint(),
+            len(self._decided),
+            dict(self._buffer),
+            dict(self._table_info),
+            self._flushable,
+            {key: len(rows) for key, rows in self._flushable.items()},
+        )
+
+    def restore(self, saved: Any) -> None:
+        counts, decided, buffer, table_info, flushable, lengths = saved
+        super().restore(counts)
+        while len(self._decided) > decided:
+            self._decided.popitem()  # newest first
+        # The copy shares the row lists, so rows appended since come
+        # off their ends (a list created since is not in the copy).
+        for rid in reversed(self._appended):
+            rows = buffer.get(rid)
+            if rows is not None:
+                rows.pop()
+        self._appended = []
+        self._buffer = buffer
+        self._table_info = table_info
+        for key in list(flushable):
+            if key in lengths:
+                del flushable[key][lengths[key] :]
+            else:
+                del flushable[key]
+        self._flushable = flushable
 
     def _commit_request(self, rid: str) -> None:
         """Retroactively keep everything this request already buffered.
@@ -308,7 +365,8 @@ class TailSamplingPolicy(SamplingPolicy):
                     source=source,
                 )
             )
-        released.clear()
+        # A fresh dict, not clear(): a checkpoint may hold this one.
+        self._flushable = {}
         return tables
 
 
@@ -333,6 +391,8 @@ class ConflationPolicy(SamplingPolicy):
         self.spec = f"conflate:{exemplar_rate:g}"
         #: (table, class) -> [rid set, records, latency sum, min, max]
         self._aggregates: dict[tuple[str, str], list] = {}
+        #: ``(aggregate, rid)`` for each rid added since the checkpoint.
+        self._added: list[tuple[tuple[str, str], str]] = []
 
     def apply(self, table: CsvTable) -> CsvTable:
         rid_idx = _column_index(table, _REQUEST_ID)
@@ -362,12 +422,35 @@ class ConflationPolicy(SamplingPolicy):
                 agg = self._aggregates[(table.name, klass)] = [
                     set(), 0, 0, span, span,
                 ]
-            agg[0].add(rid)
+            if rid not in agg[0]:
+                agg[0].add(rid)
+                self._added.append(((table.name, klass), rid))
             agg[1] += 1
             agg[2] += span
             agg[3] = min(agg[3], span)
             agg[4] = max(agg[4], span)
         return dataclasses.replace(table, rows=kept)
+
+    def checkpoint(self) -> Any:
+        """Counts, plus each aggregate's scalars; the rid sets only
+        grow, so the rids added since are journaled instead of copied."""
+        self._added = []
+        return (
+            super().checkpoint(),
+            {key: agg[1:] for key, agg in self._aggregates.items()},
+        )
+
+    def restore(self, saved: Any) -> None:
+        counts, scalars = saved
+        super().restore(counts)
+        for key, rid in self._added:
+            if key in scalars:
+                self._aggregates[key][0].discard(rid)
+        self._added = []
+        self._aggregates = {
+            key: [self._aggregates[key][0], *values]
+            for key, values in scalars.items()
+        }
 
     def conflated_rows(self) -> list[tuple[str, str, int, int, int, int, int]]:
         rows = []

@@ -47,25 +47,24 @@ class ApacheMScopeParser(MScopeParser):
                     raw=line,
                 )
                 continue
-            record = LogRecord()
-            record.set("tier", "apache")
-            url = match.group("url")
+            _, clf, _, url, status, size, ua, ds, dr, ud = match.groups()
+            fields = {"tier": "apache"}
             interaction = _INTERACTION_RE.search(url)
             if interaction:
-                record.set("interaction", interaction.group(1))
-            record.set("status", match.group("status"))
-            if match.group("bytes") != "-":
-                record.set("response_bytes", match.group("bytes"))
-            if match.group("ua") is not None:
-                record.set("upstream_arrival_us", match.group("ua"))
-                record.set("upstream_departure_us", match.group("ud"))
-                if match.group("ds") != "-":
-                    record.set("downstream_sending_us", match.group("ds"))
-                if match.group("dr") != "-":
-                    record.set("downstream_receiving_us", match.group("dr"))
-                record.set("timestamp_us", match.group("ua"))
+                fields["interaction"] = interaction.group(1)
+            fields["status"] = status
+            if size != "-":
+                fields["response_bytes"] = size
+            if ua is not None:
+                fields["upstream_arrival_us"] = ua
+                fields["upstream_departure_us"] = ud
+                if ds != "-":
+                    fields["downstream_sending_us"] = ds
+                if dr != "-":
+                    fields["downstream_receiving_us"] = dr
+                fields["timestamp_us"] = ua
             else:
-                record.set("timestamp_us", str(clf_to_epoch_us(match.group("clf"))))
-            self.apply_token_rules(line, record)
-            document.append(record)
+                fields["timestamp_us"] = str(clf_to_epoch_us(clf))
+            self.apply_token_rules(line, fields)
+            document.append(LogRecord.of(fields))
         return document

@@ -38,16 +38,18 @@ class CjdbcMScopeParser(MScopeParser):
                         raw=line,
                     )
                 continue
-            record = LogRecord()
-            record.set("tier", "cjdbc")
-            record.set("request_id", match.group("req"))
-            record.set("upstream_arrival_us", match.group("ua"))
-            record.set("upstream_departure_us", match.group("ud"))
-            if match.group("ds") != "-":
-                record.set("downstream_sending_us", match.group("ds"))
-            if match.group("dr") != "-":
-                record.set("downstream_receiving_us", match.group("dr"))
-            record.set("timestamp_us", match.group("ua"))
-            self.apply_token_rules(line, record)
-            document.append(record)
+            _, _, req, ua, ds, dr, ud = match.groups()
+            fields = {
+                "tier": "cjdbc",
+                "request_id": req,
+                "upstream_arrival_us": ua,
+                "upstream_departure_us": ud,
+            }
+            if ds != "-":
+                fields["downstream_sending_us"] = ds
+            if dr != "-":
+                fields["downstream_receiving_us"] = dr
+            fields["timestamp_us"] = ua
+            self.apply_token_rules(line, fields)
+            document.append(LogRecord.of(fields))
         return document

@@ -78,12 +78,10 @@ class CollectlCsvParser(MScopeParser):
                     str(exc), source=source, line_number=number, raw=line
                 )
                 continue
-            record = LogRecord()
-            record.set("timestamp_us", str(timestamp_us))
-            for column, value in zip(columns, values[2:]):
-                record.set(column, value)
-            self.apply_token_rules(line, record)
-            document.append(record)
+            fields = {"timestamp_us": str(timestamp_us)}
+            fields.update(zip(columns, values[2:]))
+            self.apply_token_rules(line, fields)
+            document.append(LogRecord.of(fields))
         self.carried = columns
         return document
 
@@ -163,10 +161,8 @@ class CollectlTextParser(MScopeParser):
                     str(exc), source=source, line_number=number, raw=line
                 )
                 continue
-            record = LogRecord()
-            record.set("timestamp_us", str(timestamp_us))
-            for column, value in zip(columns, tokens[1:]):
-                record.set(column, value)
-            document.append(record)
+            fields = {"timestamp_us": str(timestamp_us)}
+            fields.update(zip(columns, tokens[1:]))
+            document.append(LogRecord.of(fields))
         self.carried = columns
         return document

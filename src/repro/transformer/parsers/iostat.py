@@ -84,12 +84,9 @@ class IostatParser(MScopeParser):
                     raw=line,
                 )
                 continue
-            record = LogRecord()
-            record.set("timestamp_us", str(timestamp_us))
-            record.set("device", tokens[0])
-            for column, value in zip(columns, tokens[1:]):
-                record.set(column, value)
-            self.apply_token_rules(line, record)
-            document.append(record)
+            fields = {"timestamp_us": str(timestamp_us), "device": tokens[0]}
+            fields.update(zip(columns, tokens[1:]))
+            self.apply_token_rules(line, fields)
+            document.append(LogRecord.of(fields))
         self.carried = (timestamp_us, columns)
         return document

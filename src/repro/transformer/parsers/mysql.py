@@ -47,12 +47,13 @@ class MySqlMScopeParser(MScopeParser):
                     raw=line,
                 )
                 continue
-            record = LogRecord()
-            record.set("tier", "mysql")
-            record.set("upstream_arrival_us", arrival)
-            record.set("upstream_departure_us", departure)
-            record.set("timestamp_us", arrival)
-            record.set("statement", statement.split(" /*")[0])
-            self.apply_token_rules(line, record)
-            document.append(record)
+            fields = {
+                "tier": "mysql",
+                "upstream_arrival_us": arrival,
+                "upstream_departure_us": departure,
+                "timestamp_us": arrival,
+                "statement": statement.split(" /*")[0],
+            }
+            self.apply_token_rules(line, fields)
+            document.append(LogRecord.of(fields))
         return document

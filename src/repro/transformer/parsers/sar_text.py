@@ -123,14 +123,11 @@ class SarTextParser(MScopeParser):
                     str(exc), source=source, line_number=number, raw=line
                 )
                 continue
-            record = LogRecord()
-            record.set("timestamp_us", str(timestamp_us))
-            record.set("cpu", tokens[1])
+            fields = {"timestamp_us": str(timestamp_us), "cpu": tokens[1]}
             if hostname:
-                record.set("hostname", hostname)
-            for column, value in zip(columns, values):
-                record.set(column, value)
-            self.apply_token_rules(line, record)
-            document.append(record)
+                fields["hostname"] = hostname
+            fields.update(zip(columns, values))
+            self.apply_token_rules(line, fields)
+            document.append(LogRecord.of(fields))
         self.carried = (report_date, hostname, columns)
         return document

@@ -102,17 +102,15 @@ class SarXmlAdapter(MScopeParser):
             if state.date is None or state.time is None:
                 # Inside a damaged <timestamp>; already reported.
                 return
-            record = LogRecord()
             try:
-                record.set(
-                    "timestamp_us",
-                    str(wall_to_epoch_us(state.date, state.time)),
-                )
+                fields = {
+                    "timestamp_us": str(wall_to_epoch_us(state.date, state.time))
+                }
                 for attr, value in element.attrib.items():
                     if attr == "number":
-                        record.set("cpu", value)
+                        fields["cpu"] = value
                     else:
-                        record.set(sanitize_tag(attr + "_pct"), value)
+                        fields[sanitize_tag(attr + "_pct")] = value
             except ParseError as exc:
                 # Garbled attribute text: this record alone is damaged.
                 if not self.lenient:
@@ -125,8 +123,8 @@ class SarXmlAdapter(MScopeParser):
                 )
                 return
             if state.hostname:
-                record.set("hostname", state.hostname)
-            document.append(record)
+                fields["hostname"] = state.hostname
+            document.append(LogRecord.of(fields))
 
 
 class _SalvageState:

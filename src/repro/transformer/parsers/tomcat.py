@@ -74,13 +74,12 @@ class TomcatMScopeParser(MScopeParser):
                     raw=line,
                 )
                 continue
-            record = LogRecord()
-            record.set("tier", "tomcat")
+            tags = {"tier": "tomcat"}
             for key, tag in _FIELD_TAGS.items():
                 value = fields.get(key)
                 if value is not None and value != "-":
-                    record.set(tag, value)
-            record.set("timestamp_us", fields["UA"])
-            self.apply_token_rules(line, record)
-            document.append(record)
+                    tags[tag] = value
+            tags["timestamp_us"] = fields["UA"]
+            self.apply_token_rules(line, tags)
+            document.append(LogRecord.of(tags))
         return document

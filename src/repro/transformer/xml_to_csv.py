@@ -10,8 +10,9 @@ table using the paper's bottom-up schema materialization —
   observed for that tag.
 
 Both rules are defined over whole columns, so the converter works one
-column at a time: it gathers each tag's values, types the column with
-two whole-column scans, and coerces it in one pass.
+column at a time: it gathers each tag's values (one transpose when
+every record carries every tag, as nearly every delta does), types the
+column with two whole-column scans, and coerces it in one pass.
 :class:`TypeLattice` is the type rule's definition and the exact
 fallback for a column the scans do not settle.
 
@@ -24,8 +25,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import itertools
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.common.errors import SchemaInferenceError
 from repro.transformer.xmlmodel import XmlDocument
@@ -33,6 +35,11 @@ from repro.transformer.xmlmodel import XmlDocument
 __all__ = ["CsvTable", "TypeLattice", "XmlToCsvConverter", "infer_sql_type"]
 
 _CASTS: dict[str, Callable[[str], Any]] = {"INTEGER": int, "REAL": float}
+
+#: Every ASCII byte ``float()`` can accept (digits, signs, point,
+#: exponent, underscore, the letters of inf/infinity/nan, whitespace):
+#: a value holding any other byte is TEXT.
+_REAL_BYTES = b"0123456789+-._eEiInNfFtTyYaA \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 def _is_int(value: str) -> bool:
@@ -104,11 +111,12 @@ def infer_sql_type(values: list[str]) -> str:
 def _column_type(present: list[str]) -> str:
     """:func:`infer_sql_type` of a column's non-empty values.
 
-    Two whole-column scans settle the usual columns: all ASCII digits
-    is INTEGER, and ASCII digits and dots that ``float()`` accepts is
-    REAL (some value has a dot, so not every value is an integer).  A
-    column they do not settle goes through the lattice, so the result
-    equals the lattice's on every input.
+    Whole-column scans settle the usual columns: all ASCII digits is
+    INTEGER, an ASCII byte no number can hold is TEXT, and ASCII digits
+    and dots that ``float()`` accepts is REAL (some value has a dot, so
+    not every value is an integer).  A column they do not settle goes
+    through the lattice, so the result equals the lattice's on every
+    input.
     """
     if not present:
         return "TEXT"
@@ -117,6 +125,8 @@ def _column_type(present: list[str]) -> str:
         ascii_bytes = joined.encode()  # bytes.isdigit(): ~7x str.isdigit()
         if ascii_bytes.isdigit():
             return "INTEGER"
+        if ascii_bytes.translate(None, _REAL_BYTES):
+            return "TEXT"
         if ascii_bytes.replace(b".", b"").isdigit() and all(
             map(_is_real, present)
         ):
@@ -124,17 +134,36 @@ def _column_type(present: list[str]) -> str:
     return infer_sql_type(present)
 
 
-def _typed_column(values: list[str | None]) -> tuple[str, list[Any]]:
+def _typed_column(
+    values: Sequence[str | None],
+) -> tuple[str, Sequence[Any]]:
     """One column's inferred type and its coerced values (as
     :func:`_coerce` gives them, cell by cell)."""
-    present = [v for v in values if v]
-    sql_type = _column_type(present)
+    if all(values):
+        present: Sequence[str] = values  # type: ignore[assignment]
+    else:
+        present = [v for v in values if v]
+    sql_type = _column_type(present)  # type: ignore[arg-type]
     cast = _CASTS.get(sql_type)
-    if len(present) == len(values):
-        return sql_type, present if cast is None else list(map(cast, present))
+    if present is values:
+        return sql_type, values if cast is None else list(map(cast, values))
     if cast is None:
         return sql_type, [v or None for v in values]
     return sql_type, [cast(v) if v else None for v in values]
+
+
+def _columns(
+    records: list[Mapping[str, str]], tags: list[str]
+) -> Sequence[Sequence[str | None]]:
+    """Each tag's values down ``records`` (``None`` where a record
+    lacks the tag): one transpose when every record carries every tag,
+    else one pass per tag."""
+    if len(tags) > 1:
+        try:
+            return list(zip(*map(itemgetter(*tags), records)))
+        except KeyError:
+            pass
+    return [[f.get(tag) for f in records] for tag in tags]
 
 
 def _coerce(value: str | None, sql_type: str) -> Any:
@@ -188,9 +217,9 @@ class XmlToCsvConverter:
             )
 
         columns: list[tuple[str, str]] = []
-        values: list[list[Any]] = []
-        for tag in union:
-            sql_type, column = _typed_column([f.get(tag) for f in records])
+        values: list[Sequence[Any]] = []
+        for tag, tag_values in zip(union, _columns(records, list(union))):
+            sql_type, column = _typed_column(tag_values)
             columns.append((tag, sql_type))
             values.append(column)
         if extra_columns:

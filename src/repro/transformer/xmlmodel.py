@@ -19,7 +19,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 from repro.common.errors import ParseError
 
-__all__ = ["LogRecord", "XmlDocument", "sanitize_tag"]
+__all__ = ["LogRecord", "XmlDocument", "is_valid_tag", "sanitize_tag"]
 
 _TAG_CLEAN_RE = re.compile(r"[^A-Za-z0-9_]")
 _TAG_OK_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -43,6 +43,11 @@ _XML_INVALID_RE = re.compile(
 
 def _xml_text(value: str) -> str:
     return escape(_XML_INVALID_RE.sub("\ufffd", value))
+
+
+def is_valid_tag(tag: str) -> bool:
+    """Whether ``tag`` can name an XML element and a SQL column."""
+    return _TAG_OK_RE.match(tag) is not None
 
 
 @functools.lru_cache(maxsize=1024)
@@ -73,6 +78,19 @@ class LogRecord:
         if fields:
             for tag, value in fields.items():
                 self.set(tag, value)
+
+    @classmethod
+    def of(cls, fields: dict[str, str]) -> "LogRecord":
+        """A record that takes ownership of ``fields`` as they are.
+
+        For callers whose tags are valid by construction — the parsers
+        use literal or :func:`sanitize_tag` names, and check declared
+        regex-token tags when they bind — and whose values are ``str``:
+        nothing is checked or copied.
+        """
+        record = cls.__new__(cls)
+        record._fields = fields
+        return record
 
     def set(self, tag: str, value) -> None:
         """Set one field (tag must already be sanitized)."""

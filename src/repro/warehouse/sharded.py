@@ -66,6 +66,7 @@ from repro.warehouse.db import (
     column_index_sql,
     covering_index_sql,
     create_table_sql,
+    insert_sql,
     quote_identifier,
     response_time_index_sql,
     set_file_pragmas,
@@ -286,6 +287,12 @@ class ShardedMScopeDB(MScopeDB):
                 for conn in self._writes.values():
                     conn.rollback()
                 self._load_manifest()  # forget rolled-back shards
+                # ... and the indexes of tables the rollback undid.
+                self._index_sql = {
+                    table: sqls
+                    for table, sqls in self._index_sql.items()
+                    if table in self._registry
+                }
             raise
 
     def _create_shard_tables(self) -> None:
@@ -529,12 +536,7 @@ class ShardedMScopeDB(MScopeDB):
                 (columns.index(c) for c in _TIME_COLUMNS if c in columns),
                 None,
             )
-        column_sql = ", ".join(quote_identifier(c) for c in columns)
-        placeholders = ", ".join("?" for _ in columns)
-        sql = (
-            f"INSERT INTO {quote_identifier(table)} ({column_sql}) "
-            f"VALUES ({placeholders})"
-        )
+        sql = insert_sql(table, tuple(columns))
         inserted = 0
         iterator = iter(rows)
         while batch := list(itertools.islice(iterator, _INSERT_BATCH_SIZE)):
