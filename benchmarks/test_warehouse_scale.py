@@ -1,8 +1,11 @@
-"""Sharded warehouse benchmark: partition-pruned reads.
+"""Warehouse scale benchmarks: windowed reads against growing history.
 
 A one-window query against a time-sharded warehouse opens only the
 overlapping shard files (asserted via the ``shard_opens`` counter) and
-is timed against the same query scanning the whole history.
+is timed against the same query scanning the whole history.  On the
+monolith, a windowed diagnosis's event-table reads at the tail of
+100 k and of 1 M imported rows cost about the same: both search the
+``departure`` index the importer builds.
 
 ``MSCOPE_SCALE_ROWS`` (default 1M) sizes the tier; the read set is a
 tenth of it, at least 10k rows.  When
@@ -17,6 +20,11 @@ import time
 
 from conftest import report
 from record import record
+from repro.analysis.cache import SeriesCache
+from repro.analysis.response_time import completions_from_warehouse
+from repro.transformer.importer import MScopeDataImporter
+from repro.transformer.xml_to_csv import CsvTable
+from repro.warehouse.db import MScopeDB
 from repro.warehouse.sharded import ShardedMScopeDB
 
 HOSTS = ("web1", "web2", "db1", "db2")
@@ -117,3 +125,107 @@ def test_pruned_window_read_speedup(tmp_path):
         pruned_s=round(pruned_s, 4),
         speedup=round(speedup, 2),
     )
+
+
+# ----------------------------------------------------------------------
+# monolith: windowed event reads at the tail of a growing table
+
+EVENT_TABLE = "apache_events_web1"
+EVENT_COLUMNS = [
+    ("request_id", "TEXT"),
+    ("interaction", "TEXT"),
+    ("upstream_arrival_us", "INTEGER"),
+    ("upstream_departure_us", "INTEGER"),
+]
+#: One request per millisecond, so a 1 s window holds 1,000 of them at
+#: any table size.
+ARRIVAL_STEP_US = 1_000
+#: Rows per import: the first creates the table and its indexes, the
+#: rest land in the indexed table, as live ingest does.
+IMPORT_CHUNK = 50_000
+#: Repeats per read; the fastest is kept.
+READ_REPEATS = 15
+#: Bound on (1 M-row read time) / (100 k-row read time).  Both reads
+#: search the same-sized index range; a read of the whole table would
+#: take about 10x.
+TAIL_READ_RATIO_BOUND = 3.0
+
+
+def _event_rows(start: int, count: int) -> list[tuple]:
+    """Deterministic requests: 4 ms, with every 97th taking 300 ms."""
+    return [
+        (
+            f"R{i:07d}",
+            ("ViewStory", "Search", "Login")[i % 3],
+            i * ARRIVAL_STEP_US,
+            i * ARRIVAL_STEP_US + (300_000 if i % 97 == 0 else 4_000),
+        )
+        for i in range(start, start + count)
+    ]
+
+
+def _import_events(path, rows: int) -> None:
+    """Load ``rows`` synthetic requests through the importer."""
+    with MScopeDB(path) as db:
+        importer = MScopeDataImporter(db)
+        for start in range(0, rows, IMPORT_CHUNK):
+            importer.import_table(
+                CsvTable(
+                    name=EVENT_TABLE,
+                    columns=EVENT_COLUMNS,
+                    rows=_event_rows(start, min(IMPORT_CHUNK, rows - start)),
+                    monitor="apache_events",
+                    source="/logs/web1/apache_events.log",
+                ),
+                "web1",
+                "apache_log",
+            )
+
+
+def _tail_read_s(path, rows: int) -> tuple[float, int]:
+    """Fastest windowed completions + queue-span read of the last
+    second, repeated on one handle, and the rows it returned."""
+    stop = rows * ARRIVAL_STEP_US
+    start = stop - 1_000_000
+    best = float("inf")
+    with MScopeDB(path) as db:
+        for _ in range(READ_REPEATS):
+            started = time.perf_counter()
+            completions = completions_from_warehouse(
+                db, EVENT_TABLE, start=start, stop=stop
+            )
+            cache = SeriesCache(db, bounds=(start, stop))
+            arrivals, _ = cache.tier_spans(EVENT_TABLE, start)
+            best = min(best, time.perf_counter() - started)
+    return best, len(completions) + len(arrivals)
+
+
+def test_monolith_tail_window_read_is_flat(tmp_path):
+    sizes = (100_000, 1_000_000)
+    measured = {}
+    for rows in sizes:
+        path = tmp_path / f"events-{rows}.db"
+        _import_events(path, rows)
+        measured[rows] = _tail_read_s(path, rows)
+        path.unlink()
+    (small_s, small_rows), (large_s, large_rows) = (
+        measured[rows] for rows in sizes
+    )
+    # The same window, so the same answer size at either table size.
+    assert small_rows == large_rows > 0
+    ratio = large_s / small_s
+    report(
+        "Monolith windowed read at the tail",
+        f"1 s completions + queue-span read: {small_s * 1000:.2f} ms at "
+        f"{sizes[0]:,} rows, {large_s * 1000:.2f} ms at {sizes[1]:,} "
+        f"(x{ratio:.2f})",
+    )
+    record(
+        "mono_tail_read",
+        rows_small=sizes[0],
+        rows_large=sizes[1],
+        small_ms=round(small_s * 1000, 3),
+        large_ms=round(large_s * 1000, 3),
+        ratio=round(ratio, 3),
+    )
+    assert ratio < TAIL_READ_RATIO_BOUND

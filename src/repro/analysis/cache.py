@@ -82,7 +82,8 @@ class SeriesCache:
         self._probe = probe
         self._spans: list[SpanData] = spans if spans is not None else []
         self._metrics: dict[tuple[str, tuple[str, ...]], Series] = {}
-        self._tier_spans: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        #: table -> (its ``since``, arrivals, departures)
+        self._tier_spans: dict[str, tuple[Micros | None, np.ndarray, np.ndarray]] = {}
         self._resampled: dict[tuple[Hashable, bytes], Series] = {}
         self.hits = 0
         self.misses = 0
@@ -159,16 +160,26 @@ class SeriesCache:
     # ------------------------------------------------------------------
     # event-table boundary arrays
 
-    def tier_spans(self, table: str) -> tuple[np.ndarray, np.ndarray]:
+    def tier_spans(
+        self, table: str, since: Micros | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """One event table's sorted (arrivals, departures) arrays.
 
         Loaded once per run; every anomaly window's queue-length grid
         re-uses them through :func:`concurrency_from_sorted`.
+
+        ``since`` leaves out requests that departed before it, so the
+        read searches the ``departure`` index from there.  That is
+        exact for any grid starting at or after ``since``: a left-out
+        request counts there once as arrived and once as departed.  An
+        earlier ``since`` (or none) than the loaded one reloads.
         """
         cached = self._tier_spans.get(table)
-        if cached is not None:
+        if cached is not None and (
+            cached[0] is None or (since is not None and cached[0] <= since)
+        ):
             self.hits += 1
-            return cached
+            return cached[1], cached[2]
         self.misses += 1
         start, stop = self.bounds if self.bounds is not None else (None, None)
         # A request that arrived before the window may still be in
@@ -191,6 +202,9 @@ class SeriesCache:
         if wh_stop is not None:
             sql += " AND upstream_arrival_us < ?"
             params.append(wh_stop)
+        if since is not None:
+            sql += " AND upstream_departure_us >= ?"
+            params.append(since + self.epoch_us)
         with self._probe.span(
             self._spans, "analysis.load_spans", source_path=table
         ) as span:
@@ -205,7 +219,7 @@ class SeriesCache:
         else:
             arrivals = np.array([], dtype=np.int64)
             departures = np.array([], dtype=np.int64)
-        self._tier_spans[table] = (arrivals, departures)
+        self._tier_spans[table] = (since, arrivals, departures)
         return arrivals, departures
 
     def queue_series(
@@ -223,7 +237,7 @@ class SeriesCache:
         """
         if isinstance(tables, str):
             tables = [tables]
-        parts = [self.tier_spans(table) for table in tables]
+        parts = [self.tier_spans(table, start) for table in tables]
         if len(parts) == 1:
             arrivals, departures = parts[0]
         else:

@@ -26,11 +26,12 @@ Each load runs as one warehouse transaction (via
 transaction — the live transformer lands a whole refresh cycle that
 way.  A transaction that fails rolls back whole: the warehouse, and
 with it what the importer tracks (stream totals, known tables and
-their schemas) and the sampling policy's counts.  Indexes are created
-*after* the first bulk insert so the insert never pays index
-maintenance, and table existence and each table's column types are
-cached across loads, so a delta that brings no new column or wider
-type never asks the warehouse for its schema.
+their schemas) and the sampling policy's counts.  Indexes (two per
+event table, one per resource table) are created *after* the first
+bulk insert so the insert never pays index maintenance, and table
+existence and each table's column types are cached across loads, so a
+delta that brings no new column or wider type never asks the
+warehouse for its schema.
 """
 
 from __future__ import annotations
@@ -197,29 +198,22 @@ class MScopeDataImporter:
             table.name, table.column_names, table.rows
         )
         if created:
-            # Index after the bulk insert: building each index in
-            # one pass is cheaper than maintaining it row-by-row.
-            for column in ("request_id", "timestamp_us"):
-                if column in table.column_names:
-                    self.db.create_index(table.name, column)
+            # Index after the bulk insert: one pass is cheaper than
+            # row-by-row upkeep.  Only indexes a read uses, since every
+            # live insert pays for each: request_id the path joins,
+            # departure the windowed event reads, timestamp_us the
+            # metric reads.
             names = set(table.column_names)
+            if "request_id" in names:
+                self.db.create_index(table.name, "request_id")
             if {"upstream_arrival_us", "upstream_departure_us"} <= names:
-                # Event tables also serve the explorer's hot
-                # queries: slowest_requests sorts on the
-                # response-time expression, interaction_stats
-                # groups on interaction — both must stay off full
-                # table scans as the warehouse grows.
-                self.db.create_response_time_index(table.name)
-                if "interaction" in names:
-                    self.db.create_covering_index(
-                        table.name,
-                        (
-                            "interaction",
-                            "upstream_arrival_us",
-                            "upstream_departure_us",
-                        ),
-                        "interaction_rt",
-                    )
+                self.db.create_covering_index(
+                    table.name,
+                    ("upstream_departure_us", "upstream_arrival_us"),
+                    "departure",
+                )
+            elif "timestamp_us" in names:
+                self.db.create_index(table.name, "timestamp_us")
         # The catalog row is keyed (table, source) and carries the
         # stream's running total, so a file loaded in deltas (live)
         # converges on the row a one-shot batch load records.

@@ -31,7 +31,6 @@ from repro.common.errors import QueryError, WarehouseError
 
 __all__ = [
     "MScopeDB",
-    "RESPONSE_TIME_SQL",
     "RUN_META_FILE",
     "STATIC_TABLES",
     "merge_sorted",
@@ -76,12 +75,6 @@ _IN_CHUNK_HEADROOM = 32
 #: (``sqlite3.Connection.getlimit`` arrived in Python 3.11): sqlite's
 #: historical SQLITE_MAX_VARIABLE_NUMBER compile-time default.
 _FALLBACK_MAX_VARIABLES = 999
-
-#: The expression the explorer's response-time queries sort and
-#: aggregate on; :meth:`MScopeDB.create_response_time_index` indexes
-#: exactly this expression so those queries never fall back to a full
-#: scan (sqlite matches expression indexes structurally).
-RESPONSE_TIME_SQL = "upstream_departure_us - upstream_arrival_us"
 
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -167,11 +160,6 @@ def _index_sql(table: str, name: str, keys_sql: str) -> str:
 def column_index_sql(table: str, column: str) -> str:
     """DDL behind :meth:`MScopeDB.create_index`."""
     return _index_sql(table, column, quote_identifier(column))
-
-
-def response_time_index_sql(table: str) -> str:
-    """DDL behind :meth:`MScopeDB.create_response_time_index`."""
-    return _index_sql(table, "response_time", f"{RESPONSE_TIME_SQL} DESC")
 
 
 def covering_index_sql(table: str, columns: Sequence[str], name: str) -> str:
@@ -309,6 +297,9 @@ class MScopeDB:
         #: catalog widening invalidates its table's entry, so a cached
         #: schema is always what :meth:`table_schema` would recompute.
         self._schema_cache: dict[str, list[tuple[str, str]]] = {}
+        #: Every table's name, sorted, per :meth:`_load_catalog`;
+        #: ``None`` until it runs and after any table is created.
+        self._table_names: list[str] | None = None
         #: Whether the lazily made sampling tables are known to exist.
         self._sampling_tables = False
         if self.path == ":memory:":
@@ -369,6 +360,7 @@ class MScopeDB:
             if self._bulk_depth == 0:
                 conn.rollback()
                 self._schema_cache.clear()
+                self._table_names = None
                 self._sampling_tables = False
             raise
         else:
@@ -615,6 +607,7 @@ class MScopeDB:
             );
             """,
         )
+        self._table_names = None
         self._sampling_tables = True
 
     def record_sampling(
@@ -750,6 +743,7 @@ class MScopeDB:
             );
             """,
         )
+        self._table_names = None
 
     def replace_pipeline_metrics(
         self, rows: Iterable[Sequence[Any]]
@@ -858,6 +852,7 @@ class MScopeDB:
             [(name, column, sql_type) for column, sql_type in columns],
         )
         self._schema_cache.pop(name, None)
+        self._table_names = None
         self._commit()
 
     def record_column_type(self, table: str, column: str, sql_type: str) -> None:
@@ -880,32 +875,22 @@ class MScopeDB:
     def create_index(self, table: str, column: str) -> None:
         """Create (if absent) a single-column index on a dynamic table.
 
-        The importer indexes ``request_id`` and ``timestamp_us`` so the
-        cross-tier ID joins (Figure 5) and windowed metric scans stay
-        fast as the warehouse grows.
+        The importer indexes ``request_id`` wherever a table has one,
+        for the cross-tier ID joins (Figure 5), and ``timestamp_us`` on
+        resource tables, for their windowed metric reads.
         """
         self._require_conn().execute(column_index_sql(table, column))
-        self._commit()
-
-    def create_response_time_index(self, table: str) -> None:
-        """Index an event table's response-time expression, descending.
-
-        The explorer's ``slowest_requests`` sorts on
-        :data:`RESPONSE_TIME_SQL`; indexing the identical expression
-        lets sqlite satisfy the ``ORDER BY ... DESC LIMIT n`` straight
-        off the index instead of sorting the whole table.
-        """
-        self._require_conn().execute(response_time_index_sql(table))
         self._commit()
 
     def create_covering_index(
         self, table: str, columns: Sequence[str], name: str
     ) -> None:
-        """Create a multi-column (covering) index on a dynamic table.
+        """Create (if absent) a multi-column index on a dynamic table.
 
-        A query reading only the indexed columns scans the index and
-        never touches the table — the shape ``interaction_stats``'s
-        GROUP BY needs.
+        The importer gives every event table ``departure`` on
+        ``(upstream_departure_us, upstream_arrival_us)``: the windowed
+        completions read searches its departure range in order, and
+        the queue-span read needs nothing but the index.
         """
         self._require_conn().execute(covering_index_sql(table, columns, name))
         self._commit()
@@ -960,11 +945,38 @@ class MScopeDB:
     # introspection & querying
 
     def tables(self) -> list[str]:
-        """All table names, static and dynamic."""
-        rows = self._require_conn().execute(
-            "SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY name"
-        ).fetchall()
-        return [r[0] for r in rows]
+        """All table names, static and dynamic, in name order.
+
+        Read once per handle (:meth:`_load_catalog`) and again after the
+        handle creates a table; a table another connection creates later
+        is listed once the warehouse is reopened.
+        """
+        self._require_conn()
+        if self._table_names is None:
+            self._load_catalog()
+        return list(self._table_names)  # type: ignore[arg-type]
+
+    def _load_catalog(self) -> None:
+        """Read every table's name and schema in one statement.
+
+        ``sqlite_master`` joined with ``pragma_table_info`` lists each
+        table's declared columns, and ``schema_catalog`` their
+        widenings; together they fill :meth:`tables` and every
+        :meth:`table_schema` entry, so a fresh handle answers a whole
+        diagnosis's catalog questions without asking again.  A table
+        invalidated later (DDL, widening) is re-read on its own.
+        """
+        schemas: dict[str, list[tuple[str, str]]] = {}
+        for table, column, sql_type in self._require_conn().execute(
+            "SELECT m.name, p.name, COALESCE(c.sql_type, p.type) "
+            "FROM sqlite_master AS m JOIN pragma_table_info(m.name) AS p "
+            "LEFT JOIN schema_catalog AS c "
+            "ON c.table_name = m.name AND c.column_name = p.name "
+            "WHERE m.type = 'table' ORDER BY m.name, p.cid"
+        ):
+            schemas.setdefault(table, []).append((column, sql_type))
+        self._schema_cache = schemas
+        self._table_names = list(schemas)
 
     def dynamic_tables(self) -> list[str]:
         """Only the dynamically created measurement tables."""
@@ -975,16 +987,19 @@ class MScopeDB:
 
         Types recorded in the schema catalog (including widenings
         applied after load) override the column's original DDL
-        declaration.  Results are cached per table; every DDL path
-        (:meth:`create_table`, :meth:`add_column`) and catalog update
-        (:meth:`record_column_type`) invalidates its table's entry, so
-        per-request callers such as the causal-path joins never repay
-        the two catalog queries.
+        declaration.  The first call reads every table's schema at once
+        (:meth:`_load_catalog`); every DDL path (:meth:`create_table`,
+        :meth:`add_column`) and catalog update
+        (:meth:`record_column_type`) invalidates its table's entry,
+        which the next call re-reads alone, so per-request callers
+        such as the causal-path joins never repay the catalog queries.
         """
+        conn = self._require_conn()
+        if self._table_names is None:
+            self._load_catalog()
         cached = self._schema_cache.get(table)
         if cached is not None:
             return list(cached)
-        conn = self._require_conn()
         rows = conn.execute(
             f"PRAGMA table_info({quote_identifier(table)})"
         ).fetchall()

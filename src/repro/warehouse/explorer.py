@@ -14,9 +14,7 @@ import dataclasses
 
 from repro.common.errors import QueryError
 from repro.common.timebase import Micros
-from repro.warehouse.db import (
-    MScopeDB, RESPONSE_TIME_SQL, merge_sorted, quote_identifier,
-)
+from repro.warehouse.db import MScopeDB, merge_sorted, quote_identifier
 
 __all__ = [
     "WarehouseExplorer",
@@ -26,13 +24,17 @@ __all__ = [
     "interaction_stats_sql",
 ]
 
+#: A front-tier request's server-side response time.
+RESPONSE_TIME_SQL = "upstream_departure_us - upstream_arrival_us"
+
 
 def slowest_requests_sql(front_table: str) -> str:
     """The ``slowest_requests`` SQL (shared with the query-plan tests).
 
-    Sorts on :data:`~repro.warehouse.db.RESPONSE_TIME_SQL` — the exact
-    expression the importer indexes, so the ``ORDER BY ... DESC LIMIT``
-    reads straight off the index.
+    A scan with a top-``n`` sort, ties in ``rowid`` order: it runs
+    once per ``mscope report``, which reads the whole front table
+    anyway, so no index (which every live insert would pay for) is
+    kept for it.
     """
     return (
         f"SELECT request_id, interaction, "
@@ -40,16 +42,15 @@ def slowest_requests_sql(front_table: str) -> str:
         f"upstream_departure_us "
         f"FROM {quote_identifier(front_table)} "
         f"WHERE upstream_departure_us IS NOT NULL "
-        f"ORDER BY rt DESC LIMIT ?"
+        f"ORDER BY rt DESC, rowid LIMIT ?"
     )
 
 
 def interaction_stats_sql(front_table: str) -> str:
     """The ``interaction_stats`` SQL (shared with the query-plan tests).
 
-    Reads only the columns of the importer's ``interaction_rt``
-    covering index, so the GROUP BY scans the index and never touches
-    the table.  ``SUM``, not ``AVG``: per-shard partials must combine
+    A scan, as :func:`slowest_requests_sql` says.  ``SUM``, not
+    ``AVG``: per-shard partials must combine
     (:func:`_combine_interaction_partials`), and an average of
     averages is not the average.
     """

@@ -68,7 +68,6 @@ from repro.warehouse.db import (
     create_table_sql,
     insert_sql,
     quote_identifier,
-    response_time_index_sql,
     set_file_pragmas,
 )
 
@@ -573,9 +572,6 @@ class ShardedMScopeDB(MScopeDB):
 
     def create_index(self, table: str, column: str) -> None:
         self._add_index(table, column_index_sql(table, column))
-
-    def create_response_time_index(self, table: str) -> None:
-        self._add_index(table, response_time_index_sql(table))
 
     def create_covering_index(
         self, table: str, columns: Sequence[str], name: str

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.analysis.cache import SeriesCache
 from repro.analysis.diagnosis import Diagnoser, QueueFinding
+from repro.analysis.queues import concurrency_from_sorted
 from repro.common.errors import AnalysisError
 from repro.warehouse.db import MScopeDB
 
@@ -144,3 +146,39 @@ def test_queue_finding_amplification():
     assert finding.amplification == pytest.approx(15.0)
     zero_base = QueueFinding(tier="apache", peak_queue=10.0, baseline_queue=0.0)
     assert zero_base.amplification == pytest.approx(20.0)  # floor at 0.5
+
+
+def test_windowed_queue_grid_may_start_before_the_cache_bound(monkeypatch):
+    """A window selects VLRTs by completion, but their anomaly window,
+    and the queue grid around it, starts at their arrival: seconds
+    before the cache's lower bound when the requests are slow.  The
+    span read is therefore bounded on the grid's start, and its
+    findings are the ones a read of every span gives."""
+    db = MScopeDB()
+    # 14 s of healthy traffic, plus ten 3 s requests arriving at 10 s.
+    spans = healthy_spans(n=1400)
+    spans += [(10_000 * MS + i * MS, 13_000 * MS + i * MS) for i in range(10)]
+    make_event_table(db, "apache_events_web1", spans)
+    window = (12_900 * MS, 13_900 * MS)
+    diagnoser = Diagnoser(db, epoch_us=EPOCH, window_us=window)
+    (report,) = diagnoser.diagnose()
+    grid_start = report.window.start - diagnoser.queue_context_us
+    assert 0 < grid_start < diagnoser.cache.bounds[0] - 2_000 * MS
+
+    # Bounding on the cache's lower bound instead would drop spans the
+    # grid still counts.
+    bound = diagnoser.cache.bounds[0]
+    cache = SeriesCache(db, epoch_us=EPOCH)
+    wrong = concurrency_from_sorted(
+        *cache.tier_spans("apache_events_web1", bound), grid_start, bound, 10 * MS
+    )
+    right = cache.queue_series("apache_events_web1", grid_start, bound, 10 * MS)
+    assert wrong.values.sum() < right.values.sum()
+
+    load = SeriesCache.tier_spans
+    monkeypatch.setattr(
+        SeriesCache, "tier_spans", lambda self, table, since=None: load(self, table)
+    )
+    (unbounded,) = Diagnoser(db, epoch_us=EPOCH, window_us=window).diagnose()
+    assert report.to_text() == unbounded.to_text()
+    assert report.queue_findings == unbounded.queue_findings

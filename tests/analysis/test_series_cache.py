@@ -156,3 +156,49 @@ def test_window_slices_share_parent_buffer(db):
     parent = cache.metric("collectl_db1", ("dsk_pctutil",))
     sliced = cache.window("collectl_db1", ("dsk_pctutil",), 0, 10**9)
     assert sliced.values.base is parent.values or sliced.values is parent.values
+
+
+def test_departure_bound_is_exact_from_since(db):
+    """Spans that departed before ``since`` are not read, and the
+    queue series of every grid starting at or after ``since`` is the
+    one all spans give."""
+    db.insert_rows(
+        "apache_events_web1",
+        ["request_id", "upstream_arrival_us", "upstream_departure_us"],
+        # Long requests, one departing on a grid point, one still open.
+        [
+            ("L1", EPOCH + 10 * MS, EPOCH + 190 * MS),
+            ("L2", EPOCH + 30 * MS, EPOCH + 120 * MS),
+            ("L3", EPOCH + 40 * MS, None),
+        ],
+    )
+    spans = spans_from_warehouse(db, "apache_events_web1", EPOCH)
+    for since in (0, 57 * MS, 120 * MS, 200 * MS):
+        cache = SeriesCache(db, epoch_us=EPOCH)
+        arrivals, departures = cache.tier_spans("apache_events_web1", since)
+        assert len(departures) == sum(d >= since for _, d in spans)
+        for start in (since, since + 3 * MS, since + 40 * MS):
+            cached = cache.queue_series(
+                "apache_events_web1", start, start + 100 * MS, 10 * MS
+            )
+            direct = concurrency_series(spans, start, start + 100 * MS, 10 * MS)
+            np.testing.assert_array_equal(cached.values, direct.values)
+        assert cache.misses == 1
+
+
+def test_earlier_grid_reloads_spans(db):
+    cache = SeriesCache(db, epoch_us=EPOCH)
+    late = cache.queue_series("apache_events_web1", 200 * MS, 300 * MS, 10 * MS)
+    early = cache.queue_series("apache_events_web1", 0, 300 * MS, 10 * MS)
+    assert cache.misses == 2
+    spans = spans_from_warehouse(db, "apache_events_web1", EPOCH)
+    direct = concurrency_series(spans, 0, 300 * MS, 10 * MS)
+    np.testing.assert_array_equal(early.values, direct.values)
+    np.testing.assert_array_equal(late.values, direct.values[20:])
+    # The whole-table load serves every later grid.
+    cache.queue_series("apache_events_web1", 100 * MS, 200 * MS, 10 * MS)
+    cache.tier_spans("apache_events_web1")
+    full = SeriesCache(db, epoch_us=EPOCH)
+    full.tier_spans("apache_events_web1")
+    full.queue_series("apache_events_web1", 0, 100 * MS, 10 * MS)
+    assert (cache.misses, full.misses) == (3, 1)

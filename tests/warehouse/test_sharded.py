@@ -22,11 +22,7 @@ from repro.common.errors import QueryError, WarehouseError
 from repro.serve.daemon import MScopeServeDaemon, ServeConfig
 import repro.warehouse.sharded as sharded
 from repro.warehouse.db import MScopeDB, merge_sorted
-from repro.warehouse.explorer import (
-    WarehouseExplorer,
-    interaction_stats_sql,
-    slowest_requests_sql,
-)
+from repro.warehouse.explorer import WarehouseExplorer
 from repro.warehouse.sharded import (
     ShardedMScopeDB,
     host_for_table,
@@ -85,11 +81,10 @@ def _populate(db, minutes=5, per_minute=4):
         "collectl_cpu_db1", [c for c, _ in METRIC_COLUMNS], metrics
     )
     db.insert_rows("collectl_cpu_db1", ["dsk_pctutil"], [(99.5,)])
-    db.create_response_time_index("apache_events_web1")
     db.create_covering_index(
         "apache_events_web1",
-        ("interaction", "upstream_arrival_us", "upstream_departure_us"),
-        name="interaction_rt",
+        ("upstream_departure_us", "upstream_arrival_us"),
+        name="departure",
     )
     db.record_load("apache_events_web1", "/logs/web1/a.log", len(events), 4)
     db.set_experiment_meta("epoch_us", "0")
@@ -446,11 +441,15 @@ def test_sharded_reads_use_the_importers_indexes(tiers):
         f"SELECT request_id, upstream_arrival_us FROM {FRONT} "
         f"WHERE request_id IN (?, ?) ORDER BY upstream_arrival_us, rowid"
     )
+    completions = (
+        f"SELECT upstream_arrival_us FROM {FRONT} "
+        f"WHERE upstream_departure_us >= ? AND upstream_departure_us < ? "
+        f"ORDER BY upstream_departure_us"
+    )
     holding = len(shard._shards_for(FRONT))
     assert holding == 6  # five windows and the misc shard
     for sql, params, index in (
-        (slowest_requests_sql(FRONT), (10,), "response_time"),
-        (interaction_stats_sql(FRONT), (), "interaction_rt"),
+        (completions, (WINDOW, 3 * WINDOW), "departure"),
         (probe, ("req-1-0", "req-4-3"), "request_id"),
     ):
         plan = shard.query_table(FRONT, f"EXPLAIN QUERY PLAN {sql}", params)
