@@ -18,10 +18,12 @@ Measured numbers land in the shared bench-record artifact
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
 from pathlib import Path
+from statistics import median
 
 from record import record
 
@@ -219,3 +221,76 @@ def test_simulator_memory_per_simulated_second():
         f"maxrss {plain['maxrss_mb']:.1f} MB"
     )
     assert traced_per_s / 2**20 <= _MEMORY_BUDGET_MIB_PER_S
+
+
+#: Ceiling on ``mscope run --scenario a --duration 0.2``'s peak RSS
+#: (MB): 19.8 measured when a run loads only the simulator, 39.8 when
+#: it also loaded numpy and the analysis stack (CPython 3.11, x86-64),
+#: plus headroom for interpreter differences.
+_COLD_START_MAXRSS_MB = 28.0
+
+#: Fresh interpreters the cold-start record times.
+_COLD_START_RUNS = 5
+
+#: ``mscope run`` in a fresh interpreter, printing its peak RSS (kB).
+#: The peak is the process's own ``VmHWM``: a spawned child's
+#: ``ru_maxrss`` starts at the high-water mark of the process that
+#: spawned it, which here is the test session.
+_COLD_RUN = """
+import sys
+
+from repro.cli import main
+
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line for line in status if line.startswith("VmHWM:")), end="")
+raise SystemExit(code)
+"""
+
+
+def _cold_run(out: Path) -> tuple[float, float, float]:
+    """Wall seconds, CPU seconds and peak RSS (MB) of one
+    ``mscope run --scenario a --duration 0.2`` in a fresh interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    started = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-c", _COLD_RUN, "run", "--scenario", "a",
+         "--duration", "0.2", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    wall = time.perf_counter() - started
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    (peak,) = (
+        line for line in result.stdout.splitlines() if line.startswith("VmHWM:")
+    )
+    return wall, cpu, int(peak.split()[1]) / 1024
+
+
+def test_mscope_run_cold_start(tmp_path):
+    """``mscope run`` from a cold interpreter pays for the simulator
+    and the monitors only: the transformer, the warehouse layouts, the
+    analysis stack and numpy run later, on the logs."""
+    walls, cpus, peaks = zip(*(
+        _cold_run(tmp_path / f"run-{index}")
+        for index in range(_COLD_START_RUNS)
+    ))
+    wall, cpu, peak = median(walls), median(cpus), max(peaks)
+    record(
+        "mscope_run_cold_start",
+        scenario="a",
+        simulated_s=0.2,
+        runs=_COLD_START_RUNS,
+        wall_s=round(wall, 3),
+        cpu_s=round(cpu, 3),
+        maxrss_mb=round(peak, 1),
+    )
+    print(
+        f"mscope run cold start (median of {_COLD_START_RUNS}): wall "
+        f"{wall:.3f} s, cpu {cpu:.3f} s, maxrss {peak:.1f} MB"
+    )
+    assert peak <= _COLD_START_MAXRSS_MB

@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -48,6 +49,19 @@ from repro.transformer.errorpolicy import ERROR_MODES, QUARANTINE, ErrorPolicy
 # diagnosis engine and numpy.
 
 __all__ = ["main", "build_parser"]
+
+
+def _positive_seconds(text: str) -> float:
+    """A finite number of simulated seconds, at least one microsecond."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and seconds(value) > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds, at least 1 µs: {text!r}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,7 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, default=3)
     run.add_argument(
-        "--duration", type=float, default=None, help="simulated seconds"
+        "--duration",
+        type=_positive_seconds,
+        default=None,
+        help="simulated seconds (default: 5 for a and b, 6 for baseline)",
     )
     run.add_argument(
         "--workload", type=int, default=2000, help="users (baseline scenario)"
@@ -388,18 +405,17 @@ def _simulate(args) -> int:
 
     out: Path = args.out
     log_dir = out / "logs"
+    default_s = 6 if args.scenario == "baseline" else 5
+    duration = seconds(default_s if args.duration is None else args.duration)
     if args.scenario == "a":
-        duration = seconds(args.duration) if args.duration else seconds(5)
         run = scenarios.scenario_a(
             seed=args.seed, duration=duration, log_dir=log_dir
         )
     elif args.scenario == "b":
-        duration = seconds(args.duration) if args.duration else seconds(5)
         run = scenarios.scenario_b(
             seed=args.seed, duration=duration, log_dir=log_dir
         )
     else:
-        duration = seconds(args.duration) if args.duration else seconds(6)
         run = scenarios.baseline_run(
             args.workload,
             seed=args.seed,

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.baselines.sysviz import SysVizTracer
 from repro.common.timebase import Micros, ms, seconds
 from repro.monitors.event.suite import EventMonitorSuite
 from repro.monitors.resource.suite import ResourceMonitorSuite
@@ -46,8 +45,13 @@ from repro.ntier.faults import (
 from repro.ntier.system import NTierSystem, SystemConfig, SystemResult, TierConfig
 from repro.rubbos.interactions import FANOUT_MIX, READ_WRITE_MIX
 from repro.rubbos.workload import WorkloadSpec
-from repro.transformer.pipeline import MScopeDataTransformer
-from repro.warehouse.db import MScopeDB
+
+# A simulation loads only the simulator: the SysViz baseline, the
+# transformer and the warehouse are imported by the builder step that
+# uses them.
+if TYPE_CHECKING:
+    from repro.baselines.sysviz import SysVizTracer
+    from repro.warehouse.db import MScopeDB
 
 __all__ = [
     "SCENARIOS",
@@ -178,6 +182,8 @@ def _build(
         resources.start()
     sysviz = None
     if with_sysviz:
+        from repro.baselines.sysviz import SysVizTracer
+
         sysviz = SysVizTracer()
         sysviz.attach(system)
     result = system.run(duration)
@@ -472,6 +478,9 @@ def load_warehouse(
     ``jobs`` sets the parse/convert worker-process count (``None``
     uses every core; the warehouse contents are identical either way).
     """
+    from repro.transformer.pipeline import MScopeDataTransformer
+    from repro.warehouse.db import MScopeDB
+
     if run.log_dir is None:
         raise ValueError("scenario was run without a log directory")
     if db is None:

@@ -57,12 +57,12 @@ Notes
   retried or restarted parse re-records onto the same keyed rows) while
   the undamaged records import; the error budget counts per file, as
   in batch, not per refresh.
-* Each refresh cycle opens a telemetry span — each file's span carries
-  the bytes parsed, so their sum over a session against the file sizes
-  is the bytes parsed per byte appended — and updates the
-  :class:`Heartbeat` — files/sec, rows/sec, cycle lag, last error — so
-  a long-lived live session has a health signal without any polling of
-  the warehouse.
+* Each refresh cycle opens a telemetry span, and so does each file it
+  opens — each file's span carries the bytes parsed, so their sum over
+  a session against the file sizes is the bytes parsed per byte
+  appended — and updates the :class:`Heartbeat` — files/sec, rows/sec,
+  cycle lag, last error — so a long-lived live session has a health
+  signal without any polling of the warehouse.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ from repro.transformer.declaration import (
 from repro.transformer.errorpolicy import FAIL_FAST_POLICY, ErrorPolicy, ErrorSink
 from repro.transformer.importer import MScopeDataImporter
 from repro.transformer.parsers import MScopeParser, create_parser
-from repro.transformer.parsers.base import START, ParseCursor
+from repro.transformer.parsers.base import START, ParseCursor, unchanged_since
 from repro.transformer.xml_to_csv import XmlToCsvConverter
 from repro.warehouse.db import MScopeDB
 
@@ -156,7 +156,8 @@ class LiveTransformer:
     telemetry:
         Optional :class:`~repro.telemetry.spans.TelemetryCollector`
         receiving one ``refresh`` span per cycle and one
-        ``refresh_file`` span per refreshed file.
+        ``refresh_file`` span per file opened (a file its settled stat
+        vouches for opens none).
     clock:
         Monotonic seconds source for the heartbeat (injectable for
         tests; defaults to :func:`time.monotonic`).
@@ -344,7 +345,10 @@ class LiveTransformer:
         """Parse one file from ``cursor`` and land its delta, calling
         ``begin`` before the first write and adding each damaged line
         to ``reports``; returns the rows imported and the file's new
-        cursor."""
+        cursor.  A file that :func:`unchanged_since` vouches for
+        returns at once, with neither a span nor an error sink."""
+        if unchanged_since(path, cursor):
+            return 0, cursor
         parser = self._parser_for(binding)
         source = str(path)
         sink = ErrorSink(self.policy, source, binding.parser_name)

@@ -37,6 +37,7 @@ __all__ = [
     "MScopeParser",
     "ParseCursor",
     "START",
+    "unchanged_since",
     "register_parser",
     "create_parser",
     "registered_parsers",
@@ -125,6 +126,18 @@ def _stat_key(stat: os.stat_result) -> tuple[int, int, int, int, int]:
         stat.st_dev, stat.st_ino, stat.st_size,
         stat.st_mtime_ns, stat.st_ctime_ns,
     )
+
+
+def unchanged_since(path: Path | str, cursor: ParseCursor) -> bool:
+    """Whether ``path`` still stats as ``cursor``'s settled ``stat``: a
+    file that does has nothing new and need not be opened."""
+    if cursor.stat is None:
+        return False
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return False  # opening it reports it
+    return _stat_key(stat) == cursor.stat
 
 
 def _settled_stat(stat: os.stat_result, taken_ns: int):
@@ -294,14 +307,8 @@ class MScopeParser:
         caller's to credit (what lands may be sampled).
         """
         source = os.fspath(path)
-        if cursor.stat is not None:
-            try:
-                stat = os.stat(source)
-            except OSError:
-                pass  # the open below reports it
-            else:
-                if _stat_key(stat) == cursor.stat:
-                    return self.new_document(source), cursor
+        if unchanged_since(source, cursor):
+            return self.new_document(source), cursor
         try:
             # A bare descriptor: a delta of a few lines costs a few
             # syscalls, not a buffered file object's set-up.

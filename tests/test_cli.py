@@ -41,6 +41,45 @@ def test_run_reads_no_scenario_file(tmp_path, capsys):
     assert "--config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("duration", ["0", "-1", "1e-7", "nan", "inf", "x"])
+def test_run_rejects_a_duration_that_is_not_positive_and_finite(
+    tmp_path, capsys, duration
+):
+    """``0`` used to run the 5 s default and ``-1`` died in the engine
+    after building the whole system; both are usage errors now."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit:
+        main(["run", f"--duration={duration}", "--out", str(out)])
+    assert exit.value.code == 2
+    assert "--duration" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("scenario", "builder", "default_us"),
+    [("a", "scenario_a", 5_000_000), ("b", "scenario_b", 5_000_000),
+     ("baseline", "baseline_run", 6_000_000)],
+)
+def test_run_without_a_duration_keeps_the_scenario_default(
+    tmp_path, monkeypatch, scenario, builder, default_us
+):
+    import repro.experiments.scenarios as scenarios
+
+    durations = []
+
+    class Built(Exception):
+        """Raised instead of simulating."""
+
+    def recording_builder(*args, **kwargs):
+        durations.append(kwargs["duration"])
+        raise Built
+
+    monkeypatch.setattr(scenarios, builder, recording_builder)
+    with pytest.raises(Built):
+        main(["run", "--scenario", scenario, "--out", str(tmp_path)])
+    assert durations == [default_us]
+
+
 def test_run_frees_the_simulation_before_returning(
     tmp_path, capsys, monkeypatch
 ):

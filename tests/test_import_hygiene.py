@@ -172,3 +172,64 @@ def test_the_scenario_builders_load_no_figures_or_validation():
         "repro.experiments.figures_validation",
         "repro.experiments.sweeps", "repro.validation",
     ))
+
+
+#: What a simulation never runs: the analysis stack and numpy, the
+#: transform and live-ingest stages, the baselines, sampling, telemetry
+#: and the shard layout.  Simulating and writing the native logs is the
+#: monitors' part (paper §III); the rest runs later, on the logs.
+NOT_THE_SIMULATOR = (
+    "numpy", "repro.analysis", "repro.transformer.pipeline",
+    "repro.transformer.importer", "repro.transformer.live",
+    "repro.baselines", "repro.sampling", "repro.telemetry",
+    "repro.warehouse.sharded",
+)
+
+
+def test_the_simulator_loads_no_analysis_transformer_warehouse_or_numpy():
+    """The scenario builders, the monitor suites, the system and every
+    simulator, n-tier, monitor, workload and log-format module
+    (except the vector kernel's two) import none of the later stages."""
+    out = run_python(
+        """
+import importlib, json, pkgutil, sys
+
+import repro.experiments.scenarios
+import repro.monitors.event.suite
+import repro.monitors.resource.suite
+import repro.ntier.system
+
+for package in ("sim", "ntier", "monitors", "rubbos", "logfmt"):
+    root = importlib.import_module("repro." + package)
+    for info in pkgutil.walk_packages(root.__path__, root.__name__ + "."):
+        if info.name not in ("repro.sim.vector", "repro.ntier.vectorclient"):
+            importlib.import_module(info.name)
+print(json.dumps(sorted(sys.modules)))
+"""
+    )
+    loaded = set(json.loads(out.splitlines()[-1]))
+    assert {"repro.logfmt.sar", "repro.monitors.event.apache"} <= loaded
+    # Not even the error policy or the run-metadata file name, which
+    # the CLI's parser and ``mscope run`` take from these packages.
+    assert not _pulled(
+        loaded, NOT_THE_SIMULATOR + ("repro.transformer", "repro.warehouse")
+    )
+
+
+def test_mscope_run_loads_only_the_simulator(tmp_path):
+    out = run_python(
+        f"""
+import json, sys
+
+from repro.cli import main
+
+code = main(["run", "--scenario", "a", "--duration", "0.2",
+             "--out", {str(tmp_path / "out")!r}])
+assert code == 0, code
+print(json.dumps(sorted(sys.modules)))
+"""
+    )
+    loaded = set(json.loads(out.splitlines()[-1]))
+    assert "repro.experiments.scenarios" in loaded
+    assert (tmp_path / "out" / "logs" / "web1" / "access_log.log").exists()
+    assert not _pulled(loaded, NOT_THE_SIMULATOR)

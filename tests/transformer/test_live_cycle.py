@@ -201,15 +201,21 @@ def test_a_rolled_back_cycle_reports_no_damage(tmp_path, monkeypatch, halves):
 def test_an_idle_cycle_opens_no_log(tmp_path, monkeypatch, halves):
     """Once a file's mtime and ctime are a second older than its cursor,
     a stat that still matches vouches for it: the cycle neither opens
-    it nor imports anything.  A file written since is opened again,
-    even when its mtime was set back (``cp -p``, ``rsync -t``): the
-    write moved its ctime, which ``utime`` cannot set back."""
+    it, nor spans it, nor imports anything.  A file written since is
+    opened again, even when its mtime was set back (``cp -p``,
+    ``rsync -t``): the write moved its ctime, which ``utime`` cannot
+    set back."""
+    from repro.telemetry.spans import TelemetryCollector, zero_clock
+
     logs = tmp_path / "logs"
     grow(logs, halves, 0)
     grow(logs, halves, 1)
     time.sleep(1.1)  # let every mtime and ctime settle
-    live = LiveTransformer(MScopeDB())
+    live = LiveTransformer(
+        MScopeDB(), telemetry=TelemetryCollector(clock=zero_clock)
+    )
     assert live.refresh_directory(logs).advanced_files == 16
+    spans = len(live.telemetry.spans)
 
     opened = []
 
@@ -226,6 +232,8 @@ def test_an_idle_cycle_opens_no_log(tmp_path, monkeypatch, halves):
     outcome = live.refresh_directory(logs)
     assert (outcome.new_rows, outcome.advanced_files) == (0, 0)
     assert opened == []
+    idle = [span.stage for span in live.telemetry.spans[spans:]]
+    assert idle == ["refresh"]
 
     touched = logs / "db1" / "mysql_log.log"
     before = touched.stat()
