@@ -148,14 +148,17 @@ def test_full_system_kernels_agree(benchmark):
 _MEMORY_SECONDS = 10
 
 #: Ceiling on live bytes per simulated second of scenario A (MiB):
-#: 1.82 measured with packed histories (2.72 with list-backed ones),
+#: 1.32 measured when only read histories are kept (1.82 when the CPU
+#: also kept an occupancy series and the dirty level, log totals and
+#: server counts kept every change; 2.72 with list-backed histories),
 #: CPython 3.11, plus headroom for interpreter differences.
-_MEMORY_BUDGET_MIB_PER_S = 2.1
+_MEMORY_BUDGET_MIB_PER_S = 1.5
 
-#: Runs scenario A in a fresh interpreter (so maxrss is the run's own)
-#: and prints what the simulator's histories hold at the end.
+#: Runs scenario A in a fresh interpreter and prints what the
+#: simulator's histories hold at the end, and the process's own peak
+#: RSS (``VmHWM``; see ``_COLD_RUN`` below for why not ``ru_maxrss``).
 _MEMORY_PROBE = """
-import gc, json, resource, sys, tempfile, tracemalloc
+import gc, json, sys, tempfile, tracemalloc
 from pathlib import Path
 
 from repro.common.timebase import seconds
@@ -173,11 +176,13 @@ with tempfile.TemporaryDirectory() as logs:
         o for o in gc.get_objects()
         if isinstance(o, (StepSeries, CumulativeCounter))
     ]
+    with open("/proc/self/status") as status:
+        peak = next(line for line in status if line.startswith("VmHWM:"))
     print(json.dumps({
         "histories": len(histories),
         "entries": sum(len(o._times) for o in histories),
         "traced_bytes": held,
-        "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "maxrss_mb": int(peak.split()[1]) / 1024,
     }))
 """
 
@@ -196,9 +201,11 @@ def _memory_probe(mode: str) -> dict:
 
 def test_simulator_memory_per_simulated_second():
     """Scenario A's live memory grows with simulated time, because the
-    CPU, disk, log-facility and queue histories keep every change since
-    t = 0.  Packed, a change costs 8 B per stored time or sum; this
-    record tracks bytes held and peak RSS per simulated second.
+    histories something reads keep every change since t = 0: CPU time
+    per category, disk occupancy, queue and counters, worker occupancy
+    and server concurrency.  Packed, a change costs 8 B per stored time
+    or sum; this record tracks bytes held and peak RSS per simulated
+    second.
     """
     plain = _memory_probe("plain")
     traced = _memory_probe("traced")

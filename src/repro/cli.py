@@ -401,7 +401,7 @@ def _cmd_run(args) -> int:
 
 def _simulate(args) -> int:
     import repro.experiments.scenarios as scenarios
-    from repro.warehouse.db import RUN_META_FILE
+    from repro.common.records import RUN_META_FILE
 
     out: Path = args.out
     log_dir = out / "logs"

@@ -26,7 +26,11 @@ __all__ = [
     "BoundaryRecord",
     "RequestTrace",
     "ResourceSample",
+    "RUN_META_FILE",
 ]
+
+#: The run description ``mscope run`` writes beside its log tree.
+RUN_META_FILE = "run_meta.json"
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

@@ -89,7 +89,7 @@ class WallClock:
         Must be timezone-aware; defaults to :data:`DEFAULT_EPOCH`.
     """
 
-    __slots__ = ("_epoch", "_base", "_base_us", "_seconds")
+    __slots__ = ("_epoch", "_epoch_us", "_base", "_base_us", "_seconds")
 
     def __init__(self, epoch: _dt.datetime | None = None) -> None:
         if epoch is None:
@@ -97,6 +97,7 @@ class WallClock:
         if epoch.tzinfo is None:
             raise ValueError("WallClock epoch must be timezone-aware")
         self._epoch = epoch
+        self._epoch_us = int(epoch.timestamp() * US_PER_SEC)
         # A skewed epoch need not sit on a whole second: cache keys
         # count whole seconds from the epoch's own second.
         self._base = epoch.replace(microsecond=0)
@@ -114,7 +115,7 @@ class WallClock:
 
     def epoch_micros(self, sim_time: Micros) -> int:
         """Return microseconds since the Unix epoch at ``sim_time``."""
-        return int(self._epoch.timestamp() * US_PER_SEC) + sim_time
+        return self._epoch_us + sim_time
 
     def _second(self, sim_time: Micros) -> tuple[tuple[str, str, str], int]:
         """``((clf prefix, HH:MM:SS, YYYY-MM-DD), microsecond)`` at ``sim_time``."""

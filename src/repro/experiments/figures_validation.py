@@ -205,10 +205,10 @@ def figure_10(
     return Fig10Result(rows=rows)
 
 
-def _stream_bytes(run: ScenarioRun, node_name: str, stream: str) -> float:
+def _stream_bytes(run: ScenarioRun, node_name: str, stream: str) -> int:
     facilities = run.system.nodes[node_name].facilities
     facility = facilities.get(stream)
-    return facility.bytes_written.total if facility is not None else 0.0
+    return facility.bytes_written if facility is not None else 0
 
 
 # ----------------------------------------------------------------------

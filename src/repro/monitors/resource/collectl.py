@@ -60,7 +60,8 @@ class CollectlMonitor(ResourceMonitor):
     def collect(self, start: Micros, stop: Micros) -> dict[str, float]:
         metrics = cpu_window_metrics(self.node, start, stop)
         metrics.update(disk_window_metrics(self.node, start, stop))
-        metrics["mem_dirty_kb"] = self.node.page_cache.dirty_series.value_at(stop) / 1024
+        # ``stop`` is now: the sample reads the current dirty level.
+        metrics["mem_dirty_kb"] = self.node.page_cache.dirty_bytes / 1024
         return metrics
 
     def render(self, sample: ResourceSample) -> list[str]:

@@ -20,7 +20,7 @@ from repro.common.errors import SimulationError
 from repro.common.timebase import Micros, US_PER_SEC, ms
 from repro.sim.engine import Engine
 from repro.sim.events import _PENDING, Event, Timeout
-from repro.sim.resources import Resource
+from repro.sim.resources import Resource, ServerPool
 from repro.sim.tracking import StepSeries
 
 __all__ = ["CumulativeCounter", "Cpu", "Disk", "PageCache", "CPU_CATEGORIES"]
@@ -29,6 +29,7 @@ __all__ = ["CumulativeCounter", "Cpu", "Disk", "PageCache", "CPU_CATEGORIES"]
 #: aggregates user + system + iowait; ``steal`` exists for the VM
 #: consolidation root cause the paper cites (its ref [5]).
 CPU_CATEGORIES = ("user", "system", "iowait", "steal")
+_BUSY_CATEGORIES = ("user", "system", "steal")
 
 
 class CumulativeCounter:
@@ -85,7 +86,8 @@ class Cpu:
     Work is consumed in quanta so that a kernel-priority burst (e.g.
     the dirty-page flusher) interleaves with request processing at
     millisecond granularity instead of blocking a core for the whole
-    burst.
+    burst.  The accounting is the one record of CPU time: the cores are
+    a :class:`~repro.sim.resources.ServerPool`, which keeps no history.
 
     Parameters
     ----------
@@ -117,7 +119,7 @@ class Cpu:
         self.cores = cores
         self.name = name
         self.quantum = quantum
-        self.resource = Resource(engine, cores, name=name)
+        self.resource = ServerPool(engine, cores, name=name)
         self.accounting: dict[str, CumulativeCounter] = {
             category: CumulativeCounter() for category in CPU_CATEGORIES
         }
@@ -196,8 +198,14 @@ class Cpu:
         self.accounting[category].add(self.engine.now, amount)
 
     def utilization(self, start: Micros, stop: Micros) -> float:
-        """Fraction of core capacity occupied over ``[start, stop)``."""
-        return self.resource.utilization(start, stop)
+        """User + system + steal time accounted in ``(start, stop]``
+        over ``cores × (stop − start)``, capped at 1.  Unlike an
+        occupancy integral, a quantum counts in the window where it
+        ends, and time charged without a core (:meth:`charge`) counts."""
+        if stop <= start:
+            raise SimulationError(f"cpu window empty: [{start}, {stop})")
+        busy = sum(self.accounting[c].between(start, stop) for c in _BUSY_CATEGORIES)
+        return min(1.0, busy / ((stop - start) * self.cores))
 
     def category_pct(self, category: str, start: Micros, stop: Micros) -> float:
         """Percentage of capacity accounted to ``category`` over a window.
@@ -214,7 +222,7 @@ class Cpu:
         if category == "iowait":
             busy = sum(
                 100.0 * self.accounting[c].between(start, stop) / capacity
-                for c in ("user", "system", "steal")
+                for c in _BUSY_CATEGORIES
             )
             pct = min(pct, max(0.0, 100.0 - busy))
         return pct
@@ -227,7 +235,7 @@ class Cpu:
 
 
 class _SelfScheduling(Event):
-    """An event that holds a :class:`~repro.sim.resources.Resource`
+    """An event that holds a :class:`~repro.sim.resources.ServerPool`
     server itself and steps through its chain by putting itself back on
     the agenda: one object where a process would allocate an
     ``Acquire`` and a ``Timeout`` and resume on each.
@@ -461,30 +469,24 @@ class PageCache:
 
     Buffered writes (log appends, application file writes) dirty pages;
     the kernel flusher cleans them.  The dirty level is what Collectl's
-    memory subsystem reports and what Fig 8d plots.
+    memory subsystem reports and what Fig 8d plots: a current value.
     """
 
-    def __init__(self, engine: Engine, name: str = "pagecache") -> None:
-        self.engine = engine
+    def __init__(self, name: str = "pagecache") -> None:
         self.name = name
-        self.dirty_series = StepSeries(initial=0)
-
-    @property
-    def dirty_bytes(self) -> int:
-        """Current dirty-page volume in bytes."""
-        return int(self.dirty_series.current)
+        #: Current dirty-page volume in bytes.
+        self.dirty_bytes = 0
 
     def dirty(self, nbytes: int) -> None:
         """Mark ``nbytes`` of freshly written data dirty."""
         if nbytes < 0:
             raise SimulationError(f"negative dirty amount: {nbytes}")
-        self.dirty_series.adjust(self.engine.now, nbytes)
+        self.dirty_bytes += nbytes
 
     def clean(self, nbytes: int) -> int:
         """Write back up to ``nbytes``; returns the amount actually cleaned."""
         if nbytes < 0:
             raise SimulationError(f"negative clean amount: {nbytes}")
         actual = min(nbytes, self.dirty_bytes)
-        if actual:
-            self.dirty_series.adjust(self.engine.now, -actual)
+        self.dirty_bytes -= actual
         return actual

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 
 from repro.common.errors import MonitorError
 from repro.common.timebase import Micros
-from repro.ntier.hardware import CumulativeCounter
 
 if TYPE_CHECKING:
     from repro.ntier.node import Node
@@ -126,18 +125,18 @@ class NativeLogFacility:
         self.cpu_us_per_line = cpu_us_per_line
         self.flush_threshold_bytes = flush_threshold_bytes
         self.sync = sync
-        self.lines_written = CumulativeCounter()
-        self.bytes_written = CumulativeCounter()
+        #: Lines and bytes logged so far (current totals).
+        self.lines_written = 0
+        self.bytes_written = 0
         self._buffered = 0
         self._flush_in_flight = False
 
     def write_line(self, line: str) -> None:
         """Log one line: deliver to the sink and charge the cost model."""
-        engine = self.node.engine
         nbytes = len(line) + 1
         self.sink.write_line(line)
-        self.lines_written.add(engine.now, 1)
-        self.bytes_written.add(engine.now, nbytes)
+        self.lines_written += 1
+        self.bytes_written += nbytes
         self.node.cpu.charge("system", self.cpu_us_per_line)
         self.node.page_cache.dirty(nbytes)
         self._buffered += nbytes

@@ -96,7 +96,7 @@ class Node:
             bandwidth_bytes_per_sec=spec.disk_bandwidth_bytes_per_sec,
             seek_us=spec.disk_seek_us,
         )
-        self.page_cache = PageCache(engine, name=f"{name}.pagecache")
+        self.page_cache = PageCache(name=f"{name}.pagecache")
         #: The clock this node stamps its logs with; the system builder
         #: sets it (skewed when ``spec.clock_offset_us`` is nonzero).
         self.wall_clock = None

@@ -18,7 +18,6 @@ from repro.common.errors import SimulationError
 from repro.common.records import BoundaryRecord, DownstreamCall
 from repro.common.timebase import WallClock
 from repro.ntier.balancer import LoadBalancer
-from repro.ntier.hardware import CumulativeCounter
 from repro.ntier.hooks import HookDispatcher
 from repro.ntier.messages import Message, NetworkBus
 from repro.ntier.node import Node
@@ -104,8 +103,9 @@ class TierServer:
         self.workers = Resource(engine, workers, name=f"{self.address}.workers")
         self.hooks = HookDispatcher()
         self.concurrency = StepSeries(initial=0)
-        self.completed = CumulativeCounter()
-        self.errors = CumulativeCounter()
+        #: Requests served and requests whose handler raised (totals).
+        self.completed = 0
+        self.errors = 0
         self._line_formatter: LineFormatter = type(self).default_line_formatter
         self._started = False
 
@@ -151,12 +151,12 @@ class TierServer:
                 # request errors out, the worker survives, and the
                 # upstream caller is unblocked instead of hanging.
                 payload = {"error": f"{type(exc).__name__}: {exc}"}
-                self.errors.add(self.engine.now, 1)
+                self.errors += 1
             boundary.upstream_departure = self.engine.now
             self.concurrency.adjust(self.engine.now, -1)
             self._write_log_line(message.request, boundary, message.payload)
             self.bus.reply(message, payload)
-            self.completed.add(self.engine.now, 1)
+            self.completed += 1
         finally:
             self.workers.release(claim)
 
@@ -270,16 +270,3 @@ class TierServer:
         line = self._line_formatter(self, request, boundary, payload)
         if line is not None:
             self.node.facility(self.log_stream).write_line(line)
-
-    # ------------------------------------------------------------------
-    # observability
-
-    def utilization(self, start, stop) -> float:
-        """Worker-pool utilization over a window."""
-        return self.workers.utilization(start, stop)
-
-    def throughput(self, start, stop) -> float:
-        """Requests completed per second over a window."""
-        from repro.common.timebase import US_PER_SEC
-
-        return self.completed.between(start, stop) * US_PER_SEC / (stop - start)

@@ -1,8 +1,9 @@
 """Shared-resource primitives: multi-server queues and message stores.
 
-:class:`Resource` models a pool of identical servers (worker threads,
+:class:`ServerPool` models a pool of identical servers (worker threads,
 CPU cores, a disk's single service channel) with a priority-FIFO wait
-queue.  A server goes to a *holder*: any object with a
+queue; a :class:`Resource` also keeps its busy count and queue length.
+A server goes to a *holder*: any object with a
 ``_granted(now)`` method, called the instant it gets one.  That is an
 :class:`Acquire`, the event a process yields on, or a kernel chain that
 puts itself on the agenda, such as a CPU demand or a disk I/O
@@ -25,7 +26,7 @@ from repro.sim.tracking import StepSeries
 if TYPE_CHECKING:
     from repro.sim.engine import Engine
 
-__all__ = ["Resource", "Acquire", "Store"]
+__all__ = ["ServerPool", "Resource", "Acquire", "Store"]
 
 
 class _Holder(Protocol):
@@ -35,11 +36,11 @@ class _Holder(Protocol):
 
 
 class Acquire(Event):
-    """A pending or granted claim on one server of a :class:`Resource`."""
+    """A pending or granted claim on one server of a :class:`ServerPool`."""
 
     __slots__ = ("resource", "priority", "requested_at", "granted_at")
 
-    def __init__(self, resource: "Resource", priority: int) -> None:
+    def __init__(self, resource: "ServerPool", priority: int) -> None:
         super().__init__(resource.engine)
         self.resource = resource
         self.priority = priority
@@ -57,32 +58,23 @@ class Acquire(Event):
         return self.granted_at - self.requested_at
 
 
-class Resource:
+class ServerPool:
     """A pool of ``capacity`` identical servers with a priority wait queue.
 
-    Lower ``priority`` values are served first; ties are FIFO.  Busy
-    counts and wait-queue lengths are tracked as
-    :class:`~repro.sim.tracking.StepSeries` for utilization sampling.
+    Lower ``priority`` values are served first; ties are FIFO.  The pool
+    keeps no history: a CPU's cores are one, because the CPU accounts
+    its time per category instead (:class:`repro.ntier.hardware.Cpu`).
 
     Examples
     --------
     >>> # inside a process generator:
-    >>> # claim = resource.acquire()
+    >>> # claim = pool.acquire()
     >>> # yield claim
     >>> # ... use the server ...
-    >>> # resource.release(claim)
+    >>> # pool.release(claim)
     """
 
-    __slots__ = (
-        "engine",
-        "capacity",
-        "name",
-        "busy_series",
-        "queue_series",
-        "_users",
-        "_waiting",
-        "_sequence",
-    )
+    __slots__ = ("engine", "capacity", "name", "_users", "_waiting", "_sequence")
 
     def __init__(self, engine: "Engine", capacity: int, name: str = "resource") -> None:
         if capacity < 1:
@@ -90,8 +82,6 @@ class Resource:
         self.engine = engine
         self.capacity = capacity
         self.name = name
-        self.busy_series = StepSeries(initial=0)
-        self.queue_series = StepSeries(initial=0)
         self._users: set[_Holder] = set()
         self._waiting: list[tuple[int, int, _Holder]] = []
         self._sequence = 0
@@ -119,7 +109,6 @@ class Resource:
         else:
             heapq.heappush(self._waiting, (priority, self._sequence, holder))
             self._sequence += 1
-            self.queue_series.record(self.engine._now, len(self._waiting))
 
     def release(self, holder: _Holder) -> None:
         """Return the server ``holder`` has and admit the next waiter."""
@@ -127,19 +116,42 @@ class Resource:
         if holder not in users:
             raise SimulationError(f"claim does not hold a server of {self.name!r}")
         users.discard(holder)
-        now = self.engine._now
-        self.busy_series.record(now, len(users))
         if self._waiting:
-            _, _, next_holder = heapq.heappop(self._waiting)
-            self.queue_series.record(now, len(self._waiting))
-            self._grant(next_holder)
+            self._grant(heapq.heappop(self._waiting)[2])
 
     def _grant(self, holder: _Holder) -> None:
-        users = self._users
-        users.add(holder)
+        self._users.add(holder)
+        holder._granted(self.engine._now)
+
+
+class Resource(ServerPool):
+    """A :class:`ServerPool` that tracks its busy count and wait-queue
+    length as :class:`~repro.sim.tracking.StepSeries`: disks and worker
+    pools, whose histories monitors read over each sampling window."""
+
+    __slots__ = ("busy_series", "queue_series")
+
+    def __init__(self, engine: "Engine", capacity: int, name: str = "resource") -> None:
+        super().__init__(engine, capacity, name)
+        self.busy_series = StepSeries(initial=0)
+        self.queue_series = StepSeries(initial=0)
+
+    def _request(self, holder: _Holder, priority: int) -> None:
+        super()._request(holder, priority)
+        if holder not in self._users:
+            self.queue_series.record(self.engine._now, len(self._waiting))
+
+    def release(self, holder: _Holder) -> None:
+        waited = bool(self._waiting)
+        super().release(holder)
         now = self.engine._now
-        self.busy_series.record(now, len(users))
-        holder._granted(now)
+        self.busy_series.record(now, len(self._users))
+        if waited:
+            self.queue_series.record(now, len(self._waiting))
+
+    def _grant(self, holder: _Holder) -> None:
+        super()._grant(holder)
+        self.busy_series.record(self.engine._now, len(self._users))
 
     def utilization(self, start: Micros, stop: Micros) -> float:
         """Fraction of total server capacity busy over ``[start, stop)``."""
@@ -153,18 +165,16 @@ class Store:
     """An unbounded FIFO message queue with blocking ``get``.
 
     Items put while getters wait are handed over immediately (FIFO on
-    both sides); otherwise they buffer.  The buffer length is tracked
-    as a :class:`~repro.sim.tracking.StepSeries`.
+    both sides); otherwise they buffer.
     """
 
-    __slots__ = ("engine", "name", "_items", "_getters", "length_series")
+    __slots__ = ("engine", "name", "_items", "_getters")
 
     def __init__(self, engine: "Engine", name: str = "store") -> None:
         self.engine = engine
         self.name = name
         self._items: deque[Any] = deque()
         self._getters: deque[Event] = deque()
-        self.length_series = StepSeries(initial=0)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -177,15 +187,12 @@ class Store:
                 getter.succeed(item)
                 return
         self._items.append(item)
-        self.length_series.record(self.engine._now, len(self._items))
 
     def get(self) -> Event:
         """Return an event that fires with the next available item."""
         event = Event(self.engine)
         if self._items:
-            item = self._items.popleft()
-            self.length_series.record(self.engine._now, len(self._items))
-            event.succeed(item)
+            event.succeed(self._items.popleft())
         else:
             self._getters.append(event)
         return event

@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.common.errors import QueryError, WarehouseError
+from repro.common.records import RUN_META_FILE
 
 __all__ = [
     "MScopeDB",
@@ -56,9 +57,6 @@ STATIC_TABLES = (
     "sampling_ledger",
     "conflated_requests",
 )
-
-#: The run description ``mscope run`` writes beside its log tree.
-RUN_META_FILE = "run_meta.json"
 
 #: The keys of it a warehouse built from that tree records.
 _RUN_META_KEYS = ("seed", "duration_us", "epoch_us", "workload_users")

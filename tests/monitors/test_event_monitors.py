@@ -137,8 +137,8 @@ def test_instrumented_logs_roughly_double_bytes():
     EventMonitorSuite().attach(instrumented)
     on = instrumented.run(seconds(1))
     off = small_system(seed=2).run(seconds(1))
-    bytes_on = on.nodes["web1"].facilities["access_log"].bytes_written.total
-    bytes_off = off.nodes["web1"].facilities["access_log"].bytes_written.total
+    bytes_on = on.nodes["web1"].facilities["access_log"].bytes_written
+    bytes_off = off.nodes["web1"].facilities["access_log"].bytes_written
     assert 1.5 < bytes_on / bytes_off < 3.0
 
 

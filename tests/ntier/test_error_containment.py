@@ -46,8 +46,8 @@ def test_errors_are_counted():
     system.servers["tomcat"].hooks.attach(ExplodingHook(every=4))
     result = system.run(seconds(1))
     tomcat = result.servers["tomcat"]
-    assert tomcat.errors.total > 0
-    assert tomcat.errors.total < tomcat.completed.total
+    assert tomcat.errors > 0
+    assert tomcat.errors < tomcat.completed
 
 
 def test_error_payload_propagates_upstream():
@@ -55,7 +55,7 @@ def test_error_payload_propagates_upstream():
     system.servers["mysql"].hooks.attach(ExplodingHook(every=1))
     result = system.run(ms(600))
     # Every DB query errored; requests still completed end to end.
-    assert result.servers["mysql"].errors.total > 0
+    assert result.servers["mysql"].errors > 0
     assert all(t.is_complete() for t in result.traces)
 
 

@@ -156,6 +156,82 @@ def test_cpu_iowait_capped_at_idle():
     assert cpu.aggregate_pct(0, 1_000_000) == pytest.approx(100.0)
 
 
+def test_cpu_utilization_of_a_lone_demand():
+    engine = Engine()
+    cpu = Cpu(engine, cores=2, quantum=1_000)
+
+    def work():
+        yield engine.timeout(1_000)
+        yield from cpu.consume(3_000)
+
+    engine.process(work())
+    engine.run(until=10_000)
+    assert cpu.utilization(0, 10_000) == 3_000 / (2 * 10_000)
+
+
+def test_cpu_utilization_counts_a_quantum_where_it_ends():
+    engine = Engine()
+    cpu = Cpu(engine, cores=1, quantum=1_000)
+
+    def work():
+        yield engine.timeout(500)
+        yield from cpu.consume(2_000)  # quanta end at 1.5 ms and 2.5 ms
+
+    engine.process(work())
+    engine.run(until=3_000)
+    # The quantum that straddles 2 ms is counted after it, whole.
+    assert cpu.utilization(0, 2_000) == 0.5
+    assert cpu.utilization(2_000, 3_000) == 1.0
+
+
+def test_cpu_utilization_counts_the_wall_time_of_a_slowed_demand():
+    engine = Engine()
+    cpu = Cpu(engine, cores=1, quantum=1_000)
+    cpu.speed = 0.5
+
+    def work():
+        yield from cpu.consume(2_000)
+
+    engine.process(work())
+    engine.run(until=8_000)
+    assert cpu.utilization(0, 4_000) == 1.0
+    assert cpu.utilization(0, 8_000) == 0.5
+
+
+def test_cpu_utilization_of_a_seize_and_charge_pause():
+    engine = Engine()
+    cpu = Cpu(engine, cores=2, quantum=1_000)
+
+    def burn():
+        # How a fault stalls a core: hold it and charge each quantum.
+        claim = cpu.seize()
+        yield claim
+        for _ in range(10):
+            yield engine.timeout(cpu.quantum)
+            cpu.charge("system", cpu.quantum)
+        cpu.release(claim)
+
+    for _ in range(cpu.cores):
+        engine.process(burn())
+    engine.run(until=10_500)
+    assert cpu.utilization(0, 10_500) >= 0.95
+
+
+def test_cpu_utilization_is_capped_at_one():
+    engine = Engine()
+    cpu = Cpu(engine, cores=1, quantum=1_000)
+
+    def work():
+        yield from cpu.consume(1_000)
+        cpu.charge("system", 5_000)  # charged without holding a core
+
+    engine.process(work())
+    engine.run()
+    assert cpu.utilization(0, 1_000) == 1.0
+    with pytest.raises(SimulationError):
+        cpu.utilization(1_000, 1_000)
+
+
 def test_cpu_seize_blocks_everyone():
     engine = Engine()
     cpu = Cpu(engine, cores=1, quantum=1_000)
@@ -412,8 +488,7 @@ def test_disk_negative_io_rejected():
 
 
 def test_page_cache_dirty_and_clean():
-    engine = Engine()
-    cache = PageCache(engine)
+    cache = PageCache()
     cache.dirty(1000)
     assert cache.dirty_bytes == 1000
     assert cache.clean(400) == 400
@@ -421,35 +496,18 @@ def test_page_cache_dirty_and_clean():
 
 
 def test_page_cache_clean_caps_at_level():
-    engine = Engine()
-    cache = PageCache(engine)
+    cache = PageCache()
     cache.dirty(100)
     assert cache.clean(1_000) == 100
     assert cache.dirty_bytes == 0
 
 
 def test_page_cache_rejects_negative():
-    engine = Engine()
-    cache = PageCache(engine)
+    cache = PageCache()
     with pytest.raises(SimulationError):
         cache.dirty(-1)
     with pytest.raises(SimulationError):
         cache.clean(-1)
-
-
-def test_page_cache_series_tracks_history():
-    engine = Engine()
-    cache = PageCache(engine)
-
-    def evolve():
-        cache.dirty(500)
-        yield engine.timeout(100)
-        cache.clean(200)
-
-    engine.process(evolve())
-    engine.run()
-    assert cache.dirty_series.value_at(50) == 500
-    assert cache.dirty_series.value_at(150) == 300
 
 
 # ----------------------------------------------------------------------

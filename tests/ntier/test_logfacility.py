@@ -47,8 +47,8 @@ def test_facility_counts_lines_and_bytes():
     facility = node.facility("test_log")
     facility.write_line("abc")  # 4 bytes with newline
     facility.write_line("defgh")  # 6 bytes
-    assert facility.lines_written.total == 2
-    assert facility.bytes_written.total == 10
+    assert facility.lines_written == 2
+    assert facility.bytes_written == 10
 
 
 def test_facility_charges_cpu_and_dirties_pages():

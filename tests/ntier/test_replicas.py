@@ -61,7 +61,7 @@ def test_load_balances_across_replicas():
     system = NTierSystem(replicated_config())
     result = system.run(seconds(2))
     served = {
-        address: server.completed.total
+        address: server.completed
         for address, server in system.servers.items()
         if server.tier == "tomcat"
     }
@@ -119,7 +119,7 @@ def test_replicated_apache_balances_clients():
     system = NTierSystem(config)
     result = system.run(seconds(1))
     served = {
-        address: server.completed.total
+        address: server.completed
         for address, server in system.servers.items()
         if server.tier == "apache"
     }

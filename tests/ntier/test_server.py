@@ -121,8 +121,8 @@ def test_server_throughput_counts_completions():
     system = small_system()
     result = system.run(seconds(1))
     apache = result.servers["apache"]
-    assert apache.completed.total == len(result.traces)
-    assert apache.throughput(0, seconds(1)) > 0
+    assert apache.completed == len(result.traces)
+    assert apache.completed > 0
 
 
 def test_start_idempotent():
@@ -131,4 +131,4 @@ def test_start_idempotent():
     system.servers["apache"].start()
     result = system.run(ms(500))
     # Double-start must not duplicate the listener (each message served once).
-    assert result.servers["apache"].completed.total == len(result.traces)
+    assert result.servers["apache"].completed == len(result.traces)

@@ -189,10 +189,9 @@ def test_store_fifo_across_getters():
     assert got == [("g1", 1), ("g2", 2)]
 
 
-def test_store_length_series():
+def test_store_length():
     engine = Engine()
     store = Store(engine)
     store.put("a")
     store.put("b")
-    assert store.length_series.current == 2
     assert len(store) == 2

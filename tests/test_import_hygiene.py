@@ -232,4 +232,4 @@ print(json.dumps(sorted(sys.modules)))
     loaded = set(json.loads(out.splitlines()[-1]))
     assert "repro.experiments.scenarios" in loaded
     assert (tmp_path / "out" / "logs" / "web1" / "access_log.log").exists()
-    assert not _pulled(loaded, NOT_THE_SIMULATOR)
+    assert not _pulled(loaded, NOT_THE_SIMULATOR + ("repro.warehouse",))
