@@ -64,6 +64,18 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
+def _sampling_spec(text: str) -> str | None:
+    """The canonical spec of a policy, the string its ledger records
+    (``head:0.10`` -> ``head:0.1``); ``None`` for ``none``."""
+    from repro.sampling.policy import parse_policy
+
+    try:
+        policy = parse_policy(text)
+    except AnalysisError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return None if policy is None else policy.spec
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for testing and docs)."""
     parser = argparse.ArgumentParser(
@@ -144,12 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     transform.add_argument(
         "--sampling",
+        type=_sampling_spec,
         default=None,
         metavar="POLICY",
         help="log-volume-reduction policy: head:RATE (coherent "
-        "per-request), tail:BASE:THRESHOLD_MS (always keep VLRTs), or "
-        "conflate:RATE (per-class exemplars + aggregates); sampled-out "
-        "rows are counted in the sampling_ledger table",
+        "per-request) or tail:BASE:THRESHOLD_MS (always keep VLRTs); "
+        "sampled-out rows are counted in the sampling_ledger table",
     )
     transform.add_argument(
         "--no-stats",
@@ -268,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         "log tree, then 0",
     )
     serve.add_argument(
-        "--sampling", default=None, metavar="POLICY",
+        "--sampling", type=_sampling_spec, default=None, metavar="POLICY",
         help="log-volume-reduction policy for live ingest (as for "
         "transform --sampling); deferred tail records commit during "
         "the shutdown drain, before the final diagnosis",
@@ -736,7 +748,6 @@ def _cmd_validate(args) -> int:
         FRONTIER_FLOORS,
         PINNED_POLICY,
     )
-    from repro.sampling.policy import parse_policy
     from repro.validation.conformance import (
         CONFORMANCE_PAIRS,
         run_conformance_pair,
@@ -765,11 +776,12 @@ def _cmd_validate(args) -> int:
     elif args.sampling == "pinned":
         policies = [PINNED_POLICY]
     else:
-        policies = [spec for spec in args.sampling.split(",") if spec]
+        # Canonical, so a respelled pinned point is held to its floors.
         try:
-            for spec in policies:
-                parse_policy(spec)
-        except AnalysisError as exc:
+            policies = [
+                _sampling_spec(spec) for spec in args.sampling.split(",") if spec
+            ]
+        except argparse.ArgumentTypeError as exc:
             print(f"bad --sampling: {exc}", file=sys.stderr)
             return 2
 

@@ -59,6 +59,4 @@ DEFAULT_POLICY_GRID: tuple[str, ...] = (
     "tail:0.01:150",
     "tail:0.01:200",
     "tail:0.005:200",
-    "conflate:0.2",
-    "conflate:0.05",
 )

@@ -1,6 +1,6 @@
 """Pluggable log-volume-reduction policies.
 
-Three policies, all operating on converted :class:`CsvTable` batches.
+Two policies, both operating on converted :class:`CsvTable` batches.
 One caller applies them: the write stage,
 :class:`~repro.transformer.importer.MScopeDataImporter`, which batch,
 live, sharded and serve ingest all load through — it calls ``apply``
@@ -16,10 +16,6 @@ what ``flush`` releases:
   the VLRT threshold the whole request is committed (retroactively,
   across every tier), while non-VLRT requests fall back to a coherent
   base rate at flush/eviction time.
-* :class:`ConflationPolicy` — keep a coherent exemplar fraction per
-  request class (the RUBBoS interaction mix gives the classes) and fold
-  the rest into per-class count/latency aggregates destined for the
-  ``conflated_requests`` table.
 
 Every policy *counts* what it drops — per ``(table, source)`` rows and
 bytes seen/kept — so the warehouse's ``sampling_ledger`` measures the
@@ -33,13 +29,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from typing import Any
 
 from repro.common.errors import AnalysisError
 from repro.transformer.xml_to_csv import CsvTable
 
 __all__ = [
-    "ConflationPolicy",
     "HeadSamplingPolicy",
     "SampleCounts",
     "SamplingPolicy",
@@ -54,7 +50,6 @@ _HASH_SPAN = float(2**64)
 _REQUEST_ID = "request_id"
 _ARRIVAL = "upstream_arrival_us"
 _DEPARTURE = "upstream_departure_us"
-_INTERACTION = "interaction"
 
 
 def coherent_keep(request_id: str, rate: float) -> bool:
@@ -137,10 +132,6 @@ class SamplingPolicy:
     def flush(self) -> list[CsvTable]:
         """Release buffered rows, one table per ``(table, source)``
         stream (stateless policies return nothing)."""
-        return []
-
-    def conflated_rows(self) -> list[tuple[str, str, int, int, int, int, int]]:
-        """Cumulative ``conflated_requests`` rows (conflation only)."""
         return []
 
 
@@ -370,126 +361,30 @@ class TailSamplingPolicy(SamplingPolicy):
         return tables
 
 
-class ConflationPolicy(SamplingPolicy):
-    """Per-class exemplars plus count/latency aggregates for the rest.
-
-    Request classes are the values of the ``interaction`` column — for
-    RUBBoS front-tier logs that is the paper's 24-interaction mix —
-    with ``""`` as the class for tables that carry no interaction tag.
-    A coherent ``exemplar_rate`` fraction of requests keep their full
-    records; all other rows are dropped and folded into cumulative
-    per-``(table, class)`` aggregates served by ``conflated_rows``.
-    """
-
-    def __init__(self, exemplar_rate: float) -> None:
-        super().__init__()
-        if not 0.0 < exemplar_rate <= 1.0:
-            raise AnalysisError(
-                f"conflation exemplar rate out of (0, 1]: {exemplar_rate}"
-            )
-        self.exemplar_rate = exemplar_rate
-        self.spec = f"conflate:{exemplar_rate:g}"
-        #: (table, class) -> [rid set, records, latency sum, min, max]
-        self._aggregates: dict[tuple[str, str], list] = {}
-        #: ``(aggregate, rid)`` for each rid added since the checkpoint.
-        self._added: list[tuple[tuple[str, str], str]] = []
-
-    def apply(self, table: CsvTable) -> CsvTable:
-        rid_idx = _column_index(table, _REQUEST_ID)
-        if rid_idx is None:
-            return table
-        arrival = _column_index(table, _ARRIVAL)
-        departure = _column_index(table, _DEPARTURE)
-        interaction = _column_index(table, _INTERACTION)
-        entry = self._counts_for(table)
-        kept: list[tuple] = []
-        for row in table.rows:
-            size = row_bytes(row)
-            entry.rows_seen += 1
-            entry.bytes_seen += size
-            rid = str(row[rid_idx])
-            if coherent_keep(rid, self.exemplar_rate):
-                entry.rows_kept += 1
-                entry.bytes_kept += size
-                kept.append(row)
-                continue
-            klass = (
-                str(row[interaction]) if interaction is not None else ""
-            )
-            span = _span_us(row, arrival, departure)
-            agg = self._aggregates.get((table.name, klass))
-            if agg is None:
-                agg = self._aggregates[(table.name, klass)] = [
-                    set(), 0, 0, span, span,
-                ]
-            if rid not in agg[0]:
-                agg[0].add(rid)
-                self._added.append(((table.name, klass), rid))
-            agg[1] += 1
-            agg[2] += span
-            agg[3] = min(agg[3], span)
-            agg[4] = max(agg[4], span)
-        return dataclasses.replace(table, rows=kept)
-
-    def checkpoint(self) -> Any:
-        """Counts, plus each aggregate's scalars; the rid sets only
-        grow, so the rids added since are journaled instead of copied."""
-        self._added = []
-        return (
-            super().checkpoint(),
-            {key: agg[1:] for key, agg in self._aggregates.items()},
-        )
-
-    def restore(self, saved: Any) -> None:
-        counts, scalars = saved
-        super().restore(counts)
-        for key, rid in self._added:
-            if key in scalars:
-                self._aggregates[key][0].discard(rid)
-        self._added = []
-        self._aggregates = {
-            key: [self._aggregates[key][0], *values]
-            for key, values in scalars.items()
-        }
-
-    def conflated_rows(self) -> list[tuple[str, str, int, int, int, int, int]]:
-        rows = []
-        for (table_name, klass), agg in sorted(self._aggregates.items()):
-            rids, records, total, low, high = agg
-            rows.append(
-                (table_name, klass, len(rids), records, total, low, high)
-            )
-        return rows
-
-
 def parse_policy(spec: str | None) -> SamplingPolicy | None:
     """Build a policy from its spec string (``None``/``"none"`` = off).
 
-    Accepted forms::
+    Accepted forms, each the policy's own ``spec`` (the string the
+    ``sampling_ledger`` records)::
 
         head:RATE                     e.g. head:0.1
         tail:BASE_RATE:THRESHOLD_MS   e.g. tail:0.05:50
-        tail:BASE_RATE:THRESHOLD_MS:MAX_BUFFERED_REQUESTS
-        conflate:EXEMPLAR_RATE        e.g. conflate:0.1
     """
     if spec is None or spec == "none":
         return None
     kind, _, rest = spec.partition(":")
     parts = rest.split(":") if rest else []
     try:
-        if kind == "head" and len(parts) == 1:
-            return HeadSamplingPolicy(float(parts[0]))
-        if kind == "tail" and len(parts) in (2, 3):
-            threshold_us = int(round(float(parts[1]) * 1000))
-            bound = int(parts[2]) if len(parts) == 3 else 65536
-            return TailSamplingPolicy(
-                float(parts[0]), threshold_us, max_requests=bound
-            )
-        if kind == "conflate" and len(parts) == 1:
-            return ConflationPolicy(float(parts[0]))
+        values = [float(part) for part in parts]
     except ValueError as exc:
         raise AnalysisError(f"bad sampling spec {spec!r}: {exc}") from exc
+    if not all(math.isfinite(value) for value in values):
+        raise AnalysisError(f"bad sampling spec {spec!r}: not a finite number")
+    if kind == "head" and len(values) == 1:
+        return HeadSamplingPolicy(values[0])
+    if kind == "tail" and len(values) == 2:
+        return TailSamplingPolicy(values[0], int(round(values[1] * 1000)))
     raise AnalysisError(
-        f"unknown sampling spec {spec!r} (expected head:RATE, "
-        f"tail:BASE:THRESHOLD_MS[:MAX], or conflate:RATE)"
+        f"unknown sampling spec {spec!r} "
+        "(expected head:RATE or tail:BASE:THRESHOLD_MS)"
     )

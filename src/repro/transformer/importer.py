@@ -149,10 +149,9 @@ class MScopeDataImporter:
 
         Tail sampling defers each request's records until its fate is
         known; this settles every deferred request (VLRTs and coherent
-        base-rate keeps commit, the rest drop), loads the released
-        rows, and upserts the conflation aggregates.  Idempotent, and a
-        no-op without a stateful policy.  Returns the retroactively
-        committed row count.
+        base-rate keeps commit, the rest drop) and loads the released
+        rows.  Idempotent, and a no-op without a stateful policy.
+        Returns the retroactively committed row count.
         """
         if self.sampling is None:
             return 0
@@ -163,8 +162,6 @@ class MScopeDataImporter:
                     (released.name, released.source)
                 ]
                 committed += self._load(released, hostname, parser_name)
-            for row in self.sampling.conflated_rows():
-                self.db.record_conflated(*row)
         return committed
 
     def record_errors(self, errors: Iterable[IngestError]) -> None:

@@ -330,8 +330,8 @@ class MScopeDataTransformer:
         """Commit everything a stateful policy still withholds.
 
         Tail sampling defers each request's records until its fate is
-        known; the importer settles every deferred request, loads the
-        released rows and upserts the conflation aggregates (see
+        known; the importer settles every deferred request and loads
+        the released rows (see
         :meth:`~repro.transformer.importer.MScopeDataImporter.flush`).
         Idempotent, and a no-op without a stateful policy.  Returns the
         number of retroactively committed rows.

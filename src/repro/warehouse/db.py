@@ -55,7 +55,6 @@ STATIC_TABLES = (
     "pipeline_metrics",
     "pipeline_workers",
     "sampling_ledger",
-    "conflated_requests",
 )
 
 #: The keys of it a warehouse built from that tree records.
@@ -298,7 +297,7 @@ class MScopeDB:
         #: Every table's name, sorted, per :meth:`_load_catalog`;
         #: ``None`` until it runs and after any table is created.
         self._table_names: list[str] | None = None
-        #: Whether the lazily made sampling tables are known to exist.
+        #: Whether the lazily made ``sampling_ledger`` is known to exist.
         self._sampling_tables = False
         if self.path == ":memory:":
             self._conn.execute("PRAGMA journal_mode = MEMORY")
@@ -571,7 +570,7 @@ class MScopeDB:
     # sampling ledger
 
     def _ensure_sampling_tables(self) -> None:
-        """Create the sampling tables on first use (lazily).
+        """Create the ``sampling_ledger`` table on first use (lazily).
 
         Like the telemetry tables, deliberately *not* part of
         :meth:`_create_static_tables`: an unsampled warehouse must dump
@@ -592,16 +591,6 @@ class MScopeDB:
                 bytes_seen INTEGER NOT NULL,
                 bytes_kept INTEGER NOT NULL,
                 PRIMARY KEY (table_name, source_path)
-            );
-            CREATE TABLE IF NOT EXISTS conflated_requests (
-                table_name TEXT NOT NULL,
-                interaction TEXT NOT NULL,
-                requests INTEGER NOT NULL,
-                records INTEGER NOT NULL,
-                latency_sum_us INTEGER NOT NULL,
-                latency_min_us INTEGER NOT NULL,
-                latency_max_us INTEGER NOT NULL,
-                PRIMARY KEY (table_name, interaction)
             );
             """,
         )
@@ -633,29 +622,6 @@ class MScopeDB:
             (
                 table_name, source_path, policy,
                 rows_seen, rows_kept, bytes_seen, bytes_kept,
-            ),
-        )
-        self._commit()
-
-    def record_conflated(
-        self,
-        table_name: str,
-        interaction: str,
-        requests: int,
-        records: int,
-        latency_sum_us: int,
-        latency_min_us: int,
-        latency_max_us: int,
-    ) -> None:
-        """Record one request class's cumulative conflation aggregate."""
-        self._ensure_sampling_tables()
-        conn = self._require_conn()
-        conn.execute(
-            "INSERT OR REPLACE INTO conflated_requests "
-            "VALUES (?, ?, ?, ?, ?, ?, ?)",
-            (
-                table_name, interaction, requests, records,
-                latency_sum_us, latency_min_us, latency_max_us,
             ),
         )
         self._commit()
@@ -698,17 +664,6 @@ class MScopeDB:
                 bytes_seen / bytes_kept if bytes_kept else float(bytes_seen)
             ),
         }
-
-    def conflated_requests(self) -> list[tuple]:
-        """``(table_name, interaction, requests, records, latency_sum_us,
-        latency_min_us, latency_max_us)`` rows, ordered by table, class."""
-        if "conflated_requests" not in self.tables():
-            return []
-        return self._require_conn().execute(
-            "SELECT table_name, interaction, requests, records, "
-            "latency_sum_us, latency_min_us, latency_max_us "
-            "FROM conflated_requests ORDER BY table_name, interaction"
-        ).fetchall()
 
     # ------------------------------------------------------------------
     # pipeline telemetry
@@ -1112,16 +1067,6 @@ class MScopeDB:
             statement = sql.format(placeholders=", ".join("?" for _ in chunk))
             rows.extend(self.query_table(table, statement, chunk, merge=merge))
         return rows
-
-    def query_plan(self, sql: str, params: Sequence[Any] = ()) -> list[str]:
-        """The ``EXPLAIN QUERY PLAN`` detail lines for a query.
-
-        The index-regression tests assert these lines mention an index
-        (``USING [COVERING] INDEX``) rather than a bare table scan.
-        """
-        return [
-            row[-1] for row in self.query(f"EXPLAIN QUERY PLAN {sql}", params)
-        ]
 
     def fetch_series(
         self,

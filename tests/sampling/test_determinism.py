@@ -2,8 +2,8 @@
 
 The pipeline fans parse/convert out over a process pool but applies
 sampling at the single-writer import stage, draining in ``(host,
-file)`` order — so for *every* policy (including the stateful tail and
-conflation ones) a ``jobs=N`` run must be iterdump-identical to
+file)`` order — so for *every* policy (including the stateful tail
+one) a ``jobs=N`` run must be iterdump-identical to
 serial, sampling ledger included, and a sharded warehouse loaded the
 same way must hold the sampled monolith's exact content.
 """
@@ -19,7 +19,7 @@ from repro.warehouse.sharded import ShardedMScopeDB
 
 WALL = WallClock()
 
-POLICIES = ["head:0.5", "tail:0.3:5", "conflate:0.5"]
+POLICIES = ["head:0.5", "tail:0.3:5"]
 
 
 @pytest.fixture

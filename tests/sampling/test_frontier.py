@@ -84,7 +84,7 @@ def test_floors_flag_every_violated_metric_per_scenario():
 def test_the_grid_brackets_the_pinned_point():
     assert PINNED_POLICY in DEFAULT_POLICY_GRID
     families = {spec.split(":")[0] for spec in DEFAULT_POLICY_GRID}
-    assert families == {"head", "tail", "conflate"}
+    assert families == {"head", "tail"}
 
 
 @pytest.mark.slow

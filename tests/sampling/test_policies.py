@@ -4,8 +4,8 @@ import pytest
 
 from repro.common.errors import AnalysisError
 from repro.common.timebase import ms
+from repro.sampling.frontier import DEFAULT_POLICY_GRID, PINNED_POLICY
 from repro.sampling.policy import (
-    ConflationPolicy,
     HeadSamplingPolicy,
     TailSamplingPolicy,
     coherent_keep,
@@ -30,9 +30,9 @@ def boundary_table(rows, name="tomcat_boundary", source="app1/tomcat.log"):
     )
 
 
-def request_row(i, span_us=ms(2), interaction="Browse"):
+def request_row(i, span_us=ms(2)):
     arrival = ms(10 * (i + 1))
-    return (f"R0A00000000{i}", interaction, arrival, arrival + span_us)
+    return (f"R0A00000000{i}", "Browse", arrival, arrival + span_us)
 
 
 REQUEST_IDS = [f"R0A00000000{i}" for i in range(40)]
@@ -73,17 +73,17 @@ def test_parse_policy_round_trips_specs():
     assert isinstance(tail, TailSamplingPolicy)
     assert tail.spec == "tail:0.02:50"
     assert tail.threshold_us == ms(50)
-    bounded = parse_policy("tail:0.1:50:128")
-    assert bounded.max_requests == 128
-    conflate = parse_policy("conflate:0.2")
-    assert isinstance(conflate, ConflationPolicy)
-    assert conflate.spec == "conflate:0.2"
+    # The spec is what the sampling ledger records, so every policy
+    # the frontier scores must rebuild from its own spec.
+    for spec in (*DEFAULT_POLICY_GRID, PINNED_POLICY):
+        assert parse_policy(spec).spec == spec
 
 
 @pytest.mark.parametrize(
     "spec",
     ["head", "head:2.0", "head:0", "tail:0.1", "tail:-1:50", "tail:0.1:0",
-     "tail:0.1:50:0", "conflate:0", "shake:0.1", "head:abc"],
+     "tail:0.1:50:0", "tail:0.1:50:128", "conflate:0", "shake:0.1",
+     "head:abc", "tail:0.1:inf"],
 )
 def test_parse_policy_rejects_bad_specs(spec):
     with pytest.raises(AnalysisError):
@@ -192,36 +192,6 @@ def test_tail_policy_evicts_oldest_requests_past_the_buffer_bound():
     assert settled == {r[0] for r in rows}
 
 
-# ------------------------------------------------------- conflation policy
-
-
-def test_conflation_keeps_exemplars_and_aggregates_the_rest_per_class():
-    policy = ConflationPolicy(0.5)
-    rows = [
-        request_row(i, span_us=ms(i + 1), interaction=("Browse" if i % 2 else "Search"))
-        for i in range(40)
-    ]
-    out = policy.apply(boundary_table(rows))
-    exemplars = [r for r in rows if coherent_keep(r[0], 0.5)]
-    assert out.rows == exemplars
-    folded = [r for r in rows if not coherent_keep(r[0], 0.5)]
-    aggregates = {
-        (table, klass): (requests, records, total, low, high)
-        for table, klass, requests, records, total, low, high
-        in policy.conflated_rows()
-    }
-    for klass in ("Browse", "Search"):
-        klass_rows = [r for r in folded if r[1] == klass]
-        spans = [r[3] - r[2] for r in klass_rows]
-        assert aggregates[("tomcat_boundary", klass)] == (
-            len({r[0] for r in klass_rows}),
-            len(klass_rows),
-            sum(spans),
-            min(spans),
-            max(spans),
-        )
-
-
 # -------------------------------------------------------- importer.flush()
 
 
@@ -264,20 +234,3 @@ def test_commit_flush_lands_deferred_rows_ledger_and_catalog():
     assert importer.flush() == 0
     assert db.row_count("tomcat_boundary") == 2
 
-
-def test_commit_flush_upserts_conflation_aggregates():
-    db = MScopeDB()
-    policy = ConflationPolicy(0.5)
-    importer = MScopeDataImporter(db, policy)
-    rows = [request_row(i) for i in range(40)]
-    importer.import_table(boundary_table(rows), "app1", "tomcat")
-
-    importer.flush()
-    folded = [r for r in rows if not coherent_keep(r[0], 0.5)]
-    (agg,) = db.conflated_requests()
-    assert agg[:4] == ("tomcat_boundary", "Browse", len(folded), len(folded))
-    # Re-flushing after more traffic replaces (not doubles) the row.
-    policy.apply(boundary_table([request_row(40 + i) for i in range(10)]))
-    importer.flush()
-    (again,) = db.conflated_requests()
-    assert again[2] >= agg[2]

@@ -412,3 +412,75 @@ def test_validate_rejects_an_unknown_scenario(capsys):
     assert main(["validate", "--scenario", "no_such_fault"]) == 2
     err = capsys.readouterr().err
     assert "bad --scenario: 'no_such_fault'" in err and "db_log_flush" in err
+
+
+BAD_SAMPLING = ["shake:1", "conflate:0.2", "tail:0.1:inf"]
+
+
+@pytest.mark.parametrize("spec", BAD_SAMPLING)
+def test_transform_rejects_a_bad_sampling_spec_before_opening_a_warehouse(
+    tmp_path, capsys, spec
+):
+    db_path = tmp_path / "m.db"
+    argv = ["transform", "--logs", str(tmp_path), "--db", str(db_path)]
+    with pytest.raises(SystemExit) as exit:
+        main([*argv, "--sampling", spec])
+    assert exit.value.code == 2
+    assert "--sampling" in capsys.readouterr().err
+    assert not db_path.exists()
+
+
+@pytest.mark.parametrize("spec", BAD_SAMPLING)
+def test_serve_rejects_a_bad_sampling_spec(tmp_path, capsys, spec):
+    with pytest.raises(SystemExit) as exit:
+        build_parser().parse_args(
+            ["serve", "--logs", str(tmp_path), "--sampling", spec]
+        )
+    assert exit.value.code == 2
+    assert "--sampling" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", BAD_SAMPLING)
+def test_validate_rejects_a_bad_sampling_spec(capsys, spec):
+    assert main(["validate", "--sampling", spec]) == 2
+    assert "bad --sampling" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("spec", "canonical"),
+    [("head:0.10", "head:0.1"), ("tail:0.010:200.0", "tail:0.01:200"),
+     ("none", None)],
+)
+def test_sampling_takes_the_spec_the_ledger_records(tmp_path, spec, canonical):
+    """``--sampling`` holds the string ``sampling_ledger.policy``
+    records, which is what ``transform`` prints."""
+    for argv in (
+        ["transform", "--logs", str(tmp_path), "--db", str(tmp_path / "m.db")],
+        ["serve", "--logs", str(tmp_path)],
+    ):
+        args = build_parser().parse_args([*argv, "--sampling", spec])
+        assert args.sampling == canonical
+
+
+def test_validate_holds_a_respelled_pinned_point_to_the_frontier_floors(
+    monkeypatch,
+):
+    """``tail:0.010:200`` is the pinned policy; scored under its own
+    spelling it escaped ``FRONTIER_FLOORS`` and passed ``--check-floors``
+    where ``tail:0.01:200`` fails."""
+    from repro.sampling.frontier import PINNED_POLICY
+    from repro.validation.runner import ScenarioRunner
+
+    scored = []
+
+    class Scored(Exception):
+        """Raised instead of simulating."""
+
+    def recording_run(self, scenario, seed=7, sampling=None):
+        scored.append(sampling)
+        raise Scored
+
+    monkeypatch.setattr(ScenarioRunner, "run", recording_run)
+    with pytest.raises(Scored):
+        main(["validate", "--sampling", "tail:0.010:200", "--check-floors"])
+    assert scored == [PINNED_POLICY]

@@ -129,7 +129,7 @@ def test_a_failed_cycle_leaves_everything_as_it_was(
     daemon.db.close()
 
 
-@pytest.mark.parametrize("spec", ["head:0.5", "tail:0.5:5", "conflate:0.5"])
+@pytest.mark.parametrize("spec", ["head:0.5", "tail:0.5:5"])
 def test_a_rolled_back_load_is_not_counted_twice(
     tmp_path, monkeypatch, halves, spec
 ):

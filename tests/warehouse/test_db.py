@@ -27,7 +27,6 @@ _LAZY_STATIC = (
     "pipeline_metrics",
     "pipeline_workers",
     "sampling_ledger",
-    "conflated_requests",
 )
 
 
@@ -56,10 +55,8 @@ def test_telemetry_tables_are_static_once_created(warehouse):
 def test_sampling_tables_are_static_once_created(warehouse):
     db = warehouse
     db.record_sampling("t", "s.log", "head:0.5", 10, 5, 100, 50)
-    db.record_conflated("t", "Browse", 4, 8, 1000, 100, 400)
-    for table in ("sampling_ledger", "conflated_requests"):
-        assert table in db.tables()
-        assert table not in db.dynamic_tables()
+    assert "sampling_ledger" in db.tables()
+    assert "sampling_ledger" not in db.dynamic_tables()
 
 
 def test_experiment_meta_round_trip(warehouse):
