@@ -18,10 +18,14 @@ Steps (any failure exits nonzero):
    (``/healthz`` ``cycles``): a torn line must wait for its newline, so
    no file may be skipped (``skipped_files`` stays 0).  Then wait for
    ``/healthz`` to report the extra rows.
-4. Fetch ``/reports``, ``/stats?format=prom``, and one SSE event from
+4. Require ``/stats?format=json`` to count every ingested row: the
+   ``refresh_file`` stage's records equal the same document's
+   ``serve.rows`` (the daemon folds each cycle's spans into lifetime
+   totals).
+5. Fetch ``/reports``, ``/stats?format=prom``, and one SSE event from
    ``/events``.
-5. SIGTERM; require a zero exit within the drain deadline.
-6. Batch-transform the final tree and compare content dumps.
+6. SIGTERM; require a zero exit within the drain deadline.
+7. Batch-transform the final tree and compare content dumps.
 
 ``--shard-window-s S`` boots the daemon on the sharded layout (``--db``
 is then a shard root); the batch side stays a monolith, so the final
@@ -209,6 +213,25 @@ def main() -> None:
         log(f"growth ingested: {health['rows']} rows total")
         if health["skipped_files"]:
             fail(f"/healthz reports {health['skipped_files']} skipped files")
+
+        def stats_match_rows():
+            # The rollup is copied under the cycle lock but the serve
+            # state is read after it, so retry until no cycle lands
+            # in between.
+            status, body = fetch(port, "/stats?format=json")
+            if status != 200:
+                fail(f"/stats?format=json returned {status}")
+            stats = json.loads(body)
+            stages = {stage["stage"]: stage for stage in stats["stages"]}
+            records = stages.get("refresh_file", {}).get("records")
+            if records != stats["serve"]["rows"]:
+                return None
+            return records
+
+        records = wait_for(
+            stats_match_rows, "/stats refresh_file records == serve rows"
+        )
+        log(f"/stats?format=json: refresh_file records == rows == {records}")
 
         status, body = fetch(port, "/reports")
         if status != 200:

@@ -34,7 +34,7 @@ from repro.analysis.queues import concurrency_from_sorted
 from repro.analysis.response_time import IN_FLIGHT_SLACK_US
 from repro.analysis.series import Series
 from repro.common.timebase import Micros
-from repro.telemetry.spans import NULL_PROBE, SpanData, SpanProbe
+from repro.telemetry.spans import NULL_TELEMETRY, TelemetryCollector
 from repro.warehouse.db import MScopeDB, quote_identifier
 
 __all__ = ["SeriesCache"]
@@ -50,10 +50,8 @@ class SeriesCache:
     epoch_us:
         Epoch offset rebasing warehouse wall timestamps onto
         simulation time zero (applied once, at load).
-    probe / spans:
-        Optional telemetry measurement side: loads open spans into
-        ``spans`` via ``probe``, which the owning engine ingests in
-        deterministic order.
+    telemetry:
+        Optional collector recording one span per load, in load order.
     bounds:
         Optional ``(start, stop)`` simulation-time window restricting
         every load (either side may be ``None`` for half-open).  The
@@ -72,15 +70,13 @@ class SeriesCache:
         self,
         db: MScopeDB,
         epoch_us: int = 0,
-        probe: SpanProbe = NULL_PROBE,
-        spans: list[SpanData] | None = None,
+        telemetry: TelemetryCollector = NULL_TELEMETRY,
         bounds: tuple[Micros | None, Micros | None] | None = None,
     ) -> None:
         self.db = db
         self.epoch_us = epoch_us
         self.bounds = bounds
-        self._probe = probe
-        self._spans: list[SpanData] = spans if spans is not None else []
+        self.telemetry = telemetry
         self._metrics: dict[tuple[str, tuple[str, ...]], Series] = {}
         #: table -> (its ``since``, arrivals, departures)
         self._tier_spans: dict[str, tuple[Micros | None, np.ndarray, np.ndarray]] = {}
@@ -106,9 +102,7 @@ class SeriesCache:
             return series
         self.misses += 1
         start, stop = self.bounds if self.bounds is not None else (None, None)
-        with self._probe.span(
-            self._spans, "analysis.load_metric", source_path=table
-        ) as span:
+        with self.telemetry.span("analysis.load_metric", source_path=table) as span:
             series = metric_series(
                 self.db,
                 table,
@@ -205,9 +199,7 @@ class SeriesCache:
         if since is not None:
             sql += " AND upstream_departure_us >= ?"
             params.append(since + self.epoch_us)
-        with self._probe.span(
-            self._spans, "analysis.load_spans", source_path=table
-        ) as span:
+        with self.telemetry.span("analysis.load_spans", source_path=table) as span:
             rows = self.db.query_table(
                 table, sql, params, window=(wh_start, wh_stop)
             )

@@ -32,7 +32,7 @@ from repro.analysis.response_time import (
 from repro.analysis.series import Series, pearson_correlation
 from repro.common.errors import AnalysisError
 from repro.common.timebase import Micros, ms
-from repro.telemetry.spans import NULL_TELEMETRY, SpanData, TelemetryCollector
+from repro.telemetry.spans import NULL_TELEMETRY, TelemetryCollector
 from repro.warehouse.db import MScopeDB
 
 __all__ = ["QueueFinding", "RootCause", "DiagnosisReport", "Diagnoser"]
@@ -219,7 +219,7 @@ class Diagnoser:
         simulation time zero.
     telemetry:
         Optional :class:`TelemetryCollector`; the engine then measures
-        ``analysis.*`` stage spans (ingested in deterministic order)
+        ``analysis.*`` stage spans (recorded in deterministic order)
         that ``mscope stats`` renders next to the ingest stages.
     window_us:
         Optional ``(start, stop)`` simulation-time window restricting
@@ -340,14 +340,8 @@ class Diagnoser:
                 start - self.window_pad_us if start is not None else None,
                 stop + self.window_pad_us if stop is not None else None,
             )
-        self._probe = self.telemetry.probe()
-        self._spans: list[SpanData] = []
         self.cache = SeriesCache(
-            db,
-            epoch_us=epoch_us,
-            probe=self._probe,
-            spans=self._spans,
-            bounds=bounds,
+            db, epoch_us=epoch_us, telemetry=self.telemetry, bounds=bounds
         )
 
     # ------------------------------------------------------------------
@@ -397,13 +391,13 @@ class Diagnoser:
         queue_step_us: Micros = ms(10),
     ) -> list[DiagnosisReport]:
         """Run the full pipeline; one report per anomaly window."""
-        self._spans.clear()
-        with self._probe.span(self._spans, "analysis.run") as run_span:
+        telemetry = self.telemetry
+        with telemetry.span("analysis.run") as run_span:
             window_start, window_stop = (
                 self.window_us if self.window_us is not None else (None, None)
             )
-            with self._probe.span(
-                self._spans, "analysis.completions", source_path=self.front_table
+            with telemetry.span(
+                "analysis.completions", source_path=self.front_table
             ) as span:
                 completions = completions_from_warehouse(
                     self.db,
@@ -421,21 +415,17 @@ class Diagnoser:
                 baseline_us=baseline_us,
             )
             windows = cluster_anomaly_windows(vlrts)
-            with self._probe.span(
-                self._spans, "analysis.candidates"
-            ) as span:
+            with telemetry.span("analysis.candidates") as span:
                 candidates = discover_candidates(self.db)
                 span.add(records=len(candidates))
-            with self._probe.span(self._spans, "analysis.skew") as span:
+            with telemetry.span("analysis.skew") as span:
                 skew = _interaction_inputs(completions, baseline_us)
                 span.add(records=len(skew.vlrts))
             horizon = max(c.completed_at for c in completions)
             reports = []
             for index, window in enumerate(windows):
-                with self._probe.span(
-                    self._spans,
-                    "analysis.window",
-                    source_path=f"window{index}",
+                with telemetry.span(
+                    "analysis.window", source_path=f"window{index}"
                 ) as span:
                     report = self._diagnose_window(
                         window, skew, candidates, horizon, queue_step_us,
@@ -443,7 +433,6 @@ class Diagnoser:
                     span.add(records=window.vlrt_count)
                 reports.append(report)
             run_span.add(records=len(completions), errors=0)
-        self.telemetry.ingest(tuple(self._spans))
         return reports
 
     # ------------------------------------------------------------------

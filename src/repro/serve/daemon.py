@@ -27,15 +27,18 @@ Shutdown (SIGTERM/SIGINT) drains: ingest cycles repeat until no
 cursor moves and no file is skipped, a final diagnosis runs,
 and the warehouse closes import-consistent — iterdump-identical to a
 batch transform of the same final tree (the serve-smoke CI job holds
-this).  Pipeline telemetry is kept in memory for ``/stats`` and is
-deliberately *not* persisted into the warehouse, so the batch
-equivalence holds against ``mscope transform --no-stats``.
+this).  Pipeline telemetry is kept in memory for ``/stats`` — each
+cycle's spans fold into a lifetime rollup, so memory stays bounded and
+every total only grows — and is deliberately *not* persisted into the
+warehouse, so the batch equivalence holds against ``mscope transform
+--no-stats``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import copy
 import dataclasses
 import signal
 import threading
@@ -95,8 +98,6 @@ class ServeConfig:
     epoch_us: int | None = None
     #: Upper bound on drain rounds at shutdown.
     drain_rounds: int = 20
-    #: In-memory telemetry span cap (rolling window for ``/stats``).
-    telemetry_span_cap: int = 20_000
     #: Log-volume-reduction policy spec (e.g. ``tail:0.05:50``);
     #: ``None`` ingests everything.
     sampling: str | None = None
@@ -147,6 +148,8 @@ class MScopeServeDaemon:
         self.state = ServeState()
         self.broker = EventBroker()
         self.telemetry = TelemetryCollector()
+        #: Every cycle's spans, folded: the lifetime ``/stats`` totals.
+        self._rollup = RunTelemetry()
         self.db = self._open_db()
         # Run metadata lands exactly as the batch transform records it.
         self.db.carry_run_meta(config.logs)
@@ -214,7 +217,8 @@ class MScopeServeDaemon:
         self.state.refreshed_files += outcome.refreshed_files
         self.state.skipped_files += outcome.skipped_files
         self.state.last_cycle_s = max(0.0, self.clock() - started)
-        self._trim_telemetry()
+        self._rollup.add(self.telemetry.spans)
+        self.telemetry.spans.clear()
         self.broker.publish(
             ev.HEARTBEAT,
             {
@@ -233,13 +237,6 @@ class MScopeServeDaemon:
         self.state.sampled_rows, self.state.kept_rows = (
             self._live.sampling_totals()
         )
-
-    def _trim_telemetry(self) -> None:
-        """Bound the in-memory span list (a rolling ``/stats`` view)."""
-        cap = self.config.telemetry_span_cap
-        spans = self.telemetry.spans
-        if len(spans) > cap:
-            del spans[: len(spans) - cap]
 
     # -- the diagnosis cycle -------------------------------------------
 
@@ -396,10 +393,11 @@ class MScopeServeDaemon:
         }
 
     def telemetry_snapshot(self) -> RunTelemetry:
-        # The ingest thread appends/trims the span list; aggregate
-        # under the same lock the cycles hold (callers use to_thread).
+        """A copy of the lifetime rollup.  The ingest thread folds into
+        it under the lock the cycles hold; the copy is what the HTTP
+        thread renders outside that lock (callers use to_thread)."""
         with self._db_lock:
-            return self.telemetry.run_telemetry()
+            return copy.deepcopy(self._rollup)
 
     def health(self) -> dict[str, Any]:
         return dict(

@@ -6,11 +6,12 @@ microsecond scale — merging two histograms is a bucket-wise integer
 add, so per-worker partial histograms combine into the run total in
 any order (commutative and associative; property-tested).
 
-:class:`RunTelemetry` is the per-run rollup the tentpole asks for:
-per-stage latency histograms with percentile estimates, per-worker
-utilization of the process-pool fan-out, and the single-writer drain
-queue's depth over time.  It can be built from a live
-:class:`~repro.telemetry.spans.TelemetryCollector` or rebuilt from the
+:class:`RunTelemetry` is the per-run rollup: per-stage latency
+histograms with percentile estimates, per-worker utilization of the
+process-pool fan-out, and the single-writer drain queue's depth over
+time.  It can be built from a live
+:class:`~repro.telemetry.spans.TelemetryCollector`, folded span batch
+by span batch (the serve daemon's lifetime totals), or rebuilt from the
 ``pipeline_metrics`` / ``pipeline_workers`` tables of a warehouse a
 previous run persisted into.
 """
@@ -199,21 +200,7 @@ class RunTelemetry:
         """Aggregate a span stream (any order — totals are sums)."""
         telemetry = cls()
         telemetry.wall_us = wall_ns // 1_000
-        for span in spans:
-            duration_us = span.duration_ns // 1_000
-            stage = telemetry.stages.get(span.stage)
-            if stage is None:
-                stage = telemetry.stages[span.stage] = StageStats(span.stage)
-            stage.observe(duration_us, span.records, span.bytes, span.errors)
-            if span.stage == "run":
-                # The run-envelope span covers the whole wall; counting
-                # it as busy time would pin "main" above 100%.
-                continue
-            worker = telemetry.workers.get(span.worker)
-            if worker is None:
-                worker = telemetry.workers[span.worker] = WorkerStats(span.worker)
-            worker.spans += 1
-            worker.busy_us += duration_us
+        telemetry.add(spans)
         telemetry._normalize_workers()
         if telemetry.wall_us:
             for worker in telemetry.workers.values():
@@ -222,6 +209,30 @@ class RunTelemetry:
             (t_ns // 1_000, depth) for t_ns, depth in queue_depth
         ]
         return telemetry
+
+    def add(self, spans: Iterable[SpanData]) -> None:
+        """Fold more spans into the stage and worker totals.
+
+        Folding a stream in parts gives the totals of folding it whole
+        (property-tested), so a long-running process can fold each
+        cycle's spans and drop them.  Worker labels stay raw here;
+        :meth:`from_spans` normalizes them.
+        """
+        for span in spans:
+            duration_us = span.duration_ns // 1_000
+            stage = self.stages.get(span.stage)
+            if stage is None:
+                stage = self.stages[span.stage] = StageStats(span.stage)
+            stage.observe(duration_us, span.records, span.bytes, span.errors)
+            if span.stage == "run":
+                # The run-envelope span covers the whole wall; counting
+                # it as busy time would pin "main" above 100%.
+                continue
+            worker = self.workers.get(span.worker)
+            if worker is None:
+                worker = self.workers[span.worker] = WorkerStats(span.worker)
+            worker.spans += 1
+            worker.busy_us += duration_us
 
     def _normalize_workers(self) -> None:
         """Relabel workers ``w0..wN`` by first appearance.

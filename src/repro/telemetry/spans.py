@@ -7,18 +7,20 @@ pipeline stage (resolve → parse → convert → import, plus
 a structured span carrying host, file, stage, records/bytes processed,
 error count, and monotonic wall time.
 
-Two objects split the work across the process boundary:
-
-* :class:`SpanProbe` — the picklable *measurement* side.  Workers in
-  the parse → convert fan-out carry a probe into their process, append
-  finished :class:`SpanData` to a local list, and ship the list back
-  in the task result.  A disabled probe (:data:`NULL_PROBE`) returns a
-  shared no-op span and never touches the clock — the near-zero
-  overhead path that is the default everywhere.
-* :class:`TelemetryCollector` — the parent-side *aggregation* sink.
-  The single-writer drain loop ingests every file's spans in the same
-  deterministic ``(host, file)`` order it imports tables, so persisted
-  telemetry inherits the pipeline's determinism guarantee.
+One object does the work: a :class:`TelemetryCollector` records each
+finished :class:`SpanData` where the stage ran.  A process-pool worker
+in the parse → convert fan-out builds its own collector from the
+parent's clock (a module-level function or builtin, so it pickles) and
+ships its spans back in the task result; the single-writer drain loop
+ingests them just before that file's import, in the same
+deterministic ``(host, file)`` order it imports tables, so persisted
+telemetry inherits the pipeline's determinism guarantee.  A disabled
+collector (:data:`NULL_TELEMETRY`, the default everywhere) returns a
+shared no-op span and never touches the clock — the near-zero
+overhead path.  Long-running processes fold their spans into a
+:class:`~repro.telemetry.aggregate.RunTelemetry` with
+:meth:`~repro.telemetry.aggregate.RunTelemetry.add` and clear the list,
+so memory stays bounded and every total only grows.
 
 Clocks are injectable (any ``() -> int`` nanosecond source).  Wall
 time is inherently nondeterministic, so the equivalence tests inject
@@ -35,9 +37,7 @@ from typing import Callable
 __all__ = [
     "MAIN_WORKER",
     "SpanData",
-    "SpanProbe",
     "TelemetryCollector",
-    "NULL_PROBE",
     "NULL_TELEMETRY",
     "zero_clock",
 ]
@@ -77,25 +77,25 @@ class SpanData:
     worker: str = MAIN_WORKER
 
 
+
+
 class _ActiveSpan:
     """A span being measured; context-manage it around the stage."""
 
     __slots__ = (
-        "_probe", "_out", "stage", "hostname", "source_path", "parent",
+        "_collector", "stage", "hostname", "source_path", "parent",
         "_start", "records", "bytes", "errors",
     )
 
     def __init__(
         self,
-        probe: "SpanProbe",
-        out: list[SpanData],
+        collector: "TelemetryCollector",
         stage: str,
         hostname: str,
         source_path: str,
         parent: str,
     ) -> None:
-        self._probe = probe
-        self._out = out
+        self._collector = collector
         self.stage = stage
         self.hostname = hostname
         self.source_path = source_path
@@ -112,12 +112,13 @@ class _ActiveSpan:
         self.errors += errors
 
     def __enter__(self) -> "_ActiveSpan":
-        self._start = self._probe.clock()
+        self._start = self._collector.clock()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        end = self._probe.clock()
-        self._out.append(
+        collector = self._collector
+        end = collector.clock()
+        collector.spans.append(
             SpanData(
                 stage=self.stage,
                 hostname=self.hostname,
@@ -130,13 +131,13 @@ class _ActiveSpan:
                 records=self.records,
                 bytes=self.bytes,
                 errors=self.errors,
-                worker=self._probe.worker,
+                worker=collector.worker,
             )
         )
 
 
 class _NullSpan:
-    """Shared do-nothing span: the disabled-probe fast path."""
+    """Shared do-nothing span: the disabled-collector fast path."""
 
     __slots__ = ()
 
@@ -152,56 +153,34 @@ class _NullSpan:
 
 _NULL_SPAN = _NullSpan()
 
-
-@dataclasses.dataclass(slots=True)
-class SpanProbe:
-    """The picklable measurement half of the telemetry layer.
-
-    ``enabled=False`` (the :data:`NULL_PROBE` default) makes
-    :meth:`span` return a shared no-op span without calling the clock,
-    so instrumented code pays a single attribute check when telemetry
-    is off.
-    """
-
-    enabled: bool = True
-    clock: Callable[[], int] = time.perf_counter_ns
-    worker: str = MAIN_WORKER
-
-    def span(
-        self,
-        out: list[SpanData],
-        stage: str,
-        hostname: str = "",
-        source_path: str = "",
-        parent: str = "",
-    ):
-        """A context manager measuring one stage into ``out``."""
-        if not self.enabled:
-            return _NULL_SPAN
-        return _ActiveSpan(self, out, stage, hostname, source_path, parent)
-
-    def relabel(self, worker: str) -> "SpanProbe":
-        """A copy of this probe tagged with a worker identity."""
-        return SpanProbe(enabled=self.enabled, clock=self.clock, worker=worker)
-
-
-#: The default, disabled probe — instrumentation points share it.
-NULL_PROBE = SpanProbe(enabled=False)
+#: The stage prefix of the analysis engine's spans.
+_ANALYSIS_PREFIX = "analysis."
 
 
 class TelemetryCollector:
-    """Parent-side sink accumulating one run's spans and gauges.
+    """One process's span sink: measures stages, aggregates, persists.
 
-    The pipeline ingests spans in single-writer drain order, records
-    drain-queue depth samples as the parallel fan-out completes, and
-    asks for the aggregate :class:`~repro.telemetry.aggregate.RunTelemetry`
-    (or persists it into the warehouse) when the run finishes.
+    :meth:`span` records each finished stage into :attr:`spans`; the
+    pipeline also samples drain-queue depth as the parallel fan-out
+    completes, and asks for the aggregate
+    :class:`~repro.telemetry.aggregate.RunTelemetry` (or persists it
+    into the warehouse) when the run finishes.
+
+    ``enabled=False`` (:data:`NULL_TELEMETRY`) makes :meth:`span`
+    return a shared no-op span without calling the clock and every
+    other hook a no-op, so instrumented code pays a single attribute
+    check when telemetry is off.
     """
 
-    enabled = True
-
-    def __init__(self, clock: Callable[[], int] = time.perf_counter_ns) -> None:
+    def __init__(
+        self,
+        clock: Callable[[], int] = time.perf_counter_ns,
+        worker: str = MAIN_WORKER,
+        enabled: bool = True,
+    ) -> None:
         self.clock = clock
+        self.worker = worker
+        self.enabled = enabled
         self.spans: list[SpanData] = []
         #: ``(t_ns, depth)`` samples of completed-but-undrained futures.
         self.queue_depth: list[tuple[int, int]] = []
@@ -210,13 +189,22 @@ class TelemetryCollector:
 
     # -- measurement -------------------------------------------------
 
-    def probe(self, worker: str = MAIN_WORKER) -> SpanProbe:
-        """A probe measuring with this collector's clock."""
-        return SpanProbe(enabled=True, clock=self.clock, worker=worker)
+    def span(
+        self,
+        stage: str,
+        hostname: str = "",
+        source_path: str = "",
+        parent: str = "",
+    ):
+        """A context manager recording one stage into :attr:`spans`."""
+        if not self.enabled:
+            return _NULL_SPAN
+        return _ActiveSpan(self, stage, hostname, source_path, parent)
 
     def start_run(self) -> None:
         """Mark the start of a pipeline run (for wall time/utilization)."""
-        self._run_start = self.clock()
+        if self.enabled:
+            self._run_start = self.clock()
 
     def finish_run(self) -> int:
         """Mark the end of the run started by :meth:`start_run`.
@@ -232,12 +220,15 @@ class TelemetryCollector:
         return delta
 
     def ingest(self, spans: list[SpanData] | tuple[SpanData, ...]) -> None:
-        """Append finished spans (call in deterministic drain order)."""
-        self.spans.extend(spans)
+        """Append spans measured elsewhere (a pool worker's), in
+        deterministic drain order."""
+        if self.enabled:
+            self.spans.extend(spans)
 
     def record_queue_depth(self, depth: int) -> None:
         """Sample the single-writer drain queue's depth."""
-        self.queue_depth.append((self.clock(), depth))
+        if self.enabled:
+            self.queue_depth.append((self.clock(), depth))
 
     # -- results -----------------------------------------------------
 
@@ -264,84 +255,50 @@ class TelemetryCollector:
         so that table is run-specific by nature).  Re-persisting
         replaces the previous run's telemetry.
         """
-        from repro.telemetry.aggregate import RunTelemetry
-
-        db.replace_pipeline_metrics(
-            (
-                span.stage,
-                span.hostname,
-                span.source_path,
-                span.records,
-                span.bytes,
-                span.errors,
-                span.duration_ns // 1_000,
-            )
-            for span in self.spans
-        )
-        telemetry = RunTelemetry.from_spans(
-            self.spans, queue_depth=self.queue_depth, wall_ns=self._wall_ns
-        )
+        if not self.enabled:
+            return
+        db.replace_pipeline_metrics(_metric_rows(self.spans))
+        telemetry = self.run_telemetry()
         db.replace_pipeline_workers(
             (w.worker, w.spans, w.busy_us, w.utilization)
             for w in telemetry.workers.values()
         )
 
-    def persist_stages(self, db, prefix: str = "analysis.") -> None:
-        """Append this run's ``prefix``-stage spans to ``pipeline_metrics``.
+    def persist_stages(self, db) -> None:
+        """Append this run's analysis-stage spans to ``pipeline_metrics``.
 
         Unlike :meth:`persist`, rows already in the table are left
-        alone except those under the same prefix — so analysis-stage
+        alone except earlier ``analysis.*`` rows — so analysis-stage
         latency lands *next to* the ingest stages and ``mscope stats``
         renders them as one run history.  Re-running analysis replaces
         only the previous analysis rows (idempotent).
         """
+        if not self.enabled:
+            return
         db.append_pipeline_metrics(
-            (
-                (
-                    span.stage,
-                    span.hostname,
-                    span.source_path,
-                    span.records,
-                    span.bytes,
-                    span.errors,
-                    span.duration_ns // 1_000,
-                )
-                for span in self.spans
-                if span.stage.startswith(prefix)
+            _metric_rows(
+                span for span in self.spans
+                if span.stage.startswith(_ANALYSIS_PREFIX)
             ),
-            replace_prefix=prefix,
+            replace_prefix=_ANALYSIS_PREFIX,
         )
 
 
-class _NullTelemetry(TelemetryCollector):
-    """The disabled collector: every hook is a no-op."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(clock=zero_clock)
-
-    def probe(self, worker: str = MAIN_WORKER) -> SpanProbe:
-        return NULL_PROBE
-
-    def start_run(self) -> None:
-        pass
-
-    def finish_run(self) -> int:
-        return 0
-
-    def ingest(self, spans) -> None:
-        pass
-
-    def record_queue_depth(self, depth: int) -> None:
-        pass
-
-    def persist(self, db) -> None:
-        pass
-
-    def persist_stages(self, db, prefix: str = "analysis.") -> None:
-        pass
+def _metric_rows(spans):
+    """``pipeline_metrics`` rows of ``spans``, in order."""
+    return (
+        (
+            span.stage,
+            span.hostname,
+            span.source_path,
+            span.records,
+            span.bytes,
+            span.errors,
+            span.duration_ns // 1_000,
+        )
+        for span in spans
+    )
 
 
 #: The default sink: collection hooks stay wired, nothing is measured.
-NULL_TELEMETRY = _NullTelemetry()
+NULL_TELEMETRY = TelemetryCollector(clock=zero_clock, enabled=False)

@@ -9,27 +9,22 @@ line, or a binary payload lands in a text stream.  The
 generated log directory, seeded and deterministic — the same seed over
 the same tree produces byte-identical corruption — so every format
 parser can be exercised against the damage in reproducible tests and
-the nightly corruption-fuzz CI job.
+the nightly corruption-fuzz suite (``pytest tests/fuzz -m fuzz``).
 
 Usage::
 
     corruptor = LogCorruptor(seed=7)
     reports = corruptor.corrupt_directory(log_root)
-
-or from the shell (the nightly fuzz job's entry point)::
-
-    python -m repro.transformer.faultgen --logs out/logs --seed 7
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import random
 from pathlib import Path
 from typing import Sequence
 
-__all__ = ["CORRUPTION_KINDS", "Corruption", "LogCorruptor", "main"]
+__all__ = ["CORRUPTION_KINDS", "Corruption", "LogCorruptor"]
 
 #: The damage classes, in deterministic application order.
 CORRUPTION_KINDS = (
@@ -225,39 +220,3 @@ class LogCorruptor:
             path, "strip_header", 0, f"removed {len(lines) - len(kept)} lines"
         )
 
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: corrupt a log directory in place."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.transformer.faultgen",
-        description="seeded corruption fault injection for monitor logs",
-    )
-    parser.add_argument("--logs", type=Path, required=True)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--kinds",
-        default=",".join(CORRUPTION_KINDS),
-        help="comma-separated corruption kinds",
-    )
-    parser.add_argument(
-        "--probability",
-        type=float,
-        default=1.0,
-        help="per-file probability of damage",
-    )
-    args = parser.parse_args(argv)
-    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    reports = LogCorruptor(args.seed).corrupt_directory(
-        args.logs, kinds=kinds, probability=args.probability
-    )
-    for report in reports:
-        print(
-            f"{report.path}:{report.line_number} "
-            f"{report.kind} ({report.detail})"
-        )
-    print(f"{len(reports)} corruptions applied (seed {args.seed})")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

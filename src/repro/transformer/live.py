@@ -60,9 +60,7 @@ Notes
 * Each refresh cycle opens a telemetry span, and so does each file it
   opens — each file's span carries the bytes parsed, so their sum over
   a session against the file sizes is the bytes parsed per byte
-  appended — and updates the :class:`Heartbeat` — files/sec, rows/sec,
-  cycle lag, last error — so a long-lived live session has a health
-  signal without any polling of the warehouse.
+  appended.
 """
 
 from __future__ import annotations
@@ -75,11 +73,7 @@ from typing import Callable
 
 from repro.common.errors import ParseError
 from repro.sampling.policy import SamplingPolicy, parse_policy
-from repro.telemetry.spans import (
-    NULL_TELEMETRY,
-    SpanData,
-    TelemetryCollector,
-)
+from repro.telemetry.spans import NULL_TELEMETRY, TelemetryCollector
 from repro.transformer.declaration import (
     ParserBinding,
     ParsingDeclaration,
@@ -92,7 +86,7 @@ from repro.transformer.parsers.base import START, ParseCursor, unchanged_since
 from repro.transformer.xml_to_csv import XmlToCsvConverter
 from repro.warehouse.db import MScopeDB
 
-__all__ = ["LiveTransformer", "RefreshOutcome", "Heartbeat"]
+__all__ = ["LiveTransformer", "RefreshOutcome"]
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -114,24 +108,6 @@ class RefreshOutcome:
     @property
     def skipped_files(self) -> int:
         return len(self.skipped)
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class Heartbeat:
-    """The live transformer's health signal, one per refresh cycle.
-
-    ``lag_s`` is how long the last cycle took — when it approaches the
-    refresh interval, the transformer is falling behind the logs.
-    ``last_error`` is the most recent parse/ingest failure message
-    (``None`` while everything is healthy).
-    """
-
-    refreshes: int
-    new_rows: int
-    files_per_sec: float
-    rows_per_sec: float
-    lag_s: float
-    last_error: str | None = None
 
 
 class LiveTransformer:
@@ -158,13 +134,6 @@ class LiveTransformer:
         receiving one ``refresh`` span per cycle and one
         ``refresh_file`` span per file opened (a file its settled stat
         vouches for opens none).
-    clock:
-        Monotonic seconds source for the heartbeat (injectable for
-        tests; defaults to :func:`time.monotonic`).
-    on_heartbeat:
-        Callback invoked with the fresh :class:`Heartbeat` at the end
-        of every :meth:`refresh_directory` cycle — the streaming
-        health signal for a supervising process.
     on_ingest_error:
         Callback invoked with ``(source_path, reason)`` for every
         damaged line a lenient policy records, once the cycle that
@@ -191,8 +160,6 @@ class LiveTransformer:
         backoff_s: float = 0.05,
         sleep: Callable[[float], None] = time.sleep,
         telemetry: TelemetryCollector | None = None,
-        clock: Callable[[], float] = time.monotonic,
-        on_heartbeat: Callable[[Heartbeat], None] | None = None,
         on_ingest_error: Callable[[str, str], None] | None = None,
         sampling: SamplingPolicy | str | None = None,
     ) -> None:
@@ -208,12 +175,7 @@ class LiveTransformer:
         self.backoff_s = backoff_s
         self._sleep = sleep
         self.telemetry = telemetry or NULL_TELEMETRY
-        self._clock = clock
-        self.on_heartbeat = on_heartbeat
         self.on_ingest_error = on_ingest_error
-        self._refreshes = 0
-        self._last_error: str | None = None
-        self._heartbeat: Heartbeat | None = None
         self._cursors: dict[Path, ParseCursor] = {}
         # Parser instances hold no state between parses (a file's
         # carried state lives in its cursor), so one per binding serves
@@ -260,9 +222,8 @@ class LiveTransformer:
         is staged and applied only once the transaction committed: if
         an import fails, the warehouse, the importer's and sampling
         policy's state and every cursor are as they were before the
-        cycle.  Damaged lines and parse failures reach
-        ``on_ingest_error`` and the heartbeat's last error only after
-        the commit too, so a cycle that rolled back reports nothing.
+        cycle.  Damaged lines reach ``on_ingest_error`` only after the
+        commit too, so a cycle that rolled back reports nothing.
         A :class:`ParseError` is retried ``max_retries`` times with
         exponential backoff, then the file is skipped (``skip``) or the
         error raised once the cycle committed.
@@ -270,9 +231,9 @@ class LiveTransformer:
         new_rows = refreshed = advanced = retries = 0
         skipped: list[tuple[Path, str]] = []
         staged: dict[Path, ParseCursor] = {}
-        #: ``(path, reason)`` of each damaged line, ``(None, message)``
-        #: of each parse failure, in the order they happened.
-        reports: list[tuple[str | None, str]] = []
+        #: ``(path, reason)`` of each damaged line, in the order they
+        #: happened.
+        reports: list[tuple[str, str]] = []
         failure: ParseError | None = None
         opened = False
         with contextlib.ExitStack() as stack:
@@ -296,7 +257,6 @@ class LiveTransformer:
                         if skip and not log_file.exists():
                             landed = (0, before)  # gone since the listing
                             break
-                        reports.append((None, str(exc)))
                         failure = exc
                         if attempt == max_retries:
                             break
@@ -318,11 +278,9 @@ class LiveTransformer:
                     new_rows += rows
         # Committed (or nothing to commit): the cursors move now.
         self._cursors.update(staged)
-        for path, reason in reports:
-            if path is not None and self.on_ingest_error is not None:
+        if self.on_ingest_error is not None:
+            for path, reason in reports:
                 self.on_ingest_error(path, reason)
-            # Damage and parse failures feed the heartbeat's last error.
-            self._last_error = reason
         if failure is not None and not skip:
             raise failure
         return RefreshOutcome(
@@ -340,7 +298,7 @@ class LiveTransformer:
         binding: ParserBinding,
         cursor: ParseCursor,
         begin: Callable[[], None],
-        reports: list[tuple[str | None, str]],
+        reports: list[tuple[str, str]],
     ) -> tuple[int, ParseCursor]:
         """Parse one file from ``cursor`` and land its delta, calling
         ``begin`` before the first write and adding each damaged line
@@ -352,41 +310,35 @@ class LiveTransformer:
         parser = self._parser_for(binding)
         source = str(path)
         sink = ErrorSink(self.policy, source, binding.parser_name)
-        spans: list[SpanData] = []
-        try:
-            with self.telemetry.probe().span(
-                spans, "refresh_file", hostname, source, parent="refresh"
-            ) as span:
-                try:
-                    document, after = parser.resume(path, cursor, sink, span)
-                finally:
-                    # Damage seen before the parse aborted still gets
-                    # recorded (idempotently — the keyed INSERT OR
-                    # REPLACE makes a retried parse converge on the
-                    # same ledger rows).
-                    if sink.errors:
-                        begin()
-                        self.importer.record_errors(sink.errors)
-                        reports.extend(
-                            (error.path, error.reason) for error in sink.errors
-                        )
-                    span.add(errors=len(sink.errors))
-                rows = 0
-                if document.records:
+        with self.telemetry.span(
+            "refresh_file", hostname, source, parent="refresh"
+        ) as span:
+            try:
+                document, after = parser.resume(path, cursor, sink, span)
+            finally:
+                # Damage seen before the parse aborted still gets
+                # recorded (idempotently — the keyed INSERT OR REPLACE
+                # makes a retried parse converge on the same ledger
+                # rows).
+                if sink.errors:
                     begin()
-                    table = self.converter.convert(
-                        document,
-                        f"{binding.monitor}_{hostname}",
-                        extra_columns={"hostname": hostname},
+                    self.importer.record_errors(sink.errors)
+                    reports.extend(
+                        (error.path, error.reason) for error in sink.errors
                     )
-                    rows = self.importer.import_table(
-                        table, hostname, binding.parser_name
-                    )
-                span.add(records=rows)
-        finally:
-            # The span closed on the ``with`` exit (success or not);
-            # ship whatever was measured.
-            self.telemetry.ingest(spans)
+                span.add(errors=len(sink.errors))
+            rows = 0
+            if document.records:
+                begin()
+                table = self.converter.convert(
+                    document,
+                    f"{binding.monitor}_{hostname}",
+                    extra_columns={"hostname": hostname},
+                )
+                rows = self.importer.import_table(
+                    table, hostname, binding.parser_name
+                )
+            span.add(records=rows)
         return rows, after
 
     def declared_files(self, root: Path | str) -> list[tuple[str, Path]]:
@@ -416,33 +368,10 @@ class LiveTransformer:
         # The walk resolves each file's binding; pass it on rather than
         # resolve every file again.
         declared = self.declaration.declared_files(root)
-        started = self._clock()
-        spans: list[SpanData] = []
-        with self.telemetry.probe().span(spans, "refresh") as span:
+        with self.telemetry.span("refresh") as span:
             outcome = self._cycle(declared, self.max_retries, skip=True)
             span.add(records=outcome.new_rows, errors=outcome.skipped_files)
-        self.telemetry.ingest(spans)
-        self._beat(started, outcome.refreshed_files, outcome.new_rows)
         return outcome
-
-    def _beat(self, started: float, refreshed: int, new_rows: int) -> None:
-        """Update (and stream) the heartbeat after one refresh cycle."""
-        lag_s = max(0.0, self._clock() - started)
-        self._refreshes += 1
-        self._heartbeat = Heartbeat(
-            refreshes=self._refreshes,
-            new_rows=new_rows,
-            files_per_sec=refreshed / lag_s if lag_s > 0 else 0.0,
-            rows_per_sec=new_rows / lag_s if lag_s > 0 else 0.0,
-            lag_s=lag_s,
-            last_error=self._last_error,
-        )
-        if self.on_heartbeat is not None:
-            self.on_heartbeat(self._heartbeat)
-
-    def heartbeat(self) -> Heartbeat | None:
-        """The latest :class:`Heartbeat` (``None`` before any cycle)."""
-        return self._heartbeat
 
     def high_water(self, path: Path | str) -> int:
         """Records already imported from ``path``."""

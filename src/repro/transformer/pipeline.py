@@ -44,6 +44,7 @@ import dataclasses
 import os
 import shutil
 from pathlib import Path
+from typing import Callable
 
 from repro.common.errors import ParseError
 from repro.transformer.declaration import (
@@ -58,13 +59,7 @@ from repro.transformer.errorpolicy import (
     ErrorSink,
     IngestError,
 )
-from repro.telemetry.spans import (
-    NULL_PROBE,
-    NULL_TELEMETRY,
-    SpanData,
-    SpanProbe,
-    TelemetryCollector,
-)
+from repro.telemetry.spans import NULL_TELEMETRY, SpanData, TelemetryCollector
 from repro.sampling.policy import SamplingPolicy, parse_policy
 from repro.transformer.importer import MScopeDataImporter
 from repro.transformer.parsers import create_parser
@@ -95,14 +90,10 @@ class TransformOutcome:
     failed: bool = False
 
 
-#: ``(table, xml, csv, errors, spans)``: what :func:`_parse_convert`
-#: makes of one file, and what the write stage takes.
+#: ``(table, xml, csv, errors)``: what :func:`_parse_convert` makes
+#: of one file, and what the write stage takes.
 _Parsed = tuple[
-    CsvTable | None,
-    Path | None,
-    Path | None,
-    tuple[IngestError, ...],
-    tuple[SpanData, ...],
+    CsvTable | None, Path | None, Path | None, tuple[IngestError, ...]
 ]
 
 
@@ -112,25 +103,24 @@ def _parse_convert(
     binding: ParserBinding,
     workdir: Path | None,
     policy: ErrorPolicy,
-    probe: SpanProbe = NULL_PROBE,
+    telemetry: TelemetryCollector,
 ) -> _Parsed:
     """The CPU-bound stages for one file: parse → XML → convert → CSV.
 
     Runs either in-process (serial path) or inside a worker process
     (parallel fan-out); it touches only the file system, never the
-    warehouse.  Returns ``(table, xml, csv, errors, spans)`` where
-    ``table`` is ``None`` when the file failed under a lenient policy;
-    collected ingest errors and the ``parse``/``convert`` stage spans
-    travel back for the parent's single-writer stage to record in
-    drain order.  Under ``fail-fast`` any damage raises, exactly as
-    before.
+    warehouse.  Returns ``(table, xml, csv, errors)`` where ``table``
+    is ``None`` when the file failed under a lenient policy; collected
+    ingest errors travel back for the parent's single-writer stage to
+    record in drain order, and the ``parse``/``convert`` stage spans
+    land in ``telemetry``.  Under ``fail-fast`` any damage raises,
+    exactly as before.
     """
     parser = create_parser(binding)
     sink = ErrorSink(policy, str(path), binding.parser_name)
-    spans: list[SpanData] = []
     source = str(path)
     document: XmlDocument | None = None
-    with probe.span(spans, "parse", hostname, source, parent="file") as span:
+    with telemetry.span("parse", hostname, source, parent="file") as span:
         try:
             document = parser.parse_file(path, sink=sink, span=span)
         except ParseError as exc:
@@ -142,12 +132,12 @@ def _parse_convert(
         span.add(errors=len(sink.errors))
     if document is None:
         _quarantine(policy, sink, path, hostname, failed_file=True)
-        return None, None, None, tuple(sink.errors), tuple(spans)
+        return None, None, None, tuple(sink.errors)
 
     xml_artifact: Path | None = None
     csv_artifact: Path | None = None
     converter = XmlToCsvConverter()
-    with probe.span(spans, "convert", hostname, source, parent="file") as span:
+    with telemetry.span("convert", hostname, source, parent="file") as span:
         if workdir is not None:
             xml_artifact = workdir / hostname / f"{path.stem}.xml"
             document.write(xml_artifact)
@@ -164,7 +154,7 @@ def _parse_convert(
             converter.write_csv(table, csv_artifact)
         span.add(records=len(table.rows))
     _quarantine(policy, sink, path, hostname, failed_file=False)
-    return table, xml_artifact, csv_artifact, tuple(sink.errors), tuple(spans)
+    return table, xml_artifact, csv_artifact, tuple(sink.errors)
 
 
 def _quarantine(
@@ -203,17 +193,24 @@ def _parse_convert_task(
     binding: ParserBinding,
     workdir_str: str | None,
     policy: ErrorPolicy,
-    probe: SpanProbe = NULL_PROBE,
-) -> _Parsed:
-    """Picklable worker entry point for the process pool."""
+    clock: Callable[[], int] | None,
+) -> tuple[_Parsed, tuple[SpanData, ...]]:
+    """Picklable worker entry point for the process pool.
+
+    ``clock`` is the parent collector's, or ``None`` when telemetry is
+    off.  Spans are tagged with the process that measured them; the
+    aggregate normalizes pids to stable ``w0..wN`` labels.
+    """
     workdir = Path(workdir_str) if workdir_str is not None else None
-    if probe.enabled:
-        # Tag spans with the process that measured them; the collector
-        # normalizes pids to stable w0..wN labels at aggregation time.
-        probe = probe.relabel(f"pid-{os.getpid()}")
-    return _parse_convert(
-        Path(path_str), hostname, binding, workdir, policy, probe
+    telemetry = (
+        NULL_TELEMETRY
+        if clock is None
+        else TelemetryCollector(clock, worker=f"pid-{os.getpid()}")
     )
+    parsed = _parse_convert(
+        Path(path_str), hostname, binding, workdir, policy, telemetry
+    )
+    return parsed, tuple(telemetry.spans)
 
 
 class MScopeDataTransformer:
@@ -289,23 +286,18 @@ class MScopeDataTransformer:
         xml_artifact: Path | None,
         csv_artifact: Path | None,
         errors: tuple[IngestError, ...],
-        spans: tuple[SpanData, ...],
     ) -> TransformOutcome:
         """The single-writer stage: record errors, load one table.
 
         Runs in deterministic ``(host, file)`` drain order for both
         serial and parallel transforms, so the warehouse — including
         the ``ingest_errors`` ledger — is byte-identical either way.
-        The file's worker-measured spans are ingested here, followed by
-        the ``import`` span, so the telemetry stream inherits the same
-        order.
+        The ``import`` span follows the file's ``parse``/``convert``
+        spans, so the telemetry stream inherits the same order.
         """
-        telemetry = self.telemetry
-        telemetry.ingest(spans)
-        import_spans: list[SpanData] = []
         rows = 0
-        with telemetry.probe().span(
-            import_spans, "import", hostname, str(path), parent="file"
+        with self.telemetry.span(
+            "import", hostname, str(path), parent="file"
         ) as span:
             self.importer.record_errors(errors)
             span.add(errors=len(errors))
@@ -313,7 +305,6 @@ class MScopeDataTransformer:
                 rows = self.importer.import_table(
                     table, hostname, binding.parser_name, span=span
                 )
-        telemetry.ingest(import_spans)
         return TransformOutcome(
             source=path,
             table_name=table.name if table is not None else "",
@@ -342,20 +333,15 @@ class MScopeDataTransformer:
         """Run the full pipeline on one log file (in-process)."""
         path = Path(path)
         telemetry = self.telemetry
-        resolve_spans: list[SpanData] = []
-        with telemetry.probe().span(
-            resolve_spans, "resolve", hostname, str(path)
-        ) as span:
+        with telemetry.span("resolve", hostname, str(path)) as span:
             binding = self.declaration.resolve(path)
             span.add(records=1)
-        telemetry.ingest(resolve_spans)
         return self._import_result(
             path,
             binding,
             hostname,
             *_parse_convert(
-                path, hostname, binding, self.workdir, self.policy,
-                telemetry.probe(),
+                path, hostname, binding, self.workdir, self.policy, telemetry
             ),
         )
 
@@ -385,19 +371,16 @@ class MScopeDataTransformer:
         """
         telemetry = self.telemetry
         telemetry.start_run()
-        resolve_spans: list[SpanData] = []
-        with telemetry.probe().span(resolve_spans, "resolve") as span:
+        with telemetry.span("resolve") as span:
             work = self.declaration.declared_files(root)
             span.add(records=len(work))
-        telemetry.ingest(resolve_spans)
 
         jobs = self._resolve_jobs(jobs, len(work))
         if jobs <= 1:
             outcomes: list[TransformOutcome] = []
-            probe = telemetry.probe()
             for host, path, binding in work:
                 result = _parse_convert(
-                    path, host, binding, self.workdir, self.policy, probe
+                    path, host, binding, self.workdir, self.policy, telemetry
                 )
                 outcomes.append(
                     self._import_result(path, binding, host, *result)
@@ -432,7 +415,7 @@ class MScopeDataTransformer:
         outcomes: list[TransformOutcome] = []
         workdir_str = str(self.workdir) if self.workdir is not None else None
         telemetry = self.telemetry
-        probe = telemetry.probe()
+        clock = telemetry.clock if telemetry.enabled else None
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 pool.submit(
@@ -442,7 +425,7 @@ class MScopeDataTransformer:
                     binding,
                     workdir_str,
                     self.policy,
-                    probe,
+                    clock,
                 )
                 for host, path, binding in work
             ]
@@ -456,10 +439,10 @@ class MScopeDataTransformer:
                         telemetry.record_queue_depth(
                             sum(1 for f in futures[index:] if f.done())
                         )
+                    parsed, spans = future.result()
+                    telemetry.ingest(spans)
                     outcomes.append(
-                        self._import_result(
-                            path, binding, host, *future.result()
-                        )
+                        self._import_result(path, binding, host, *parsed)
                     )
             except BaseException:
                 for future in futures:

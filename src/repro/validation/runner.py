@@ -37,7 +37,6 @@ from repro.experiments.scenarios import (
     record_run_metadata,
     run_scenario,
 )
-from repro.telemetry.spans import NULL_TELEMETRY, TelemetryCollector
 from repro.transformer.errorpolicy import QUARANTINE, SKIP, ErrorPolicy
 from repro.transformer.live import LiveTransformer
 from repro.transformer.pipeline import MScopeDataTransformer
@@ -208,21 +207,12 @@ class ScenarioRunner:
     ----------
     workdir:
         Where per-run directories (native logs, fault schedule,
-        warehouse) are created.
-    telemetry:
-        Optional collector threaded through transform and diagnosis;
-        its spans persist into the warehouse's ``pipeline_metrics``.
-        Defaults to the no-op sink so conformance mode pairs compare
-        pure monitoring data.
+        warehouse) are created.  Builds run without telemetry, so
+        conformance mode pairs compare pure monitoring data.
     """
 
-    def __init__(
-        self,
-        workdir: Path,
-        telemetry: TelemetryCollector | None = None,
-    ) -> None:
+    def __init__(self, workdir: Path) -> None:
         self.workdir = Path(workdir)
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         # One simulation per (scenario, seed), shared by every
         # mode: all modes then ingest the *same* native logs, so
         # warehouse dumps (which record source paths) are directly
@@ -311,10 +301,7 @@ class ScenarioRunner:
             db_path.unlink(missing_ok=True)
         db = self._build_warehouse(meta, db_path, mode, mode_dir, sampling)
         try:
-            reports = Diagnoser(
-                db, epoch_us=meta.epoch_us, telemetry=self.telemetry
-            ).diagnose()
-            self.telemetry.persist_stages(db)
+            reports = Diagnoser(db, epoch_us=meta.epoch_us).diagnose()
             ledger = db.sampling_summary() if sampling is not None else None
         finally:
             db.close()
@@ -350,9 +337,7 @@ class ScenarioRunner:
             # serial batch build, so even diagnosis-report equality
             # holds.
             sharded = ShardedMScopeDB(db_path)
-            transformer = MScopeDataTransformer(
-                sharded, jobs=2, telemetry=self.telemetry, sampling=sampling
-            )
+            transformer = MScopeDataTransformer(sharded, jobs=2, sampling=sampling)
             transformer.transform_directory(meta.log_dir)
             record_run_metadata(meta, sharded)
             return sharded
@@ -360,7 +345,7 @@ class ScenarioRunner:
         if mode == "live":
             # One catch-up refresh over the finished logs; incremental
             # split behaviour is covered by the live property test.
-            live = LiveTransformer(db, telemetry=self.telemetry, sampling=sampling)
+            live = LiveTransformer(db, sampling=sampling)
             live.refresh_directory(meta.log_dir)
             live.flush_sampling()
         else:
@@ -376,7 +361,6 @@ class ScenarioRunner:
                 db,
                 jobs=jobs,
                 policy=policy,
-                telemetry=self.telemetry,
                 sampling=sampling,
             )
             transformer.transform_directory(meta.log_dir)

@@ -6,7 +6,7 @@ import pytest
 from repro.analysis.cache import SeriesCache
 from repro.analysis.metrics import metric_series
 from repro.analysis.queues import concurrency_series, spans_from_warehouse
-from repro.telemetry.spans import SpanData, SpanProbe
+from repro.telemetry.spans import TelemetryCollector
 from repro.warehouse.db import MScopeDB
 
 EPOCH = 1_000_000_000
@@ -124,11 +124,12 @@ def test_clear_forgets_everything(db):
 
 
 def test_loads_credited_to_spans(db):
-    spans: list[SpanData] = []
-    cache = SeriesCache(db, epoch_us=EPOCH, probe=SpanProbe(), spans=spans)
+    telemetry = TelemetryCollector()
+    cache = SeriesCache(db, epoch_us=EPOCH, telemetry=telemetry)
     cache.metric("collectl_db1", ("dsk_pctutil",))
     cache.queue_series("apache_events_web1", 0, 100 * MS, 10 * MS)
     cache.metric("collectl_db1", ("dsk_pctutil",))  # hit: no new span
+    spans = telemetry.spans
     stages = [s.stage for s in spans]
     assert stages == ["analysis.load_metric", "analysis.load_spans"]
     assert spans[0].records == 200

@@ -72,6 +72,21 @@ def test_heartbeat_published_each_cycle(logs):
     assert beats[1].data["new_rows"] == 0
 
 
+def test_stats_fold_every_cycle_and_hold_no_spans(logs):
+    """Each cycle's spans fold into the lifetime ``/stats`` totals and
+    leave the span list: its counters match the serve state however
+    long the daemon runs, where a trimmed span list dropped the oldest
+    cycles and made a ``*_total`` counter go down."""
+    daemon = make_daemon(logs)
+    for i in range(3, 63):
+        append(logs / "db1" / "mysql_log.log", [mysql_line(i)])
+        daemon.ingest_cycle()
+    assert daemon.telemetry.spans == []
+    stages = daemon.telemetry_snapshot().stages
+    assert stages["refresh"].spans == daemon.state.cycles == 60
+    assert stages["refresh_file"].records == daemon.state.rows == 63
+
+
 def test_unchanged_file_is_not_reoffered(logs):
     daemon = make_daemon(logs)
     daemon.ingest_cycle()

@@ -142,3 +142,24 @@ def test_bucket_index_brackets_the_value(value):
         assert value < 2**index
         if index:
             assert value >= 2 ** (index - 1)
+
+
+@given(spans, st.lists(st.integers(0, 60), max_size=5))
+def test_folding_in_parts_equals_aggregating_the_whole(stream, cuts):
+    """Folding any split of a span stream with ``add`` (a long-running
+    process's cycle-by-cycle rollup) gives the stages and workers of
+    ``from_spans`` over the whole stream."""
+    bounds = [0, *sorted(min(cut, len(stream)) for cut in cuts), len(stream)]
+    folded = RunTelemetry()
+    for start, stop in zip(bounds, bounds[1:]):
+        folded.add(stream[start:stop])
+    whole = RunTelemetry.from_spans(stream)
+    assert [s.to_dict() for s in folded.stages.values()] == [
+        s.to_dict() for s in whole.stages.values()
+    ]
+    # ``add`` keeps raw worker labels; ``from_spans`` renames them
+    # w0..wN by first appearance, which a split does not reorder.
+    assert [(w.spans, w.busy_us) for w in folded.workers.values()] == [
+        (w.spans, w.busy_us) for w in whole.workers.values()
+    ]
+    assert ("main" in folded.workers) == ("main" in whole.workers)

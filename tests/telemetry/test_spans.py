@@ -1,16 +1,12 @@
 """Unit tests of the span measurement layer and the collector."""
 
-import pickle
-
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.telemetry.spans import (
     MAIN_WORKER,
-    NULL_PROBE,
     NULL_TELEMETRY,
     SpanData,
-    SpanProbe,
     TelemetryCollector,
     zero_clock,
 )
@@ -24,12 +20,11 @@ def ticking_clock(values):
 
 
 def test_span_measures_duration_and_attribution():
-    out = []
-    probe = SpanProbe(clock=ticking_clock([100, 350]))
-    with probe.span(out, "parse", "web1", "/x/access.log", parent="file") as s:
+    collector = TelemetryCollector(clock=ticking_clock([100, 350]))
+    with collector.span("parse", "web1", "/x/access.log", parent="file") as s:
         s.add(records=7, bytes=1024)
         s.add(errors=2)
-    (span,) = out
+    (span,) = collector.spans
     assert span == SpanData(
         stage="parse",
         hostname="web1",
@@ -44,50 +39,44 @@ def test_span_measures_duration_and_attribution():
 
 
 def test_span_closes_on_exception():
-    out = []
-    probe = SpanProbe(clock=ticking_clock([1, 2]))
+    collector = TelemetryCollector(clock=ticking_clock([1, 2]))
     with pytest.raises(RuntimeError):
-        with probe.span(out, "convert"):
+        with collector.span("convert"):
             raise RuntimeError("stage blew up")
-    assert len(out) == 1 and out[0].stage == "convert"
+    assert [s.stage for s in collector.spans] == ["convert"]
 
 
 @given(st.integers(0, 2**40), st.integers(0, 2**40))
 def test_duration_never_negative_even_with_misbehaving_clock(start, end):
     """Property: a backwards-jumping injected clock still yields a
     non-negative duration (the aggregation layer relies on it)."""
-    out = []
-    probe = SpanProbe(clock=ticking_clock([start, end]))
-    with probe.span(out, "parse"):
+    collector = TelemetryCollector(clock=ticking_clock([start, end]))
+    with collector.span("parse"):
         pass
-    assert out[0].duration_ns == max(0, end - start)
-    assert out[0].duration_ns >= 0
+    (span,) = collector.spans
+    assert span.duration_ns == max(0, end - start)
+    assert span.duration_ns >= 0
 
 
 def test_disabled_probe_never_touches_clock_or_output():
     def exploding_clock():
-        raise AssertionError("disabled probe called the clock")
+        raise AssertionError("disabled collector called the clock")
 
-    out = []
-    probe = SpanProbe(enabled=False, clock=exploding_clock)
-    with probe.span(out, "parse") as span:
+    collector = TelemetryCollector(clock=exploding_clock, enabled=False)
+    with collector.span("parse") as span:
         span.add(records=10)
-    assert out == []
-    assert NULL_PROBE.span(out, "x") is probe.span(out, "y")
+    collector.start_run()
+    collector.record_queue_depth(3)
+    assert collector.finish_run() == 0
+    assert collector.spans == [] and collector.queue_depth == []
+    assert NULL_TELEMETRY.span("x") is collector.span("y")
 
 
-def test_relabel_preserves_clock_and_enabled():
-    probe = SpanProbe(clock=zero_clock).relabel("pid-42")
-    assert probe.worker == "pid-42"
-    assert probe.clock is zero_clock
-    assert NULL_PROBE.relabel("pid-1").enabled is False
-
-
-def test_probe_with_module_level_clock_pickles():
-    # Workers receive their probe through ProcessPoolExecutor.
-    probe = SpanProbe(clock=zero_clock, worker="pid-9")
-    clone = pickle.loads(pickle.dumps(probe))
-    assert clone == probe
+def test_worker_spans_carry_the_worker_label():
+    collector = TelemetryCollector(clock=zero_clock, worker="pid-9")
+    with collector.span("parse"):
+        pass
+    assert collector.spans[0].worker == "pid-9"
 
 
 def test_collector_wall_time_accumulates_across_runs():
@@ -143,7 +132,10 @@ def test_null_telemetry_is_inert():
     NULL_TELEMETRY.record_queue_depth(5)
     assert NULL_TELEMETRY.finish_run() == 0
     NULL_TELEMETRY.persist(db)
+    NULL_TELEMETRY.persist_stages(db)
+    with NULL_TELEMETRY.span("analysis.run") as span:
+        span.add(records=1)
     assert NULL_TELEMETRY.spans == []
-    assert NULL_TELEMETRY.probe() is NULL_PROBE
+    assert NULL_TELEMETRY.queue_depth == []
     assert not NULL_TELEMETRY.enabled
     assert "pipeline_metrics" not in db.tables()

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.transformer.faultgen import (
-    CORRUPTION_KINDS,
-    LogCorruptor,
-    main,
-)
+from repro.transformer.faultgen import CORRUPTION_KINDS, LogCorruptor
 
 SAMPLE = (
     "# header line\n"
@@ -147,15 +143,3 @@ def test_probability_zero_leaves_tree_untouched(log_tree):
     )
     assert reports == []
     assert tree_bytes(log_tree) == baseline
-
-
-# ----------------------------------------------------------------------
-# CLI
-
-
-def test_cli_corrupts_and_reports(log_tree, capsys):
-    baseline = tree_bytes(log_tree)
-    assert main(["--logs", str(log_tree), "--seed", "11"]) == 0
-    out = capsys.readouterr().out
-    assert "corruptions applied (seed 11)" in out
-    assert tree_bytes(log_tree) != baseline

@@ -195,7 +195,6 @@ def test_lenient_budget_exhaustion_skips_file_after_retries(log_dir):
         max_retries=2,
         backoff_s=0.01,
         sleep=delays.append,
-        clock=lambda: 0.0,
     )
     outcome = live.refresh_directory(log_dir)
     assert outcome.skipped_files == 1
@@ -206,8 +205,8 @@ def test_lenient_budget_exhaustion_skips_file_after_retries(log_dir):
     # Each retry re-parses and re-records onto the same keyed ledger
     # rows: budget + 1 errors, not (budget + 1) x attempts.
     assert live.db.ingest_error_count() == 2
-    beat = live.heartbeat()
-    assert beat is not None and "budget" in beat.last_error
+    ((skipped, reason),) = outcome.skipped
+    assert skipped == path and "budget" in reason
 
 
 def test_budget_exhausted_file_imports_once_repaired(log_dir):
@@ -248,10 +247,11 @@ def test_truncated_file_is_reported_not_silently_ignored(log_dir):
     with pytest.raises(ParseError, match="3 records < 5 already imported"):
         live.refresh_file(path, "db1")
     outcome = live.refresh_directory(log_dir)
-    assert (outcome.skipped_files, outcome.new_rows) == (1, 0)
-    beat = live.heartbeat()
-    assert "truncated or rotated" in beat.last_error
-    assert str(path) in beat.last_error
+    assert outcome.new_rows == 0
+    ((skipped, reason),) = outcome.skipped
+    assert skipped == path
+    assert "truncated or rotated" in reason
+    assert str(path) in reason
     # No row added or lost, and the mark still says what was imported.
     assert live.db.row_count("mysql_events_db1") == 5
     assert live.high_water(path) == 5
@@ -380,7 +380,12 @@ def test_file_gone_since_listing_is_not_skipped(log_dir):
     nothing to ingest: it is neither skipped nor an error."""
     path = log_dir / "db1" / "mysql_log.log"
     append(path, [mysql_line(0)])
-    live = LiveTransformer(MScopeDB(), max_retries=0)
+    reported = []
+    live = LiveTransformer(
+        MScopeDB(),
+        max_retries=0,
+        on_ingest_error=lambda path, reason: reported.append(reason),
+    )
     gone = log_dir / "db1" / "sar_xml.log"
     listing = [
         ("db1", file, live.declaration.resolve(file)) for file in (path, gone)
@@ -388,7 +393,7 @@ def test_file_gone_since_listing_is_not_skipped(log_dir):
     live.declaration.declared_files = lambda root: listing
     outcome = live.refresh_directory(log_dir)
     assert (outcome.new_rows, outcome.skipped) == (1, ())
-    assert live.heartbeat().last_error is None
+    assert reported == []
 
 
 def test_declared_files_is_the_one_walk(tmp_path):
@@ -459,7 +464,7 @@ def test_live_matches_batch_load(log_dir):
 
 
 # ----------------------------------------------------------------------
-# telemetry: refresh spans and the heartbeat stream
+# telemetry: refresh spans
 
 
 def test_refresh_records_spans_and_heartbeat(log_dir):
@@ -467,13 +472,8 @@ def test_refresh_records_spans_and_heartbeat(log_dir):
 
     path = log_dir / "db1" / "mysql_log.log"
     append(path, [mysql_line(i) for i in range(4)])
-    beats = []
-    ticks = iter([100.0, 102.0, 110.0, 110.5])
     live = LiveTransformer(
-        MScopeDB(),
-        telemetry=TelemetryCollector(clock=zero_clock),
-        clock=lambda: next(ticks),
-        on_heartbeat=beats.append,
+        MScopeDB(), telemetry=TelemetryCollector(clock=zero_clock)
     )
 
     outcome = live.refresh_directory(log_dir)
@@ -486,41 +486,6 @@ def test_refresh_records_spans_and_heartbeat(log_dir):
     file_span = live.telemetry.spans[0]
     assert file_span.hostname == "db1"
     assert file_span.records == 4
-
-    # First cycle took 2s (clock 100 -> 102): 4 rows over one file.
-    (beat,) = beats
-    assert beat is live.heartbeat()
-    assert beat.refreshes == 1
-    assert beat.new_rows == 4
-    assert beat.lag_s == pytest.approx(2.0)
-    assert beat.files_per_sec == pytest.approx(0.5)
-    assert beat.rows_per_sec == pytest.approx(2.0)
-    assert beat.last_error is None
-
-    # Second, growth-free cycle (clock 110 -> 110.5) streams a fresh beat.
-    live.refresh_directory(log_dir)
-    assert len(beats) == 2
-    assert beats[-1].refreshes == 2
-    assert beats[-1].new_rows == 0
-
-
-def test_heartbeat_carries_last_error(log_dir):
-    from repro.transformer.errorpolicy import ErrorPolicy
-
-    path = log_dir / "db1" / "mysql_log.log"
-    append(path, [mysql_line(0), "170301 10:00:00\tQuery\tbroken"])
-    live = LiveTransformer(
-        MScopeDB(), policy=ErrorPolicy(mode="skip"), clock=lambda: 0.0
-    )
-    live.refresh_directory(log_dir)
-    beat = live.heartbeat()
-    assert beat is not None
-    assert beat.last_error is not None
-
-
-def test_heartbeat_none_before_any_cycle(log_dir):
-    live = LiveTransformer(MScopeDB())
-    assert live.heartbeat() is None
 
 
 def test_refresh_directory_resolves_each_file_once_per_cycle(log_dir):

@@ -185,7 +185,7 @@ def test_a_rolled_back_cycle_reports_no_damage(tmp_path, monkeypatch, halves):
     live = LiveTransformer(
         MScopeDB(),
         policy=ErrorPolicy(mode=SKIP, budget=None),
-        on_ingest_error=lambda path, reason: reported.append(path),
+        on_ingest_error=lambda path, reason: reported.append((path, reason)),
     )
     fail_nth_insert(monkeypatch, live.db, 9)  # after db1's mysql log
     with pytest.raises(DataImportError):
@@ -194,8 +194,9 @@ def test_a_rolled_back_cycle_reports_no_damage(tmp_path, monkeypatch, halves):
     assert live.db.ingest_error_count() == 0
     monkeypatch.undo()
     live.refresh_directory(logs)
-    assert reported == [str(damaged)]
-    assert "malformed" in live.heartbeat().last_error
+    ((path, reason),) = reported
+    assert path == str(damaged)
+    assert "malformed" in reason
 
 
 def test_an_idle_cycle_opens_no_log(tmp_path, monkeypatch, halves):
